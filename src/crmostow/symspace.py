@@ -65,6 +65,7 @@ UNITARY_TOL = 1e-10
 DET_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-8
 _MAX_CONDITION = 1e12
+_STATIONARY_TOL = 1e-5
 _QUAD_TARGET = 1e-10
 
 
@@ -164,13 +165,6 @@ def dist(p, q) -> float:
     return float(math.sqrt(np.sum(np.log(w) ** 2)))
 
 
-def _dist_sq_spd(pm: np.ndarray, qm: np.ndarray) -> float:
-    """Squared distance without validation (optimizer inner loop)."""
-    w = scipy.linalg.eigh(qm, pm, eigvals_only=True)
-    w = np.maximum(w, 1e-300)
-    return float(np.sum(np.log(w) ** 2))
-
-
 def polar_decompose(z, det_one: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Factor ``z = u·exp(X)`` with ``u`` unitary and ``X`` Hermitian."""
     zm = _as_matrix(z)
@@ -180,13 +174,14 @@ def polar_decompose(z, det_one: bool = True) -> tuple[np.ndarray, np.ndarray]:
     u = u_svd @ vh
     x = vh.conj().T @ np.diag(np.log(s)) @ vh
     x = 0.5 * (x + x.conj().T)
+    n = zm.shape[0]
     if det_one:
-        n = zm.shape[0]
         x = x - (np.trace(x) / n) * np.eye(n)
-    if __debug__:
-        residual = np.linalg.norm(zm - u @ scipy.linalg.expm(x))
-        assert residual <= 1e-8 * _scale(zm), "polar reconstruction failed"
-        assert np.linalg.norm(u.conj().T @ u - np.eye(zm.shape[0])) <= UNITARY_TOL
+    residual = np.linalg.norm(zm - u @ scipy.linalg.expm(x))
+    if not residual <= 1e-8 * _scale(zm):
+        raise ArithmeticError("polar reconstruction failed")
+    if not np.linalg.norm(u.conj().T @ u - np.eye(n)) <= UNITARY_TOL:
+        raise ArithmeticError("polar factor not unitary")
     return u, x
 
 
@@ -264,15 +259,6 @@ def jacobi_eval(spec: JacobiFieldSpec, t: float) -> tuple[np.ndarray, np.ndarray
     j = _theta(spec.Z, gamma) + 2.0 * t * (spec.T @ gamma)
     w = spec.H @ spec.Z - spec.Z @ spec.H + 2.0 * spec.T
     jdot = 0.5 * _theta(w, gamma)
-    if __debug__:
-        z, h, tt = spec.Z, spec.H, spec.T
-        j0 = z + z.conj().T
-        d = z - z.conj().T
-        jd0 = 0.5 * (h @ d - d @ h) + 2.0 * tt
-        gamma0 = spec.geodesic_point(0.0)
-        assert np.allclose(_theta(z, gamma0), j0, atol=1e-9 * _scale(j0))
-        w0 = h @ z - z @ h + 2.0 * tt
-        assert np.allclose(0.5 * _theta(w0, gamma0), jd0, atol=1e-9 * _scale(jd0))
     return j, jdot
 
 
@@ -475,6 +461,211 @@ def random_group_element(
 
 
 # --------------------------------------------------------------------------
+# product charts of exponentials, with exact derivatives
+# --------------------------------------------------------------------------
+
+
+def _expm_frechet(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The Fréchet derivative ``L(F, S)`` of exp, read off the exponential of
+    ``[[F, S], [0, F]]`` (the block method of ``scipy.linalg.expm_frechet``,
+    without that function's per-call overhead on small matrices)."""
+    n = f.shape[0]
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = f
+    block[n:, n:] = f
+    block[:n, n:] = s
+    return scipy.linalg.expm(block)[:n, n:]
+
+
+class _ChartFactor:
+    """A factor ``exp(F)`` of a product chart.  ``F`` ranges over the real
+    span of ``basis`` (one coordinate per matrix) or over its complex span
+    (an (re, im) pair per matrix); its coordinates start at ``start``."""
+
+    def __init__(
+        self, basis: Sequence[np.ndarray], n: int, is_complex: bool, start: int
+    ):
+        stack = np.array(basis, dtype=complex).reshape(len(basis), n, n)
+        self.basis = stack
+        self.is_complex = is_complex
+        self.start = start
+        self.dim = (2 if is_complex else 1) * len(stack)
+        self._flat = stack.reshape(len(stack), n * n)
+        self._pairing = stack.transpose(0, 2, 1).reshape(len(stack), n * n)
+
+    def exponent(self, y: np.ndarray) -> np.ndarray:
+        c = y[self.start : self.start + self.dim]
+        if self.is_complex:
+            c = c[0::2] + 1j * c[1::2]
+        n = self.basis.shape[1]
+        return (c @ self._flat).reshape(n, n)
+
+    def pair(self, l: np.ndarray) -> np.ndarray:
+        """``tr(L·B)`` for every basis matrix ``B``."""
+        return self._pairing @ l.ravel()
+
+
+class _ProductChart:
+    """The chart ``y ↦ w(y) = exp(F₁(y))···exp(F_m(y))``.
+
+    ``factors`` lists ``(basis, is_complex, start)`` in product order; the
+    coordinate blocks may come in another order.  ``evaluate`` returns ``w``
+    with each factor's exponent and exponential, which ``gradient`` and
+    ``tangents`` take to differentiate at the same point.
+    """
+
+    def __init__(
+        self, n: int, factors: Sequence[tuple[Sequence[np.ndarray], bool, int]]
+    ):
+        self.n = n
+        self.factors = tuple(_ChartFactor(b, n, c, s) for b, c, s in factors)
+        self.dim = sum(f.dim for f in self.factors)
+
+    def evaluate(self, y: np.ndarray) -> tuple[np.ndarray, list]:
+        parts = []
+        w = np.eye(self.n, dtype=complex)
+        for factor in self.factors:
+            f = factor.exponent(y)
+            e = scipy.linalg.expm(f)
+            parts.append((f, e))
+            w = w @ e
+        return w, parts
+
+    def _frames(self, parts: list) -> Iterable[tuple]:
+        """Each factor with its part and ``(E₁···E_{j−1}, E_{j+1}···E_m)``."""
+        suffixes = [np.eye(self.n, dtype=complex)]
+        for _, e in reversed(parts[1:]):
+            suffixes.append(e @ suffixes[-1])
+        prefix = np.eye(self.n, dtype=complex)
+        for factor, part, suffix in zip(self.factors, parts, reversed(suffixes)):
+            yield factor, part, prefix, suffix
+            prefix = prefix @ part[1]
+
+    def gradient(self, parts: list, m: np.ndarray) -> np.ndarray:
+        """Gradient of ``y ↦ 2 Re tr(M·w(y))``.
+
+        ``L(F, ·)`` is self-adjoint for the trace pairing, so one Fréchet
+        derivative per factor gives all of that factor's coordinates: with
+        ``S = (E_{j+1}···E_m)·M·(E₁···E_{j−1})``, the coordinate of basis
+        matrix ``B`` has derivative ``2 Re tr(L(F_j, S)·B)``, and the
+        imaginary coordinate of a complex pair ``−2 Im tr(L(F_j, S)·B)``.
+        """
+        grad = np.empty(self.dim)
+        for factor, (f, _), prefix, suffix in self._frames(parts):
+            t = 2.0 * factor.pair(_expm_frechet(f, suffix @ m @ prefix))
+            block = grad[factor.start : factor.start + factor.dim]
+            if factor.is_complex:
+                block[0::2] = t.real
+                block[1::2] = -t.imag
+            else:
+                block[:] = t.real
+        return grad
+
+    def tangents(self, parts: list) -> np.ndarray:
+        """``∂w/∂y_k`` for every coordinate, stacked along the first axis.
+        ``L(F, ·)`` is complex-linear, so one Fréchet derivative per basis
+        matrix gives both coordinates of a complex pair."""
+        out = np.empty((self.dim, self.n, self.n), dtype=complex)
+        for factor, (f, _), prefix, suffix in self._frames(parts):
+            step = 2 if factor.is_complex else 1
+            for k, b in enumerate(factor.basis):
+                d = prefix @ _expm_frechet(f, b) @ suffix
+                out[factor.start + step * k] = d
+                if factor.is_complex:
+                    out[factor.start + step * k + 1] = 1j * d
+        return out
+
+
+def _orbit_objective(
+    a_mat: np.ndarray, chart: _ProductChart
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """``y ↦ (f, ∇f)`` for ``f = Σᵢ log²λᵢ(A⁻¹B)``, ``B = w(y)*·w(y)``: the
+    squared distance from ``A`` to ``B``.
+
+    With ``B·wᵢ = λᵢ·A·wᵢ`` and ``wᵢ*·A·wⱼ = δᵢⱼ``, ``dλᵢ = wᵢ*·dB·wᵢ``, so
+    ``df = Re tr(G·dB)`` for ``G = W·diag(2 log λ/λ)·W*``, which is
+    ``2 Re tr(G·w*·dw)``.
+    """
+
+    def objective(y: np.ndarray) -> tuple[float, np.ndarray]:
+        w, parts = chart.evaluate(y)
+        lam, vecs = scipy.linalg.eigh(w.conj().T @ w, a_mat)
+        lam = np.maximum(lam, 1e-300)
+        logs = np.log(lam)
+        g = (vecs * (2.0 * logs / lam)) @ vecs.conj().T
+        return float(np.sum(logs**2)), chart.gradient(parts, g @ w.conj().T)
+
+    return objective
+
+
+def _group_chart(structure: MostowStructure) -> _ProductChart:
+    """The group factor ``v = exp(Y_n)·exp(Y_p)``, coordinates (Y_n, Y_p)."""
+    nn = 2 * len(structure.nil_basis)
+    return _ProductChart(
+        structure.size,
+        [(structure.nil_basis, True, 0), (structure.herm_basis, False, nn)],
+    )
+
+
+def _fiber_chart(structure: MostowStructure) -> _ProductChart:
+    """``exp(X)·exp(Z)`` over the fiber factors, coordinates (X, Z)."""
+    return _ProductChart(
+        structure.size,
+        [
+            (structure.fiber_basis, False, 0),
+            (structure.complement_basis, True, structure.fiber_dim),
+        ],
+    )
+
+
+def _envelope_chart(structure: MostowStructure) -> _ProductChart:
+    """``exp(X)·η`` with ``η = exp(N)·exp(P)`` on the enlarged chart of the
+    foot-point stage, coordinates (X, P, N).  ``X`` is Hermitian, so
+    ``(exp(X)·η)*·exp(X)·η = η*·exp(2X)·η``."""
+    nf = structure.fiber_dim
+    np_env = len(structure.envelope_herm_basis)
+    return _ProductChart(
+        structure.size,
+        [
+            (structure.fiber_basis, False, 0),
+            (structure.envelope_nil_basis, True, nf + np_env),
+            (structure.envelope_herm_basis, False, nf),
+        ],
+    )
+
+
+def _stage_b_residual(
+    a_mat: np.ndarray, fiber: _ProductChart, group: _ProductChart
+) -> tuple[Callable, Callable]:
+    """Residual ``exp(Z)*·exp(2X)·exp(Z) − (v⁻¹)*·A·v⁻¹`` over ``y = (X, Z,
+    v)`` as real and imaginary parts, with its Jacobian.  A coordinate
+    moving ``w = exp(X)·exp(Z)`` by ``dw`` moves the residual by ``q + q*``
+    with ``q = w*·dw``; one moving ``v`` by ``dv`` moves it by ``q + q*``
+    with ``q = (v⁻¹)*·A·v⁻¹·dv·v⁻¹``."""
+    split = fiber.dim
+
+    def residual(y: np.ndarray) -> np.ndarray:
+        w, _ = fiber.evaluate(y[:split])
+        v, _ = group.evaluate(y[split:])
+        vinv = np.linalg.inv(v)
+        diff = w.conj().T @ w - vinv.conj().T @ a_mat @ vinv
+        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+
+    def jacobian(y: np.ndarray) -> np.ndarray:
+        w, parts = fiber.evaluate(y[:split])
+        dw = fiber.tangents(parts)
+        v, parts = group.evaluate(y[split:])
+        dv = group.tangents(parts)
+        vinv = np.linalg.inv(v)
+        rhs = vinv.conj().T @ a_mat @ vinv
+        q = np.concatenate([w.conj().T @ dw, rhs @ dv @ vinv])
+        d = (q + q.conj().transpose(0, 2, 1)).reshape(len(q), -1)
+        return np.concatenate([d.real, d.imag], axis=1).T
+
+    return residual, jacobian
+
+
+# --------------------------------------------------------------------------
 # two-stage group decomposition
 # --------------------------------------------------------------------------
 
@@ -496,18 +687,6 @@ class MostowDecomposition:
     @property
     def fiber_norm(self) -> float:
         return float(np.linalg.norm(self.X))
-
-
-def _group_factor(
-    yp: np.ndarray, yn: np.ndarray, structure: MostowStructure
-) -> tuple[np.ndarray, np.ndarray]:
-    """(v, v⁻¹) for the chart v = expm(Y_n)·expm(Y_p)."""
-    n = structure.size
-    p_mat = _combo(yp, structure.herm_basis, n)
-    n_mat = _complex_combo(yn, structure.nil_basis, n)
-    v = scipy.linalg.expm(n_mat) @ scipy.linalg.expm(p_mat)
-    vinv = scipy.linalg.expm(-p_mat) @ scipy.linalg.expm(-n_mat)
-    return v, vinv
 
 
 def _check_restart_agreement(
@@ -549,45 +728,28 @@ def mostow_decompose(
     n = structure.size
     a_mat = zm.conj().T @ zm
 
+    envelope = _envelope_chart(structure)
+    stage_a_objective = _orbit_objective(a_mat, envelope)
+    fiber = _fiber_chart(structure)
+    group = _group_chart(structure)
+    stage_b_residual, stage_b_jacobian = _stage_b_residual(a_mat, fiber, group)
     nf = structure.fiber_dim
-    np_env = len(structure.envelope_herm_basis)
-    nn_env = 2 * len(structure.envelope_nil_basis)
-    nl = 2 * structure.complement_dim
     nn_v = 2 * len(structure.nil_basis)
-    np_v = len(structure.herm_basis)
-
-    def stage_a_objective(x: np.ndarray) -> float:
-        x_mat = _combo(x[:nf], structure.fiber_basis, n)
-        p_mat = _combo(x[nf : nf + np_env], structure.envelope_herm_basis, n)
-        n_mat = _complex_combo(x[nf + np_env :], structure.envelope_nil_basis, n)
-        eta = scipy.linalg.expm(n_mat) @ scipy.linalg.expm(p_mat)
-        target = eta.conj().T @ scipy.linalg.expm(2.0 * x_mat) @ eta
-        return _dist_sq_spd(a_mat, target)
-
-    def stage_b_residual(y: np.ndarray) -> np.ndarray:
-        x_mat = _combo(y[:nf], structure.fiber_basis, n)
-        z_mat = _complex_combo(y[nf : nf + nl], structure.complement_basis, n)
-        yn = y[nf + nl : nf + nl + nn_v]
-        yp = y[nf + nl + nn_v :]
-        _, vinv = _group_factor(yp, yn, structure)
-        ez = scipy.linalg.expm(z_mat)
-        lhs = ez.conj().T @ scipy.linalg.expm(2.0 * x_mat) @ ez
-        rhs = vinv.conj().T @ a_mat @ vinv
-        diff = lhs - rhs
-        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+    dim_b = fiber.dim + group.dim
 
     best = None
     converged_norms: list[float] = []
     for restart in range(max_restarts):
         rng = np.random.default_rng([seed, restart])
         if restart == 0:
-            xa0 = np.zeros(nf + np_env + nn_env)
+            xa0 = np.zeros(envelope.dim)
         else:
-            xa0 = 0.3 * rng.standard_normal(nf + np_env + nn_env)
+            xa0 = 0.3 * rng.standard_normal(envelope.dim)
         res_a = scipy.optimize.minimize(
             stage_a_objective,
             xa0,
             method="L-BFGS-B",
+            jac=True,
             options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
         x_coords = res_a.x[:nf]
@@ -595,33 +757,30 @@ def mostow_decompose(
         # Second stage refines the foot point together with the remaining
         # factors: the matrix equation pins the whole parameter vector, and
         # a least-squares solve polishes it to machine precision.
-        yb0 = np.zeros(nf + nl + nn_v + np_v)
+        yb0 = np.zeros(dim_b)
         yb0[:nf] = x_coords
         if restart > 0:
-            yb0[nf:] = 0.3 * rng.standard_normal(nl + nn_v + np_v)
+            yb0[nf:] = 0.3 * rng.standard_normal(dim_b - nf)
         res_b = scipy.optimize.least_squares(
             stage_b_residual,
             yb0,
-            method="lm" if (nf + nl + nn_v + np_v) <= 2 * n * n else "trf",
+            jac=stage_b_jacobian,
+            method="lm" if dim_b <= 2 * n * n else "trf",
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,
             max_nfev=4000,
         )
         y = res_b.x
-        x_mat = _combo(y[:nf], structure.fiber_basis, n)
-        z_mat = _complex_combo(y[nf : nf + nl], structure.complement_basis, n)
-        yn = y[nf + nl : nf + nl + nn_v]
-        yp = y[nf + nl + nn_v :]
-        v, vinv = _group_factor(yp, yn, structure)
-        u_raw = zm @ vinv @ scipy.linalg.expm(-z_mat) @ scipy.linalg.expm(-x_mat)
+        w, ((x_mat, _), (z_mat, _)) = fiber.evaluate(y[: fiber.dim])
+        v, _ = group.evaluate(y[fiber.dim :])
         try:
-            u, _ = polar_decompose(u_raw)
+            u, _ = polar_decompose(zm @ np.linalg.inv(w @ v))
         except ValueError:
             continue
-        recon = u @ scipy.linalg.expm(x_mat) @ scipy.linalg.expm(z_mat) @ v
-        residual = float(np.linalg.norm(zm - recon))
-        v_params = np.concatenate([yp, yn])
+        residual = float(np.linalg.norm(zm - u @ w @ v))
+        yv = y[fiber.dim :]
+        v_params = np.concatenate([yv[nn_v:], yv[:nn_v]])
         candidate = (residual, restart, u, x_mat, z_mat, v_params, v)
         if residual <= tol * _scale(zm):
             converged_norms.append(float(np.linalg.norm(x_mat)))
@@ -657,41 +816,38 @@ def _phi_minimize(
     y0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """min over the group-factor chart of dist²(ζ*ζ, v*v); returns (value, argmin)."""
-    n = structure.size
-    nn_v = 2 * len(structure.nil_basis)
-    np_v = len(structure.herm_basis)
-    dim = nn_v + np_v
-
-    def objective(y: np.ndarray) -> float:
-        v, _ = _group_factor(y[nn_v:], y[:nn_v], structure)
-        return _dist_sq_spd(a_mat, v.conj().T @ v)
-
-    if dim == 0:
-        return objective(np.zeros(0)), np.zeros(0)
+    chart = _group_chart(structure)
+    objective = _orbit_objective(a_mat, chart)
+    if chart.dim == 0:
+        return objective(np.zeros(0))[0], np.zeros(0)
 
     best_val = math.inf
-    best_y = np.zeros(dim)
-    any_success = False
+    best_y = np.zeros(chart.dim)
     starts: list[np.ndarray] = []
     if y0 is not None:
         starts.append(np.array(y0, dtype=float))
     else:
-        starts.append(np.zeros(dim))
+        starts.append(np.zeros(chart.dim))
         for r in range(1, max(1, restarts)):
             rng = np.random.default_rng([seed, r])
-            starts.append(0.5 * rng.standard_normal(dim))
+            starts.append(0.5 * rng.standard_normal(chart.dim))
     for start in starts:
         res = scipy.optimize.minimize(
             objective,
             start,
             method="L-BFGS-B",
+            jac=True,
             options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
-        any_success = any_success or bool(res.success) or res.fun < best_val
         if res.fun < best_val:
             best_val = float(res.fun)
             best_y = res.x
-    if not math.isfinite(best_val) or not any_success:
+    # L-BFGS-B's success flag is no certificate: it reports failure when its
+    # line search stalls at a minimum already exact to rounding.  The exact
+    # gradient at the best point is one.
+    if not math.isfinite(best_val) or not (
+        np.linalg.norm(objective(best_y)[1]) <= _STATIONARY_TOL
+    ):
         raise NonConvergenceError("non-convergent")
     return best_val, best_y
 

@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import crmostow
 from crmostow import cli
 from crmostow.cli import (
     EXIT_BAD_INPUT,
@@ -356,6 +362,47 @@ class TestExhaust:
         )
         assert report["phi"] > 1e-3
         assert report["cross_checked"] is True
+
+    def test_unconverged_minimization_exits_4(self, capsys, monkeypatch):
+        def stalled(fun, x0, **kwargs):
+            value, _ = fun(x0)
+            return scipy.optimize.OptimizeResult(
+                x=np.array(x0), fun=value, success=False, nfev=1, nit=0
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        code, _, err = _run(
+            capsys,
+            "exhaust",
+            "--catalog",
+            "grassmann_pair",
+            "--params",
+            GRASSMANN_PARAMS,
+            "--random",
+            "--seed",
+            "5",
+        )
+        assert code == EXIT_NONCONVERGENT
+        assert "non-convergent" in err
+
+    def test_output_does_not_depend_on_optimize_flag(self):
+        argv = ["-m", "crmostow.cli", "exhaust", "--catalog", "su22_f12"]
+        argv += ["--random", "--seed", "7"]
+        src = str(Path(crmostow.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        outputs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 # -----------------------------------------------------------------------

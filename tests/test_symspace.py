@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from crmostow import catalog
 from crmostow.errors import NonConvergenceError, RestartDisagreementError
@@ -17,6 +18,11 @@ from crmostow.symspace import (
     MostowDecomposition,
     SpdPoint,
     _check_restart_agreement,
+    _envelope_chart,
+    _fiber_chart,
+    _group_chart,
+    _orbit_objective,
+    _stage_b_residual,
     commuting_split,
     counterexample_search,
     dist,
@@ -188,6 +194,12 @@ class TestPolarDecompose:
         with pytest.raises(ValueError, match="singular input"):
             polar_decompose(np.diag([1.0, 0.0]).astype(complex))
 
+    def test_reconstruction_check_raises(self, monkeypatch):
+        # the check is an explicit raise, so it also runs under python -O
+        monkeypatch.setattr(scipy.linalg, "expm", lambda x: 2.0 * np.eye(len(x)))
+        with pytest.raises(ArithmeticError, match="polar reconstruction failed"):
+            polar_decompose(np.diag([2.0, 0.5]).astype(complex))
+
 
 class TestJacobiEval:
     def test_zero_spec_gives_zero_field(self):
@@ -197,6 +209,19 @@ class TestJacobiEval:
         j, jd = jacobi_eval(spec, 0.7)
         assert np.linalg.norm(j) == 0.0
         assert np.linalg.norm(jd) == 0.0
+
+    def test_initial_value_and_derivative(self):
+        # J(0) = Z + Z* and J'(0) = [H, Z - Z*]/2 + 2T for every specification
+        rng = np.random.default_rng(24)
+        for trial in range(10):
+            spec = _random_spec(3 + trial % 2, rng, distinct_eigenvalues=bool(trial % 2))
+            z, h, t = spec.Z, spec.H, spec.T
+            j0, jd0 = jacobi_eval(spec, 0.0)
+            d = z - z.conj().T
+            expected_jd = 0.5 * (h @ d - d @ h) + 2.0 * t
+            for got, expected in ((j0, z + z.conj().T), (jd0, expected_jd)):
+                atol = 1e-9 * max(1.0, np.linalg.norm(expected))
+                assert np.allclose(got, expected, atol=atol)
 
     def test_kernel_directions_vanish(self):
         # anti-Hermitian Z commuting with H spans the kernel of W -> theta_W
@@ -565,6 +590,94 @@ class TestExhaustion:
     def test_rejects_non_group_input(self, su22_structure):
         with pytest.raises(ValueError, match="not in the group"):
             exhaustion_phi(np.eye(5, dtype=complex), su22_structure)
+
+
+    def test_unconverged_minimization_raises(self, grassmann_structure, monkeypatch):
+        # a minimizer that returns its start unchanged leaves a nonzero
+        # gradient at the best point, which the stationarity check rejects
+        def stalled(fun, x0, **kwargs):
+            value, _ = fun(x0)
+            return scipy.optimize.OptimizeResult(
+                x=np.array(x0), fun=value, success=False, nfev=1, nit=0
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        zeta = random_group_element(grassmann_structure, np.random.default_rng(4), 0.4)
+        with pytest.raises(NonConvergenceError, match="non-convergent"):
+            exhaustion_phi(zeta, grassmann_structure)
+
+
+DERIVATIVE_STRUCTURES = [
+    ("su22_f12", None),
+    ("su23_f12", None),
+    ("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1}),
+    ("upper_triangular_horocycle", None),
+]
+
+
+@pytest.fixture(scope="module", params=DERIVATIVE_STRUCTURES, ids=lambda s: s[0])
+def derivative_structure(request):
+    name, params = request.param
+    return mostow_structure(catalog.build(name, params).subalgebra)
+
+
+def _central_jacobian(fun, y, step=1e-6):
+    """Columns (fun(y + h e_k) - fun(y - h e_k)) / 2h."""
+    cols = []
+    for k in range(len(y)):
+        e = np.zeros_like(y)
+        e[k] = step
+        cols.append((np.asarray(fun(y + e)) - np.asarray(fun(y - e))) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+class TestExactDerivatives:
+    """The optimizers' analytic gradients and Jacobian against central
+    differences at random points."""
+
+    def _point(self, structure, seed):
+        rng = np.random.default_rng(seed)
+        zeta = random_group_element(structure, rng, scale=0.4)
+        return zeta.conj().T @ zeta, rng
+
+    def test_fiber_factor_is_hermitian(self, derivative_structure):
+        # exp(X)*·exp(X) = exp(2X), which the charts use, needs X Hermitian
+        for m in derivative_structure.fiber_basis:
+            assert np.array_equal(m, m.conj().T)
+
+    @pytest.mark.parametrize("chart_of", [_envelope_chart, _group_chart], ids=["stage_a", "phi"])
+    def test_objective_gradients(self, derivative_structure, chart_of):
+        a_mat, rng = self._point(derivative_structure, 31)
+        chart = chart_of(derivative_structure)
+        objective = _orbit_objective(a_mat, chart)
+        for _ in range(3):
+            y = 0.4 * rng.standard_normal(chart.dim)
+            _, grad = objective(y)
+            fd = _central_jacobian(lambda t: objective(t)[0], y)
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_stage_b_jacobian(self, derivative_structure):
+        a_mat, rng = self._point(derivative_structure, 32)
+        fiber, group = _fiber_chart(derivative_structure), _group_chart(derivative_structure)
+        residual, jacobian = _stage_b_residual(a_mat, fiber, group)
+        for _ in range(3):
+            y = 0.4 * rng.standard_normal(fiber.dim + group.dim)
+            fd = _central_jacobian(residual, y)
+            assert np.linalg.norm(jacobian(y) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+class TestDeterminism:
+    def test_same_seed_gives_bitwise_equal_results(self, grassmann_structure):
+        zeta = random_group_element(grassmann_structure, np.random.default_rng(8), 0.4)
+        first = mostow_decompose(zeta, grassmann_structure, max_restarts=3, seed=5)
+        second = mostow_decompose(zeta, grassmann_structure, max_restarts=3, seed=5)
+        for name in ("u", "X", "Z", "v_params", "v_matrix"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
+        assert first.residual == second.residual
+        assert first.restarts_agree == second.restarts_agree
+        assert exhaustion_phi(zeta, grassmann_structure, seed=5) == exhaustion_phi(
+            zeta, grassmann_structure, seed=5
+        )
 
 
 class TestMinorLogInequality:
