@@ -33,6 +33,8 @@ from .parabolic import (
 from .structure import make_subalgebra, normalizer
 from .symspace import (
     JacobiFieldSpec,
+    _combo,
+    _complex_combo,
     counterexample_search,
     exhaustion_phi,
     geodesic_variation_spec,
@@ -46,8 +48,6 @@ from .symspace import (
     random_compact_element,
     random_group_element,
 )
-
-GRASSMANN_REFERENCE = {"p": 1, "q": 2, "n": 3, "k": 1}
 
 
 @dataclass
@@ -84,41 +84,34 @@ def _unit(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _real_combo(basis, coeffs) -> np.ndarray:
-    acc = np.zeros_like(basis[0])
-    for c, m in zip(coeffs, basis):
-        acc = acc + c * m
-    return acc
+def _reference_structure(name: str):
+    entry = catalog.build(name, catalog.REFERENCE_PARAMS.get(name))
+    return mostow_structure(entry.subalgebra)
 
 
-def _complex_combo(basis, coeffs) -> np.ndarray:
-    acc = np.zeros_like(basis[0])
-    for k, m in enumerate(basis):
-        acc = acc + complex(coeffs[2 * k], coeffs[2 * k + 1]) * m
-    return acc
+def _nil_herm_factor(structure, rng, scale: float) -> np.ndarray:
+    """``exp(N) · exp(P)`` with random N in the nilpotent span and P in the
+    Hermitian span (each factor only when its basis is nonempty)."""
+    size = structure.size
+    v = np.eye(size, dtype=complex)
+    if structure.nil_basis:
+        coeffs = scale * rng.standard_normal(2 * len(structure.nil_basis))
+        v = v @ scipy.linalg.expm(_complex_combo(coeffs, structure.nil_basis, size))
+    if structure.herm_basis:
+        coeffs = scale * rng.standard_normal(len(structure.herm_basis))
+        v = v @ scipy.linalg.expm(_combo(coeffs, structure.herm_basis, size))
+    return v
 
 
 def _synthesize(structure, rng, scale: float = 0.35):
     """A group element ``u · exp(X) · v`` with known fiber displacement X."""
     u = random_compact_element(structure, rng, scale=1.0)
-    x = _real_combo(
-        structure.fiber_basis, scale * rng.standard_normal(structure.fiber_dim)
+    x = _combo(
+        scale * rng.standard_normal(structure.fiber_dim),
+        structure.fiber_basis,
+        structure.size,
     )
-    v = np.eye(structure.size, dtype=complex)
-    if structure.nil_basis:
-        v = v @ scipy.linalg.expm(
-            _complex_combo(
-                structure.nil_basis,
-                scale * rng.standard_normal(2 * len(structure.nil_basis)),
-            )
-        )
-    if structure.herm_basis:
-        v = v @ scipy.linalg.expm(
-            _real_combo(
-                structure.herm_basis,
-                scale * rng.standard_normal(len(structure.herm_basis)),
-            )
-        )
+    v = _nil_herm_factor(structure, rng, scale)
     return u @ scipy.linalg.expm(x) @ v, x
 
 
@@ -321,16 +314,8 @@ def check_witt_lower_bounds() -> CheckResult:
 def check_regularization() -> CheckResult:
     started = time.perf_counter()
     failures: list[str] = []
-    reference_params: dict[str, dict | None] = {
-        "su22_f12": None,
-        "su23_f13": None,
-        "su23_f12": None,
-        "grassmann_pair": GRASSMANN_REFERENCE,
-        "so_n_symmetric": None,
-        "upper_triangular_horocycle": None,
-    }
     for name in catalog.entry_names():
-        entry = catalog.build(name, reference_params[name])
+        entry = catalog.build(name, catalog.REFERENCE_PARAMS.get(name))
         v = entry.subalgebra
         trace = parabolic_regularization(v)
         if trace.steps > v.ambient.dim:
@@ -573,16 +558,8 @@ def check_counterexample() -> CheckResult:
 def check_round_trip() -> CheckResult:
     started = time.perf_counter()
     failures: list[str] = []
-    specs = [
-        ("su22_f12", None),
-        ("su23_f12", None),
-        ("grassmann_pair", GRASSMANN_REFERENCE),
-        ("upper_triangular_horocycle", None),
-    ]
-    structures = [
-        (name, mostow_structure(catalog.build(name, params).subalgebra))
-        for name, params in specs
-    ]
+    names = ("su22_f12", "su23_f12", "grassmann_pair", "upper_triangular_horocycle")
+    structures = [(name, _reference_structure(name)) for name in names]
     worst = 0.0
     for seed in range(50):
         name, structure = structures[seed % len(structures)]
@@ -630,29 +607,13 @@ def check_round_trip() -> CheckResult:
 def check_exhaustion() -> CheckResult:
     started = time.perf_counter()
     failures: list[str] = []
-    structure = mostow_structure(
-        catalog.build("grassmann_pair", GRASSMANN_REFERENCE).subalgebra
-    )
+    structure = _reference_structure("grassmann_pair")
 
     worst_base = 0.0
     for seed in range(10):
         rng = np.random.default_rng([301, seed])
         u = random_compact_element(structure, rng)
-        v = np.eye(structure.size, dtype=complex)
-        if structure.nil_basis:
-            v = v @ scipy.linalg.expm(
-                _complex_combo(
-                    structure.nil_basis,
-                    0.4 * rng.standard_normal(2 * len(structure.nil_basis)),
-                )
-            )
-        if structure.herm_basis:
-            v = v @ scipy.linalg.expm(
-                _real_combo(
-                    structure.herm_basis,
-                    0.4 * rng.standard_normal(len(structure.herm_basis)),
-                )
-            )
+        v = _nil_herm_factor(structure, rng, 0.4)
         value = exhaustion_phi(u @ v, structure, restarts=4, seed=seed)
         worst_base = max(worst_base, abs(value))
     if worst_base > 1e-8:
@@ -675,8 +636,10 @@ def check_exhaustion() -> CheckResult:
     worst_gap = -np.inf
     for seed in range(100):
         rng = np.random.default_rng([303, seed])
-        x = _real_combo(
-            structure.fiber_basis, 0.3 * rng.standard_normal(structure.fiber_dim)
+        x = _combo(
+            0.3 * rng.standard_normal(structure.fiber_dim),
+            structure.fiber_basis,
+            structure.size,
         )
         u = random_compact_element(structure, rng)
         value = exhaustion_phi(
@@ -704,9 +667,7 @@ def check_exhaustion() -> CheckResult:
 def check_levi_probes() -> CheckResult:
     started = time.perf_counter()
     failures: list[str] = []
-    structure = mostow_structure(
-        catalog.build("grassmann_pair", GRASSMANN_REFERENCE).subalgebra
-    )
+    structure = _reference_structure("grassmann_pair")
     size = structure.size
     orbit_dirs = [-m.conj().T for m in structure.nil_basis]
     transverse_dirs = [
@@ -720,7 +681,7 @@ def check_levi_probes() -> CheckResult:
         coeffs = 0.35 * rng.standard_normal(structure.fiber_dim)
         if float(np.linalg.norm(coeffs)) < 0.1:
             coeffs = coeffs + 0.2
-        x = _real_combo(structure.fiber_basis, coeffs)
+        x = _combo(coeffs, structure.fiber_basis, size)
         u = random_compact_element(structure, rng)
         zeta = u @ scipy.linalg.expm(x)
         if exhaustion_phi(zeta, structure, restarts=2, seed=seed) <= 0.0:

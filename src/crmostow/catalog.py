@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .ambient import AmbientAlgebra, block_special_linear, special_linear
 from .exact import QI, ExactMatrix
@@ -22,7 +22,7 @@ __all__ = [
     "CatalogEntry",
     "entry_names",
     "build",
-    "expected_report",
+    "REFERENCE_PARAMS",
     "grassmann_parameter_grid",
 ]
 
@@ -73,27 +73,6 @@ class CatalogEntry:
 # --------------------------------------------------------------------------
 
 
-def _unit(n: int, i: int, j: int) -> ExactMatrix:
-    rows = [[QI(0)] * n for _ in range(n)]
-    rows[i][j] = QI(1)
-    return ExactMatrix(rows)
-
-
-def _diag(values: Sequence[int]) -> ExactMatrix:
-    n = len(values)
-    rows = [[QI(0)] * n for _ in range(n)]
-    for i, v in enumerate(values):
-        rows[i][i] = QI(v)
-    return ExactMatrix(rows)
-
-
-def _combine(n: int, *terms: tuple[int, int]) -> ExactMatrix:
-    rows = [[QI(0)] * n for _ in range(n)]
-    for i, j in terms:
-        rows[i][j] = QI(1)
-    return ExactMatrix(rows)
-
-
 def _require_int(params: Mapping[str, object], key: str) -> int:
     value = params.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -134,9 +113,10 @@ def _parse_gaussian(value: object) -> QI:
 def _build_su22_f12(params: Mapping[str, object]) -> CatalogEntry:
     _check_keys(params, set())
     amb = block_special_linear((2, 2))
+    e = ExactMatrix.unit
     gens = [
-        _diag([1, -1, 1, -1]),
-        _combine(4, (0, 1), (2, 3)),
+        ExactMatrix.diagonal([1, -1, 1, -1]),
+        e(4, 0, 1) + e(4, 2, 3),
     ]
     v = make_subalgebra(amb, gens)
     expected = ExpectedInvariants(
@@ -159,11 +139,12 @@ def _build_su22_f12(params: Mapping[str, object]) -> CatalogEntry:
 def _build_su23_f13(params: Mapping[str, object]) -> CatalogEntry:
     _check_keys(params, set())
     amb = block_special_linear((2, 3))
+    e = ExactMatrix.unit
     gens = [
-        _diag([1, 0, 1, -2, 0]),
-        _diag([0, 1, 0, -2, 1]),
-        _combine(5, (0, 1), (2, 4)),
-        _combine(5, (3, 4)),
+        ExactMatrix.diagonal([1, 0, 1, -2, 0]),
+        ExactMatrix.diagonal([0, 1, 0, -2, 1]),
+        e(5, 0, 1) + e(5, 2, 4),
+        e(5, 3, 4),
     ]
     v = make_subalgebra(amb, gens)
     expected = ExpectedInvariants(
@@ -187,12 +168,13 @@ def _build_su23_f13(params: Mapping[str, object]) -> CatalogEntry:
 def _build_su23_f12(params: Mapping[str, object]) -> CatalogEntry:
     _check_keys(params, set())
     amb = block_special_linear((2, 3))
+    e = ExactMatrix.unit
     gens = [
-        _diag([1, 0, 1, 0, -2]),
-        _diag([0, 1, 0, 1, -2]),
-        _combine(5, (0, 1), (2, 3)),
-        _combine(5, (2, 4)),
-        _combine(5, (3, 4)),
+        ExactMatrix.diagonal([1, 0, 1, 0, -2]),
+        ExactMatrix.diagonal([0, 1, 0, 1, -2]),
+        e(5, 0, 1) + e(5, 2, 3),
+        e(5, 2, 4),
+        e(5, 3, 4),
     ]
     v = make_subalgebra(amb, gens)
     expected = ExpectedInvariants(
@@ -237,18 +219,15 @@ def _build_grassmann_pair(params: Mapping[str, object]) -> CatalogEntry:
     for g, s in enumerate((n1, n2, n3, n4), start=1):
         group.extend([g] * s)
 
-    gens: list[ExactMatrix] = []
-    for i in range(size - 1):
-        rows = [[QI(0)] * size for _ in range(size)]
-        rows[i][i] = QI(1)
-        rows[size - 1][size - 1] = QI(-1)
-        gens.append(ExactMatrix(rows))
+    e = ExactMatrix.unit
+    last = size - 1
+    gens = [e(size, i, i) - e(size, last, last) for i in range(last)]
     for i in range(size):
         for j in range(size):
             if i == j:
                 continue
             if group[i] == group[j] or (group[i], group[j]) in _STAIRCASE_ALLOWED:
-                gens.append(_unit(size, i, j))
+                gens.append(e(size, i, j))
 
     amb = special_linear(size)
     v = make_subalgebra(amb, gens)
@@ -309,11 +288,12 @@ def _build_so_n_symmetric(params: Mapping[str, object]) -> CatalogEntry:
         raise ValueError("invalid parameters")
 
     amb = special_linear(n)
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat = _unit(n, i, j) + _unit(n, j, i).scale(-(scalars[i] / scalars[j]))
-            gens.append(mat)
+    e = ExactMatrix.unit
+    gens = [
+        e(n, i, j) + e(n, j, i, -(scalars[i] / scalars[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
     v = make_subalgebra(amb, gens)
     expected = ExpectedInvariants(
         n_reductive=False,
@@ -336,7 +316,7 @@ def _build_upper_triangular_horocycle(params: Mapping[str, object]) -> CatalogEn
     if n < 2:
         raise ValueError("invalid parameters")
     amb = special_linear(n)
-    gens = [_unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    gens = [ExactMatrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
     v = make_subalgebra(amb, gens)
     nu = n * (n - 1) // 2
     expected = ExpectedInvariants(
@@ -374,6 +354,14 @@ _BUILDERS = {
 }
 
 
+# Parameters of the one parametrized entry that the acceptance checks and
+# ``crmostow verify`` exercise; pass ``REFERENCE_PARAMS.get(name)`` to
+# ``build``.
+REFERENCE_PARAMS: dict[str, dict[str, int]] = {
+    "grassmann_pair": {"p": 1, "q": 2, "n": 3, "k": 1},
+}
+
+
 def entry_names() -> tuple[str, ...]:
     """Names of the built-in entries, in fixed registry order."""
     return tuple(_BUILDERS)
@@ -390,11 +378,6 @@ def build(name: str, params: Mapping[str, object] | None = None) -> CatalogEntry
     if builder is None:
         raise ValueError("unknown entry")
     return builder(dict(params) if params else {})
-
-
-def expected_report(entry: CatalogEntry) -> ExpectedInvariants:
-    """The record of invariants the entry is expected to exhibit."""
-    return entry.expected
 
 
 def grassmann_parameter_grid(max_size: int) -> tuple[dict[str, int], ...]:

@@ -28,10 +28,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown entry"):
             catalog.build("borel")
 
-    def test_expected_report_returns_record(self):
-        entry = catalog.build("su22_f12")
-        assert catalog.expected_report(entry) is entry.expected
-
     def test_all_notes_nonempty(self):
         for name in EXPECTED_NAMES:
             params = {"p": 1, "q": 2, "n": 3, "k": 1} if name == "grassmann_pair" else None

@@ -7,6 +7,7 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -19,13 +20,14 @@ import pytest
 import scipy.optimize
 
 import crmostow
-from crmostow import cli
+from crmostow import acceptance, catalog, cli
 from crmostow.cli import (
     EXIT_BAD_INPUT,
     EXIT_DISAGREEMENT,
     EXIT_IRRATIONAL,
     EXIT_NONCONVERGENT,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -46,6 +48,26 @@ def _run_json(capsys, *argv):
 
 def _complex_matrix(rows):
     return np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+
+
+def _stdout_with_and_without_optimize(*argv):
+    """Run ``python [-O] -m crmostow.cli ARGV`` in subprocesses; both must
+    exit 0.  Returns the two stdouts."""
+    src = str(Path(crmostow.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "crmostow.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 # -----------------------------------------------------------------------
@@ -386,28 +408,69 @@ class TestExhaust:
         assert "non-convergent" in err
 
     def test_output_does_not_depend_on_optimize_flag(self):
-        argv = ["-m", "crmostow.cli", "exhaust", "--catalog", "su22_f12"]
-        argv += ["--random", "--seed", "7"]
-        src = str(Path(crmostow.__file__).resolve().parent.parent)
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        outputs = []
-        for flags in ([], ["-O"]):
-            proc = subprocess.run(
-                [sys.executable, *flags, *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=300,
-            )
-            assert proc.returncode == EXIT_OK, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        plain, optimized = _stdout_with_and_without_optimize(
+            "exhaust", "--catalog", "su22_f12", "--random", "--seed", "7"
+        )
+        assert plain == optimized
+
+
+# -----------------------------------------------------------------------
+# --zeta input files
+# -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["decompose", "exhaust"])
+@pytest.mark.parametrize(
+    "zeta",
+    [[[1]], {"a": 1}, [[["x", 0]]]],
+    ids=["bare-number", "object", "string-part"],
+)
+def test_malformed_zeta_exits_2(capsys, tmp_path, command, zeta):
+    path = tmp_path / "zeta.json"
+    path.write_text(json.dumps(zeta))
+    code, _, err = _run(capsys, command, "--catalog", "su22_f12", "--zeta", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ")
 
 
 # -----------------------------------------------------------------------
 # verify subcommand
 # -----------------------------------------------------------------------
+
+
+STRUCTURAL_TAP = """\
+1..29
+ok 1 - su22_f12: n_reductive
+ok 2 - su22_f12: hnr
+ok 3 - su22_f12: strict_hnr
+ok 4 - su22_f12: cr_type
+ok 5 - su22_f12: f0_dim
+ok 6 - su22_f12: witt_lower_bound
+ok 7 - su23_f13: n_reductive
+ok 8 - su23_f13: hnr
+ok 9 - su23_f13: strict_hnr
+ok 10 - su23_f13: cr_type
+ok 11 - su23_f13: f0_dim
+ok 12 - su23_f12: n_reductive
+ok 13 - su23_f12: hnr
+ok 14 - su23_f12: strict_hnr
+ok 15 - su23_f12: cr_type
+ok 16 - su23_f12: f0_dim
+ok 17 - grassmann_pair: n_reductive
+ok 18 - grassmann_pair: hnr
+ok 19 - grassmann_pair: strict_hnr
+ok 20 - grassmann_pair: cr_type
+ok 21 - grassmann_pair: f0_dim
+ok 22 - grassmann_pair: witt_lower_bound
+ok 23 - so_n_symmetric: n_reductive
+ok 24 - upper_triangular_horocycle: n_reductive
+ok 25 - upper_triangular_horocycle: hnr
+ok 26 - upper_triangular_horocycle: strict_hnr
+ok 27 - upper_triangular_horocycle: cr_type
+ok 28 - upper_triangular_horocycle: f0_dim
+ok 29 - upper_triangular_horocycle: witt_lower_bound
+# passed 29/29
+"""
 
 
 class TestVerify:
@@ -420,9 +483,67 @@ class TestVerify:
         assert "passed" in lines[-1]
 
     def test_numeric_suite_passes(self, capsys):
-        code, out, _ = _run(capsys, "verify", "--suite", "numeric", "--seed", "1")
+        code, out, _ = _run(capsys, "verify", "--suite", "numeric")
         assert code == EXIT_OK
         assert "not ok" not in out
+        assert out.splitlines()[0] == "1..4"
+
+    def test_structural_golden_output(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--suite", "structural")
+        assert code == EXIT_OK
+        assert out == STRUCTURAL_TAP
+
+    def test_structural_output_does_not_depend_on_optimize_flag(self):
+        plain, optimized = _stdout_with_and_without_optimize(
+            "verify", "--suite", "structural"
+        )
+        assert plain == optimized == STRUCTURAL_TAP
+
+    def test_structural_mismatch_exits_1(self, capsys, monkeypatch):
+        build = catalog.build
+
+        def build_with_wrong_cr_type(name, params=None):
+            entry = build(name, params)
+            if name != "su22_f12":
+                return entry
+            expected = dataclasses.replace(entry.expected, cr_type=(2, 3))
+            return dataclasses.replace(entry, expected=expected)
+
+        monkeypatch.setattr(catalog, "build", build_with_wrong_cr_type)
+        code, out, _ = _run(capsys, "verify", "--suite", "structural")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert lines[4] == "not ok 4 - su22_f12: cr_type: expected (2, 3), computed (1, 4)"
+        assert lines[-1] == "# passed 28/29"
+
+    def test_numeric_failure_exits_1(self, capsys, monkeypatch):
+        def failing_check():
+            failures = ["hand case: lhs 0.5", "3/200 random cases violate the inequality"]
+            name = "minor-determinant-inequality"
+            return acceptance.CheckResult(5, name, "", 0.0, None, failures)
+
+        def passing_check(index, name):
+            return lambda: acceptance.CheckResult(index, name, "", 0.0, None)
+
+        checks = list(acceptance.ALL_CHECKS)
+        checks[3:7] = [
+            passing_check(4, "field-identities"),
+            failing_check,
+            passing_check(6, "vanishing-field-counterexample"),
+            passing_check(7, "decomposition-round-trip"),
+        ]
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", tuple(checks))
+        code, out, _ = _run(capsys, "verify", "--suite", "numeric")
+        assert code == EXIT_VERIFY_FAILED
+        assert out == (
+            "1..4\n"
+            "ok 1 - field-identities\n"
+            "not ok 2 - minor-determinant-inequality: hand case: lhs 0.5; "
+            "3/200 random cases violate the inequality\n"
+            "ok 3 - vanishing-field-counterexample\n"
+            "ok 4 - decomposition-round-trip\n"
+            "# passed 3/4\n"
+        )
 
     def test_plan_line_counts_checks(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "structural")
