@@ -33,12 +33,6 @@ class AmbientAlgebra:
         self.kind = (
             "special_linear" if len(self.blocks) == 1 else "block_special_linear"
         )
-        starts = []
-        acc = 0
-        for b in self.blocks:
-            starts.append(acc)
-            acc += b
-        self._starts = tuple(starts)
         block_of = []
         for idx, b in enumerate(self.blocks):
             block_of.extend([idx] * b)
@@ -49,14 +43,8 @@ class AmbientAlgebra:
         self._p0: Subspace | None = None
 
     # -- indexing -------------------------------------------------------------
-    def block_of(self, i: int) -> int:
-        return self._block_of[i]
-
     def in_same_block(self, i: int, j: int) -> bool:
         return self._block_of[i] == self._block_of[j]
-
-    def block_range(self, b: int) -> range:
-        return range(self._starts[b], self._starts[b] + self.blocks[b])
 
     # -- canonical bases --------------------------------------------------------
     def _offdiag_positions(self) -> list[tuple[int, int]]:

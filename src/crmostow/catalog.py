@@ -22,6 +22,7 @@ __all__ = [
     "CatalogEntry",
     "entry_names",
     "build",
+    "parse_gaussian",
     "REFERENCE_PARAMS",
     "grassmann_parameter_grid",
 ]
@@ -85,24 +86,20 @@ def _check_keys(params: Mapping[str, object], allowed: set[str]) -> None:
         raise ValueError("invalid parameters")
 
 
-def _parse_gaussian(value: object) -> QI:
-    """Parse one scalar given as [re, im] with rational strings or ints."""
+def parse_gaussian(value: object) -> QI:
+    """One scalar from its JSON form: an ``[re, im]`` pair whose parts are
+    ints or rational strings (``"-3/4"``); booleans are rejected."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError("invalid parameters")
+        raise ValueError(f"matrix entry must be a [re, im] pair, got {value!r}")
     parts = []
     for part in value:
-        if isinstance(part, bool):
-            raise ValueError("invalid parameters")
-        if isinstance(part, int):
+        if isinstance(part, bool) or not isinstance(part, (int, str)):
+            raise ValueError(f"invalid rational entry: {part!r}")
+        try:
             parts.append(Fraction(part))
-        elif isinstance(part, str):
-            try:
-                parts.append(Fraction(part))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError("invalid parameters") from exc
-        else:
-            raise ValueError("invalid parameters")
-    return QI(parts[0], parts[1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"invalid rational entry: {part!r}") from exc
+    return QI(*parts)
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +274,10 @@ def _build_so_n_symmetric(params: Mapping[str, object]) -> CatalogEntry:
         raw = [(1, 0)] * (n - 1) + [(0, 2)]
     if not isinstance(raw, (list, tuple)) or len(raw) != n:
         raise ValueError("invalid parameters")
-    scalars = [_parse_gaussian(item) for item in raw]
+    try:
+        scalars = [parse_gaussian(item) for item in raw]
+    except ValueError as exc:
+        raise ValueError("invalid parameters") from exc
     if any(s == QI(0) for s in scalars):
         raise ValueError("invalid parameters")
     norms = {s.re * s.re + s.im * s.im for s in scalars}

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
     NonConvergenceError,
     RestartDisagreementError,
 )
-from .exact import QI, ExactMatrix
+from .exact import ExactMatrix
 from .parabolic import (
     horocyclic_verdict,
     largest_intermediate,
@@ -72,25 +71,6 @@ EXIT_DISAGREEMENT = 5
 # --------------------------------------------------------------------------
 
 
-def _fraction_from_json(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError("invalid rational entry")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid rational entry: {value!r}") from exc
-    raise ValueError(f"invalid rational entry: {value!r}")
-
-
-def _entry_from_json(pair: Any) -> QI:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"matrix entry must be a [re, im] pair, got {pair!r}")
-    return QI(_fraction_from_json(pair[0]), _fraction_from_json(pair[1]))
-
-
 def _matrix_from_json(rows: Any, n: int) -> ExactMatrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"matrix must have {n} rows")
@@ -98,7 +78,7 @@ def _matrix_from_json(rows: Any, n: int) -> ExactMatrix:
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"matrix must have {n} columns per row")
-        parsed.append([_entry_from_json(e) for e in row])
+        parsed.append([catalog.parse_gaussian(e) for e in row])
     return ExactMatrix(parsed)
 
 

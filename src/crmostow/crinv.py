@@ -18,18 +18,18 @@ from .ambient import AmbientAlgebra
 from .errors import ClosureError
 from .exact import (
     QI,
-    QI_ZERO,
     ExactMatrix,
     Subspace,
     bracket,
+    charpoly,
     subspace_intersect,
     subspace_sum,
     _columns_to_rows,
+    _common_den,
     _common_row,
     _kernel_mats,
     _kernel_num,
     _lincomb,
-    _qi_of,
     _trace_form,
 )
 from .parabolic import (
@@ -187,60 +187,25 @@ def _real_rows(row) -> list:
     return out
 
 
-def _i_trace(s: ExactMatrix, x: ExactMatrix) -> QI:
-    """``i * tr(s @ x)``."""
-    den, (re, im) = _trace_form(s, x)
-    return _qi_of(-im, re, den)
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of rationals, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _hermitian_signature(h: list[list[QI]]) -> tuple[int, int]:
-    """Exact signature of a Hermitian matrix over the Gaussian rationals.
+def _hermitian_signature(h: ExactMatrix) -> tuple[int, int]:
+    """Exact signature ``(positives, negatives)`` of a Hermitian matrix.
 
-    Symmetric elimination: real diagonal pivots contribute their sign;
-    zero-diagonal blocks are consumed through hyperbolic two-by-two pivots,
-    each contributing one positive and one negative square.
+    A Hermitian matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact on its characteristic polynomial p (real coefficients):
+    the positive eigenvalues are the sign changes of p(t), the negative
+    ones those of p(-t).  A zero eigenvalue of multiplicity m makes the
+    last m coefficients zero; skipping zeros counts the roots of p(t)/t^m.
     """
-    m = len(h)
-    rows = [list(r) for r in h]
-    active = list(range(m))
-    pos = neg = 0
-    while active:
-        piv = next((i for i in active if rows[i][i]), None)
-        if piv is not None:
-            d = rows[piv][piv]
-            if d.re > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
-            for i in active:
-                ci = rows[i][piv]
-                if ci:
-                    for j in active:
-                        rows[i][j] = rows[i][j] - ci * rows[piv][j] / d
-            continue
-        hyp = next(
-            ((i, j) for i, j in combinations(active, 2) if rows[i][j]), None
-        )
-        if hyp is None:
-            break
-        i0, j0 = hyp
-        a = rows[i0][j0]
-        abar = rows[j0][i0]
-        pos += 1
-        neg += 1
-        active.remove(i0)
-        active.remove(j0)
-        for i in active:
-            bi, bj = rows[i][i0], rows[i][j0]
-            if bi or bj:
-                for j in active:
-                    rows[i][j] = (
-                        rows[i][j]
-                        - bj * rows[i0][j] / a
-                        - bi * rows[j0][j] / abar
-                    )
-    return pos, neg
+    coeffs = [c.re for c in charpoly(h)]
+    return _sign_changes(coeffs), _sign_changes(
+        [-c if k % 2 else c for k, c in enumerate(coeffs)]
+    )
 
 
 def _exact_exp(x: ExactMatrix) -> ExactMatrix:
@@ -388,8 +353,9 @@ def levi_report(
 
     Characteristic covectors are parametrized by anti-Hermitian matrices
     trace-orthogonal to the subalgebra plus its conjugate; every sampled
-    signature uses exact rational elimination.  Raises when the subalgebra
-    plus its conjugate already fills the ambient algebra.
+    signature is exact (Descartes' rule on the characteristic polynomial).
+    Raises when the subalgebra plus its conjugate already fills the ambient
+    algebra.
     """
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
@@ -420,26 +386,20 @@ def levi_report(
             row.append(_lincomb(comp.basis(), den, nums[split:]))
         vector_form.append(tuple(row))
 
-    # one exact Hermitian matrix per covector-basis direction
+    # one exact Hermitian matrix per covector-basis direction:
+    # h[a][b] = i * tr(s @ values[a][b])
     s_basis = c0.basis()
     h_basis = []
     for s in s_basis:
-        h = [[_i_trace(s, values[a][b]) for b in range(nu)] for a in range(nu)]
-        for a in range(nu):
-            for b in range(nu):
-                if h[a][b] != h[b][a].conj():
-                    raise ArithmeticError("scalar Levi form is not Hermitian")
+        traces = [_trace_form(s, values[a][b]) for a in range(nu) for b in range(nu)]
+        den, nums = _common_den([(d, [(-im, re)]) for d, (re, im) in traces])
+        h = ExactMatrix._make(nu, nu, den, [num[0] for num in nums])
+        if h != h.star():
+            raise ArithmeticError("scalar Levi form is not Hermitian")
         h_basis.append(h)
 
     def _signature_at(coords: tuple[int, ...]) -> tuple[int, int]:
-        h = [[QI_ZERO] * nu for _ in range(nu)]
-        for c, hb in zip(coords, h_basis):
-            if c:
-                qc = QI(c)
-                for a in range(nu):
-                    for b in range(nu):
-                        h[a][b] = h[a][b] + qc * hb[a][b]
-        return _hermitian_signature(h)
+        return _hermitian_signature(_lincomb(h_basis, 1, [(c, 0) for c in coords]))
 
     samples = _covector_samples(c0.dim, grid_density, seed)
     recorded = []

@@ -4,7 +4,10 @@ This module is the deterministic substrate for all structure-theoretic
 computations: scalars in Q(i), immutable matrices, canonical-echelon
 subspaces of a matrix space (complex-linear or real-linear via coordinate
 doubling), commutators, and exact polynomial utilities (characteristic
-polynomials, squarefree parts, semisimple parts).
+polynomials, squarefree parts).  The semisimple part of a matrix comes from
+matrix Newton iteration on the squarefree part of its characteristic
+polynomial, and the inverse from the same reduced echelon form as every
+other elimination here.
 
 Working form
 ------------
@@ -103,9 +106,6 @@ class QI:
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
 
     def __repr__(self) -> str:
         if not self.im:
@@ -347,11 +347,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return self._transposed(False)
 
-    def conj_entries(self) -> "ExactMatrix":
-        return ExactMatrix._make(
-            self.rows, self.cols, self._den, [(a, -b) for a, b in self._num]
-        )
-
     def trace(self) -> QI:
         if self.rows != self.cols:
             raise ValueError("incompatible shapes")
@@ -375,26 +370,23 @@ class ExactMatrix:
         return result
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse via Gauss-Jordan elimination."""
+        """Exact inverse: the right half of the reduced echelon form of [A | I].
+
+        ``[A | I]`` is taken as ``[num | den I]``, which has the same rows up
+        to the positive scale ``den``; A is invertible iff the pivots are the
+        first ``n`` columns.
+        """
         if self.rows != self.cols:
             raise ValueError("incompatible shapes")
-        n = self.rows
-        work = [list(row) + [QI_ONE if i == j else QI_ZERO for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if work[r][col]), None
-            )
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv = QI_ONE / work[col][col]
-            work[col] = [inv * x for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return ExactMatrix([row[n:] for row in work])
+        n, den = self.rows, self._den
+        pivots, rows = _rref_num(
+            row + [(den, 0) if i == j else (0, 0) for j in range(n)]
+            for i, row in enumerate(self._row_nums())
+        )
+        if pivots != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        den, nums = _common_den([(row[p][0], row[n:]) for row, p in zip(rows, pivots)])
+        return ExactMatrix._make(n, n, den, [pair for num in nums for pair in num])
 
     # -- predicates / conversions --------------------------------------------
     @property
@@ -830,10 +822,6 @@ class _Span:
             raise ValueError(outside)
         return den, [row[p] for p in self.pivots]
 
-    def _coordinates(self, den: int, row, outside: str) -> list[QI]:
-        den, coords = self._coordinate_num(den, row, outside)
-        return list(_qi_row(coords, den))
-
     def _same_span(self, other) -> bool:
         return self.pivots == other.pivots and self._irows == other._irows
 
@@ -854,31 +842,12 @@ class VectorSpan(_Span):
 
     __slots__ = ("width",)
 
-    def __init__(self, vecs: Iterable[Sequence[QI]], width: int):
-        _set(self, "width", width)
-        self._set_echelon(*_rref_num(_int_row(v) for v in vecs))
-
     @staticmethod
     def _of(width: int, pivots, irows) -> "VectorSpan":
         span = _new(VectorSpan)
         _set(span, "width", width)
         span._set_echelon(pivots, irows)
         return span
-
-    def reduce(self, vec: Sequence[QI]) -> IntRow:
-        return self._reduce(_int_row(vec))
-
-    def contains(self, vec: Sequence[QI]) -> bool:
-        return self._has(_int_row(vec))
-
-    def coordinates_of(self, vec: Sequence[QI]) -> list[QI]:
-        """Coefficients in the canonical basis (vec must be a member)."""
-        den, row = _to_num(vec)
-        return self._coordinates(den, row, "vector is not a member of the span")
-
-    def extended(self, vecs: Iterable[Sequence[QI]]) -> "VectorSpan":
-        rows = list(self._irows) + [_int_row(v) for v in vecs]
-        return VectorSpan._of(self.width, *_rref_num(rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -927,12 +896,6 @@ class Subspace(_Span):
     def zero(side: int, real: bool = False) -> "Subspace":
         return Subspace._of(side, real, (), ())
 
-    @staticmethod
-    def from_vectors(
-        vecs: Iterable[Sequence[QI]], side: int, real: bool = False
-    ) -> "Subspace":
-        return Subspace._of(side, real, *_rref_num(_int_row(v) for v in vecs))
-
     # -- core queries ---------------------------------------------------------
     @property
     def ambient_dim(self) -> int:
@@ -959,18 +922,6 @@ class Subspace(_Span):
             _set(self, "_basis", mats)
         return list(mats)
 
-    def contains_vec(self, vec: Sequence[QI]) -> bool:
-        return self._has(_int_row(vec))
-
-    def reduce_vec(self, vec: Sequence[QI]) -> list[QI]:
-        """Exact residue of a coordinate vector modulo this subspace.
-
-        Subtracts the unique member matching the vector at the pivot
-        coordinates; the scale is preserved.
-        """
-        den, row = self._residue(*_to_num(vec))
-        return list(_qi_row(row, den))
-
     def _residue_mat(self, mat: ExactMatrix) -> tuple[int, tuple]:
         return self._residue(mat._den, self._coords_of(mat))
 
@@ -983,9 +934,10 @@ class Subspace(_Span):
 
     def coordinates_of(self, mat: ExactMatrix) -> list[QI]:
         """Coefficients of ``mat`` in the canonical basis (must be a member)."""
-        return self._coordinates(
+        den, coords = self._coordinate_num(
             mat._den, self._coords_of(mat), "matrix is not a member of the subspace"
         )
+        return list(_qi_row(coords, den))
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.side != other.side or self.real != other.real:
@@ -1107,23 +1059,6 @@ def _poly_trim(p: Poly) -> Poly:
     return p[i:]
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out = [QI_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return _poly_trim(out)
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    pp = [QI_ZERO] * (n - len(p)) + list(p)
-    qq = [QI_ZERO] * (n - len(q)) + list(q)
-    return _poly_trim([a + b for a, b in zip(pp, qq)])
-
-
 def _poly_scale(p: Poly, c: QI) -> Poly:
     return _poly_trim([c * a for a in p])
 
@@ -1150,14 +1085,10 @@ def _poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return _poly_trim(quot), _poly_trim(rem)
 
 
-def _poly_mod(p: Poly, q: Poly) -> Poly:
-    return _poly_divmod(p, q)[1]
-
-
 def _poly_gcd(p: Poly, q: Poly) -> Poly:
     p, q = _poly_trim(p), _poly_trim(q)
     while q != [QI_ZERO] and q:
-        p, q = q, _poly_mod(p, q)
+        p, q = q, _poly_divmod(p, q)[1]
     if p and p[0] and p != [QI_ZERO]:
         p = _poly_scale(p, QI_ONE / p[0])
     return p
@@ -1179,24 +1110,6 @@ def _poly_eval_matrix(p: Poly, x: ExactMatrix) -> ExactMatrix:
     return acc
 
 
-def _poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, s, t) with s*a + t*b = g (g monic)."""
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    s0, s1 = [QI_ONE], [QI_ZERO]
-    t0, t1 = [QI_ZERO], [QI_ONE]
-    while r1 != [QI_ZERO] and r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1), QI(-1)))
-        t0, t1 = t1, _poly_add(t0, _poly_scale(_poly_mul(q, t1), QI(-1)))
-    if r0 and r0[0] and r0 != [QI_ZERO]:
-        inv = QI_ONE / r0[0]
-        r0 = _poly_scale(r0, inv)
-        s0 = _poly_scale(s0, inv)
-        t0 = _poly_scale(t0, inv)
-    return r0, s0, t0
-
-
 def charpoly(x: ExactMatrix) -> Poly:
     """Exact characteristic polynomial det(tI - x), leading coefficient 1.
 
@@ -1207,13 +1120,12 @@ def charpoly(x: ExactMatrix) -> Poly:
         raise ValueError("incompatible shapes")
     n = x.rows
     coeffs = [QI_ONE]
-    m = ExactMatrix.zeros(n)
+    xm = ExactMatrix.zeros(n)
     ident = ExactMatrix.identity(n)
     for k in range(1, n + 1):
-        m = x @ m + ident.scale(coeffs[-1])
-        xm = x @ m
-        c = -(xm.trace() / QI(k))
-        coeffs.append(c)
+        # M_k = x M_{k-1} + c_{k-1} I and c_k = -tr(x M_k) / k: one product
+        xm = x @ (xm + ident.scale(coeffs[-1]))
+        coeffs.append(-(xm.trace() / QI(k)))
     return coeffs
 
 
@@ -1231,41 +1143,22 @@ def squarefree_part(p: Poly) -> Poly:
 def semisimple_part(x: ExactMatrix) -> ExactMatrix:
     """The semisimple summand of the additive Jordan decomposition of ``x``.
 
-    Computed exactly by Newton iteration on the squarefree part of the
-    characteristic polynomial in the quotient ring Q(i)[t]/(charpoly).
+    Matrix Newton iteration ``s <- s - f(s) f'(s)^-1`` from ``s = x``, with
+    ``f`` the squarefree part of the characteristic polynomial.  Every
+    iterate is a polynomial in ``x`` differing from it by a nilpotent, so
+    ``f'(s)`` is invertible (the roots of ``f`` are simple) and ``f(s)`` is
+    nilpotent; by Taylor's formula the next ``f(s)`` is a multiple of the
+    square of the last, so ``f(s) = 0`` after at most ``ceil(log2 n)`` steps.
     """
     f = charpoly(x)
     fs = squarefree_part(f)
     if len(fs) == len(f):
         return x
-    fsd = _poly_derivative(fs)
-    p = _poly_mod([QI_ONE, QI_ZERO], f)
-    steps = 1
-    deg = len(f) - 1
-    while (1 << steps) < deg + 1:
-        steps += 1
-    converged = False
-    for _ in range(steps + 2):
-        val = _poly_mod(_compose_mod(fs, p, f), f)
-        if not any(a for a in val):
-            converged = True
-            break
-        dval = _poly_mod(_compose_mod(fsd, p, f), f)
-        g, s, _ = _poly_ext_gcd(dval, f)
-        if len(g) != 1:
-            raise ArithmeticError("derivative not invertible modulo charpoly")
-        p = _poly_mod(_poly_add(p, _poly_scale(_poly_mul(val, s), QI(-1))), f)
-    if not converged:
-        val = _poly_mod(_compose_mod(fs, p, f), f)
-        if any(a for a in val):
-            raise ArithmeticError("Newton iteration failed to converge exactly")
-    return _poly_eval_matrix(p, x)
-
-
-def _compose_mod(p: Poly, q: Poly, mod: Poly) -> Poly:
-    """p(q(t)) reduced modulo ``mod`` (Horner)."""
-    acc: Poly = [QI_ZERO]
-    for c in p:
-        acc = _poly_mod(_poly_mul(acc, q), mod)
-        acc = _poly_add(acc, [c])
-    return acc
+    dfs = _poly_derivative(fs)
+    s = x
+    for _ in range((x.rows - 1).bit_length() + 1):
+        val = _poly_eval_matrix(fs, s)
+        if val.is_zero:
+            return s
+        s = s - val @ _poly_eval_matrix(dfs, s).inverse()
+    raise ArithmeticError("Newton iteration failed to converge exactly")

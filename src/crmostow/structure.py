@@ -47,11 +47,6 @@ __all__ = [
     "NReductiveVerdict",
     "make_subalgebra",
     "subalgebra_from_space",
-    "radical",
-    "nr",
-    "conj",
-    "levi_intersection",
-    "is_n_reductive",
     "normalizer",
     "jordan_flags",
     "rational_roots",
@@ -347,28 +342,8 @@ def make_subalgebra(
 
 
 # ---------------------------------------------------------------------------
-# Operations (module-level API mirroring the cached properties)
+# Operations
 # ---------------------------------------------------------------------------
-
-
-def radical(v: Subalgebra) -> Subspace:
-    return v.radical
-
-
-def nr(v: Subalgebra) -> Subspace:
-    return v.nr
-
-
-def conj(v: Subalgebra) -> Subalgebra:
-    return v.conj
-
-
-def levi_intersection(v: Subalgebra) -> Subalgebra:
-    return v.levi_part
-
-
-def is_n_reductive(v: Subalgebra) -> NReductiveVerdict:
-    return v.n_reductive_verdict
 
 
 def normalizer(ambient: AmbientAlgebra, s: Subspace) -> Subalgebra:

@@ -50,6 +50,12 @@ def _complex_matrix(rows):
     return np.array([[complex(e[0], e[1]) for e in row] for row in rows])
 
 
+def _basis_with_entry(entry):
+    """A spec mutation: a one-matrix 4 x 4 basis with ``entry`` at (0, 0)."""
+    zero = ["0", "0"]
+    return {"basis": [[[entry] + [zero] * 3] + [[zero] * 4] * 3]}
+
+
 def _stdout_with_and_without_optimize(*argv):
     """Run ``python [-O] -m crmostow.cli ARGV`` in subprocesses; both must
     exit 0.  Returns the two stdouts."""
@@ -224,6 +230,8 @@ class TestAnalyze:
             ({"ambient": "gl"}, "'ambient'"),
             ({"basis": []}, "'basis'"),
             ({"extra": 1}, "unknown"),
+            (_basis_with_entry(["1/0", "0"]), "invalid rational entry"),
+            (_basis_with_entry([True, 0]), "invalid rational entry"),
         ],
     )
     def test_malformed_specs_exit_2(self, capsys, tmp_path, mutation, fragment):

@@ -264,6 +264,16 @@ def test_levi_deterministic(flag13):
     assert a.witt_lower_bound == b.witt_lower_bound
 
 
+def _check_signature_against_numpy(h_np):
+    h = ExactMatrix(
+        [[QI(int(v.real), int(v.imag)) for v in row] for row in h_np]
+    )
+    pos, neg = _hermitian_signature(h)
+    eig = np.linalg.eigvalsh(h_np.astype(complex))
+    assert pos == int((eig > 1e-9).sum())
+    assert neg == int((eig < -1e-9).sum())
+
+
 def test_hermitian_signature_against_numpy():
     rng = np.random.default_rng(20260816)
     for trial in range(25):
@@ -271,25 +281,22 @@ def test_hermitian_signature_against_numpy():
         a = rng.integers(-3, 4, size=(m, m))
         b = rng.integers(-3, 4, size=(m, m))
         z = a + 1j * b
-        h_np = z + z.conj().T
-        h = [
-            [
-                QI(int(h_np[i][j].real), int(h_np[i][j].imag))
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        pos, neg = _hermitian_signature(h)
-        eig = np.linalg.eigvalsh(h_np.astype(complex))
-        assert pos == int((eig > 1e-9).sum())
-        assert neg == int((eig < -1e-9).sum())
+        _check_signature_against_numpy(z + z.conj().T)
+    # rank-deficient z diag(d) z* (some d = 0): zero eigenvalues, i.e.
+    # trailing zero coefficients of the characteristic polynomial
+    for trial in range(25):
+        m = int(rng.integers(1, 6))
+        z = rng.integers(-3, 4, size=(m, m)) + 1j * rng.integers(-3, 4, size=(m, m))
+        d = rng.integers(-2, 3, size=m)
+        d[int(rng.integers(0, m))] = 0
+        _check_signature_against_numpy(z @ np.diag(d) @ z.conj().T)
 
 
 def test_hermitian_signature_hyperbolic_block():
     h = [[QI(0), QI(2, 1)], [QI(2, -1), QI(0)]]
-    assert _hermitian_signature(h) == (1, 1)
-    assert _hermitian_signature([[QI(0)]]) == (0, 0)
-    assert _hermitian_signature([]) == (0, 0)
+    assert _hermitian_signature(ExactMatrix(h)) == (1, 1)
+    assert _hermitian_signature(ExactMatrix([[QI(0)]])) == (0, 0)
+    assert _hermitian_signature(ExactMatrix([])) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

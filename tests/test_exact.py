@@ -85,6 +85,20 @@ def test_matrix_inverse_complex():
     g = ExactMatrix([[QI(1), QI(0, 1)], [QI(0), QI(2)]])
     assert g @ g.inverse() == ExactMatrix.identity(2)
     assert g.inverse() @ g == ExactMatrix.identity(2)
+    h = Fraction(1, 2)
+    g4 = ExactMatrix([
+        [QI(h, 1), QI(2), QI(0, Fraction(-1, 3)), QI(1)],
+        [QI(0), QI(Fraction(3, 4), -1), QI(1), QI(0, 2)],
+        [QI(1), QI(0), QI(-2, h), QI(Fraction(1, 5))],
+        [QI(0, 1), QI(1, 1), QI(0), QI(3)],
+    ])
+    assert g4 @ g4.inverse() == ExactMatrix.identity(4)
+    assert g4.inverse() @ g4 == ExactMatrix.identity(4)
+    # the last row is the first plus i times the second
+    rows = [list(r) for r in g4.entries[:3]]
+    rows.append([a + QI(0, 1) * b for a, b in zip(rows[0], rows[1])])
+    with pytest.raises(ValueError, match="singular"):
+        ExactMatrix(rows).inverse()
 
 
 def test_matrix_storage_is_canonical():
@@ -376,6 +390,23 @@ def test_semisimple_part_oracles():
     n = m - s
     assert n.is_nilpotent()
     assert bracket(s, n).is_zero
+    # P J P^-1 with a Gaussian eigenvalue of multiplicity 3 (one Jordan block
+    # beside a simple eigenvalue) and 4 (one block: two Newton steps)
+    p = ExactMatrix([
+        [QI(1), QI(0, 1), QI(0), QI(2)],
+        [QI(0), QI(1), QI(1, -1), QI(0)],
+        [QI(1), QI(0), QI(1), QI(0, 1)],
+        [QI(0), QI(2), QI(0), QI(1)],
+    ])
+    pinv = p.inverse()
+    assert p @ pinv == ExactMatrix.identity(4)
+    lam = QI(1, 2)
+    nil3 = _E(4, 0, 1) + _E(4, 1, 2)
+    for d, nil in (
+        (ExactMatrix.diagonal([lam, lam, lam, QI(-3)]), nil3),
+        (ExactMatrix.diagonal([lam] * 4), nil3 + _E(4, 2, 3)),
+    ):
+        assert semisimple_part(p @ (d + nil) @ pinv) == p @ d @ pinv
 
 
 def test_semisimple_part_gaussian_eigenvalues():

@@ -17,13 +17,9 @@ from crmostow.exact import (
     subspace_intersect,
 )
 from crmostow.structure import (
-    is_n_reductive,
     jordan_flags,
-    levi_intersection,
     make_subalgebra,
     normalizer,
-    nr,
-    radical,
     rational_roots,
     subalgebra_from_space,
 )
@@ -152,19 +148,19 @@ def test_subalgebra_interning():
 def test_radical_semisimple_is_zero():
     a = special_linear(2)
     sl2 = subalgebra_from_space(a, a.space)
-    assert radical(sl2).dim == 0
+    assert sl2.radical.dim == 0
 
 
 def test_radical_solvable_is_everything():
     a = special_linear(2)
     borel = make_subalgebra(a, [_diag(1, -1), _E(2, 0, 1)])
-    assert radical(borel) == borel.space
+    assert borel.radical == borel.space
 
 
 def test_radical_su22_entry():
     a = block_special_linear([2, 2])
     v = make_subalgebra(a, [_diag(1, -1, 1, -1), _E(4, 0, 1) + _E(4, 2, 3)])
-    assert radical(v) == v.space
+    assert v.radical == v.space
     assert v.dim == 2
 
 
@@ -177,7 +173,7 @@ def test_radical_of_parabolic_in_sl3():
             _E(3, 0, 2), _E(3, 1, 2),
         ],
     )
-    rad = radical(q)
+    rad = q.radical
     # nilradical (2) plus the central torus direction of the Levi (1)
     assert rad.dim == 3
     assert rad.contains_mat(_E(3, 0, 2))
@@ -193,33 +189,33 @@ def test_radical_of_parabolic_in_sl3():
 def test_nr_borel_sl2():
     a = special_linear(2)
     borel = make_subalgebra(a, [_diag(1, -1), _E(2, 0, 1)])
-    assert nr(borel) == echelonize([_E(2, 0, 1)])
+    assert borel.nr == echelonize([_E(2, 0, 1)])
 
 
 def test_nr_cartan_sl3_is_zero():
     a = special_linear(3)
     cartan = make_subalgebra(a, [_diag(1, -1, 0), _diag(0, 1, -1)])
-    assert radical(cartan) == cartan.space
-    assert nr(cartan).dim == 0
+    assert cartan.radical == cartan.space
+    assert cartan.nr.dim == 0
 
 
 def test_nr_su22_entry():
     a = block_special_linear([2, 2])
     v = make_subalgebra(a, [_diag(1, -1, 1, -1), _E(4, 0, 1) + _E(4, 2, 3)])
-    assert nr(v) == echelonize([_E(4, 0, 1) + _E(4, 2, 3)])
+    assert v.nr == echelonize([_E(4, 0, 1) + _E(4, 2, 3)])
 
 
 def test_nr_strict_uppers():
     a = special_linear(3)
     v = make_subalgebra(a, [_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)])
-    assert nr(v) == v.space
+    assert v.nr == v.space
 
 
 def test_nr_complex_weights():
     # rad is spanned by a semisimple element with Gaussian eigenvalues
     a = special_linear(2)
     v = make_subalgebra(a, [_diag(QI(0, 1), QI(0, -1))])
-    assert nr(v).dim == 0
+    assert v.nr.dim == 0
 
 
 def test_nr_brute_force_cross_check():
@@ -237,7 +233,7 @@ def test_nr_brute_force_cross_check():
             entries[n - 1][n - 1] -= tr
             gens.append(ExactMatrix(entries))
         v = make_subalgebra(a, gens, mode="close_up")
-        rad = radical(v)
+        rad = v.radical
         grid_nilpotents = []
         for coeffs in itertools.product([-1, 0, 1], repeat=rad.dim):
             x = ExactMatrix.zeros(n)
@@ -247,7 +243,7 @@ def test_nr_brute_force_cross_check():
             if x.is_nilpotent():
                 grid_nilpotents.append(x)
         spanned = Subspace.span(grid_nilpotents, n)
-        assert spanned == nr(v)
+        assert spanned == v.nr
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +255,20 @@ def test_conj_sigma_stable_fixed():
     a = special_linear(2)
     sl2 = subalgebra_from_space(a, a.space)
     assert sl2.conj is sl2
-    assert levi_intersection(sl2) is sl2
+    assert sl2.levi_part is sl2
 
 
 def test_conj_nilpotent_line():
     a = special_linear(2)
     v = make_subalgebra(a, [_E(2, 0, 1)])
     assert v.conj.space == echelonize([_E(2, 1, 0)])
-    assert levi_intersection(v).dim == 0
+    assert v.levi_part.dim == 0
 
 
 def test_levi_is_sigma_stable_and_closed():
     a = block_special_linear([2, 2])
     v = make_subalgebra(a, [_diag(1, -1, 1, -1), _E(4, 0, 1) + _E(4, 2, 3)])
-    levi = levi_intersection(v)
+    levi = v.levi_part
     assert levi.is_sigma_stable
     assert levi.dim == 1
     assert levi.contains(_diag(1, -1, 1, -1))
@@ -281,7 +277,7 @@ def test_levi_is_sigma_stable_and_closed():
 def test_is_n_reductive_whole_algebra():
     a = special_linear(3)
     k = subalgebra_from_space(a, a.space)
-    verdict = is_n_reductive(k)
+    verdict = k.n_reductive_verdict
     assert verdict.ok
     assert verdict.nilpotent_part.dim == 0
     assert verdict.reductive_part == a.space
@@ -290,7 +286,7 @@ def test_is_n_reductive_whole_algebra():
 def test_is_n_reductive_su22_entry():
     a = block_special_linear([2, 2])
     v = make_subalgebra(a, [_diag(1, -1, 1, -1), _E(4, 0, 1) + _E(4, 2, 3)])
-    verdict = is_n_reductive(v)
+    verdict = v.n_reductive_verdict
     assert verdict.ok
     assert verdict.nilpotent_part.dim == 1
     assert verdict.reductive_part.dim == 1
@@ -307,8 +303,8 @@ def test_is_n_reductive_orthogonal_form_fails():
             gens.append(_E(3, i, j) - _E(3, j, i).scale(s_diag[i] / s_diag[j]))
     v = make_subalgebra(a, gens)
     assert v.dim == 3
-    assert radical(v).dim == 0
-    verdict = is_n_reductive(v)
+    assert v.radical.dim == 0
+    verdict = v.n_reductive_verdict
     assert not verdict.ok
     assert v.conj.space != v.space
 
@@ -316,7 +312,7 @@ def test_is_n_reductive_orthogonal_form_fails():
 def test_is_n_reductive_nilpotent_line():
     a = special_linear(2)
     v = make_subalgebra(a, [_E(2, 0, 1)])
-    verdict = is_n_reductive(v)
+    verdict = v.n_reductive_verdict
     assert verdict.ok  # v = nr(v) + 0
 
 
@@ -461,16 +457,16 @@ def test_rational_roots_repeated_scaled_and_irreducible():
 def test_radn_inside_nr_examples():
     a = block_special_linear([2, 2])
     v = make_subalgebra(a, [_diag(1, -1, 1, -1), _E(4, 0, 1) + _E(4, 2, 3)])
-    radn = subspace_intersect(radical(v), v.derived)
-    assert nr(v).contains_space(radn)
+    radn = subspace_intersect(v.radical, v.derived)
+    assert v.nr.contains_space(radn)
 
     b = special_linear(3)
     borel = make_subalgebra(
         b, [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)]
     )
-    radn = subspace_intersect(radical(borel), borel.derived)
-    assert nr(borel).contains_space(radn)
-    assert nr(borel) == echelonize([_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)])
+    radn = subspace_intersect(borel.radical, borel.derived)
+    assert borel.nr.contains_space(radn)
+    assert borel.nr == echelonize([_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)])
 
 
 def test_splittability():
