@@ -33,7 +33,7 @@ import numpy as np
 
 from . import acceptance, catalog
 from .ambient import AmbientAlgebra, block_special_linear, special_linear
-from .crinv import cohomology_ranges, cr_type, fiber_data, levi_report
+from .crinv import REFINEMENT_STEPS, cohomology_ranges, cr_type, fiber_data, levi_report
 from .errors import (
     ClosureError,
     IrrationalWeightsError,
@@ -231,7 +231,6 @@ def build_analysis_report(
     echo: dict,
     sheaf_depth: int = 0,
     grid_density: int = 1,
-    refinement_steps: int = 2,
     seed: int = 0,
     expected=None,
 ) -> dict:
@@ -320,12 +319,7 @@ def build_analysis_report(
     witt = None
     signatures = None
     try:
-        lr = levi_report(
-            v,
-            grid_density=grid_density,
-            refinement_steps=refinement_steps,
-            seed=seed,
-        )
+        lr = levi_report(v, grid_density=grid_density, seed=seed)
         witt = lr.witt_lower_bound
         signatures = len(lr.sampled_signatures)
     except ValueError as exc:
@@ -334,7 +328,7 @@ def build_analysis_report(
         "value": witt,
         "sampling": {
             "grid_density": grid_density,
-            "refinement_steps": refinement_steps,
+            "refinement_steps": REFINEMENT_STEPS,
             "seed": seed,
             "signatures_sampled": signatures,
         },

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 import random
 
@@ -21,9 +22,9 @@ from .exact import (
     ExactMatrix,
     Subspace,
     bracket,
-    charpoly,
     subspace_intersect,
     subspace_sum,
+    _charpoly_num,
     _columns_to_rows,
     _common_den,
     _common_row,
@@ -201,8 +202,10 @@ def _hermitian_signature(h: ExactMatrix) -> tuple[int, int]:
     the positive eigenvalues are the sign changes of p(t), the negative
     ones those of p(-t).  A zero eigenvalue of multiplicity m makes the
     last m coefficients zero; skipping zeros counts the roots of p(t)/t^m.
+    p is taken for the numerator matrix den * h: its coefficients are
+    den^k > 0 times those for h, with the same signs.
     """
-    coeffs = [c.re for c in charpoly(h)]
+    coeffs = [a for a, _ in _charpoly_num(h)]
     return _sign_changes(coeffs), _sign_changes(
         [-c if k % 2 else c for k, c in enumerate(coeffs)]
     )
@@ -317,6 +320,10 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
 # ---------------------------------------------------------------------------
 
 
+# rounds of coordinate steps from the best sample in ``levi_report``
+REFINEMENT_STEPS = 2
+
+
 def _covector_samples(dim: int, grid_density: int, seed: int) -> list[tuple[int, ...]]:
     """Deterministic integer sample coordinates: axes, pairs, seeded points."""
     samples: list[tuple[int, ...]] = []
@@ -346,7 +353,6 @@ def _covector_samples(dim: int, grid_density: int, seed: int) -> list[tuple[int,
 def levi_report(
     v: Subalgebra,
     grid_density: int = 1,
-    refinement_steps: int = 2,
     seed: int = 0,
 ) -> LeviReport:
     """Sampled scalar Levi-form signatures and a Witt-index lower bound.
@@ -398,6 +404,7 @@ def levi_report(
             raise ArithmeticError("scalar Levi form is not Hermitian")
         h_basis.append(h)
 
+    @cache  # refinement candidates repeat earlier samples
     def _signature_at(coords: tuple[int, ...]) -> tuple[int, int]:
         return _hermitian_signature(_lincomb(h_basis, 1, [(c, 0) for c in coords]))
 
@@ -409,7 +416,7 @@ def levi_report(
         recorded.append((coords, p, n))
         if best is None or min(p, n) < min(best[1], best[2]):
             best = (coords, p, n)
-    for _ in range(refinement_steps):
+    for _ in range(REFINEMENT_STEPS):
         improved = False
         base = best[0]
         for r in range(c0.dim):

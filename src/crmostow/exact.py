@@ -14,9 +14,12 @@ Working form
 Matrices, coordinate vectors and echelon rows are held as Gaussian-integer
 ``(re, im)`` pairs over one shared positive denominator.  Products,
 commutators, combinations, elimination and reduction all run on that form,
-visiting only nonzero entries where it pays; :class:`QI` values are built
-only at the public edges (``entries``, ``rows``, ``flatten``, coefficient
-lists, ``repr``).
+visiting only nonzero entries where it pays.  Polynomials are lists of
+Gaussian-integer ``(re, im)`` coefficients, taken up to a scalar: the
+characteristic polynomial is that of the numerator matrix, and gcds and
+squarefree parts come from a primitive pseudo-remainder sequence.
+:class:`QI` values are built only at the public edges (``entries``,
+``rows``, ``flatten``, coefficient lists, ``repr``).
 
 Canonical form
 --------------
@@ -1046,119 +1049,132 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial utilities (coefficient lists, highest degree first)
+# Polynomials: Gaussian-integer coefficient lists, leading coefficient
+# first and nonzero ([] is the zero polynomial)
 # ---------------------------------------------------------------------------
 
-Poly = list  # list[QI], leading coefficient first
+
+def _plus_scalar(m: ExactMatrix, c: tuple[int, int]) -> ExactMatrix:
+    """``m + c I`` for a Gaussian integer ``c``."""
+    n, den = m.rows, m._den
+    num = list(m._num)
+    for k in range(0, n * n, n + 1):
+        a, b = num[k]
+        num[k] = (a + c[0] * den, b + c[1] * den)
+    return ExactMatrix._make(n, n, den, num)
 
 
-def _poly_trim(p: Poly) -> Poly:
-    i = 0
-    while i < len(p) - 1 and not p[i]:
-        i += 1
-    return p[i:]
+def _charpoly_num(x: ExactMatrix) -> IntRow:
+    """The monic det(tI - X) of the numerator matrix X = den * x.
 
-
-def _poly_scale(p: Poly, c: QI) -> Poly:
-    return _poly_trim([c * a for a in p])
-
-
-def _poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    q = _poly_trim(q)
-    if not q or (len(q) == 1 and not q[0]):
-        raise ZeroDivisionError("polynomial division by zero")
-    work = list(_poly_trim(p))
-    dq = len(q) - 1
-    if len(work) - 1 < dq or (len(work) == 1 and not work[0]):
-        return [QI_ZERO], _poly_trim(work)
-    lead = q[0]
-    nq = len(work) - dq
-    quot = [QI_ZERO] * nq
-    for i in range(nq):
-        c = work[i] / lead
-        if c:
-            quot[i] = c
-            for k in range(1, len(q)):
-                work[i + k] = work[i + k] - c * q[k]
-            work[i] = QI_ZERO
-    rem = work[nq:] or [QI_ZERO]
-    return _poly_trim(quot), _poly_trim(rem)
-
-
-def _poly_gcd(p: Poly, q: Poly) -> Poly:
-    p, q = _poly_trim(p), _poly_trim(q)
-    while q != [QI_ZERO] and q:
-        p, q = q, _poly_divmod(p, q)[1]
-    if p and p[0] and p != [QI_ZERO]:
-        p = _poly_scale(p, QI_ONE / p[0])
-    return p
-
-
-def _poly_derivative(p: Poly) -> Poly:
-    n = len(p) - 1
-    if n <= 0:
-        return [QI_ZERO]
-    return _poly_trim([p[i] * QI(n - i) for i in range(n)])
-
-
-def _poly_eval_matrix(p: Poly, x: ExactMatrix) -> ExactMatrix:
-    acc = ExactMatrix.zeros(x.rows)
-    for c in p:
-        acc = acc @ x
-        if c:
-            acc = acc + ExactMatrix.identity(x.rows).scale(c)
-    return acc
-
-
-def charpoly(x: ExactMatrix) -> Poly:
-    """Exact characteristic polynomial det(tI - x), leading coefficient 1.
-
-    Uses the Faddeev-LeVerrier recursion (division-free up to integer
-    divisions, all exact over the Gaussian rationals).
+    Faddeev-LeVerrier: M_k = X (M_{k-1} + c_{k-1} I) and c_k = -tr(M_k) / k.
+    Every c_k lies in Z[i], as X does, so each division by k is exact; the
+    coefficients of det(tI - x) are c_k / den^k.
     """
     if not x.is_square:
         raise ValueError("incompatible shapes")
     n = x.rows
-    coeffs = [QI_ONE]
-    xm = ExactMatrix.zeros(n)
-    ident = ExactMatrix.identity(n)
+    big = ExactMatrix._make(n, n, 1, x._num)
+    coeffs = [(1, 0)]
+    prod = ExactMatrix.zeros(n)
     for k in range(1, n + 1):
-        # M_k = x M_{k-1} + c_{k-1} I and c_k = -tr(x M_k) / k: one product
-        xm = x @ (xm + ident.scale(coeffs[-1]))
-        coeffs.append(-(xm.trace() / QI(k)))
+        prod = big @ _plus_scalar(prod, coeffs[-1])
+        diag = prod._num[::n + 1]
+        coeffs.append((-sum(a for a, _ in diag) // k, -sum(b for _, b in diag) // k))
     return coeffs
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """The squarefree part ``p / gcd(p, p')`` (monic)."""
-    g = _poly_gcd(p, _poly_derivative(p))
-    q, r = _poly_divmod(p, g)
-    if r != [QI_ZERO] and any(a for a in r):
+def _poly_derivative(p: IntRow) -> IntRow:
+    n = len(p) - 1
+    return [((n - i) * a, (n - i) * b) for i, (a, b) in enumerate(p[:-1])]
+
+
+def _pseudo_divmod(p: IntRow, q: IntRow) -> tuple[IntRow, IntRow]:
+    """Pseudo-division for deg p >= deg q: ``(quot, rem)`` with
+    lc(q)^(deg p - deg q + 1) p = quot q + rem and deg rem < deg q."""
+    lr, li = q[0]
+    m = len(p) - len(q) + 1
+    work = list(p)
+    # step i: work[i] becomes the next quotient coefficient, every other
+    # entry is multiplied by lc(q), and work[i] * q leaves the remainder
+    for i in range(m):
+        ar, ai = work[i]
+        work = [(lr * c - li * d, lr * d + li * c) for c, d in work]
+        work[i] = (ar, ai)
+        for k, (c, d) in enumerate(q[1:], i + 1):
+            er, ei = work[k]
+            work[k] = (er - (ar * c - ai * d), ei - (ar * d + ai * c))
+    rem = work[m:]
+    lead = _first_nonzero(rem)
+    return work[:m], rem[lead:] if lead >= 0 else []
+
+
+def _poly_gcd(p: IntRow, q: IntRow) -> IntRow:
+    """A gcd of ``p`` and ``q`` (deg p >= deg q), up to a scalar.
+
+    The primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967;
+    Brown & Traub, J. ACM 18, 1971): each remainder loses its integer
+    content, which keeps the coefficients small.
+    """
+    while q:
+        p, q = q, _row_content_normalize(_pseudo_divmod(p, q)[1])
+    return p
+
+
+def _squarefree_num(p: IntRow) -> IntRow:
+    """The squarefree part ``p / gcd(p, p')`` of a nonzero polynomial, up to
+    a scalar."""
+    quot, rem = _pseudo_divmod(p, _poly_gcd(p, _poly_derivative(p)))
+    if rem:
         raise ArithmeticError("squarefree division left a remainder")
-    if q and q[0]:
-        q = _poly_scale(q, QI_ONE / q[0])
-    return q
+    return _row_content_normalize(quot)
+
+
+def _poly_eval_matrix(p: IntRow, x: ExactMatrix) -> ExactMatrix:
+    """``p(x)`` by Horner's rule."""
+    acc = ExactMatrix.zeros(x.rows)
+    for c in p:
+        acc = _plus_scalar(acc @ x, c)
+    return acc
+
+
+def charpoly(x: ExactMatrix) -> list[QI]:
+    """Exact characteristic polynomial det(tI - x), leading coefficient 1."""
+    den = x._den
+    return [_qi_of(a, b, den**k) for k, (a, b) in enumerate(_charpoly_num(x))]
+
+
+def squarefree_part(p: Sequence[QI]) -> list[QI]:
+    """The squarefree part ``p / gcd(p, p')`` (monic)."""
+    _, num = _to_num(p)
+    lead = _first_nonzero(num)
+    if lead < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    part = _qi_row(_squarefree_num(num[lead:]), 1)
+    return [c / part[0] for c in part]
 
 
 def semisimple_part(x: ExactMatrix) -> ExactMatrix:
     """The semisimple summand of the additive Jordan decomposition of ``x``.
 
-    Matrix Newton iteration ``s <- s - f(s) f'(s)^-1`` from ``s = x``, with
-    ``f`` the squarefree part of the characteristic polynomial.  Every
-    iterate is a polynomial in ``x`` differing from it by a nilpotent, so
-    ``f'(s)`` is invertible (the roots of ``f`` are simple) and ``f(s)`` is
-    nilpotent; by Taylor's formula the next ``f(s)`` is a multiple of the
-    square of the last, so ``f(s) = 0`` after at most ``ceil(log2 n)`` steps.
+    Matrix Newton iteration ``s <- s - f(s) f'(s)^-1`` from the numerator
+    matrix ``s = X = den * x``, with ``f`` the squarefree part of its
+    characteristic polynomial; the Jordan decomposition is linear, so the
+    result scaled by ``1 / den`` is that of ``x``.  Every iterate is a
+    polynomial in ``X`` differing from it by a nilpotent, so ``f'(s)`` is
+    invertible (the roots of ``f`` are simple) and ``f(s)`` is nilpotent; by
+    Taylor's formula the next ``f(s)`` is a multiple of the square of the
+    last, so ``f(s) = 0`` after at most ``ceil(log2 n)`` steps.
     """
-    f = charpoly(x)
-    fs = squarefree_part(f)
+    f = _charpoly_num(x)
+    fs = _squarefree_num(f)
     if len(fs) == len(f):
         return x
     dfs = _poly_derivative(fs)
-    s = x
+    s = ExactMatrix._make(x.rows, x.cols, 1, x._num)
     for _ in range((x.rows - 1).bit_length() + 1):
         val = _poly_eval_matrix(fs, s)
         if val.is_zero:
-            return s
+            return ExactMatrix._make(s.rows, s.cols, s._den * x._den, s._num)
         s = s - val @ _poly_eval_matrix(dfs, s).inverse()
     raise ArithmeticError("Newton iteration failed to converge exactly")

@@ -36,6 +36,7 @@ from .structure import (
     normalizer,
     rational_roots,
     subalgebra_from_space,
+    _bracket_closure,
 )
 
 __all__ = [
@@ -462,21 +463,6 @@ def _simple_weights(positive: set[tuple]) -> list[tuple]:
     return simples
 
 
-def _generated_closure(v_nil: Subspace, levi: Subspace, amb: AmbientAlgebra) -> Subspace:
-    """Bracket closure of the nilpotent radical together with the Levi."""
-    acc = v_nil.sum(levi)
-    while True:
-        mats = acc.basis()
-        gen = []
-        for i, a in enumerate(mats):
-            for b in mats[i + 1 :]:
-                gen.append(bracket(a, b))
-        new = acc.sum(Subspace.span(gen, amb.n)) if gen else acc
-        if new.dim == acc.dim:
-            return acc
-        acc = new
-
-
 def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSubalgebra:
     """Largest admissible parabolic envelope above ``start``.
 
@@ -493,7 +479,7 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
     current = start
     for _ in range(amb.dim + 1):
         table, positive, _ = _classified_weights(amb, current)
-        generated = _generated_closure(v_nil, current.levi, amb)
+        generated = _bracket_closure(v_nil.sum(current.levi))
         occurring = set()
         for wt in positive:
             piece = table[wt]

@@ -26,7 +26,6 @@ from .exact import (
     bracket_space,
     charpoly,
     semisimple_part,
-    squarefree_part,
     subspace_intersect,
     _columns_to_rows,
     _common_row,
@@ -35,9 +34,9 @@ from .exact import (
     _kernel_num,
     _lincomb,
     _matrix_from_columns,
-    _poly_eval_matrix,
     _qi_of,
     _rref_num,
+    _squarefree_num,
     _to_num,
     _trace_form,
 )
@@ -332,13 +331,18 @@ def make_subalgebra(
     if mode == "require_closed":
         return subalgebra_from_space(ambient, space)
     if mode == "close_up":
-        while True:
-            nxt = space.sum(bracket_space(space, space))
-            if nxt == space:
-                break
-            space = nxt
-        return subalgebra_from_space(ambient, space, verified=True)
+        return subalgebra_from_space(ambient, _bracket_closure(space), verified=True)
     raise ValueError(f"unknown mode: {mode!r}")
+
+
+def _bracket_closure(space: Subspace) -> Subspace:
+    """The smallest bracket-closed subspace containing ``space``: iterate
+    span <- span + [span, span] to a fixed point."""
+    while True:
+        nxt = space.sum(bracket_space(space, space))
+        if nxt == space:
+            return space
+        space = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +370,10 @@ def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:
     """Classify an element as semisimple, nilpotent, or mixed (exactly)."""
     if ambient is not None and not ambient.contains(x):
         raise ValueError("not inside ambient")
-    if not x.is_square:
-        raise ValueError("incompatible shapes")
-    if x.is_zero:
+    s = semisimple_part(x)
+    if s == x:
         return "semisimple"
-    if x.is_nilpotent():
-        return "nilpotent"
-    fs = squarefree_part(charpoly(x))
-    if _poly_eval_matrix(fs, x).is_zero:
-        return "semisimple"
-    return "mixed"
+    return "nilpotent" if s.is_zero else "mixed"
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +411,7 @@ def _float_root_candidates(coeffs) -> list[tuple[int, int]]:
 def _squarefree_candidates(coeffs) -> list[tuple[int, int]]:
     """Candidates from the squarefree part, whose roots are simple and so
     well conditioned where a repeated root of ``coeffs`` is not."""
-    part = squarefree_part([QI(a, b) for a, b in coeffs])
-    return _float_root_candidates(_to_num(part)[1])
+    return _float_root_candidates(_squarefree_num(coeffs))
 
 
 def _exact_linear_roots(coeffs) -> list[tuple[Fraction, Fraction]]:

@@ -56,21 +56,25 @@ def _basis_with_entry(entry):
     return {"basis": [[[entry] + [zero] * 3] + [[zero] * 4] * 3]}
 
 
+def _python(*args):
+    """Run ``python ARGS`` in a subprocess that imports this crmostow."""
+    src = str(Path(crmostow.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+
+
 def _stdout_with_and_without_optimize(*argv):
     """Run ``python [-O] -m crmostow.cli ARGV`` in subprocesses; both must
     exit 0.  Returns the two stdouts."""
-    src = str(Path(crmostow.__file__).resolve().parent.parent)
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     outputs = []
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "crmostow.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
+        proc = _python(*flags, "-m", "crmostow.cli", *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         outputs.append(proc.stdout)
     return outputs
@@ -568,6 +572,28 @@ class TestVerify:
 
 
 class TestContract:
+    def test_catalog_runs_without_sympy(self):
+        # sympy is only the fallback of rational_roots for roots the exact
+        # deflation misses; an integer root path that silently falls through
+        # to it would import it here
+        script = (
+            "import contextlib, io, sys\n"
+            "from crmostow import catalog, cli\n"
+            "params = {'grassmann_pair': ['--params', sys.argv[1]]}\n"
+            "runs = [['verify', '--suite', 'structural']] + [\n"
+            "    ['analyze', '--catalog', name, *params.get(name, [])]\n"
+            "    for name in catalog.entry_names()\n"
+            "]\n"
+            "for argv in runs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.main(argv) != 0:\n"
+            "            sys.exit(f'{argv} failed')\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        proc = _python("-c", script, GRASSMANN_PARAMS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_exit_codes_are_distinct(self):
         codes = {
             EXIT_OK,

@@ -1,8 +1,11 @@
 """Tests for CR type, fiber factors, Levi signatures, and orbit data."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from crmostow import crinv
 from crmostow.ambient import block_special_linear, special_linear
 from crmostow.crinv import (
     _hermitian_signature,
@@ -257,19 +260,29 @@ def test_levi_empty_characteristic_space():
         levi_report(borel)
 
 
-def test_levi_deterministic(flag13):
+def test_levi_deterministic(flag13, monkeypatch):
     a = levi_report(flag13, seed=7)
+    evaluated = []
+
+    def counted(h):
+        evaluated.append(h)
+        return _hermitian_signature(h)
+
+    monkeypatch.setattr(crinv, "_hermitian_signature", counted)
     b = levi_report(flag13, seed=7)
     assert a.sampled_signatures == b.sampled_signatures
     assert a.witt_lower_bound == b.witt_lower_bound
+    # refinement revisits sampled points; each point is evaluated once
+    distinct = {coords for coords, _, _ in b.sampled_signatures}
+    assert len(evaluated) == len(distinct) < len(b.sampled_signatures)
 
 
-def _check_signature_against_numpy(h_np):
+def _check_signature_against_numpy(h_np, q=1):
     h = ExactMatrix(
         [[QI(int(v.real), int(v.imag)) for v in row] for row in h_np]
-    )
+    ).scale(QI(Fraction(1, q)))
     pos, neg = _hermitian_signature(h)
-    eig = np.linalg.eigvalsh(h_np.astype(complex))
+    eig = np.linalg.eigvalsh(h_np.astype(complex) / q)
     assert pos == int((eig > 1e-9).sum())
     assert neg == int((eig < -1e-9).sum())
 
@@ -290,6 +303,11 @@ def test_hermitian_signature_against_numpy():
         d = rng.integers(-2, 3, size=m)
         d[int(rng.integers(0, m))] = 0
         _check_signature_against_numpy(z @ np.diag(d) @ z.conj().T)
+    # scaled by 1/q (q prime to the entries): a denominator > 1
+    for trial in range(10):
+        m = int(rng.integers(1, 6))
+        z = rng.integers(-3, 4, size=(m, m)) + 1j * rng.integers(-3, 4, size=(m, m))
+        _check_signature_against_numpy(z + z.conj().T, q=(7, 11, 13)[trial % 3])
 
 
 def test_hermitian_signature_hyperbolic_block():

@@ -357,12 +357,30 @@ def test_charpoly_oracles():
 
 
 def test_charpoly_cayley_hamilton():
-    x = ExactMatrix([[QI(1, 1), QI(2)], [QI(0, -1), QI(3, 2)]])
-    p = charpoly(x)
-    acc = ExactMatrix.zeros(2)
-    for c in p:
-        acc = acc @ x + ExactMatrix.identity(2).scale(c)
-    assert acc.is_zero
+    # the second matrix has denominator 60 and Gaussian entries
+    f = Fraction
+    for x in (
+        ExactMatrix([[QI(1, 1), QI(2)], [QI(0, -1), QI(3, 2)]]),
+        ExactMatrix([
+            [QI(f(1, 2), f(1, 3)), QI(2), QI(0, f(-1, 4))],
+            [QI(f(3, 5)), QI(0, 1), QI(1)],
+            [QI(1, -1), QI(f(2, 3)), QI(f(-1, 6), 1)],
+        ]),
+    ):
+        p = charpoly(x)
+        assert len(p) == x.rows + 1 and p[0] == QI(1) and p[1] == -x.trace()
+        acc = ExactMatrix.zeros(x.rows)
+        for c in p:
+            acc = acc @ x + ExactMatrix.identity(x.rows).scale(c)
+        assert acc.is_zero
+
+
+def _poly_times(p, q):
+    out = [QI(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
 def test_squarefree_part():
@@ -372,6 +390,15 @@ def test_squarefree_part():
     # already squarefree
     q = [QI(1), QI(-3), QI(2)]
     assert squarefree_part(q) == q
+    # non-monic over Q(i), roots of multiplicity 2, 1 and 3, a leading zero
+    roots = [QI(Fraction(1, 2), Fraction(1, 2)), QI(-3), QI(0, Fraction(1, 5))]
+    r = [QI(Fraction(2, 3), 1)]
+    part = [QI(1)]
+    for root, mult in zip(roots, (2, 1, 3)):
+        part = _poly_times(part, [QI(1), -root])
+        for _ in range(mult):
+            r = _poly_times(r, [QI(1), -root])
+    assert squarefree_part([QI(0)] + r) == part
 
 
 def test_semisimple_part_oracles():
@@ -402,9 +429,15 @@ def test_semisimple_part_oracles():
     assert p @ pinv == ExactMatrix.identity(4)
     lam = QI(1, 2)
     nil3 = _E(4, 0, 1) + _E(4, 1, 2)
+    # fractional eigenvalues, with a fractional nilpotent part
+    frac = QI(Fraction(1, 3), Fraction(-1, 2))
     for d, nil in (
         (ExactMatrix.diagonal([lam, lam, lam, QI(-3)]), nil3),
         (ExactMatrix.diagonal([lam] * 4), nil3 + _E(4, 2, 3)),
+        (
+            ExactMatrix.diagonal([frac] * 3 + [QI(Fraction(-5, 2))]),
+            nil3.scale(QI(Fraction(1, 7))),
+        ),
     ):
         assert semisimple_part(p @ (d + nil) @ pinv) == p @ d @ pinv
 
