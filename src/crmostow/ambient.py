@@ -38,6 +38,7 @@ class AmbientAlgebra:
             block_of.extend([idx] * b)
         self._block_of = tuple(block_of)
         self._subalgebras: dict[Subspace, object] = {}
+        self._eigenvalues: dict[ExactMatrix, list] = {}  # see structure._eigenvalues
         self._space: Subspace | None = None
         self._k0: Subspace | None = None
         self._p0: Subspace | None = None
@@ -158,7 +159,7 @@ class AmbientAlgebra:
             return False
         block_of = self._block_of
         tre = tim = 0
-        for k, a, b in x._nonzero():
+        for k, (a, b) in x._terms.items():
             i, j = divmod(k, n)
             if block_of[i] != block_of[j]:
                 return False

@@ -26,10 +26,8 @@ from .exact import (
     subspace_sum,
     _charpoly_num,
     _columns_to_rows,
-    _common_den,
     _common_row,
     _kernel_mats,
-    _kernel_num,
     _lincomb,
     _trace_form,
 )
@@ -151,30 +149,36 @@ class OrbitData:
 # ---------------------------------------------------------------------------
 
 
-def _solve_combination(mats, target: ExactMatrix) -> tuple[int, list] | None:
-    """Coefficients expressing ``target`` in ``mats``, or None if outside.
-
-    The coefficients come as ``(den, numerators)``.  The expression is found
-    through the kernel of the augmented system, so it is exact; when the
-    given matrices are independent it is unique.
-    """
-    cols = [(m._den, m._num) for m in mats] + [(target._den, target._num)]
-    pivots, kernel = _kernel_num(_columns_to_rows(cols), len(cols))
-    for vec in kernel:
-        ta, tb = vec[-1]
-        if ta or tb:
-            # -c / t = -c * conj(t) / |t|^2
-            return ta * ta + tb * tb, [
-                (-(a * ta + b * tb), -(b * ta - a * tb)) for a, b in vec[:-1]
-            ]
-    return None
-
-
 def _trace_complement(ambient: AmbientAlgebra, space: Subspace) -> Subspace:
     """Trace-form orthogonal complement of a complex subspace inside k."""
     kb = ambient.space.basis()
-    rows = [_common_row([_trace_form(x, u) for x in kb]) for u in space.basis()]
+    rows = [_common_row([_trace_form(x, u) for x in kb])[1] for u in space.basis()]
     return Subspace.span(_kernel_mats(kb, rows), ambient.n)
+
+
+def _trace_projector(amb: AmbientAlgebra, pair: Subspace, comp: Subspace):
+    """The projection of k onto ``comp`` along ``pair``, for the
+    trace-orthogonal complement ``comp`` of ``pair``.
+
+    With w_k the basis of ``comp`` and G_lk = tr(w_k w_l), the ``comp``
+    component of t is Σ g_k w_k where G g = (tr(t w_l))_l, since every
+    member of ``pair`` is trace-orthogonal to every w_l.  The dimension
+    count and an invertible G certify that k = pair ⊕ comp; otherwise
+    ``ArithmeticError`` is raised.
+    """
+    if pair.dim + comp.dim != amb.space.dim:
+        raise ArithmeticError("pair and its trace complement do not span k")
+    w = comp.basis()
+    try:
+        g_inv = ExactMatrix([[amb.beta(wk, wl) for wk in w] for wl in w]).inverse()
+    except ValueError as exc:
+        raise ArithmeticError("trace form is degenerate on the complement") from exc
+
+    def project(t: ExactMatrix) -> ExactMatrix:
+        den, rhs = _common_row([_trace_form(t, wl) for wl in w])
+        return _lincomb(w, *g_inv._apply(den, rhs))
+
+    return project
 
 
 def _real_rows(row) -> list:
@@ -182,8 +186,8 @@ def _real_rows(row) -> list:
     real rows (each kept only when nonzero)."""
     out = []
     for part in (0, 1):
-        real = [(pair[part], 0) for pair in row]
-        if any(a for a, _ in real):
+        real = {k: (pair[part], 0) for k, pair in row.items() if pair[part]}
+        if real:
             out.append(real)
     return out
 
@@ -238,7 +242,7 @@ def _real_kernel_space(
     if not basis_mats:
         return Subspace.zero(ambient.n, real=True)
     rows = []
-    for row in _columns_to_rows([(img._den, img._num) for img in images]):
+    for row in _columns_to_rows([(img._den, img._terms) for img in images]):
         rows += _real_rows(row)
     return Subspace.span(_kernel_mats(basis_mats, rows), ambient.n, real=True)
 
@@ -292,7 +296,7 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
     p0_basis = amb.p0.basis()
     rows = []
     for u in vqn.basis():
-        rows += _real_rows(_common_row([_trace_form(b, u) for b in p0_basis]))
+        rows += _real_rows(_common_row([_trace_form(b, u) for b in p0_basis])[1])
     f0 = Subspace.span(_kernel_mats(p0_basis, rows), amb.n, real=True)
 
     # nilpotent factor: invariant complement of nr(v) in nr(v) + n(q),
@@ -300,7 +304,7 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
     total = subspace_sum(v.nr, q.nilradical)
     big = total.basis()
     lrows = [
-        _common_row([_trace_form(m, y.star()) for m in big]) for y in v.nr.basis()
+        _common_row([_trace_form(m, y.star()) for m in big])[1] for y in v.nr.basis()
     ]
     comp = Subspace.span(_kernel_mats(big, lrows), amb.n)
     if (
@@ -379,18 +383,8 @@ def levi_report(
     values = [[bracket(za, amb.sigma(zc)) for zc in zb] for za in zb]
 
     # vector-valued form: component of each bracket value in the complement
-    combined = pair.basis() + comp.basis()
-    split = pair.dim
-    vector_form = []
-    for a in range(nu):
-        row = []
-        for b in range(nu):
-            coeffs = _solve_combination(combined, values[a][b])
-            if coeffs is None:
-                raise ArithmeticError("vector form projection failed")
-            den, nums = coeffs
-            row.append(_lincomb(comp.basis(), den, nums[split:]))
-        vector_form.append(tuple(row))
+    project = _trace_projector(amb, pair, comp)
+    vector_form = [tuple(project(t) for t in row) for row in values]
 
     # one exact Hermitian matrix per covector-basis direction:
     # h[a][b] = i * tr(s @ values[a][b])
@@ -398,15 +392,17 @@ def levi_report(
     h_basis = []
     for s in s_basis:
         traces = [_trace_form(s, values[a][b]) for a in range(nu) for b in range(nu)]
-        den, nums = _common_den([(d, [(-im, re)]) for d, (re, im) in traces])
-        h = ExactMatrix._make(nu, nu, den, [num[0] for num in nums])
+        den, row = _common_row([(d, (-im, re)) for d, (re, im) in traces])
+        h = ExactMatrix._make(nu, nu, den, row)
         if h != h.star():
             raise ArithmeticError("scalar Levi form is not Hermitian")
         h_basis.append(h)
 
     @cache  # refinement candidates repeat earlier samples
     def _signature_at(coords: tuple[int, ...]) -> tuple[int, int]:
-        return _hermitian_signature(_lincomb(h_basis, 1, [(c, 0) for c in coords]))
+        return _hermitian_signature(
+            _lincomb(h_basis, 1, {k: (c, 0) for k, c in enumerate(coords) if c})
+        )
 
     samples = _covector_samples(c0.dim, grid_density, seed)
     recorded = []

@@ -11,10 +11,14 @@ other elimination here.
 
 Working form
 ------------
-Matrices, coordinate vectors and echelon rows are held as Gaussian-integer
-``(re, im)`` pairs over one shared positive denominator.  Products,
-commutators, combinations, elimination and reduction all run on that form,
-visiting only nonzero entries where it pays.  Polynomials are lists of
+Matrices, coordinate vectors and echelon rows are sparse: dicts from an
+index (row-major for matrices) to the Gaussian-integer ``(re, im)`` pair of
+each nonzero entry, over one shared positive denominator.  Products,
+commutators, combinations, elimination and reduction touch only those
+entries.  The echelon maps each pivot column to its row, and reducing a row
+visits only the pivots that occur in it, in increasing column order;
+stored pivot rows are primitive over Z[i], so entries stay as small as
+their lines allow.  Polynomials are dense lists of
 Gaussian-integer ``(re, im)`` coefficients, taken up to a scalar: the
 characteristic polynomial is that of the numerator matrix, and gcds and
 squarefree parts come from a primitive pseudo-remainder sequence.
@@ -34,8 +38,8 @@ these rows agree entry-wise, which makes equality a syntactic check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -50,7 +54,6 @@ __all__ = [
     "contains",
     "bracket",
     "bracket_space",
-    "linear_combination",
     "solve_kernel",
     "charpoly",
     "squarefree_part",
@@ -139,7 +142,8 @@ def _qi(value) -> QI:
 # Gaussian-integer working form
 # ---------------------------------------------------------------------------
 
-IntRow = list  # list[tuple[int, int]]: Gaussian-integer (re, im) pairs
+IntRow = list  # list[tuple[int, int]]: dense Gaussian-integer (re, im) pairs
+SparseRow = dict  # dict[int, tuple[int, int]]: the nonzero (re, im) entries
 
 
 def _to_num(values: Sequence[QI]) -> tuple[int, list]:
@@ -159,22 +163,6 @@ def _to_num(values: Sequence[QI]) -> tuple[int, list]:
     ]
 
 
-def _reduce_den(den: int, num) -> tuple[int, tuple]:
-    """Canonical ``(den, num)``: the denominator coprime to the numerators."""
-    if den != 1:
-        g = den
-        for a, b in num:
-            if a:
-                g = gcd(g, a)
-            if b:
-                g = gcd(g, b)
-            if g == 1:
-                break
-        if g > 1:
-            return den // g, tuple((a // g, b // g) for a, b in num)
-    return den, tuple(num)
-
-
 def _qi_of(a: int, b: int, den: int) -> QI:
     """The scalar ``(a + b i) / den``."""
     if not (a or b):
@@ -184,65 +172,56 @@ def _qi_of(a: int, b: int, den: int) -> QI:
     return QI(Fraction(a, den), Fraction(b, den))
 
 
-def _qi_row(row, den: int) -> tuple[QI, ...]:
-    return tuple(_qi_of(a, b, den) for a, b in row)
-
-
 class ExactMatrix:
     """An immutable matrix with Gaussian-rational entries.
 
-    Held as row-major Gaussian-integer numerators over one positive
-    denominator coprime to them, so equal matrices have equal storage; the
-    QI grid ``entries`` is built on first use.
+    Held as its nonzero Gaussian-integer numerators ``{row-major index:
+    (re, im)}`` over one positive denominator coprime to them, so equal
+    matrices have equal storage; the QI grid ``entries`` is built on first
+    use.
     """
 
-    __slots__ = ("rows", "cols", "_den", "_num", "_entries", "_terms", "_row_terms")
+    __slots__ = ("rows", "cols", "_den", "_terms", "_entries", "_row_terms")
 
     def __init__(self, entries: Sequence[Sequence]):
         grid = [[_qi(e) for e in row] for row in entries]
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("incompatible shapes")
         den, num = _to_num([q for row in grid for q in row])
-        ExactMatrix._init(self, len(grid), len(grid[0]) if grid else 0, den, num)
+        terms = {k: pair for k, pair in enumerate(num) if pair != (0, 0)}
+        ExactMatrix._init(self, len(grid), len(grid[0]) if grid else 0, den, terms)
 
-    def _init(self, rows: int, cols: int, den: int, num) -> None:
-        den, num = _reduce_den(den, num)
+    def _init(self, rows: int, cols: int, den: int, terms: SparseRow) -> None:
+        if den != 1:
+            g = _content(terms.values(), den)
+            den, terms = den // g, _divide(terms, g)
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "_den", den)
-        _set(self, "_num", num)
+        _set(self, "_terms", terms)
         _set(self, "_entries", None)
-        _set(self, "_terms", None)
         _set(self, "_row_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @staticmethod
-    def _make(rows: int, cols: int, den: int, num) -> "ExactMatrix":
-        """Internal constructor from row-major numerators over ``den``."""
+    def _make(rows: int, cols: int, den: int, terms: SparseRow) -> "ExactMatrix":
+        """Internal constructor from the nonzero numerators over ``den``
+        (zero entries left out); ``terms`` must not be modified afterwards."""
         m = _new(ExactMatrix)
-        ExactMatrix._init(m, rows, cols, den, num)
+        ExactMatrix._init(m, rows, cols, den, terms)
         return m
 
     @property
     def entries(self) -> tuple[tuple[QI, ...], ...]:
         grid = self._entries
         if grid is None:
-            c, den, num = self.cols, self._den, self._num
-            grid = tuple(
-                _qi_row(num[i * c:(i + 1) * c], den) for i in range(self.rows)
-            )
+            c = self.cols
+            flat = _qi_vec(self._terms, self.rows * c, self._den)
+            grid = tuple(flat[i * c:(i + 1) * c] for i in range(self.rows))
             _set(self, "_entries", grid)
         return grid
-
-    def _nonzero(self) -> tuple:
-        """The nonzero numerators as ``(flat index, re, im)``; cached."""
-        terms = self._terms
-        if terms is None:
-            terms = tuple((k, a, b) for k, (a, b) in enumerate(self._num) if a or b)
-            _set(self, "_terms", terms)
-        return terms
 
     def _nonzero_by_row(self) -> tuple:
         """Per row, the nonzero numerators as ``(column, re, im)``; cached."""
@@ -250,7 +229,7 @@ class ExactMatrix:
         if rows is None:
             c = self.cols
             grouped = [[] for _ in range(self.rows)]
-            for k, a, b in self._nonzero():
+            for k, (a, b) in self._terms.items():
                 i, j = divmod(k, c)
                 grouped[i].append((j, a, b))
             rows = tuple(tuple(r) for r in grouped)
@@ -260,8 +239,7 @@ class ExactMatrix:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "ExactMatrix":
-        cols = rows if cols is None else cols
-        return ExactMatrix._make(rows, cols, 1, ((0, 0),) * (rows * cols))
+        return ExactMatrix._make(rows, rows if cols is None else cols, 1, {})
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -270,78 +248,46 @@ class ExactMatrix:
     @staticmethod
     def unit(n: int, i: int, j: int, value=1) -> "ExactMatrix":
         """The matrix with a single entry ``value`` at position ``(i, j)``."""
-        den, (pair,) = _to_num([_qi(value)])
-        grid = [[(0, 0)] * n for _ in range(n)]
-        grid[i][j] = pair
-        return ExactMatrix._make(n, n, den, [p for row in grid for p in row])
+        return ExactMatrix._make(n, n, *_sparse_num({i * n + j: _qi(value)}))
 
     @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
         n = len(values)
-        den, pairs = _to_num([_qi(v) for v in values])
-        num = [(0, 0)] * (n * n)
-        for i, pair in enumerate(pairs):
-            num[i * n + i] = pair
-        return ExactMatrix._make(n, n, den, num)
+        return ExactMatrix._make(
+            n, n, *_sparse_num({i * n + i: _qi(v) for i, v in enumerate(values)})
+        )
 
     # -- algebra -------------------------------------------------------------
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("incompatible shapes")
-
-    def _add_scaled(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        self._check_same_shape(other)
-        d1, d2 = self._den, other._den
-        den = lcm(d1, d2)
-        f1, f2 = den // d1, sign * (den // d2)
-        num = [
-            (a * f1 + c * f2, b * f1 + d * f2)
-            for (a, b), (c, d) in zip(self._num, other._num)
-        ]
-        return ExactMatrix._make(self.rows, self.cols, den, num)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._add_scaled(other, 1)
+        return _lincomb([self, other], 1, {0: (1, 0), 1: (1, 0)})
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._add_scaled(other, -1)
+        return _lincomb([self, other], 1, {0: (1, 0), 1: (-1, 0)})
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._make(
-            self.rows, self.cols, self._den, [(-a, -b) for a, b in self._num]
-        )
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
         cden, ((cr, ci),) = _to_num([_qi(c)])
-        num = [(cr * a - ci * b, cr * b + ci * a) for a, b in self._num]
-        return ExactMatrix._make(self.rows, self.cols, self._den * cden, num)
+        if not (cr or ci):
+            return ExactMatrix.zeros(self.rows, self.cols)
+        terms = {k: (cr * a - ci * b, cr * b + ci * a) for k, (a, b) in self._terms.items()}
+        return ExactMatrix._make(self.rows, self.cols, self._den * cden, terms)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("incompatible shapes")
-        cols = other.cols
-        re = [0] * (self.rows * cols)
-        im = [0] * (self.rows * cols)
-        right = other._nonzero_by_row()
-        for i, terms in enumerate(self._nonzero_by_row()):
-            base = i * cols
-            for k, a, b in terms:
-                for l, c, d in right[k]:
-                    re[base + l] += a * c - b * d
-                    im[base + l] += a * d + b * c
+        acc: dict[int, list] = {}
+        _add_product(acc, self, other, 1)
         return ExactMatrix._make(
-            self.rows, cols, self._den * other._den, list(zip(re, im))
+            self.rows, other.cols, self._den * other._den, _nonzero_terms(acc)
         )
 
     def _transposed(self, conj: bool) -> "ExactMatrix":
-        r, c, num = self.rows, self.cols, self._num
+        r, c = self.rows, self.cols
         sign = -1 if conj else 1
-        out = [
-            (num[i * c + j][0], sign * num[i * c + j][1])
-            for j in range(c)
-            for i in range(r)
-        ]
-        return ExactMatrix._make(c, r, self._den, out)
+        terms = {(k % c) * r + k // c: (a, sign * b) for k, (a, b) in self._terms.items()}
+        return ExactMatrix._make(c, r, self._den, terms)
 
     def star(self) -> "ExactMatrix":
         """Conjugate transpose."""
@@ -353,12 +299,8 @@ class ExactMatrix:
     def trace(self) -> QI:
         if self.rows != self.cols:
             raise ValueError("incompatible shapes")
-        n, num = self.rows, self._num
-        return _qi_of(
-            sum(num[i * n + i][0] for i in range(n)),
-            sum(num[i * n + i][1] for i in range(n)),
-            self._den,
-        )
+        diag = _diagonal(self)
+        return _qi_of(sum(a for a, _ in diag), sum(b for _, b in diag), self._den)
 
     def power(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -383,18 +325,18 @@ class ExactMatrix:
             raise ValueError("incompatible shapes")
         n, den = self.rows, self._den
         pivots, rows = _rref_num(
-            row + [(den, 0) if i == j else (0, 0) for j in range(n)]
-            for i, row in enumerate(self._row_nums())
+            {**row, n + i: (den, 0)} for i, row in enumerate(self._row_nums())
         )
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        den, nums = _common_den([(row[p][0], row[n:]) for row, p in zip(rows, pivots)])
-        return ExactMatrix._make(n, n, den, [pair for num in nums for pair in num])
+        den, nums = _common_den([(row[p][0], row) for row, p in zip(rows, pivots)])
+        right = {i * n + k - n: z for i, row in enumerate(nums) for k, z in row.items() if k >= n}
+        return ExactMatrix._make(n, n, den, right)
 
     # -- predicates / conversions --------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self._nonzero()
+        return not self._terms
 
     @property
     def is_square(self) -> bool:
@@ -411,55 +353,52 @@ class ExactMatrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self._den == other._den
-            and self._num == other._num
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self._den, self._num))
+        return hash((self.rows, self.cols, self._den, frozenset(self._terms.items())))
 
-    def _row_nums(self) -> list[IntRow]:
-        """The rows' numerators (the common denominator dropped)."""
-        c, num = self.cols, self._num
-        return [list(num[i * c:(i + 1) * c]) for i in range(self.rows)]
+    def _row_nums(self) -> list[SparseRow]:
+        """The rows' sparse numerators (the common denominator dropped)."""
+        return [{j: (a, b) for j, a, b in terms} for terms in self._nonzero_by_row()]
 
-    def _apply(self, den: int, vec) -> tuple[int, list]:
+    def _apply(self, den: int, vec: SparseRow) -> tuple[int, SparseRow]:
         """``self @ (vec / den)`` as ``(den', numerators)``."""
-        out = []
-        for terms in self._nonzero_by_row():
+        out = {}
+        for i, terms in enumerate(self._nonzero_by_row()):
             sre = sim = 0
             for j, a, b in terms:
-                c, d = vec[j]
-                if c or d:
+                v = vec.get(j)
+                if v is not None:
+                    c, d = v
                     sre += a * c - b * d
                     sim += a * d + b * c
-            out.append((sre, sim))
+            if sre or sim:
+                out[i] = (sre, sim)
         return self._den * den, out
 
-    def _coords(self, real: bool) -> list:
-        """Coordinate numerators (over ``_den``): row-major, real-doubled if asked."""
-        if real:
-            return [p for a, b in self._num for p in ((a, 0), (b, 0))]
-        return list(self._num)
+    def _coords(self, real: bool) -> SparseRow:
+        """Sparse coordinate numerators (over ``_den``): row-major,
+        real-doubled if asked."""
+        return _real_coords(self._terms) if real else self._terms
 
     def flatten(self) -> tuple[QI, ...]:
         """Row-major coordinate vector of length ``rows * cols``."""
-        return _qi_row(self._num, self._den)
+        return _qi_vec(self._terms, self.rows * self.cols, self._den)
 
     def flatten_real(self) -> tuple[QI, ...]:
         """Real-doubled coordinates: (Re, Im) per entry, row-major."""
-        return _qi_row(self._coords(True), self._den)
+        return _qi_vec(self._coords(True), 2 * self.rows * self.cols, self._den)
 
     def to_numpy(self):
         import numpy as np
 
-        c, den, num = self.cols, self._den, self._num
-        return np.array(
-            [
-                [complex(a / den, b / den) for a, b in num[i * c:(i + 1) * c]]
-                for i in range(self.rows)
-            ],
-            dtype=complex,
-        )
+        out = np.zeros((self.rows, self.cols), dtype=complex)
+        den = self._den
+        for k, (a, b) in self._terms.items():
+            out[divmod(k, self.cols)] = complex(a / den, b / den)
+        return out
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -468,67 +407,79 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def _lincomb(mats: Sequence[ExactMatrix], cden: int, cnum) -> ExactMatrix:
-    """``Σ (cnum[k] / cden) * mats[k]`` in one integer pass."""
+def _sparse_num(values: dict) -> tuple[int, SparseRow]:
+    """Common denominator and nonzero numerators of ``{index: QI}``."""
+    den, num = _to_num(list(values.values()))
+    return den, {k: pair for k, pair in zip(values, num) if pair != (0, 0)}
+
+
+def _nonzero_terms(acc: dict) -> SparseRow:
+    """The nonzero ``[re, im]`` accumulators as ``(re, im)`` entries."""
+    return {k: (a, b) for k, (a, b) in acc.items() if a or b}
+
+
+def _diagonal(m: ExactMatrix) -> list:
+    """The diagonal numerators of a square matrix."""
+    n, terms = m.rows, m._terms
+    return [terms.get(k, (0, 0)) for k in range(0, n * n, n + 1)]
+
+
+def _lincomb(mats: Sequence[ExactMatrix], cden: int, coeffs: SparseRow) -> ExactMatrix:
+    """``Σ (coeffs[k] / cden) * mats[k]`` in one integer pass."""
     if not mats:
         raise ValueError("incompatible shapes")
     rows, cols = mats[0].rows, mats[0].cols
-    terms = []
-    den = 1
-    for (cr, ci), m in zip(cnum, mats):
-        if m.rows != rows or m.cols != cols:
-            raise ValueError("incompatible shapes")
-        if cr or ci:
-            terms.append((cr, ci, m))
-            if m._den != 1:
-                den = lcm(den, m._den)
-    re = [0] * (rows * cols)
-    im = [0] * (rows * cols)
-    for cr, ci, m in terms:
+    if any(m.rows != rows or m.cols != cols for m in mats):
+        raise ValueError("incompatible shapes")
+    den = lcm(*(mats[k]._den for k in coeffs))
+    acc: dict[int, list] = {}
+    for k, (cr, ci) in coeffs.items():
+        m = mats[k]
         f = den // m._den
         fr, fi = f * cr, f * ci
-        for k, a, b in m._nonzero():
-            re[k] += fr * a - fi * b
-            im[k] += fr * b + fi * a
-    return ExactMatrix._make(rows, cols, den * cden, list(zip(re, im)))
+        for j, (a, b) in m._terms.items():
+            v = acc.setdefault(j, [0, 0])
+            v[0] += fr * a - fi * b
+            v[1] += fr * b + fi * a
+    return ExactMatrix._make(rows, cols, den * cden, _nonzero_terms(acc))
 
 
-def linear_combination(mats: Sequence[ExactMatrix], coeffs: Sequence) -> ExactMatrix:
-    """Fused exact sum ``Σ coeffs[k] * mats[k]`` (single integer pass)."""
-    cden, cnum = _to_num([_qi(c) for c in coeffs])
-    return _lincomb(mats, cden, cnum)
+def _add_product(acc: dict, x: ExactMatrix, y: ExactMatrix, sign: int) -> None:
+    """Add ``sign * (X @ Y)`` of the numerators to the ``[re, im]`` accumulators."""
+    cols = y.cols
+    right = y._nonzero_by_row()
+    for i, terms in enumerate(x._nonzero_by_row()):
+        base = i * cols
+        for k, a, b in terms:
+            for l, c, d in right[k]:
+                re, im = sign * (a * c - b * d), sign * (a * d + b * c)
+                v = acc.get(base + l)
+                if v is None:
+                    acc[base + l] = [re, im]
+                else:
+                    v[0] += re
+                    v[1] += im
 
 
 def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     """The commutator ``x @ y - y @ x`` (exact, over the nonzero entries)."""
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("incompatible shapes")
-    n = x.rows
-    re = [0] * (n * n)
-    im = [0] * (n * n)
-    xr = x._nonzero_by_row()
-    yr = y._nonzero_by_row()
-    for i in range(n):
-        base = i * n
-        for k, a, b in xr[i]:
-            for l, c, d in yr[k]:
-                re[base + l] += a * c - b * d
-                im[base + l] += a * d + b * c
-        for k, a, b in yr[i]:
-            for l, c, d in xr[k]:
-                re[base + l] -= a * c - b * d
-                im[base + l] -= a * d + b * c
-    return ExactMatrix._make(n, n, x._den * y._den, list(zip(re, im)))
+    acc: dict[int, list] = {}
+    _add_product(acc, x, y, 1)
+    _add_product(acc, y, x, -1)
+    return ExactMatrix._make(x.rows, x.rows, x._den * y._den, _nonzero_terms(acc))
 
 
 def _trace_form(x: ExactMatrix, y: ExactMatrix) -> tuple[int, tuple[int, int]]:
     """``tr(x @ y)`` as ``(den, (re, im))`` numerators over ``den``."""
-    n, ynum = x.cols, y._num
+    n, yt = x.cols, y._terms
     sre = sim = 0
-    for k, a, b in x._nonzero():
+    for k, (a, b) in x._terms.items():
         i, j = divmod(k, n)
-        c, d = ynum[j * n + i]
-        if c or d:
+        v = yt.get(j * n + i)
+        if v is not None:
+            c, d = v
             sre += a * c - b * d
             sim += a * d + b * c
     return x._den * y._den, (sre, sim)
@@ -539,132 +490,171 @@ def _trace_form(x: ExactMatrix, y: ExactMatrix) -> tuple[int, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _row_content_normalize(row: IntRow) -> IntRow:
-    g = 0
-    for a, b in row:
+def _content(pairs, g: int = 0) -> int:
+    """The gcd of ``g`` and every real and imaginary part (stops at 1)."""
+    for a, b in pairs:
         if a:
             g = gcd(g, a)
         if b:
             g = gcd(g, b)
         if g == 1:
-            return row
+            break
+    return g
+
+
+def _divide(row: SparseRow, g: int) -> SparseRow:
+    """``row / g`` for a common integer divisor ``g`` (0 and 1 change nothing)."""
     if g > 1:
-        return [(a // g, b // g) for a, b in row]
+        return {k: (a // g, b // g) for k, (a, b) in row.items()}
     return row
 
 
-def _int_row(vec: Sequence[QI]) -> IntRow:
+def _gaussian_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[i]: Euclid with the quotient rounded to the nearest
+    Gaussian integer, which at least halves the norm of the remainder."""
+    while b[0] or b[1]:
+        (ar, ai), (br, bi) = a, b
+        if not (ai or bi):
+            return gcd(ar, br), 0
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
+def _primitive_row(row: SparseRow) -> SparseRow:
+    """``row`` divided by the gcd in Z[i] of its entries.
+
+    The primitive multiple of a line is unique up to a unit, so pivot rows
+    kept primitive stay as small as their line allows; removing only the
+    integer content would let a Gaussian factor compound with every row
+    that is reduced against an earlier one.
+    """
+    g = (0, 0)
+    for pair in row.values():
+        g = _gaussian_gcd(pair, g)
+        if abs(g[0]) + abs(g[1]) == 1:
+            return row
+    gr, gi = g
+    if not gi:
+        return _divide(row, abs(gr))
+    n = gr * gr + gi * gi
+    return {k: ((a * gr + b * gi) // n, (b * gr - a * gi) // n) for k, (a, b) in row.items()}
+
+
+def _real_coords(vec: SparseRow) -> SparseRow:
+    """Real-doubled coordinates: slot ``2k`` holds Re, slot ``2k + 1`` Im."""
+    return {
+        s: (x, 0)
+        for k, (a, b) in vec.items()
+        for s, x in ((2 * k, a), (2 * k + 1, b))
+        if x
+    }
+
+
+def _int_row(vec: Sequence[QI]) -> SparseRow:
     """A QI vector as a content-reduced Gaussian-integer row (same span)."""
-    return _row_content_normalize(_to_num(vec)[1])
+    return _primitive_row(
+        {k: pair for k, pair in enumerate(_to_num(vec)[1]) if pair != (0, 0)}
+    )
 
 
-def _first_nonzero(row: IntRow) -> int:
-    for idx, (a, b) in enumerate(row):
-        if a or b:
-            return idx
-    return -1
-
-
-def _nonzero_indices(row) -> list[int]:
-    return [k for k, (a, b) in enumerate(row) if a or b]
-
-
-def _subtract_multiple(row, pivot_row, col: int, nnz: Sequence[int]) -> IntRow:
-    """``p*row - r*pivot_row`` where p, r are the column-``col`` values."""
+def _eliminate(row: SparseRow, prow: SparseRow, col: int) -> SparseRow:
+    """``p*row - r*prow`` where p, r are the column-``col`` values of
+    ``prow`` and ``row``; column ``col`` cancels.  Neither row is modified."""
     ra, rb = row[col]
-    pa, pb = pivot_row[col]
+    pa, pb = prow[col]
     if pb:
-        new = [(pa * a - pb * b, pa * b + pb * a) for a, b in row]
+        new = {k: (pa * a - pb * b, pa * b + pb * a) for k, (a, b) in row.items()}
     elif pa == 1:
-        new = list(row)
+        new = dict(row)
     else:
-        new = [(pa * a, pa * b) for a, b in row]
-    for k in nnz:
-        qa, qb = pivot_row[k]
-        na, nb = new[k]
-        new[k] = (na - (ra * qa - rb * qb), nb - (ra * qb + rb * qa))
+        new = {k: (pa * a, pa * b) for k, (a, b) in row.items()}
+    for k, (qa, qb) in prow.items():
+        da, db = ra * qa - rb * qb, ra * qb + rb * qa
+        old = new.get(k)
+        if old is None:
+            new[k] = (-da, -db)
+        elif old[0] != da or old[1] != db:
+            new[k] = (old[0] - da, old[1] - db)
+        else:
+            del new[k]
     return new
 
 
-def _eliminate(row: IntRow, pivot_row: IntRow, col: int, nnz: Sequence[int]) -> IntRow:
-    """Clear column ``col`` of ``row`` with ``pivot_row`` (content-reduced)."""
-    return _row_content_normalize(_subtract_multiple(row, pivot_row, col, nnz))
-
-
-def _canonical_row(row: IntRow, col: int) -> tuple:
+def _canonical_row(row: SparseRow, col: int) -> SparseRow:
     """The Gaussian-integer multiple of ``row`` whose pivot entry is the
     least positive integer possible (the canonical-row numerators)."""
     pa, pb = row[col]
     if pb:
-        norm = pa * pa + pb * pb
-        row = [(a * pa + b * pb, b * pa - a * pb) for a, b in row]
-        pa = norm
+        row = {k: (a * pa + b * pb, b * pa - a * pb) for k, (a, b) in row.items()}
+        pa = pa * pa + pb * pb
     elif pa < 0:
-        row = [(-a, -b) for a, b in row]
+        row = {k: (-a, -b) for k, (a, b) in row.items()}
         pa = -pa
-    g = pa
-    for a, b in row:
-        if a:
-            g = gcd(g, a)
-        if b:
-            g = gcd(g, b)
-        if g == 1:
-            return tuple(row)
-    return tuple((a // g, b // g) for a, b in row)
+    return _divide(row, _content(row.values(), pa))
 
 
 class _Echelon:
-    """Incremental Gaussian-integer row echelon structure."""
+    """Incremental Gaussian-integer row echelon structure.
 
-    __slots__ = ("rows", "pivots", "nnz")
+    ``rows`` maps each pivot column to its row, whose least column it is.
+    Rows are never modified in place, so input rows may be shared.
+    """
+
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: list[IntRow] = []
-        self.pivots: list[int] = []
-        self.nnz: list[list[int]] = []
+        self.rows: dict[int, SparseRow] = {}
 
-    def reduce(self, row: IntRow) -> IntRow:
-        """Reduce ``row`` against the current echelon (no insertion)."""
-        for i, col in enumerate(self.pivots):
-            a, b = row[col]
-            if a or b:
-                row = _eliminate(row, self.rows[i], col, self.nnz[i])
-        return row
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """Reduce ``row`` against the current echelon (no insertion).
 
-    def insert(self, row: IntRow) -> bool:
-        """Reduce and insert; returns True when the row increased the rank."""
-        row = self.reduce(row)
-        nnz = _nonzero_indices(row)
-        if not nnz:
-            return False
-        row = _row_content_normalize(row)
-        col = nnz[0]
-        pos = bisect_left(self.pivots, col)
-        self.rows.insert(pos, row)
-        self.pivots.insert(pos, col)
-        self.nnz.insert(pos, nnz)
-        return True
-
-    def canonical(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-        """Clear entries above every pivot; return (pivots, canonical rows).
-
-        Rows are processed bottom-up, so each pivot row is final before it
-        is used.
+        Only the pivots occurring in the row are visited, in increasing
+        column order: a pivot row has entries only to the right of its
+        pivot, so a column, once cleared, is never refilled.
         """
         rows = self.rows
-        for i in range(len(rows) - 1, -1, -1):
-            col = self.pivots[i]
-            nnz_i = _nonzero_indices(rows[i])
-            for j in range(i):
-                a, b = rows[j][col]
-                if a or b:
-                    rows[j] = _eliminate(rows[j], rows[i], col, nnz_i)
-        return tuple(self.pivots), tuple(
-            _canonical_row(r, c) for r, c in zip(rows, self.pivots)
-        )
+        todo = [c for c in row if c in rows]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)
+            if col in row:
+                prow = rows[col]
+                new = _eliminate(row, prow, col)
+                for c in prow:
+                    if c not in row and c in rows:
+                        heappush(todo, c)
+                row = new
+        return row
+
+    def insert(self, row: SparseRow) -> bool:
+        """Reduce and insert; returns True when the row increased the rank."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        self.rows[min(row)] = _primitive_row(row)
+        return True
+
+    def canonical(self) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
+        """Clear entries above every pivot; return (pivots, canonical rows).
+
+        Rows are processed bottom-up, so each pivot row is final, and zero at
+        every other pivot, before it is used; clearing a column with it then
+        fills no other pivot column.
+        """
+        rows = self.rows
+        pivots = sorted(rows)
+        for col in reversed(pivots):
+            row = rows[col]
+            for c in [c for c in row if c != col and c in rows]:
+                row = _eliminate(row, rows[c], c)
+            rows[col] = _canonical_row(row, col)
+        return tuple(pivots), tuple(rows[c] for c in pivots)
 
 
-def _rref_num(rows: Iterable[IntRow]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+def _rref_num(rows: Iterable[SparseRow]) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
     """Canonical reduced echelon form (pivots, rows) of Gaussian-integer rows."""
     ech = _Echelon()
     for row in rows:
@@ -672,66 +662,79 @@ def _rref_num(rows: Iterable[IntRow]) -> tuple[tuple[int, ...], tuple[tuple, ...
     return ech.canonical()
 
 
-def _kernel_num(rows: Iterable[IntRow], ncols: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+def _kernel_num(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[int, ...], tuple[SparseRow, ...]]:
     """Canonical echelon (pivots, rows) of the right kernel of integer rows."""
     pivots, reduced = _rref_num(rows)
+    # a canonical row is zero at every other pivot: its other entries sit in
+    # free columns
+    by_free: dict[int, list] = {}
+    for row, p in zip(reduced, pivots):
+        for c in row:
+            if c != p:
+                by_free.setdefault(c, []).append((p, row))
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        den = 1
-        for row, p in zip(reduced, pivots):
-            if row[f] != (0, 0):
-                den = lcm(den, row[p][0])
-        vec = [(0, 0)] * ncols
-        vec[f] = (den, 0)
-        for row, p in zip(reduced, pivots):
+        hits = by_free.get(f, ())
+        den = lcm(*(row[p][0] for p, row in hits))
+        vec = {f: (den, 0)}
+        for p, row in hits:
             a, b = row[f]
-            if a or b:
-                q = den // row[p][0]
-                vec[p] = (-a * q, -b * q)
+            q = den // row[p][0]
+            vec[p] = (-a * q, -b * q)
         basis.append(vec)
     return _rref_num(basis)
 
 
-def _kernel_mats(mats: Sequence[ExactMatrix], rows: Iterable[IntRow]) -> list[ExactMatrix]:
+def _kernel_mats(mats: Sequence[ExactMatrix], rows: Iterable[SparseRow]) -> list[ExactMatrix]:
     """The combinations of ``mats`` whose coefficient vectors span the
     canonical kernel of the integer constraint ``rows``."""
     pivots, kernel = _kernel_num(rows, len(mats))
     return [_lincomb(mats, row[p][0], row) for row, p in zip(kernel, pivots)]
 
 
-def _common_den(parts) -> tuple[int, list]:
-    """``(den, numerators)`` pairs brought to their least common denominator."""
-    den = 1
-    for d, _ in parts:
-        if d != 1:
-            den = lcm(den, d)
+def _common_den(parts) -> tuple[int, list[SparseRow]]:
+    """``(den, vector)`` pairs brought to their least common denominator."""
+    den = lcm(*(d for d, _ in parts))
     return den, [
-        num if d == den else [(a * (den // d), b * (den // d)) for a, b in num]
-        for d, num in parts
+        vec if d == den else {k: (a * (den // d), b * (den // d)) for k, (a, b) in vec.items()}
+        for d, vec in parts
     ]
 
 
-def _common_row(values) -> IntRow:
-    """Numerators of the scalars ``(den, (re, im))`` over one denominator."""
-    _, nums = _common_den([(d, (pair,)) for d, pair in values])
-    return [num[0] for num in nums]
+def _common_row(values) -> tuple[int, SparseRow]:
+    """The scalars ``(den, (re, im))`` as one row over a common denominator."""
+    den = lcm(*(d for d, _ in values))
+    return den, {
+        k: (a * (den // d), b * (den // d))
+        for k, (d, (a, b)) in enumerate(values)
+        if a or b
+    }
 
 
-def _columns_to_rows(cols) -> list[IntRow]:
-    """Rows of the matrix with the given ``(den, numerators)`` columns,
-    over one denominator (dropped); all-zero rows are left out."""
-    _, nums = _common_den(cols)
-    return [list(row) for row in zip(*nums) if any(a or b for a, b in row)]
+def _columns_to_rows(cols) -> list[SparseRow]:
+    """Rows of the matrix with the given ``(den, vector)`` columns, over one
+    denominator (dropped); all-zero rows are left out.  A sparse transpose."""
+    rows: dict[int, SparseRow] = {}
+    for j, vec in enumerate(_common_den(cols)[1]):
+        for i, pair in vec.items():
+            rows.setdefault(i, {})[j] = pair
+    return list(rows.values())
 
 
 def _matrix_from_columns(cols) -> ExactMatrix:
-    """The square matrix whose ``j``-th column is ``cols[j] = (den, numerators)``."""
+    """The square matrix whose ``j``-th column is ``cols[j] = (den, vector)``."""
     m = len(cols)
-    den, nums = _common_den(cols)
-    return ExactMatrix._make(m, m, den, [nums[j][i] for i in range(m) for j in range(m)])
+    den, vecs = _common_den(cols)
+    terms = {i * m + j: pair for j, vec in enumerate(vecs) for i, pair in vec.items()}
+    return ExactMatrix._make(m, m, den, terms)
+
+
+def _qi_vec(vec: SparseRow, width: int, den: int) -> tuple[QI, ...]:
+    """The QI vector ``vec / den`` of the given width."""
+    return tuple(_qi_of(*vec.get(k, (0, 0)), den) for k in range(width))
 
 
 def solve_kernel(rows: Sequence[Sequence[QI]], ncols: int) -> list[tuple[QI, ...]]:
@@ -750,7 +753,7 @@ def solve_kernel(rows: Sequence[Sequence[QI]], ncols: int) -> list[tuple[QI, ...
     list of coordinate vectors spanning the kernel (canonically echelonized).
     """
     pivots, kernel = _kernel_num([_int_row(r) for r in rows], ncols)
-    return [_qi_row(row, row[p][0]) for row, p in zip(kernel, pivots)]
+    return [_qi_vec(row, ncols, row[p][0]) for row, p in zip(kernel, pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -761,18 +764,17 @@ def solve_kernel(rows: Sequence[Sequence[QI]], ncols: int) -> list[tuple[QI, ...
 class _Span:
     """Canonical reduced echelon basis of a span of coordinate vectors.
 
-    Row ``i`` is stored as the Gaussian-integer numerators of the canonical
-    row over its pivot entry ``d_i`` (the least positive integer making the
-    row integral); the QI rows are built on first use of ``rows``.
+    Row ``i`` is stored as the sparse Gaussian-integer numerators of the
+    canonical row over its pivot entry ``d_i`` (the least positive integer
+    making the row integral); ``_where`` maps each pivot column to its row.
     """
 
-    __slots__ = ("pivots", "_irows", "_nnz", "_rows", "_hash")
+    __slots__ = ("pivots", "_irows", "_where", "_hash")
 
     def _set_echelon(self, pivots, irows) -> None:
         _set(self, "pivots", tuple(pivots))
         _set(self, "_irows", tuple(irows))
-        _set(self, "_nnz", tuple(_nonzero_indices(r) for r in irows))
-        _set(self, "_rows", None)
+        _set(self, "_where", {p: i for i, p in enumerate(self.pivots)})
         _set(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -785,45 +787,46 @@ class _Span:
     @property
     def rows(self) -> tuple[tuple[QI, ...], ...]:
         """The canonical basis rows (pivot entries 1)."""
-        rows = self._rows
-        if rows is None:
-            rows = tuple(
-                _qi_row(r, r[p][0]) for r, p in zip(self._irows, self.pivots)
-            )
-            _set(self, "_rows", rows)
-        return rows
+        return tuple(
+            _qi_vec(r, self.width, r[p][0]) for r, p in zip(self._irows, self.pivots)
+        )
 
-    def _reduce(self, row: IntRow) -> IntRow:
-        """A row reduced against the basis (scale not preserved)."""
-        for prow, col, nnz in zip(self._irows, self.pivots, self._nnz):
-            a, b = row[col]
-            if a or b:
-                row = _eliminate(row, prow, col, nnz)
+    def _reduce(self, row: SparseRow) -> SparseRow:
+        """A row reduced against the basis (scale not preserved).
+
+        A canonical row is zero at every other pivot, so clearing one pivot
+        column fills no other; the order does not matter.
+        """
+        where, irows = self._where, self._irows
+        for col in [c for c in row if c in where]:
+            row = _eliminate(row, irows[where[col]], col)
         return row
 
-    def _has(self, row: IntRow) -> bool:
-        return _first_nonzero(self._reduce(row)) < 0
+    def _has(self, row: SparseRow) -> bool:
+        return not self._reduce(row)
 
-    def _residue(self, den: int, row) -> tuple[int, tuple]:
+    def _residue(self, den: int, row: SparseRow) -> tuple[int, SparseRow]:
         """``(den', numerators)`` of the residue of ``row / den``: the vector
         minus the unique member agreeing with it at the pivot coordinates."""
-        for prow, col, nnz in zip(self._irows, self.pivots, self._nnz):
-            a, b = row[col]
-            if a or b:
-                row = _subtract_multiple(row, prow, col, nnz)
-                den *= prow[col][0]
-        return _reduce_den(den, row)
+        where, irows = self._where, self._irows
+        for col in [c for c in row if c in where]:
+            prow = irows[where[col]]
+            row = _eliminate(row, prow, col)
+            den *= prow[col][0]
+        g = _content(row.values(), den)
+        return den // g, _divide(row, g)
 
-    def _coordinate_num(self, den: int, row, outside: str) -> tuple[int, list]:
-        """Basis coefficients of ``row / den`` as ``(den, numerators)``; the
-        vector must lie in the span, else ``ValueError(outside)``.
+    def _coordinate_num(self, den: int, row: SparseRow, outside: str) -> tuple[int, SparseRow]:
+        """Basis coefficients of ``row / den`` as ``(den, {index: numerator})``;
+        the vector must lie in the span, else ``ValueError(outside)``.
 
         A canonical row is 1 at its own pivot and 0 at every other pivot, so
         the coefficients are the vector's values at the pivots.
         """
         if not self._has(row):
             raise ValueError(outside)
-        return den, [row[p] for p in self.pivots]
+        where = self._where
+        return den, {where[c]: pair for c, pair in row.items() if c in where}
 
     def _same_span(self, other) -> bool:
         return self.pivots == other.pivots and self._irows == other._irows
@@ -831,7 +834,7 @@ class _Span:
     def _span_hash(self, *key) -> int:
         h = self._hash
         if h is None:
-            h = hash(key + (self.pivots, self._irows))
+            h = hash(key + (self.pivots, tuple(frozenset(r.items()) for r in self._irows)))
             _set(self, "_hash", h)
         return h
 
@@ -892,7 +895,7 @@ class Subspace(_Span):
         for m in mats:
             if m.rows != side or m.cols != side:
                 raise ValueError("incompatible shapes")
-            rows.append(_row_content_normalize(m._coords(real)))
+            rows.append(m._coords(real))
         return Subspace._of(side, real, *_rref_num(rows))
 
     @staticmethod
@@ -905,7 +908,9 @@ class Subspace(_Span):
         n2 = self.side * self.side
         return 2 * n2 if self.real else n2
 
-    def _coords_of(self, mat: ExactMatrix) -> list:
+    width = ambient_dim  # the coordinate count, as for a VectorSpan
+
+    def _coords_of(self, mat: ExactMatrix) -> SparseRow:
         if mat.rows != self.side or mat.cols != self.side:
             raise ValueError("incompatible shapes")
         return mat._coords(self.real)
@@ -917,19 +922,22 @@ class Subspace(_Span):
             n = self.side
             mats = []
             for row, p in zip(self._irows, self.pivots):
-                den = row[p][0]
+                terms = row
                 if self.real:
-                    row = [(row[2 * k][0], row[2 * k + 1][0]) for k in range(n * n)]
-                mats.append(ExactMatrix._make(n, n, den, row))
+                    terms = {}
+                    for k, (a, _) in row.items():
+                        re, im = terms.get(k // 2, (0, 0))
+                        terms[k // 2] = (re, a) if k % 2 else (a, im)
+                mats.append(ExactMatrix._make(n, n, row[p][0], terms))
             mats = tuple(mats)
             _set(self, "_basis", mats)
         return list(mats)
 
-    def _residue_mat(self, mat: ExactMatrix) -> tuple[int, tuple]:
+    def _residue_mat(self, mat: ExactMatrix) -> tuple[int, SparseRow]:
         return self._residue(mat._den, self._coords_of(mat))
 
     def contains_mat(self, mat: ExactMatrix) -> bool:
-        return self._has(_row_content_normalize(self._coords_of(mat)))
+        return self._has(self._coords_of(mat))
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -940,7 +948,7 @@ class Subspace(_Span):
         den, coords = self._coordinate_num(
             mat._den, self._coords_of(mat), "matrix is not a member of the subspace"
         )
-        return list(_qi_row(coords, den))
+        return list(_qi_vec(coords, self.dim, den))
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.side != other.side or self.real != other.real:
@@ -949,8 +957,7 @@ class Subspace(_Span):
     # -- lattice operations ----------------------------------------------------
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        rows = [list(r) for r in self._irows] + [list(r) for r in other._irows]
-        return Subspace._of(self.side, self.real, *_rref_num(rows))
+        return Subspace._of(self.side, self.real, *_rref_num(self._irows + other._irows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus double-block elimination."""
@@ -958,11 +965,14 @@ class Subspace(_Span):
         width = self.ambient_dim
         ech = _Echelon()
         for row in self._irows:
-            ech.insert(list(row) + list(row))
-        zero = [(0, 0)] * width
+            ech.insert({**row, **{k + width: pair for k, pair in row.items()}})
         for row in other._irows:
-            ech.insert(list(row) + zero)
-        inter = [row[width:] for row, col in zip(ech.rows, ech.pivots) if col >= width]
+            ech.insert(row)
+        inter = [
+            {k - width: pair for k, pair in row.items()}
+            for col, row in ech.rows.items()
+            if col >= width
+        ]
         return Subspace._of(self.side, self.real, *_rref_num(inter))
 
     def __eq__(self, other) -> bool:
@@ -981,8 +991,10 @@ class Subspace(_Span):
         """The underlying real-linear subspace of a complex-linear one."""
         if self.real:
             return self
-        rows = [[p for a, b in row for p in ((a, 0), (b, 0))] for row in self._irows]
-        rows += [[p for a, b in row for p in ((-b, 0), (a, 0))] for row in self._irows]
+        rows = [_real_coords(row) for row in self._irows]
+        rows += [
+            _real_coords({k: (-b, a) for k, (a, b) in row.items()}) for row in self._irows
+        ]
         return Subspace._of(self.side, True, *_rref_num(rows))
 
     def complexify_if_stable(self) -> "Subspace | None":
@@ -1056,12 +1068,7 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
 
 def _plus_scalar(m: ExactMatrix, c: tuple[int, int]) -> ExactMatrix:
     """``m + c I`` for a Gaussian integer ``c``."""
-    n, den = m.rows, m._den
-    num = list(m._num)
-    for k in range(0, n * n, n + 1):
-        a, b = num[k]
-        num[k] = (a + c[0] * den, b + c[1] * den)
-    return ExactMatrix._make(n, n, den, num)
+    return _lincomb([m, ExactMatrix.identity(m.rows)], 1, {0: (1, 0), 1: c})
 
 
 def _charpoly_num(x: ExactMatrix) -> IntRow:
@@ -1074,14 +1081,26 @@ def _charpoly_num(x: ExactMatrix) -> IntRow:
     if not x.is_square:
         raise ValueError("incompatible shapes")
     n = x.rows
-    big = ExactMatrix._make(n, n, 1, x._num)
+    big = ExactMatrix._make(n, n, 1, x._terms)
     coeffs = [(1, 0)]
     prod = ExactMatrix.zeros(n)
     for k in range(1, n + 1):
         prod = big @ _plus_scalar(prod, coeffs[-1])
-        diag = prod._num[::n + 1]
+        diag = _diagonal(prod)
         coeffs.append((-sum(a for a, _ in diag) // k, -sum(b for _, b in diag) // k))
     return coeffs
+
+
+def _poly_strip(p: IntRow) -> IntRow:
+    """``p`` without its leading zero coefficients."""
+    lead = next((k for k, c in enumerate(p) if c != (0, 0)), len(p))
+    return p[lead:]
+
+
+def _poly_primitive(p: IntRow) -> IntRow:
+    """``p`` divided by the integer content of its coefficients."""
+    g = _content(p)
+    return [(a // g, b // g) for a, b in p] if g > 1 else p
 
 
 def _poly_derivative(p: IntRow) -> IntRow:
@@ -1104,9 +1123,7 @@ def _pseudo_divmod(p: IntRow, q: IntRow) -> tuple[IntRow, IntRow]:
         for k, (c, d) in enumerate(q[1:], i + 1):
             er, ei = work[k]
             work[k] = (er - (ar * c - ai * d), ei - (ar * d + ai * c))
-    rem = work[m:]
-    lead = _first_nonzero(rem)
-    return work[:m], rem[lead:] if lead >= 0 else []
+    return work[:m], _poly_strip(work[m:])
 
 
 def _poly_gcd(p: IntRow, q: IntRow) -> IntRow:
@@ -1117,7 +1134,7 @@ def _poly_gcd(p: IntRow, q: IntRow) -> IntRow:
     content, which keeps the coefficients small.
     """
     while q:
-        p, q = q, _row_content_normalize(_pseudo_divmod(p, q)[1])
+        p, q = q, _poly_primitive(_pseudo_divmod(p, q)[1])
     return p
 
 
@@ -1127,7 +1144,7 @@ def _squarefree_num(p: IntRow) -> IntRow:
     quot, rem = _pseudo_divmod(p, _poly_gcd(p, _poly_derivative(p)))
     if rem:
         raise ArithmeticError("squarefree division left a remainder")
-    return _row_content_normalize(quot)
+    return _poly_primitive(quot)
 
 
 def _poly_eval_matrix(p: IntRow, x: ExactMatrix) -> ExactMatrix:
@@ -1146,11 +1163,10 @@ def charpoly(x: ExactMatrix) -> list[QI]:
 
 def squarefree_part(p: Sequence[QI]) -> list[QI]:
     """The squarefree part ``p / gcd(p, p')`` (monic)."""
-    _, num = _to_num(p)
-    lead = _first_nonzero(num)
-    if lead < 0:
+    num = _poly_strip(_to_num(p)[1])
+    if not num:
         raise ZeroDivisionError("polynomial division by zero")
-    part = _qi_row(_squarefree_num(num[lead:]), 1)
+    part = [QI(a, b) for a, b in _squarefree_num(num)]
     return [c / part[0] for c in part]
 
 
@@ -1171,10 +1187,10 @@ def semisimple_part(x: ExactMatrix) -> ExactMatrix:
     if len(fs) == len(f):
         return x
     dfs = _poly_derivative(fs)
-    s = ExactMatrix._make(x.rows, x.cols, 1, x._num)
+    s = ExactMatrix._make(x.rows, x.cols, 1, x._terms)
     for _ in range((x.rows - 1).bit_length() + 1):
         val = _poly_eval_matrix(fs, s)
         if val.is_zero:
-            return ExactMatrix._make(s.rows, s.cols, s._den * x._den, s._num)
+            return ExactMatrix._make(s.rows, s.cols, s._den * x._den, s._terms)
         s = s - val @ _poly_eval_matrix(dfs, s).inverse()
     raise ArithmeticError("Newton iteration failed to converge exactly")

@@ -23,7 +23,6 @@ from .exact import (
     Subspace,
     VectorSpan,
     bracket,
-    charpoly,
     subspace_intersect,
     subspace_sum,
     _columns_to_rows,
@@ -34,9 +33,9 @@ from .exact import (
 from .structure import (
     Subalgebra,
     normalizer,
-    rational_roots,
     subalgebra_from_space,
     _bracket_closure,
+    _eigenvalues,
 )
 
 __all__ = [
@@ -130,7 +129,7 @@ def _center_mats(space: Subspace) -> list[ExactMatrix]:
     rows = []
     for b in mats:
         brackets = [bracket(x, b) for x in mats]
-        rows += _columns_to_rows([(br._den, br._num) for br in brackets])
+        rows += _columns_to_rows([(br._den, br._terms) for br in brackets])
     return _kernel_mats(mats, rows)
 
 
@@ -140,7 +139,7 @@ def _ad_matrix(z: ExactMatrix, space: Subspace) -> ExactMatrix:
     for b in space.basis():
         br = bracket(z, b)
         try:
-            cols.append(space._coordinate_num(br._den, br._num, "outside"))
+            cols.append(space._coordinate_num(br._den, br._terms, "outside"))
         except ValueError as exc:
             raise ArithmeticError("weight space decomposition failed") from exc
     return _matrix_from_columns(cols)
@@ -179,7 +178,7 @@ def _action_eigenvalue_candidates(ambient: AmbientAlgebra, z: ExactMatrix) -> li
     These contain every eigenvalue of ad(z) on the ambient algebra whenever
     the natural action of ``z`` splits over the rationals.
     """
-    spectrum = rational_roots(charpoly(z))
+    spectrum = _eigenvalues(ambient, z)
     diffs = {QI_ZERO}
     for a in spectrum:
         for b in spectrum:

@@ -193,7 +193,7 @@ class Subalgebra:
         if not mats:
             return self.ambient.zero_space()
         rows = [
-            _common_row([_trace_form(x, y) for x in mats])
+            _common_row([_trace_form(x, y) for x in mats])[1]
             for y in self.derived.basis()
         ]
         return Subspace.span(_kernel_mats(mats, rows), self.ambient.n)
@@ -218,7 +218,7 @@ class Subalgebra:
             return
         killing_rows = []
         for i in range(m):
-            row = []
+            row = {}
             for j in range(m):
                 sre = sim = 0
                 for (a, b), (cr, ci) in ad_tables[i].items():
@@ -227,7 +227,8 @@ class Subalgebra:
                         dr, di = other
                         sre += cr * dr - ci * di
                         sim += cr * di + ci * dr
-                row.append((sre, sim))
+                if sre or sim:
+                    row[j] = (sre, sim)
             killing_rows.append(row)
         if len(_rref_num(killing_rows)[0]) != m:
             raise ArithmeticError(
@@ -238,7 +239,7 @@ class Subalgebra:
         rad = self.radical
         if rad.dim == 0:
             return self.ambient.zero_space()
-        weights = _triangular_weights(rad.basis(), self.ambient.n)
+        weights = _triangular_weights(self.ambient, rad.basis())
         mats = _kernel_mats(rad.basis(), [_int_row(w) for w in weights])
         out = Subspace.span(mats, self.ambient.n)
         # post-verification: nilpotent basis, ideal, contains rad ∩ derived
@@ -279,12 +280,13 @@ def _quotient_structure(space: Subspace, rad: Subspace):
         if i != j
     }
     den = lcm(*(d for d, _ in residues.values()))
+    comp_index = {p: k for k, p in enumerate(comp_pivots)}
     tables = [{} for _ in range(m)]
     for (i, j), (d, num) in residues.items():
         f = den // d
-        for k, p in enumerate(comp_pivots):
-            a, b = num[p]
-            if a or b:
+        for p, (a, b) in num.items():
+            k = comp_index.get(p)
+            if k is not None:
                 tables[i][(k, j)] = (a * f, b * f)
     return m, tables
 
@@ -476,6 +478,15 @@ def rational_roots(poly) -> list[QI]:
     return [QI(re, im) for re, im in sorted(found)]
 
 
+def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> list[QI]:
+    """``rational_roots(charpoly(z))``, memoized on the ambient: the weight
+    searches meet the same matrices again and again within one analysis."""
+    roots = ambient._eigenvalues.get(z)
+    if roots is None:
+        roots = ambient._eigenvalues[z] = rational_roots(charpoly(z))
+    return roots
+
+
 def _structure_table(mats: list[ExactMatrix], space: Subspace):
     """T[a][b] = coordinates of [m_a, m_b] in the canonical basis of space.
 
@@ -495,27 +506,23 @@ def _structure_table(mats: list[ExactMatrix], space: Subspace):
     table = [[()] * k for _ in range(k)]
     for (a, b), (d, num) in coords.items():
         f = den // d
-        terms = [(c, x * f, y * f) for c, (x, y) in enumerate(num) if x or y]
+        terms = [(c, x * f, y * f) for c, (x, y) in num.items()]
         table[a][b] = tuple(terms)
         table[b][a] = tuple((c, -x, -y) for c, x, y in terms)
     return table
 
 
-def _abstract_bracket(x, y, table, k) -> list:
+def _abstract_bracket(x, y, table) -> dict:
     """Numerators of the bracket of two coefficient rows, up to a common scale."""
-    re = [0] * k
-    im = [0] * k
-    for a, (xa, xb) in enumerate(x):
-        if not (xa or xb):
-            continue
-        for b, (ya, yb) in enumerate(y):
-            if not (ya or yb):
-                continue
+    acc: dict[int, list] = {}
+    for a, (xa, xb) in x.items():
+        for b, (ya, yb) in y.items():
             sr, si = xa * ya - xb * yb, xa * yb + xb * ya
             for c, tr, ti in table[a][b]:
-                re[c] += sr * tr - si * ti
-                im[c] += sr * ti + si * tr
-    return list(zip(re, im))
+                v = acc.setdefault(c, [0, 0])
+                v[0] += sr * tr - si * ti
+                v[1] += sr * ti + si * tr
+    return {c: (re, im) for c, (re, im) in acc.items() if re or im}
 
 
 def _restricted_matrix(big: ExactMatrix, basis_span: VectorSpan) -> ExactMatrix:
@@ -535,7 +542,7 @@ def _span_rows(span: VectorSpan) -> list[tuple[int, tuple]]:
     return [(row[p][0], row) for row, p in zip(span._irows, span.pivots)]
 
 
-def _joint_weight_space(alg_rows, act, w_span, table, k):
+def _joint_weight_space(ambient, alg_rows, act, w_span, table, k):
     """Full joint eigenspace of a solvable algebra inside an invariant span.
 
     ``alg_rows``: exact ``(den, numerators)`` coefficient vectors (over the
@@ -552,7 +559,7 @@ def _joint_weight_space(alg_rows, act, w_span, table, k):
     for i in range(dim_a):
         for j in range(i + 1, dim_a):
             der_rows.append(
-                _abstract_bracket(alg_rows[i][1], alg_rows[j][1], table, k)
+                _abstract_bracket(alg_rows[i][1], alg_rows[j][1], table)
             )
     h_span = VectorSpan._of(k, *_rref_num(der_rows))
     if h_span.dim >= dim_a:
@@ -562,35 +569,22 @@ def _joint_weight_space(alg_rows, act, w_span, table, k):
         if h_span.dim == target:
             break
         if not h_span._has(r):
-            h_span = VectorSpan._of(k, *_rref_num(list(h_span._irows) + [list(r)]))
+            h_span = VectorSpan._of(k, *_rref_num(h_span._irows + (r,)))
     z_row = next(r for r in alg_rows if not h_span._has(r[1]))
-    w_h, pairs = _joint_weight_space(_span_rows(h_span), act, w_span, table, k)
+    w_h, pairs = _joint_weight_space(ambient, _span_rows(h_span), act, w_span, table, k)
     z_big = act(z_row)
     z_small = _restricted_matrix(z_big, w_h)
-    roots = rational_roots(charpoly(z_small))
+    roots = _eigenvalues(ambient, z_small)
     if not roots:
         raise IrrationalWeightsError("irrational weights")
     mu = roots[0]
     d = z_small.rows
     shifted = z_small - ExactMatrix.identity(d).scale(mu)
     _, kernel = _kernel_num(shifted._row_nums(), d)
-    basis = _span_rows(w_h)
-    lift_den = lcm(*(bd for bd, _ in basis))
-    width = w_h.width
-    lifted = []
-    for kv in kernel:
-        re = [0] * width
-        im = [0] * width
-        for (ka, kb), (bd, brow) in zip(kv, basis):
-            if ka or kb:
-                f = lift_den // bd
-                fa, fb = ka * f, kb * f
-                for c, (ba, bb) in enumerate(brow):
-                    if ba or bb:
-                        re[c] += fa * ba - fb * bb
-                        im[c] += fa * bb + fb * ba
-        lifted.append(list(zip(re, im)))
-    w_star = VectorSpan._of(width, *_rref_num(lifted))
+    # the kernel vectors are coordinates over w_h's basis, taken as 1-row matrices
+    basis = [ExactMatrix._make(1, w_h.width, den, row) for den, row in _span_rows(w_h)]
+    lifted = [_lincomb(basis, 1, kv)._terms for kv in kernel]
+    w_star = VectorSpan._of(w_h.width, *_rref_num(lifted))
     return w_star, pairs + [(z_row, mu)]
 
 
@@ -605,46 +599,49 @@ def _weight_functional(pairs, k: int) -> tuple[QI, ...]:
     system = []
     for (den, row), mu in pairs:
         mden, ((ma, mb),) = _to_num([mu])
-        system.append([(a * mden, b * mden) for a, b in row] + [(-ma * den, -mb * den)])
+        eq = {c: (a * mden, b * mden) for c, (a, b) in row.items()}
+        if ma or mb:
+            eq[k] = (-ma * den, -mb * den)
+        system.append(eq)
     _, kernel = _kernel_num(system, k + 1)
-    if len(kernel) != 1 or kernel[0][k] == (0, 0):
+    if len(kernel) != 1 or k not in kernel[0]:
         raise ValueError("matrix is singular")
     vec = kernel[0]
     ta, tb = vec[k]
     norm = ta * ta + tb * tb
-    return tuple(_qi_of(a * ta + b * tb, b * ta - a * tb, norm) for a, b in vec[:k])
+    return tuple(
+        _qi_of(a * ta + b * tb, b * ta - a * tb, norm)
+        for a, b in (vec.get(c, (0, 0)) for c in range(k))
+    )
 
 
-def _triangular_weights(rad_mats: list[ExactMatrix], n: int):
+def _triangular_weights(ambient: AmbientAlgebra, rad_mats: list[ExactMatrix]):
     """Weights of a simultaneous triangularization of a solvable algebra.
 
     Returns one functional per flag chunk, as a coefficient row over the
     given basis; an element is nilpotent iff every functional vanishes on it.
     """
-    k = len(rad_mats)
+    k, n = len(rad_mats), ambient.n
     rad_space = Subspace.span(rad_mats, n)
     mats = rad_space.basis()
     table = _structure_table(mats, rad_space)
-    identity_rows = [
-        (1, tuple((1, 0) if a == b else (0, 0) for b in range(k))) for a in range(k)
-    ]
+    identity_rows = [(1, {a: (1, 0)}) for a in range(k)]
+    columns = [r.transpose()._row_nums() for r in mats]
     accumulated = VectorSpan._of(n, (), ())
     weights = []
     while accumulated.dim < n:
-        pivot_set = set(accumulated.pivots)
-        comp = [c for c in range(n) if c not in pivot_set]
+        comp = [c for c in range(n) if c not in accumulated._where]
+        slot = {c: i for i, c in enumerate(comp)}
         m = len(comp)
 
         # the action of each basis element on C^n / accumulated, in the
-        # coordinates ``comp``
+        # coordinates ``comp`` (a residue vanishes at the pivots)
         action_mats = []
-        for r in mats:
+        for r, r_cols in zip(mats, columns):
             cols = []
             for c in comp:
-                den, res = accumulated._residue(
-                    r._den, [r._num[i * n + c] for i in range(n)]
-                )
-                cols.append((den, [res[p] for p in comp]))
+                den, res = accumulated._residue(r._den, r_cols[c])
+                cols.append((den, {slot[p]: pair for p, pair in res.items()}))
             action_mats.append(_matrix_from_columns(cols))
 
         def act(coeff_row):
@@ -652,27 +649,18 @@ def _triangular_weights(rad_mats: list[ExactMatrix], n: int):
                 return ExactMatrix.zeros(m)
             return _lincomb(action_mats, *coeff_row)
 
-        full_span = VectorSpan._of(
-            m,
-            range(m),
-            [tuple((1, 0) if i == j else (0, 0) for j in range(m)) for i in range(m)],
-        )
+        full_span = VectorSpan._of(m, range(m), [{i: (1, 0)} for i in range(m)])
         w_star, pairs = _joint_weight_space(
-            identity_rows, act, full_span, table, k
+            ambient, identity_rows, act, full_span, table, k
         )
         if w_star.dim == 0:
             raise ArithmeticError("weight search lost the eigenspace")
         weights.append(_weight_functional(pairs, k))
-        lifted = []
-        for row in w_star._irows:
-            full = [(0, 0)] * n
-            for pos, val in zip(comp, row):
-                full[pos] = val
-            lifted.append(full)
-        before = accumulated.dim
-        accumulated = VectorSpan._of(
-            n, *_rref_num([list(r) for r in accumulated._irows] + lifted)
+        lifted = tuple(
+            {comp[i]: pair for i, pair in row.items()} for row in w_star._irows
         )
+        before = accumulated.dim
+        accumulated = VectorSpan._of(n, *_rref_num(accumulated._irows + lifted))
         if accumulated.dim != before + w_star.dim:
             raise ArithmeticError("flag chunks failed to stay independent")
     # express functionals over the ORIGINAL basis order if it differs

@@ -1,11 +1,12 @@
 """Tests for CR type, fiber factors, Levi signatures, and orbit data."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from crmostow import crinv
+from crmostow import catalog, crinv
 from crmostow.ambient import block_special_linear, special_linear
 from crmostow.crinv import (
     _hermitian_signature,
@@ -16,7 +17,7 @@ from crmostow.crinv import (
     levi_report,
     orbit_data,
 )
-from crmostow.exact import QI, ExactMatrix
+from crmostow.exact import QI, ExactMatrix, bracket
 from crmostow.parabolic import is_parabolic, minimal_envelope
 from crmostow.structure import make_subalgebra
 
@@ -275,6 +276,45 @@ def test_levi_deterministic(flag13, monkeypatch):
     # refinement revisits sampled points; each point is evaluated once
     distinct = {coords for coords, _, _ in b.sampled_signatures}
     assert len(evaluated) == len(distinct) < len(b.sampled_signatures)
+
+
+def _levi_projection_setup(name):
+    entry = catalog.build(name, catalog.REFERENCE_PARAMS.get(name))
+    v, amb = entry.subalgebra, entry.ambient
+    pair = v.space.sum(amb.conj_space(v.space))
+    comp = crinv._trace_complement(amb, pair)
+    return v, amb, pair, comp
+
+
+# every catalog entry with a scalar Levi form (so_n_symmetric is not n-reductive)
+LEVI_ENTRIES = [name for name in catalog.entry_names() if name != "so_n_symmetric"]
+
+
+@pytest.mark.parametrize("name", LEVI_ENTRIES)
+def test_levi_projection_splits_along_pair(name):
+    v, amb, pair, comp = _levi_projection_setup(name)
+    project = crinv._trace_projector(amb, pair, comp)
+    zb = v.nr.basis()
+    rep = levi_report(v)
+    for za, row in zip(zb, rep.vector_form):
+        for zc, form in zip(zb, row):
+            t = bracket(za, amb.sigma(zc))
+            p = project(t)
+            assert p == form
+            assert comp.contains_mat(p)
+            assert pair.contains_mat(t - p)
+
+
+def test_levi_projection_certificate_raises():
+    _, amb, pair, comp = _levi_projection_setup("su23_f13")
+    assert comp.dim >= 2
+    w = comp.basis()
+    dependent = SimpleNamespace(dim=comp.dim, basis=lambda: [w[0]] * comp.dim)
+    with pytest.raises(ArithmeticError):
+        crinv._trace_projector(amb, pair, dependent)
+    short = SimpleNamespace(dim=comp.dim - 1, basis=lambda: w[1:])
+    with pytest.raises(ArithmeticError):
+        crinv._trace_projector(amb, pair, short)
 
 
 def _check_signature_against_numpy(h_np, q=1):

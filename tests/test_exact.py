@@ -20,6 +20,7 @@ from crmostow.exact import (
     subspace_intersect,
     subspace_sum,
 )
+from crmostow.exact import _rref_num
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,143 @@ def test_solve_kernel_oracle():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == QI(0, 1) * v[1]
+
+
+# ---------------------------------------------------------------------------
+# the elimination engine against a plain Gauss-Jordan oracle
+# ---------------------------------------------------------------------------
+
+_ZERO = (Fraction(0), Fraction(0))
+
+
+def _c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _oracle_rref(rows, width):
+    """Reduced row echelon form over Q(i), entries as (Fraction, Fraction)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c] != _ZERO), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        a, b = rows[r][c]
+        inv = (a / (a * a + b * b), -b / (a * a + b * b))
+        rows[r] = [_c_mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != _ZERO:
+                f = rows[i][c]
+                rows[i] = [
+                    (x[0] - fy[0], x[1] - fy[1])
+                    for x, fy in zip(rows[i], (_c_mul(f, y) for y in rows[r]))
+                ]
+        pivots.append(c)
+    return tuple(pivots), [tuple(r) for r in rows[: len(pivots)]]
+
+
+def _oracle_intersection(u_rows, w_rows, width):
+    """U ∩ W from the kernel of [U; -W]^T: the vectors Σ a_i u_i = Σ b_j w_j."""
+    gens = list(u_rows) + [tuple((-a, -b) for a, b in w) for w in w_rows]
+    cols = [tuple(g[k] for g in gens) for k in range(width)]
+    pivots, reduced = _oracle_rref(cols, len(gens))
+    out = []
+    for f in (f for f in range(len(gens)) if f not in pivots):
+        coeff = [_ZERO] * len(gens)
+        coeff[f] = (Fraction(1), Fraction(0))
+        for row, p in zip(reduced, pivots):
+            coeff[p] = (-row[f][0], -row[f][1])
+        vec = [_ZERO] * width
+        for c, u in zip(coeff[: len(u_rows)], u_rows):
+            vec = [(v[0] + cu[0], v[1] + cu[1]) for v, cu in zip(vec, (_c_mul(c, x) for x in u))]
+        out.append(vec)
+    return _oracle_rref(out, width)
+
+
+def _fractions(vec):
+    return tuple((Fraction(q.re), Fraction(q.im)) for q in vec)
+
+
+def _engine_rref(pivots, rows, width):
+    return pivots, [
+        tuple(
+            (Fraction(row.get(k, (0, 0))[0], row[p][0]), Fraction(row.get(k, (0, 0))[1], row[p][0]))
+            for k in range(width)
+        )
+        for row, p in zip(rows, pivots)
+    ]
+
+
+_gaussian = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _row_sets(draw, width, real=False):
+    """Rows of every shape: sparse, dense, all-zero, and multiples of rows
+    already drawn (duplicates)."""
+    entry = st.tuples(st.integers(-3, 3), st.just(0)) if real else _gaussian
+    rows = []
+    for kind in draw(st.lists(st.sampled_from("sdzm"), max_size=7)):
+        if kind == "s":
+            cols = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2))
+            rows.append({c: draw(entry) for c in cols})
+        elif kind == "d":
+            rows.append({c: draw(entry) for c in range(width)})
+        elif kind == "z":
+            rows.append({})
+        elif rows:
+            base = draw(st.sampled_from(rows))
+            ma, mb = draw(entry.filter(lambda z: z != (0, 0)))
+            rows.append({c: (ma * a - mb * b, ma * b + mb * a) for c, (a, b) in base.items()})
+    return [{c: z for c, z in r.items() if z != (0, 0)} for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rref_matches_oracle(data):
+    width = data.draw(st.integers(1, 6))
+    rows = data.draw(_row_sets(width, real=data.draw(st.booleans())))
+    dense = [
+        tuple((Fraction(r.get(k, (0, 0))[0]), Fraction(r.get(k, (0, 0))[1])) for k in range(width))
+        for r in rows
+    ]
+    assert _engine_rref(*_rref_num(rows), width) == _oracle_rref(dense, width)
+
+
+@st.composite
+def _matrix_sets(draw):
+    """Two lists of 2x2 Gaussian-rational matrices, sparse, dense or zero."""
+    def mats():
+        out = []
+        for r in draw(_row_sets(4)):
+            den = draw(st.integers(1, 3))
+            entries = [QI(Fraction(a, den), Fraction(b, den)) for a, b in (r.get(k, (0, 0)) for k in range(4))]
+            out.append(ExactMatrix([entries[:2], entries[2:]]))
+        return out
+    return mats(), mats(), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_sets())
+def test_span_sum_intersect_match_oracle(case):
+    mats_u, mats_w, real = case
+    width = 8 if real else 4
+    coords = (lambda m: _fractions(m.flatten_real())) if real else (lambda m: _fractions(m.flatten()))
+    u = Subspace.span(mats_u, 2, real=real)
+    w = Subspace.span(mats_w, 2, real=real)
+    ou = _oracle_rref([coords(m) for m in mats_u], width)
+    ow = _oracle_rref([coords(m) for m in mats_w], width)
+    for space, oracle in ((u, ou), (w, ow)):
+        assert (space.pivots, [_fractions(r) for r in space.rows]) == oracle
+    total = u.sum(w)
+    inter = u.intersect(w)
+    assert (total.pivots, [_fractions(r) for r in total.rows]) == _oracle_rref(ou[1] + ow[1], width)
+    assert (inter.pivots, [_fractions(r) for r in inter.rows]) == _oracle_intersection(
+        ou[1], ow[1], width
+    )
+    assert total.dim + inter.dim == u.dim + w.dim
 
 
 # ---------------------------------------------------------------------------
