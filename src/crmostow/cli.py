@@ -25,13 +25,14 @@ silently reconciled.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from typing import Any, Sequence
 
 import numpy as np
 
-from . import acceptance, catalog
+from . import catalog
 from .ambient import AmbientAlgebra, block_special_linear, special_linear
 from .crinv import REFINEMENT_STEPS, cohomology_ranges, cr_type, fiber_data, levi_report
 from .errors import (
@@ -49,12 +50,10 @@ from .parabolic import (
     parabolic_regularization,
 )
 from .structure import Subalgebra, make_subalgebra
-from .symspace import (
-    exhaustion_phi,
-    mostow_decompose,
-    mostow_structure,
-    random_group_element,
-)
+
+# The floating-point layer (``symspace``, ``acceptance``) is imported by the
+# commands that run it, so ``analyze``, ``catalog`` and the structural
+# ``verify`` suite never load SciPy.
 
 SCHEMA = "crmostow/1"
 
@@ -102,7 +101,13 @@ def _float_entry_from_json(pair: Any) -> complex:
         raise ValueError(
             f"matrix entry must be a [re, im] pair of real numbers, got {pair!r}"
         )
-    return complex(pair[0], pair[1])
+    try:
+        value = complex(pair[0], pair[1])
+    except OverflowError:  # an integer beyond the float range
+        value = complex(cmath.inf)
+    if not cmath.isfinite(value):
+        raise ValueError(f"matrix entry must be finite, got {pair!r}")
+    return value
 
 
 def _float_matrix_from_json(rows: Any) -> np.ndarray:
@@ -318,12 +323,13 @@ def build_analysis_report(
 
     witt = None
     signatures = None
-    try:
+    if ct.cr_codim == 0:
+        # codimension 0: no characteristic covectors, so no scalar Levi form
+        warnings.append("scalar form sampling unavailable: empty characteristic space")
+    else:
         lr = levi_report(v, grid_density=grid_density, seed=seed)
         witt = lr.witt_lower_bound
         signatures = len(lr.sampled_signatures)
-    except ValueError as exc:
-        warnings.append(f"scalar form sampling unavailable: {exc}")
     report["witt_lower_bound"] = {
         "value": witt,
         "sampling": {
@@ -423,6 +429,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _resolve_zeta(args: argparse.Namespace, structure) -> tuple[np.ndarray, dict]:
+    from .symspace import random_group_element
+
     if args.zeta:
         zeta = _float_matrix_from_json(_load_json(args.zeta))
         return zeta, {"source": "file", "path": args.zeta}
@@ -434,6 +442,8 @@ def _resolve_zeta(args: argparse.Namespace, structure) -> tuple[np.ndarray, dict
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .symspace import mostow_decompose, mostow_structure
+
     sub, echo, _ = _resolve_input(args)
     structure = mostow_structure(sub)
     if not structure.horocyclic and not args.allow_nonunique:
@@ -478,6 +488,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_exhaust(args: argparse.Namespace) -> int:
+    from .symspace import exhaustion_phi, mostow_structure
+
     sub, echo, _ = _resolve_input(args)
     structure = mostow_structure(sub)
     zeta, zeta_info = _resolve_zeta(args, structure)
@@ -529,6 +541,8 @@ def _numeric_checks() -> list[tuple[str, bool, str]]:
     """Acceptance checks 4-7: field identities, the minor-determinant
     inequality, the vanishing-field counterexample and the decomposition
     round trip."""
+    from . import acceptance
+
     results = [check() for check in acceptance.ALL_CHECKS[3:7]]
     return [(r.name, r.passed, "; ".join(r.failures)) for r in results]
 

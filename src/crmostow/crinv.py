@@ -330,6 +330,8 @@ REFINEMENT_STEPS = 2
 
 def _covector_samples(dim: int, grid_density: int, seed: int) -> list[tuple[int, ...]]:
     """Deterministic integer sample coordinates: axes, pairs, seeded points."""
+    if grid_density < 1:
+        raise ValueError(f"grid density must be at least 1, got {grid_density}")
     samples: list[tuple[int, ...]] = []
     for r in range(dim):
         samples.append(tuple(1 if t == r else 0 for t in range(dim)))
@@ -341,7 +343,7 @@ def _covector_samples(dim: int, grid_density: int, seed: int) -> list[tuple[int,
                 )
             )
     rng = random.Random(seed)
-    for _ in range(2 * dim * max(1, grid_density)):
+    for _ in range(2 * dim * grid_density):
         vec = tuple(rng.randint(-2, 2) for _ in range(dim))
         if any(vec):
             samples.append(vec)
@@ -484,6 +486,8 @@ def cohomology_ranges(
     """Arithmetic finiteness windows; no cohomology is computed."""
     if concavity > cr_dim:
         raise ValueError("concavity exceeds CR dimension")
+    if sheaf_depth < 0:
+        raise ValueError(f"sheaf depth must be nonnegative, got {sheaf_depth}")
     low = range(0, max(0, concavity - sheaf_depth))
     high = range(cr_dim - concavity + 1, cr_dim + 1)
     return CohomologyRanges(concavity, cr_dim, sheaf_depth, low, high)

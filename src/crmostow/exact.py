@@ -243,7 +243,7 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.diagonal([1] * n)
+        return ExactMatrix._make(n, n, 1, {i * (n + 1): (1, 0) for i in range(n)})
 
     @staticmethod
     def unit(n: int, i: int, j: int, value=1) -> "ExactMatrix":

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
-import scipy.optimize
+
+# scipy.optimize and scipy.integrate are imported by the functions that run
+# them, so a process that only uses the exact layer never loads them.
 
 from .ambient import AmbientAlgebra
 from .crinv import FiberData, fiber_data
@@ -305,6 +306,8 @@ def jacobi_energy(spec: JacobiFieldSpec) -> float:
     Nonnegative, and zero exactly on the parallel fields (those with
     ``[H, Z] + 2T`` in the kernel of ``W ↦ θ_W``).
     """
+    import scipy.integrate
+
     h, z, tt = spec.H, spec.Z, spec.T
     w1 = h @ z - z @ h + 2.0 * tt
     ad2 = h @ (h @ z - z @ h) - (h @ z - z @ h) @ h
@@ -721,6 +724,12 @@ def mostow_decompose(
     decomposition is provably unique in the strictly-horocyclic case, so
     that is the default) or are merely reported via ``restarts_agree``.
     """
+    import scipy.optimize
+
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be at least 1, got {max_restarts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if require_unique is None:
         require_unique = structure.strict_horocyclic
     zm = _as_matrix(zeta)
@@ -816,6 +825,10 @@ def _phi_minimize(
     y0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """min over the group-factor chart of dist²(ζ*ζ, v*v); returns (value, argmin)."""
+    import scipy.optimize
+
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     chart = _group_chart(structure)
     objective = _orbit_objective(a_mat, chart)
     if chart.dim == 0:
@@ -828,7 +841,7 @@ def _phi_minimize(
         starts.append(np.array(y0, dtype=float))
     else:
         starts.append(np.zeros(chart.dim))
-        for r in range(1, max(1, restarts)):
+        for r in range(1, restarts):
             rng = np.random.default_rng([seed, r])
             starts.append(0.5 * rng.standard_normal(chart.dim))
     for start in starts:
@@ -933,6 +946,8 @@ def counterexample_search(
 ) -> CounterexampleReport:
     """Find real parameters ``(λ₁, λ₂, a, b, c)`` with ``ab > 0`` making the
     one-variable reduction vanish, and assemble the witnessing matrices."""
+    import scipy.optimize
+
     rng = np.random.default_rng(seed)
     lam1 = 0.5 + 0.5 * float(rng.random())
     a = 3.0 + float(rng.random())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -445,6 +446,51 @@ def test_malformed_zeta_exits_2(capsys, tmp_path, command, zeta):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["decompose", "exhaust"])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 10**400], ids=["nan", "infinity", "huge-integer"]
+)
+def test_nonfinite_zeta_entry_exits_2(capsys, tmp_path, command, value):
+    # Python's json writes and reads NaN and Infinity, and integers of any
+    # size; the entry is rejected before numpy or SciPy sees it, so nothing
+    # else reaches stderr
+    zeta = cli._float_matrix_to_json(np.eye(4))
+    zeta[2][1] = [0.0, value]
+    path = tmp_path / "zeta.json"
+    path.write_text(json.dumps(zeta))
+    code, out, err = _run(capsys, command, "--catalog", "su22_f12", "--zeta", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: matrix entry must be finite, got [0.0, {value!r}]\n"
+
+
+OUT_OF_RANGE = [
+    (["decompose", "--max-restarts", "0"], "max_restarts must be at least 1, got 0"),
+    (["decompose", "--tol", "-1"], "tol must be positive and finite, got -1.0"),
+    (["decompose", "--tol", "0"], "tol must be positive and finite, got 0.0"),
+    (["decompose", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["exhaust", "--restarts", "0"], "restarts must be at least 1, got 0"),
+    (["exhaust", "--restarts", "-3"], "restarts must be at least 1, got -3"),
+    (["analyze", "--levi-grid", "0"], "grid density must be at least 1, got 0"),
+    (["analyze", "--levi-grid", "-2"], "grid density must be at least 1, got -2"),
+    (["analyze", "--hd", "-1"], "sheaf depth must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", OUT_OF_RANGE, ids=["_".join(argv) for argv, _ in OUT_OF_RANGE]
+)
+def test_out_of_range_options_exit_2(capsys, argv, message):
+    # each value is rejected where it is used, not raised to a default; a
+    # negative sheaf depth would widen the finiteness window
+    code, out, err = _run(
+        capsys, *argv, "--catalog", "grassmann_pair", "--params", GRASSMANN_PARAMS
+    )
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # -----------------------------------------------------------------------
 # verify subcommand
 # -----------------------------------------------------------------------
@@ -575,7 +621,8 @@ class TestContract:
     def test_catalog_runs_without_sympy(self):
         # sympy is only the fallback of rational_roots for roots the exact
         # deflation misses; an integer root path that silently falls through
-        # to it would import it here
+        # to it would import it here.  The exact pipeline loads no SciPy
+        # module either: the floating-point layer is imported where it runs.
         script = (
             "import contextlib, io, sys\n"
             "from crmostow import catalog, cli\n"
@@ -589,10 +636,22 @@ class TestContract:
             "        if cli.main(argv) != 0:\n"
             "            sys.exit(f'{argv} failed')\n"
             "print('sympy' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = _python("-c", script, GRASSMANN_PARAMS)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False\n[]\n"
+
+    def test_symspace_import_leaves_out_optimizers(self):
+        # scipy.optimize and scipy.integrate load on the first call that runs them
+        script = (
+            "import sys\n"
+            "import crmostow.symspace\n"
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])\n"
+        )
+        proc = _python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_exit_codes_are_distinct(self):
         codes = {

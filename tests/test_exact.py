@@ -111,6 +111,10 @@ def test_matrix_storage_is_canonical():
     assert (x - x) == ExactMatrix.zeros(2) and hash(x - x) == hash(ExactMatrix.zeros(2))
     assert x.flatten() == tuple(e for row in x.entries for e in row)
     assert x.flatten_real()[:2] == (QI(Fraction(1, 2)), QI(1))
+    # the identity, built from its terms, is stored as the diagonal of ones is
+    for n in (1, 2, 5):
+        ones = ExactMatrix.diagonal([1] * n)
+        assert ExactMatrix.identity(n) == ones and hash(ExactMatrix.identity(n)) == hash(ones)
 
 
 def test_nilpotent_detection():
