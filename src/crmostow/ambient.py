@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, _qi_of, _trace_form
+from .exact import QI, QI_I, ExactMatrix, Subspace, _qi_of, _trace_form
 
 __all__ = ["AmbientAlgebra", "special_linear", "block_special_linear"]
 
@@ -105,29 +105,11 @@ class AmbientAlgebra:
 
     @property
     def p0(self) -> Subspace:
-        """Traceless Hermitian block matrices (the −1 eigenspace of σ)."""
+        """Traceless Hermitian block matrices (the −1 eigenspace of σ): i k0."""
         if self._p0 is None:
-            n = self.n
-            mats: list[ExactMatrix] = []
-            for i, j in self._offdiag_positions():
-                if i < j:
-                    mats.append(
-                        ExactMatrix.unit(n, i, j) + ExactMatrix.unit(n, j, i)
-                    )
-                    mats.append(
-                        (ExactMatrix.unit(n, i, j) - ExactMatrix.unit(n, j, i))
-                        .scale(QI_I)
-                    )
-            for i in range(n - 1):
-                mats.append(
-                    ExactMatrix.diagonal(
-                        [
-                            QI_ONE if t == i else (-QI_ONE if t == i + 1 else QI(0))
-                            for t in range(n)
-                        ]
-                    )
-                )
-            self._p0 = Subspace.span(mats, n, real=True)
+            self._p0 = Subspace.span(
+                [m.scale(QI_I) for m in self.k0.basis()], self.n, real=True
+            )
         return self._p0
 
     @property

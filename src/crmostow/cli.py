@@ -28,9 +28,7 @@ import argparse
 import cmath
 import json
 import sys
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import catalog
 from .ambient import AmbientAlgebra, block_special_linear, special_linear
@@ -51,9 +49,12 @@ from .parabolic import (
 )
 from .structure import Subalgebra, make_subalgebra
 
-# The floating-point layer (``symspace``, ``acceptance``) is imported by the
-# commands that run it, so ``analyze``, ``catalog`` and the structural
-# ``verify`` suite never load SciPy.
+if TYPE_CHECKING:
+    import numpy as np
+
+# The floating-point layer (NumPy, ``symspace``, ``acceptance``) is imported
+# by the commands that run it, so ``analyze``, ``catalog`` and the structural
+# ``verify`` suite load neither NumPy nor SciPy.
 
 SCHEMA = "crmostow/1"
 
@@ -117,6 +118,8 @@ def _float_matrix_from_json(rows: Any) -> np.ndarray:
         or any(not isinstance(row, list) or len(row) != len(rows) for row in rows)
     ):
         raise ValueError("matrix must be a square list of rows")
+    import numpy as np
+
     return np.array(
         [[_float_entry_from_json(e) for e in row] for row in rows], dtype=complex
     )
@@ -239,6 +242,12 @@ def build_analysis_report(
     seed: int = 0,
     expected=None,
 ) -> dict:
+    # checked here, not only where the Levi and cohomology steps use them,
+    # so that inputs which never reach those steps reject them too
+    if sheaf_depth < 0:
+        raise ValueError(f"sheaf depth must be nonnegative, got {sheaf_depth}")
+    if grid_density < 1:
+        raise ValueError(f"grid density must be at least 1, got {grid_density}")
     warnings: list[str] = []
     report: dict[str, Any] = {
         "schema": SCHEMA,
@@ -429,6 +438,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _resolve_zeta(args: argparse.Namespace, structure) -> tuple[np.ndarray, dict]:
+    import numpy as np
+
     from .symspace import random_group_element
 
     if args.zeta:

@@ -1067,8 +1067,18 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
 
 
 def _plus_scalar(m: ExactMatrix, c: tuple[int, int]) -> ExactMatrix:
-    """``m + c I`` for a Gaussian integer ``c``."""
-    return _lincomb([m, ExactMatrix.identity(m.rows)], 1, {0: (1, 0), 1: c})
+    """``m + c I`` for a Gaussian integer ``c``: ``c * den`` added to the
+    diagonal numerators."""
+    n, den = m.rows, m._den
+    cr, ci = c[0] * den, c[1] * den
+    terms = dict(m._terms)
+    for k in range(0, n * n, n + 1):
+        a, b = terms.get(k, (0, 0))
+        if a + cr or b + ci:
+            terms[k] = (a + cr, b + ci)
+        else:
+            terms.pop(k, None)
+    return ExactMatrix._make(n, n, den, terms)
 
 
 def _charpoly_num(x: ExactMatrix) -> IntRow:
@@ -1098,9 +1108,8 @@ def _poly_strip(p: IntRow) -> IntRow:
 
 
 def _poly_primitive(p: IntRow) -> IntRow:
-    """``p`` divided by the integer content of its coefficients."""
-    g = _content(p)
-    return [(a // g, b // g) for a, b in p] if g > 1 else p
+    """``p`` divided by the gcd in Z[i] of its coefficients."""
+    return list(_primitive_row(dict(enumerate(p))).values())
 
 
 def _poly_derivative(p: IntRow) -> IntRow:
@@ -1130,8 +1139,10 @@ def _poly_gcd(p: IntRow, q: IntRow) -> IntRow:
     """A gcd of ``p`` and ``q`` (deg p >= deg q), up to a scalar.
 
     The primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967;
-    Brown & Traub, J. ACM 18, 1971): each remainder loses its integer
-    content, which keeps the coefficients small.
+    Brown & Traub, J. ACM 18, 1971): each remainder loses its content in
+    Z[i], which keeps the coefficients small.  Removing only the integer
+    content would let a Gaussian factor of the leading coefficients compound
+    with every pseudo-division.
     """
     while q:
         p, q = q, _poly_primitive(_pseudo_divmod(p, q)[1])

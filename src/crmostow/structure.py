@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
+from math import isqrt, lcm
 
 from .ambient import AmbientAlgebra
 from .errors import ClosureError, IrrationalWeightsError
 from .exact import (
     QI,
-    QI_ZERO,
     ExactMatrix,
+    SparseRow,
     Subspace,
     VectorSpan,
     bracket,
@@ -29,12 +27,11 @@ from .exact import (
     subspace_intersect,
     _columns_to_rows,
     _common_row,
-    _int_row,
     _kernel_mats,
     _kernel_num,
     _lincomb,
     _matrix_from_columns,
-    _qi_of,
+    _poly_derivative,
     _rref_num,
     _squarefree_num,
     _to_num,
@@ -239,8 +236,8 @@ class Subalgebra:
         rad = self.radical
         if rad.dim == 0:
             return self.ambient.zero_space()
-        weights = _triangular_weights(self.ambient, rad.basis())
-        mats = _kernel_mats(rad.basis(), [_int_row(w) for w in weights])
+        weights = _triangular_weights(self.ambient, rad)
+        mats = _kernel_mats(rad.basis(), weights)
         out = Subspace.span(mats, self.ambient.n)
         # post-verification: nilpotent basis, ideal, contains rad ∩ derived
         for x in out.basis():
@@ -397,43 +394,70 @@ def _deflate(coeffs, root):
     return out
 
 
-def _float_root_candidates(coeffs) -> list[tuple[int, int]]:
-    """Nearest Gaussian integers to the floating-point roots; only candidates."""
-    try:
-        approx = np.roots([complex(a, b) for a, b in coeffs])
-    except OverflowError:
-        return []
-    return [
-        (int(round(z.real)), int(round(z.imag)))
-        for z in approx
-        if np.isfinite(z.real) and np.isfinite(z.imag)
-    ]
+def _inert_primes():
+    """The primes q = 3 (mod 4) in increasing order.  Each stays prime in
+    Z[i], so Z[i] / (q) is the field with q^2 elements."""
+    q = 3
+    while True:
+        if all(q % p for p in range(3, isqrt(q) + 1, 2)):
+            yield q
+        q += 4
 
 
-def _squarefree_candidates(coeffs) -> list[tuple[int, int]]:
-    """Candidates from the squarefree part, whose roots are simple and so
-    well conditioned where a repeated root of ``coeffs`` is not."""
-    return _float_root_candidates(_squarefree_num(coeffs))
+def _poly_at(coeffs, x: int, y: int, mod: int) -> tuple[int, int]:
+    """A Gaussian-integer polynomial at ``x + y i``, modulo ``mod`` (Horner)."""
+    re = im = 0
+    for a, b in coeffs:
+        re, im = (re * x - im * y + a) % mod, (re * y + im * x + b) % mod
+    return re, im
 
 
-def _exact_linear_roots(coeffs) -> list[tuple[Fraction, Fraction]]:
-    """Roots of the linear factors of a Gaussian-integer polynomial,
-    from its exact factorization over Q(i)."""
-    import sympy
+def _gaussian_integer_roots(f) -> list[tuple[int, int]]:
+    """The roots in Z[i] of a squarefree Gaussian-integer polynomial.
 
-    t = sympy.Symbol("t")
-    deg = len(coeffs) - 1
-    expr = sum(
-        (sympy.Integer(a) + sympy.I * b) * t ** (deg - idx)
-        for idx, (a, b) in enumerate(coeffs)
+    Hensel lifting modulo an inert prime q: every root in Z[i] reduces to a
+    root of ``f`` in Z[i] / (q), and from a simple root there Newton's
+    iteration lifts it to the unique root modulo q^(2^j).  A q for which
+    every root modulo q is simple exists, because ``f`` has a nonzero
+    discriminant.  Once q^(2^j) exceeds twice a bound on the roots, the
+    symmetric residues of a lift are its real and imaginary parts; a lift
+    that does not come from a root in Z[i] fails the exact deflation.
+    """
+    df = _poly_derivative(f)
+    for q in _inert_primes():
+        fq = [(a % q, b % q) for a, b in f]
+        roots = [
+            (x, y)
+            for x in range(q)
+            for y in range(q)
+            if _poly_at(fq, x, y, q) == (0, 0)
+        ]
+        if all(_poly_at(df, x, y, q) != (0, 0) for x, y in roots):
+            break
+    # Fujiwara's bound |root| <= 2 max_k |f_k / f_0|^(1/k) is below 2^(e+1),
+    # from |f_0| >= 2^lead and |f_k| <= |re f_k| + |im f_k|
+    lead = max(map(abs, f[0])).bit_length() - 1
+    e = max(
+        -((lead - (abs(a) + abs(b)).bit_length()) // k)
+        for k, (a, b) in enumerate(f[1:], 1)
     )
-    roots = []
-    for fac, _mult in sympy.Poly(expr, t, domain="QQ_I").factor_list()[1]:
-        if fac.degree() == 1:
-            c1, c0 = fac.all_coeffs()
-            re, im = (-c0 / c1).as_real_imag()
-            roots.append((Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))))
-    return roots
+    limit = 4 << max(e, 0)
+    found = []
+    for x, y in roots:
+        mod = q
+        while mod <= limit:
+            mod *= mod
+            fr, fi = _poly_at(f, x, y, mod)
+            dr, di = _poly_at(df, x, y, mod)
+            # f / f' = f * conj(f') / (dr^2 + di^2), a unit modulo q
+            inv = pow(dr * dr + di * di, -1, mod)
+            x = (x - (fr * dr + fi * di) * inv) % mod
+            y = (y - (fi * dr - fr * di) * inv) % mod
+        half = mod // 2
+        root = (x - mod if x > half else x, y - mod if y > half else y)
+        if _deflate(f, root) is not None:
+            found.append(root)
+    return found
 
 
 def rational_roots(poly) -> list[QI]:
@@ -442,11 +466,8 @@ def rational_roots(poly) -> list[QI]:
     Returns the distinct roots in Q(i), sorted by (real, imaginary) part.
     With ``t = s / D`` for the common denominator ``D`` of the monic
     coefficients, the polynomial becomes monic over the Gaussian integers,
-    so its roots in Q(i) are Gaussian integers over ``D``.  Floating-point
-    roots, of the polynomial and then of its squarefree part, only propose
-    candidates: each is confirmed by exact evaluation and divided out.  If
-    the confirmed roots do not split the polynomial, the remaining factor is
-    factored exactly over Q(i), so no root is missed.
+    so its roots in Q(i) are Gaussian integers over ``D``: those of its
+    squarefree part, found exactly by :func:`_gaussian_integer_roots`.
     """
     coeffs = list(poly)
     while coeffs and not coeffs[0]:
@@ -455,27 +476,15 @@ def rational_roots(poly) -> list[QI]:
         raise ValueError("zero polynomial has no finite root list")
     lead = coeffs[0]
     den, num = _to_num([c / lead for c in coeffs[1:]])
-    remaining = [(1, 0)]
+    monic = [(1, 0)]
     power = 1
     for a, b in num:
-        remaining.append((a * power, b * power))
+        monic.append((a * power, b * power))
         power *= den
-    found: set[tuple] = set()
-    proposers = [_float_root_candidates, _squarefree_candidates]
-    while len(remaining) > 1 and proposers:
-        degree = len(remaining)
-        for cand in proposers[0](remaining):
-            quotient = _deflate(remaining, cand)
-            while quotient is not None:
-                found.add((Fraction(cand[0], den), Fraction(cand[1], den)))
-                remaining = quotient
-                quotient = _deflate(remaining, cand)
-        if len(remaining) == degree:
-            proposers.pop(0)
-    if len(remaining) > 1:
-        for re, im in _exact_linear_roots(remaining):
-            found.add((re / den, im / den))
-    return [QI(re, im) for re, im in sorted(found)]
+    if len(monic) == 1:
+        return []
+    roots = sorted(_gaussian_integer_roots(_squarefree_num(monic)))
+    return [QI(Fraction(a, den), Fraction(b, den)) for a, b in roots]
 
 
 def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> list[QI]:
@@ -588,13 +597,14 @@ def _joint_weight_space(ambient, alg_rows, act, w_span, table, k):
     return w_star, pairs + [(z_row, mu)]
 
 
-def _weight_functional(pairs, k: int) -> tuple[QI, ...]:
+def _weight_functional(pairs, k: int) -> SparseRow:
     """The functional on the canonical basis taking each eigenvalue ``mu``
-    on its coefficient vector ``z``, for the pairs ``((den, z), mu)``.
+    on its coefficient vector ``z``, for the pairs ``((den, z), mu)``, as a
+    Gaussian-integer row up to a nonzero scale.
 
     The vectors form a basis, so this is the unique solution of the linear
-    system ``z . lambda = mu``; it is read off the one-dimensional kernel of
-    the augmented integer system ``[den_mu * z | -den * mu_num]``.
+    system ``z . lambda = mu``; the one-dimensional kernel of the augmented
+    integer system ``[den_mu * z | -den * mu_num]`` holds ``(t lambda, t)``.
     """
     system = []
     for (den, row), mu in pairs:
@@ -606,25 +616,19 @@ def _weight_functional(pairs, k: int) -> tuple[QI, ...]:
     _, kernel = _kernel_num(system, k + 1)
     if len(kernel) != 1 or k not in kernel[0]:
         raise ValueError("matrix is singular")
-    vec = kernel[0]
-    ta, tb = vec[k]
-    norm = ta * ta + tb * tb
-    return tuple(
-        _qi_of(a * ta + b * tb, b * ta - a * tb, norm)
-        for a, b in (vec.get(c, (0, 0)) for c in range(k))
-    )
+    return {c: pair for c, pair in kernel[0].items() if c < k}
 
 
-def _triangular_weights(ambient: AmbientAlgebra, rad_mats: list[ExactMatrix]):
+def _triangular_weights(ambient: AmbientAlgebra, rad: Subspace) -> list[SparseRow]:
     """Weights of a simultaneous triangularization of a solvable algebra.
 
     Returns one functional per flag chunk, as a coefficient row over the
-    given basis; an element is nilpotent iff every functional vanishes on it.
+    canonical basis of ``rad``; an element is nilpotent iff every functional
+    vanishes on it.
     """
-    k, n = len(rad_mats), ambient.n
-    rad_space = Subspace.span(rad_mats, n)
-    mats = rad_space.basis()
-    table = _structure_table(mats, rad_space)
+    mats = rad.basis()
+    k, n = len(mats), ambient.n
+    table = _structure_table(mats, rad)
     identity_rows = [(1, {a: (1, 0)}) for a in range(k)]
     columns = [r.transpose()._row_nums() for r in mats]
     accumulated = VectorSpan._of(n, (), ())
@@ -663,18 +667,4 @@ def _triangular_weights(ambient: AmbientAlgebra, rad_mats: list[ExactMatrix]):
         accumulated = VectorSpan._of(n, *_rref_num(accumulated._irows + lifted))
         if accumulated.dim != before + w_star.dim:
             raise ArithmeticError("flag chunks failed to stay independent")
-    # express functionals over the ORIGINAL basis order if it differs
-    if mats != rad_mats:
-        converted = []
-        for lam in weights:
-            vals = []
-            for orig in rad_mats:
-                coords = rad_space.coordinates_of(orig)
-                acc = QI_ZERO
-                for c, l in zip(coords, lam):
-                    if c and l:
-                        acc = acc + c * l
-                vals.append(acc)
-            converted.append(tuple(vals))
-        weights = converted
     return weights

@@ -81,6 +81,20 @@ def _stdout_with_and_without_optimize(*argv):
     return outputs
 
 
+# sl(3) basis whose weights involve sqrt(2): the first matrix has
+# eigenvalues +-sqrt(2)
+_Z, _ONE, _TWO = ["0", "0"], ["1", "0"], ["2", "0"]
+IRRATIONAL_SPEC = {
+    "n": 3,
+    "ambient": "sl",
+    "basis": [
+        [[_Z, _ONE, _Z], [_TWO, _Z, _Z], [_Z, _Z, _Z]],
+        [[_Z, _Z, _ONE], [_Z, _Z, _Z], [_Z, _Z, _Z]],
+        [[_Z, _Z, _Z], [_Z, _Z, _ONE], [_Z, _Z, _Z]],
+    ],
+}
+
+
 # -----------------------------------------------------------------------
 # catalog subcommand
 # -----------------------------------------------------------------------
@@ -189,23 +203,27 @@ class TestAnalyze:
         assert right[1][2] == ["1", "0"]
 
     def test_irrational_weights_exit_3(self, capsys, tmp_path):
-        zero = ["0", "0"]
-        one = ["1", "0"]
-        two = ["2", "0"]
-        spec = {
-            "n": 3,
-            "ambient": "sl",
-            "basis": [
-                [[zero, one, zero], [two, zero, zero], [zero, zero, zero]],
-                [[zero, zero, one], [zero, zero, zero], [zero, zero, zero]],
-                [[zero, zero, zero], [zero, zero, one], [zero, zero, zero]],
-            ],
-        }
         path = tmp_path / "irr.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(IRRATIONAL_SPEC))
         code, _, err = _run(capsys, "analyze", str(path))
         assert code == EXIT_IRRATIONAL
         assert "irrational" in err
+
+    def test_irrational_weights_exit_3_without_sympy(self, tmp_path):
+        # no root modulo the prime lifts to a root in Q(i): that certifies
+        # the weights irrational without factoring the polynomial
+        path = tmp_path / "irr.json"
+        path.write_text(json.dumps(IRRATIONAL_SPEC))
+        script = (
+            "import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from crmostow import cli\n"
+            "sys.exit(cli.main(['analyze', sys.argv[1]]))\n"
+        )
+        proc = _python("-c", script, str(path))
+        assert proc.returncode == EXIT_IRRATIONAL, proc.stderr
+        assert proc.stdout == ""
+        assert "irrational" in proc.stderr
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = _run_json(capsys, "catalog", "export", "su22_f12")
@@ -474,18 +492,32 @@ OUT_OF_RANGE = [
     (["analyze", "--levi-grid", "0"], "grid density must be at least 1, got 0"),
     (["analyze", "--levi-grid", "-2"], "grid density must be at least 1, got -2"),
     (["analyze", "--hd", "-1"], "sheaf depth must be nonnegative, got -1"),
+    # inputs that never reach the step using the option: so_n_symmetric is not
+    # n-reductive, and this grassmann_pair has CR codimension 0
+    (
+        ["analyze", "--hd", "-1", "--catalog", "so_n_symmetric"],
+        "sheaf depth must be nonnegative, got -1",
+    ),
+    (
+        ["analyze", "--levi-grid", "0", "--catalog", "grassmann_pair",
+         "--params", '{"p": 1, "q": 2, "n": 3, "k": 0}'],
+        "grid density must be at least 1, got 0",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message", OUT_OF_RANGE, ids=["_".join(argv) for argv, _ in OUT_OF_RANGE]
+    "argv, message",
+    OUT_OF_RANGE,
+    ids=["_".join(a for a in argv if a != "--params" and not a.startswith("{"))
+         for argv, _ in OUT_OF_RANGE],
 )
 def test_out_of_range_options_exit_2(capsys, argv, message):
-    # each value is rejected where it is used, not raised to a default; a
-    # negative sheaf depth would widen the finiteness window
-    code, out, err = _run(
-        capsys, *argv, "--catalog", "grassmann_pair", "--params", GRASSMANN_PARAMS
-    )
+    # each value is rejected, not raised to a default, also on an input that
+    # never uses it; a negative sheaf depth would widen the finiteness window
+    if "--catalog" not in argv:
+        argv = [*argv, "--catalog", "grassmann_pair", "--params", GRASSMANN_PARAMS]
+    code, out, err = _run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err == f"error: {message}\n"
@@ -619,10 +651,9 @@ class TestVerify:
 
 class TestContract:
     def test_catalog_runs_without_sympy(self):
-        # sympy is only the fallback of rational_roots for roots the exact
-        # deflation misses; an integer root path that silently falls through
-        # to it would import it here.  The exact pipeline loads no SciPy
-        # module either: the floating-point layer is imported where it runs.
+        # the exact pipeline runs on the standard library: it finds its
+        # roots without sympy, and loads neither NumPy nor SciPy, which the
+        # floating-point layer imports where it runs
         script = (
             "import contextlib, io, sys\n"
             "from crmostow import catalog, cli\n"
@@ -637,10 +668,11 @@ class TestContract:
             "            sys.exit(f'{argv} failed')\n"
             "print('sympy' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy' in sys.modules)\n"
         )
         proc = _python("-c", script, GRASSMANN_PARAMS)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n[]\n"
+        assert proc.stdout == "False\n[]\nFalse\n"
 
     def test_symspace_import_leaves_out_optimizers(self):
         # scipy.optimize and scipy.integrate load on the first call that runs them

@@ -7,6 +7,8 @@ within the blocks keep the elimination rows sparse; Cayley transforms
 (I - S)(I + S)^-1 of rational skew-Hermitian block-diagonal S fill them in.
 """
 
+import itertools
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -82,26 +84,32 @@ def _monomial(draw):
     return index, ExactMatrix(grid)
 
 
-@st.composite
-def _cayley(draw):
-    """A spec index and (I - S)(I + S)^-1 for a block-diagonal skew-Hermitian
-    S with entries in (Z + iZ) / 2."""
-    index = draw(st.integers(0, len(SPECS) - 1))
-    blocks = _blocks(index)
+def _cayley_transform(blocks, draw_value) -> ExactMatrix:
+    """(I - S)(I + S)^-1 for the block-diagonal skew-Hermitian S whose
+    diagonal imaginary parts and upper-triangle real and imaginary parts
+    are ``draw_value()``, row by row."""
     n = sum(blocks)
-    half = st.integers(-1, 1).map(lambda k: Fraction(k, 2))
     grid = [[QI(0)] * n for _ in range(n)]
     start = 0
     for b in blocks:
         for i in range(start, start + b):
-            grid[i][i] = QI(0, draw(half))
+            grid[i][i] = QI(0, draw_value())
             for j in range(i + 1, start + b):
-                z = QI(draw(half), draw(half))
+                z = QI(draw_value(), draw_value())
                 grid[i][j], grid[j][i] = z, -z.conj()
         start += b
     s = ExactMatrix(grid)
     one = ExactMatrix.identity(n)
-    return index, (one - s) @ (one + s).inverse()
+    return (one - s) @ (one + s).inverse()
+
+
+@st.composite
+def _cayley(draw):
+    """A spec index and the Cayley transform of a block-diagonal
+    skew-Hermitian S with entries in (Z + iZ) / 2."""
+    index = draw(st.integers(0, len(SPECS) - 1))
+    half = st.integers(-1, 1).map(lambda k: Fraction(k, 2))
+    return index, _cayley_transform(_blocks(index), lambda: draw(half))
 
 
 @settings(max_examples=25, deadline=None)
@@ -115,4 +123,18 @@ def test_monomial_conjugation_keeps_invariants(case):
 @given(_cayley())
 def test_cayley_conjugation_keeps_invariants(case):
     index, g = case
+    assert _invariants(_conjugated(index, g), witt=False) == _reference(index, False)
+
+
+def test_cayley_conjugation_needs_no_factorization(monkeypatch):
+    # The monic rescaling of these characteristic polynomials has a common
+    # denominator large enough that floating-point roots could not round to
+    # their Gaussian-integer roots; every weight still comes from the exact
+    # root finder, with sympy blocked.
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    index = SPECS.index(("grassmann_pair", {"p": 1, "q": 3, "n": 3, "k": 0}))
+    values = itertools.cycle(
+        [Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3), (1, 3))]
+    )
+    g = _cayley_transform(_blocks(index), lambda: next(values))
     assert _invariants(_conjugated(index, g), witt=False) == _reference(index, False)

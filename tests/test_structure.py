@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -414,8 +415,6 @@ def test_rational_roots():
 
 
 def test_rational_roots_repeated_scaled_and_irreducible():
-    from fractions import Fraction
-
     def times(p, q):
         out = [QI(0)] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
@@ -429,13 +428,13 @@ def test_rational_roots_repeated_scaled_and_irreducible():
             out = times(out, p)
         return out
 
-    # a fivefold root: its floating-point roots scatter too far to round to
-    # it, the roots of the squarefree part do not
+    # a fivefold root: only the squarefree part, whose roots are simple,
+    # has a root modulo the prime that lifts to it
     root = QI(Fraction(7, 25), Fraction(-1, 5))
     p = power([QI(1), -root], 5)
     assert rational_roots(p) == [root]
     # non-monic, with a leading zero, a double root and an irreducible
-    # quadratic factor left over for the exact factorization
+    # quadratic factor, whose roots modulo the prime lift to no root in Q(i)
     third = QI(Fraction(1, 3))
     q = times(power([QI(3), QI(-1)], 2), [QI(1), QI(0), QI(-2)])
     assert rational_roots([QI(0)] + q) == [third]
@@ -447,6 +446,19 @@ def test_rational_roots_repeated_scaled_and_irreducible():
     assert rational_roots(r) == sorted(roots, key=lambda x: (x.re, x.im))
     with pytest.raises(ValueError):
         rational_roots([QI(0), QI(0)])
+
+
+def test_rational_roots_colliding_modulo_small_primes():
+    # 0, 3 and 7 form a double root modulo 3 and modulo 7, so the lifting
+    # starts from the next prime q = 3 (mod 4), 11
+    p = [QI(1), QI(-10), QI(21), QI(0)]
+    assert rational_roots(p) == [QI(0), QI(3), QI(7)]
+    # the same roots scaled by 1/7 and shifted by i, with a leading coefficient
+    roots = [QI(0, 1), QI(Fraction(3, 7), 1), QI(1, 1)]
+    q = [QI(5)]
+    for root in roots:
+        q = [a - root * b for a, b in zip(q + [QI(0)], [QI(0)] + q)]
+    assert rational_roots(q) == roots
 
 
 # ---------------------------------------------------------------------------
