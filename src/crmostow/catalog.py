@@ -77,13 +77,18 @@ class CatalogEntry:
 def _require_int(params: Mapping[str, object], key: str) -> int:
     value = params.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("invalid parameters")
+        raise ValueError(f"invalid parameters: {key} must be an integer, got {value!r}")
     return value
 
 
 def _check_keys(params: Mapping[str, object], allowed: set[str]) -> None:
-    if not set(params).issubset(allowed):
-        raise ValueError("invalid parameters")
+    unexpected = sorted(set(params) - allowed)
+    if unexpected:
+        accepted = ", ".join(sorted(allowed)) or "none"
+        raise ValueError(
+            f"invalid parameters: unexpected {', '.join(unexpected)} "
+            f"(accepted: {accepted})"
+        )
 
 
 def parse_gaussian(value: object) -> QI:
@@ -199,16 +204,17 @@ _STAIRCASE_ALLOWED = {(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}
 
 def _build_grassmann_pair(params: Mapping[str, object]) -> CatalogEntry:
     _check_keys(params, {"p", "q", "n", "k"})
-    if set(params) != {"p", "q", "n", "k"}:
-        raise ValueError("invalid parameters")
+    missing = [key for key in ("p", "q", "n", "k") if key not in params]
+    if missing:
+        raise ValueError(f"invalid parameters: missing {', '.join(missing)}")
     p = _require_int(params, "p")
     q = _require_int(params, "q")
     n = _require_int(params, "n")
     k = _require_int(params, "k")
     if not (1 <= p < q <= n):
-        raise ValueError("invalid parameters")
+        raise ValueError("invalid parameters: need 1 <= p < q <= n")
     if not (max(0, p + q - n - 1) <= k <= p):
-        raise ValueError("invalid parameters")
+        raise ValueError("invalid parameters: need max(0, p + q - n - 1) <= k <= p")
 
     n1, n2, n3, n4 = p - k, k, n + 1 + k - p - q, q - k
     size = n + 1
@@ -267,25 +273,27 @@ def _build_so_n_symmetric(params: Mapping[str, object]) -> CatalogEntry:
     _check_keys(params, {"n", "s"})
     n = _require_int(params, "n") if "n" in params else 3
     if n < 2:
-        raise ValueError("invalid parameters")
+        raise ValueError("invalid parameters: need n >= 2")
     raw = params.get("s", list(_DEFAULT_TWIST) if n == 3 else None)
     if raw is None:
         # No default twist for other sizes: pad the generic choice.
         raw = [(1, 0)] * (n - 1) + [(0, 2)]
     if not isinstance(raw, (list, tuple)) or len(raw) != n:
-        raise ValueError("invalid parameters")
+        raise ValueError(f"invalid parameters: s must be a list of n = {n} scalars")
     try:
         scalars = [parse_gaussian(item) for item in raw]
     except ValueError as exc:
-        raise ValueError("invalid parameters") from exc
+        raise ValueError(f"invalid parameters: s: {exc}") from exc
     if any(s == QI(0) for s in scalars):
-        raise ValueError("invalid parameters")
+        raise ValueError("invalid parameters: the scalars s must be nonzero")
     norms = {s.re * s.re + s.im * s.im for s in scalars}
     if len(norms) == 1:
         # All twist scalars have equal modulus, which makes the algebra
         # stable under the compact-form involution; the entry exists to
         # exhibit the opposite behavior.
-        raise ValueError("invalid parameters")
+        raise ValueError(
+            "invalid parameters: the scalars s must not all have the same modulus"
+        )
 
     amb = special_linear(n)
     e = ExactMatrix.unit
@@ -314,7 +322,7 @@ def _build_upper_triangular_horocycle(params: Mapping[str, object]) -> CatalogEn
     _check_keys(params, {"n"})
     n = _require_int(params, "n") if "n" in params else 3
     if n < 2:
-        raise ValueError("invalid parameters")
+        raise ValueError("invalid parameters: need n >= 2")
     amb = special_linear(n)
     gens = [ExactMatrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)]
     v = make_subalgebra(amb, gens)
@@ -371,8 +379,9 @@ def build(name: str, params: Mapping[str, object] | None = None) -> CatalogEntry
     """Construct the named entry.
 
     Raises ``ValueError("unknown entry")`` for names outside the registry and
-    ``ValueError("invalid parameters")`` when ``params`` does not describe an
-    admissible instance of the entry's family.
+    ``ValueError("invalid parameters: ...")``, naming the missing or
+    unexpected keys or the failed constraint, when ``params`` does not
+    describe an admissible instance of the entry's family.
     """
     builder = _BUILDERS.get(name)
     if builder is None:

@@ -369,6 +369,10 @@ class MostowStructure:
     ``nil_basis``/``herm_basis`` give the chart of the group factor
     ``v = expm(Y_n)·expm(Y_p)``; ``envelope_nil_basis``/``envelope_herm_basis``
     give the enlarged chart used by the foot-point stage.
+
+    ``nil_index``, ``complement_index`` and ``envelope_nil_index`` are the
+    nilpotency indices of the three nilpotent spans, certified over ℚ(i) by
+    ``mostow_structure``: every product of that many members is zero.
     """
 
     size: int
@@ -383,6 +387,9 @@ class MostowStructure:
     envelope_herm_basis: tuple[np.ndarray, ...]
     compact_basis: tuple[np.ndarray, ...]
     group_basis: tuple[np.ndarray, ...]
+    nil_index: int
+    complement_index: int
+    envelope_nil_index: int
 
     @property
     def fiber_dim(self) -> int:
@@ -397,6 +404,23 @@ def _numpy_basis(space: Subspace) -> tuple[np.ndarray, ...]:
     return tuple(m.to_numpy() for m in space.basis())
 
 
+def _nilpotency_index(space: Subspace) -> int:
+    """The least ``d`` with ``S_d = 0``, where ``S₁`` is the span and
+    ``S_{j+1} = span{B·M : B in its basis, M in S_j}``; then every product of
+    ``d`` members vanishes, so ``exp`` and its Fréchet derivative on the span
+    are polynomials of degree below ``d``.  Exact over ℚ(i); raises
+    ``ArithmeticError`` when ``S_n ≠ 0``, that is when the span is not
+    nilpotent."""
+    basis = space.basis()
+    power, d = space, 1
+    while power.dim:
+        if d == space.side:
+            raise ArithmeticError("span is not nilpotent")
+        power = Subspace.span([b @ m for b in basis for m in power.basis()], space.side)
+        d += 1
+    return d
+
+
 def mostow_structure(v: Subalgebra, q=None) -> MostowStructure:
     """Assemble the numeric structure bundle for a subalgebra (and optional
     envelope choice)."""
@@ -406,6 +430,7 @@ def mostow_structure(v: Subalgebra, q=None) -> MostowStructure:
 
     herm_part = subspace_intersect(v.space.realify(), amb.p0)
     envelope_nil = subspace_sum(v.nr, fd.envelope.nilradical)
+    complement = fd.nilpotent_complement
     envelope_space = subspace_sum(v.space, fd.envelope.nilradical)
     envelope_herm = subspace_intersect(envelope_space.realify(), amb.p0)
 
@@ -415,13 +440,16 @@ def mostow_structure(v: Subalgebra, q=None) -> MostowStructure:
         horocyclic=verdict.horocyclic,
         strict_horocyclic=verdict.strictly_horocyclic,
         fiber_basis=_numpy_basis(fd.hermitian_part),
-        complement_basis=_numpy_basis(fd.nilpotent_complement),
+        complement_basis=_numpy_basis(complement),
         nil_basis=_numpy_basis(v.nr),
         herm_basis=_numpy_basis(herm_part),
         envelope_nil_basis=_numpy_basis(envelope_nil),
         envelope_herm_basis=_numpy_basis(envelope_herm),
         compact_basis=_numpy_basis(amb.k0),
         group_basis=_numpy_basis(amb.space),
+        nil_index=_nilpotency_index(v.nr),
+        complement_index=_nilpotency_index(complement),
+        envelope_nil_index=_nilpotency_index(envelope_nil),
     )
 
 
@@ -480,21 +508,51 @@ def _expm_frechet(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(block)[:n, n:]
 
 
+def _product(*mats: np.ndarray | None) -> np.ndarray | None:
+    """The product from left to right, with ``None`` as the identity (and
+    as the empty product)."""
+    out = None
+    for m in mats:
+        if m is not None:
+            out = m if out is None else out @ m
+    return out
+
+
 class _ChartFactor:
     """A factor ``exp(F)`` of a product chart.  ``F`` ranges over the real
     span of ``basis`` (one coordinate per matrix) or over its complex span
-    (an (re, im) pair per matrix); its coordinates start at ``start``."""
+    (an (re, im) pair per matrix); its coordinates start at ``start``.
+
+    On a nilpotent span of index ``d`` (every product of ``d`` members is
+    zero) exp and its Fréchet derivative are finite sums (Najfeld & Havel,
+    *Adv. Appl. Math.* 16, 1995): ``exp(N) = Σ_{j<d} N^j/j!`` and
+    ``L(N, S) = Σ_{a,b<d} N^a·S·N^b/(a+b+1)!``.  A factor without an index
+    takes both from the block exponential.
+    """
 
     def __init__(
-        self, basis: Sequence[np.ndarray], n: int, is_complex: bool, start: int
+        self,
+        basis: Sequence[np.ndarray],
+        n: int,
+        is_complex: bool,
+        start: int,
+        index: int | None,
     ):
         stack = np.array(basis, dtype=complex).reshape(len(basis), n, n)
         self.basis = stack
         self.is_complex = is_complex
         self.start = start
         self.dim = (2 if is_complex else 1) * len(stack)
+        self.index = index
         self._flat = stack.reshape(len(stack), n * n)
         self._pairing = stack.transpose(0, 2, 1).reshape(len(stack), n * n)
+        if index is not None:
+            self._identity = np.eye(n)
+            self._exp_weights = np.array([1.0 / math.factorial(j) for j in range(index)])
+            # row b, column a: the weight 1/(a+b+1)! of N^a·S·N^b
+            self._frechet_weights = np.array(
+                [[1.0 / math.factorial(a + b + 1) for a in range(index)] for b in range(index)]
+            )
 
     def exponent(self, y: np.ndarray) -> np.ndarray:
         c = y[self.start : self.start + self.dim]
@@ -502,6 +560,34 @@ class _ChartFactor:
             c = c[0::2] + 1j * c[1::2]
         n = self.basis.shape[1]
         return (c @ self._flat).reshape(n, n)
+
+    def exp(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``exp(F)``, with the powers ``F⁰, …, F^{d−1}`` stacked on a
+        nilpotent factor (``None`` otherwise) for ``frechet`` to reuse."""
+        if self.index is None:
+            return scipy.linalg.expm(f), None
+        d, n = self.index, f.shape[0]
+        powers = np.empty((d, n, n), dtype=complex)
+        powers[0] = self._identity
+        for j in range(1, d):
+            powers[j] = powers[j - 1] @ f
+        return (self._exp_weights @ powers.reshape(d, n * n)).reshape(n, n), powers
+
+    def frechet(
+        self, f: np.ndarray, powers: np.ndarray | None, s: np.ndarray
+    ) -> np.ndarray:
+        """``L(F, S)`` for one direction ``S`` or for a stack of them."""
+        if powers is None:
+            if s.ndim == 2:
+                return _expm_frechet(f, s)
+            return np.stack([_expm_frechet(f, b) for b in s])
+        d, n = self.index, f.shape[0]
+        batch = s.shape[:-2]
+        # the a-th n rows of [F⁰; …; F^{d−1}]·S are F^a·S
+        left = np.matmul(powers.reshape(d * n, n), s).reshape(*batch, d, n * n)
+        # R_b = Σ_a F^a·S/(a+b+1)!, then Σ_b R_b·F^b = [R_0 … R_{d−1}]·[F⁰; …; F^{d−1}]
+        mixed = (self._frechet_weights @ left).reshape(*batch, d, n, n)
+        return mixed.swapaxes(-3, -2).reshape(*batch, n, d * n) @ powers.reshape(d * n, n)
 
     def pair(self, l: np.ndarray) -> np.ndarray:
         """``tr(L·B)`` for every basis matrix ``B``."""
@@ -511,38 +597,48 @@ class _ChartFactor:
 class _ProductChart:
     """The chart ``y ↦ w(y) = exp(F₁(y))···exp(F_m(y))``.
 
-    ``factors`` lists ``(basis, is_complex, start)`` in product order; the
-    coordinate blocks may come in another order.  ``evaluate`` returns ``w``
-    with each factor's exponent and exponential, which ``gradient`` and
-    ``tangents`` take to differentiate at the same point.
+    ``factors`` lists ``(basis, is_complex, start, index)`` in product order,
+    with ``index`` the nilpotency index of a nilpotent span and ``None`` for
+    a Hermitian one; the coordinate blocks may come in another order.  A
+    factor with an empty basis is the identity and is left out of every
+    product.  ``evaluate`` returns ``w`` with each factor's exponent,
+    exponential and powers, which ``gradient`` and ``tangents`` take to
+    differentiate at the same point.
     """
 
     def __init__(
-        self, n: int, factors: Sequence[tuple[Sequence[np.ndarray], bool, int]]
+        self,
+        n: int,
+        factors: Sequence[tuple[Sequence[np.ndarray], bool, int, int | None]],
     ):
         self.n = n
-        self.factors = tuple(_ChartFactor(b, n, c, s) for b, c, s in factors)
+        self._declared = tuple(_ChartFactor(b, n, c, s, d) for b, c, s, d in factors)
+        self.factors = tuple(f for f in self._declared if f.dim)
         self.dim = sum(f.dim for f in self.factors)
+
+    def exponent(self, k: int, y: np.ndarray) -> np.ndarray:
+        """The exponent of the ``k``-th declared factor (zero if it is empty)."""
+        return self._declared[k].exponent(y)
 
     def evaluate(self, y: np.ndarray) -> tuple[np.ndarray, list]:
         parts = []
-        w = np.eye(self.n, dtype=complex)
         for factor in self.factors:
             f = factor.exponent(y)
-            e = scipy.linalg.expm(f)
-            parts.append((f, e))
-            w = w @ e
-        return w, parts
+            e, powers = factor.exp(f)
+            parts.append((f, e, powers))
+        w = _product(*(e for _, e, _ in parts))
+        return (np.eye(self.n, dtype=complex) if w is None else w), parts
 
     def _frames(self, parts: list) -> Iterable[tuple]:
-        """Each factor with its part and ``(E₁···E_{j−1}, E_{j+1}···E_m)``."""
-        suffixes = [np.eye(self.n, dtype=complex)]
-        for _, e in reversed(parts[1:]):
-            suffixes.append(e @ suffixes[-1])
-        prefix = np.eye(self.n, dtype=complex)
+        """Each factor with its part and ``(E₁···E_{j−1}, E_{j+1}···E_m)``,
+        where ``None`` stands for an empty product."""
+        suffixes = [None]
+        for _, e, _ in reversed(parts[1:]):
+            suffixes.append(_product(e, suffixes[-1]))
+        prefix = None
         for factor, part, suffix in zip(self.factors, parts, reversed(suffixes)):
             yield factor, part, prefix, suffix
-            prefix = prefix @ part[1]
+            prefix = _product(prefix, part[1])
 
     def gradient(self, parts: list, m: np.ndarray) -> np.ndarray:
         """Gradient of ``y ↦ 2 Re tr(M·w(y))``.
@@ -554,8 +650,9 @@ class _ProductChart:
         imaginary coordinate of a complex pair ``−2 Im tr(L(F_j, S)·B)``.
         """
         grad = np.empty(self.dim)
-        for factor, (f, _), prefix, suffix in self._frames(parts):
-            t = 2.0 * factor.pair(_expm_frechet(f, suffix @ m @ prefix))
+        for factor, (f, _, powers), prefix, suffix in self._frames(parts):
+            s = _product(suffix, m, prefix)
+            t = 2.0 * factor.pair(factor.frechet(f, powers, s))
             block = grad[factor.start : factor.start + factor.dim]
             if factor.is_complex:
                 block[0::2] = t.real
@@ -569,13 +666,14 @@ class _ProductChart:
         ``L(F, ·)`` is complex-linear, so one Fréchet derivative per basis
         matrix gives both coordinates of a complex pair."""
         out = np.empty((self.dim, self.n, self.n), dtype=complex)
-        for factor, (f, _), prefix, suffix in self._frames(parts):
-            step = 2 if factor.is_complex else 1
-            for k, b in enumerate(factor.basis):
-                d = prefix @ _expm_frechet(f, b) @ suffix
-                out[factor.start + step * k] = d
-                if factor.is_complex:
-                    out[factor.start + step * k + 1] = 1j * d
+        for factor, (f, _, powers), prefix, suffix in self._frames(parts):
+            d = _product(prefix, factor.frechet(f, powers, factor.basis), suffix)
+            block = out[factor.start : factor.start + factor.dim]
+            if factor.is_complex:
+                block[0::2] = d
+                block[1::2] = 1j * d
+            else:
+                block[:] = d
         return out
 
 
@@ -606,7 +704,10 @@ def _group_chart(structure: MostowStructure) -> _ProductChart:
     nn = 2 * len(structure.nil_basis)
     return _ProductChart(
         structure.size,
-        [(structure.nil_basis, True, 0), (structure.herm_basis, False, nn)],
+        [
+            (structure.nil_basis, True, 0, structure.nil_index),
+            (structure.herm_basis, False, nn, None),
+        ],
     )
 
 
@@ -615,8 +716,13 @@ def _fiber_chart(structure: MostowStructure) -> _ProductChart:
     return _ProductChart(
         structure.size,
         [
-            (structure.fiber_basis, False, 0),
-            (structure.complement_basis, True, structure.fiber_dim),
+            (structure.fiber_basis, False, 0, None),
+            (
+                structure.complement_basis,
+                True,
+                structure.fiber_dim,
+                structure.complement_index,
+            ),
         ],
     )
 
@@ -630,11 +736,70 @@ def _envelope_chart(structure: MostowStructure) -> _ProductChart:
     return _ProductChart(
         structure.size,
         [
-            (structure.fiber_basis, False, 0),
-            (structure.envelope_nil_basis, True, nf + np_env),
-            (structure.envelope_herm_basis, False, nf),
+            (structure.fiber_basis, False, 0, None),
+            (
+                structure.envelope_nil_basis,
+                True,
+                nf + np_env,
+                structure.envelope_nil_index,
+            ),
+            (structure.envelope_herm_basis, False, nf, None),
         ],
     )
+
+
+def _chart_coordinates(
+    basis: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+    n: int,
+    is_complex: bool,
+) -> np.ndarray:
+    """The real matrix taking the chart coordinates of a member of the span
+    of ``targets`` to those of its least-squares projection onto the span of
+    ``basis``: one coordinate per matrix over the reals, an (re, im) pair per
+    matrix over the complex numbers."""
+    a = np.array(basis, dtype=complex).reshape(len(basis), n * n).T
+    b = np.array(targets, dtype=complex).reshape(len(targets), n * n).T
+    if not is_complex:
+        a = np.concatenate([a.real, a.imag])
+        b = np.concatenate([b.real, b.imag])
+    coeffs = np.linalg.lstsq(a, b, rcond=None)[0]
+    if not is_complex:
+        return coeffs
+    out = np.empty((2 * len(basis), 2 * len(targets)))
+    out[0::2, 0::2] = coeffs.real
+    out[0::2, 1::2] = -coeffs.imag
+    out[1::2, 0::2] = coeffs.imag
+    out[1::2, 1::2] = coeffs.real
+    return out
+
+
+def _stage_b_start(structure: MostowStructure) -> np.ndarray:
+    """The linear map from stage-A coordinates ``(X, P, N)`` to stage-B
+    coordinates ``(X, Z, Y_n, Y_p)``.
+
+    ``N`` lies in nr ⊕ comp (the construction of ``fiber_data``) and splits
+    into ``Z`` in comp and ``Y_n`` in nr; ``P`` is projected onto the span of
+    ``herm_basis``, which ``envelope_herm_basis`` contains.  Where comp is
+    zero the two charts coincide and the map is the identity.
+    """
+    n, nf = structure.size, structure.fiber_dim
+    np_env = len(structure.envelope_herm_basis)
+    nil = _chart_coordinates(
+        structure.complement_basis + structure.nil_basis,
+        structure.envelope_nil_basis,
+        n,
+        True,
+    )
+    herm = _chart_coordinates(
+        structure.herm_basis, structure.envelope_herm_basis, n, False
+    )
+    rows, cols = nf + len(nil) + len(herm), nf + np_env + nil.shape[1]
+    out = np.zeros((rows, cols))
+    out[:nf, :nf] = np.eye(nf)
+    out[nf : nf + len(nil), nf + np_env :] = nil
+    out[nf + len(nil) :, nf : nf + np_env] = herm
+    return out
 
 
 def _stage_b_residual(
@@ -742,7 +907,7 @@ def mostow_decompose(
     fiber = _fiber_chart(structure)
     group = _group_chart(structure)
     stage_b_residual, stage_b_jacobian = _stage_b_residual(a_mat, fiber, group)
-    nf = structure.fiber_dim
+    stage_b_start = _stage_b_start(structure)
     nn_v = 2 * len(structure.nil_basis)
     dim_b = fiber.dim + group.dim
 
@@ -761,18 +926,14 @@ def mostow_decompose(
             jac=True,
             options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
-        x_coords = res_a.x[:nf]
 
         # Second stage refines the foot point together with the remaining
         # factors: the matrix equation pins the whole parameter vector, and
-        # a least-squares solve polishes it to machine precision.
-        yb0 = np.zeros(dim_b)
-        yb0[:nf] = x_coords
-        if restart > 0:
-            yb0[nf:] = 0.3 * rng.standard_normal(dim_b - nf)
+        # a least-squares solve, started from this restart's stage-A
+        # estimate, polishes it to machine precision.
         res_b = scipy.optimize.least_squares(
             stage_b_residual,
-            yb0,
+            stage_b_start @ res_a.x,
             jac=stage_b_jacobian,
             method="lm" if dim_b <= 2 * n * n else "trf",
             xtol=1e-15,
@@ -781,7 +942,8 @@ def mostow_decompose(
             max_nfev=4000,
         )
         y = res_b.x
-        w, ((x_mat, _), (z_mat, _)) = fiber.evaluate(y[: fiber.dim])
+        w, _ = fiber.evaluate(y[: fiber.dim])
+        x_mat, z_mat = fiber.exponent(0, y), fiber.exponent(1, y)
         v, _ = group.evaluate(y[fiber.dim :])
         try:
             u, _ = polar_decompose(zm @ np.linalg.inv(w @ v))

@@ -245,6 +245,12 @@ class TestAnalyze:
         assert code == EXIT_BAD_INPUT
         assert "input" in err or "catalog" in err
 
+    def test_missing_catalog_params_are_named(self, capsys):
+        code, out, err = _run(capsys, "analyze", "--catalog", "grassmann_pair")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: invalid parameters: missing p, q, n, k\n"
+
     @pytest.mark.parametrize(
         "mutation, fragment",
         [

@@ -2,6 +2,7 @@
 two-stage group decomposition, the exhaustion function, and the associated
 inequalities and probes."""
 
+import functools
 import itertools
 import math
 
@@ -12,15 +13,18 @@ import scipy.optimize
 
 from crmostow import catalog
 from crmostow.errors import NonConvergenceError, RestartDisagreementError
+from crmostow.exact import ExactMatrix, Subspace
 from crmostow.symspace import (
     CounterexampleReport,
     JacobiFieldSpec,
     MostowDecomposition,
     SpdPoint,
+    _ChartFactor,
     _check_restart_agreement,
     _envelope_chart,
     _fiber_chart,
     _group_chart,
+    _nilpotency_index,
     _orbit_objective,
     _stage_b_residual,
     commuting_split,
@@ -664,6 +668,120 @@ class TestExactDerivatives:
             y = 0.4 * rng.standard_normal(fiber.dim + group.dim)
             fd = _central_jacobian(residual, y)
             assert np.linalg.norm(jacobian(y) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+MOSTOW_ENTRIES = [
+    name
+    for name in catalog.entry_names()
+    if catalog.build(name, catalog.REFERENCE_PARAMS.get(name)).expected.n_reductive
+]
+
+
+@pytest.fixture(scope="module", params=MOSTOW_ENTRIES)
+def catalog_structure(request):
+    entry = catalog.build(request.param, catalog.REFERENCE_PARAMS.get(request.param))
+    return mostow_structure(entry.subalgebra)
+
+
+def _nilpotent_spans(structure):
+    """``(basis, index)`` of each nonempty nilpotent span of a structure."""
+    spans = [
+        (structure.nil_basis, structure.nil_index),
+        (structure.complement_basis, structure.complement_index),
+        (structure.envelope_nil_basis, structure.envelope_nil_index),
+    ]
+    return [(basis, index) for basis, index in spans if basis]
+
+
+def _relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestNilpotentCharts:
+    """The nilpotent chart factors' finite sums against SciPy, and the
+    exact certificate of the nilpotency index that truncates them."""
+
+    def test_exp_and_frechet_match_scipy(self, catalog_structure):
+        st = catalog_structure
+        rng = np.random.default_rng(61)
+        for basis, index in _nilpotent_spans(st):
+            factor = _ChartFactor(basis, st.size, True, 0, index)
+            for _ in range(3):
+                f = factor.exponent(rng.standard_normal(factor.dim))
+                e, powers = factor.exp(f)
+                assert _relative_error(e, scipy.linalg.expm(f)) <= 1e-13
+                s = _random_traceless(st.size, rng)
+                expected = scipy.linalg.expm_frechet(f, s, compute_expm=False)
+                assert _relative_error(factor.frechet(f, powers, s), expected) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "chart_of", [_envelope_chart, _fiber_chart, _group_chart], ids=["envelope", "fiber", "group"]
+    )
+    def test_tangents_match_scipy(self, catalog_structure, chart_of):
+        # reference: ∂w/∂y = E₁···E_{j−1}·L(F_j, B)·E_{j+1}···E_m from SciPy
+        chart = chart_of(catalog_structure)
+        rng = np.random.default_rng(62)
+        y = 0.5 * rng.standard_normal(chart.dim)
+        _, parts = chart.evaluate(y)
+        tangents = chart.tangents(parts)
+        exps = [scipy.linalg.expm(factor.exponent(y)) for factor in chart.factors]
+        eye = np.eye(chart.n, dtype=complex)
+        for j, factor in enumerate(chart.factors):
+            prefix = functools.reduce(np.matmul, exps[:j], eye)
+            suffix = functools.reduce(np.matmul, exps[j + 1 :], eye)
+            f = factor.exponent(y)
+            step = 2 if factor.is_complex else 1
+            for k, b in enumerate(factor.basis):
+                d = prefix @ scipy.linalg.expm_frechet(f, b, compute_expm=False) @ suffix
+                assert _relative_error(tangents[factor.start + step * k], d) <= 1e-13
+                if factor.is_complex:
+                    assert _relative_error(tangents[factor.start + step * k + 1], 1j * d) <= 1e-13
+
+    def test_index_is_least_vanishing_product_length(self, catalog_structure):
+        for basis, index in _nilpotent_spans(catalog_structure):
+            def largest_product(length):
+                return max(
+                    np.linalg.norm(functools.reduce(np.matmul, word))
+                    for word in itertools.product(basis, repeat=length)
+                )
+            assert largest_product(index) == 0.0
+            assert largest_product(index - 1) > 0.5
+
+    def test_index_of_strictly_upper_triangular_matrices(self):
+        e = ExactMatrix.unit
+        assert _nilpotency_index(Subspace.span([e(3, 0, 1), e(3, 1, 2), e(3, 0, 2)], 3)) == 3
+        assert _nilpotency_index(Subspace.span([e(3, 0, 2)], 3)) == 2
+        assert _nilpotency_index(Subspace.zero(3)) == 1
+
+    def test_certificate_rejects_a_span_that_is_not_nilpotent(self):
+        # each basis matrix is nilpotent, but E01·E10 = E00 is not
+        e = ExactMatrix.unit
+        with pytest.raises(ArithmeticError, match="not nilpotent"):
+            _nilpotency_index(Subspace.span([e(3, 0, 1), e(3, 1, 0)], 3))
+
+
+class TestStageBStart:
+    """Stage B starts from its restart's whole stage-A estimate, so the
+    least-squares solve only polishes it.  Started from Z = 0 and v = I (and
+    a random v on later restarts), solves on these inputs took up to
+    ``max_nfev`` = 4000 residual evaluations."""
+
+    def test_stage_b_solves_are_short(self, catalog_structure, monkeypatch):
+        evaluations = []
+        least_squares = scipy.optimize.least_squares
+
+        def counted(*args, **kwargs):
+            result = least_squares(*args, **kwargs)
+            evaluations.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        for seed in range(20, 40):
+            rng = np.random.default_rng(seed)
+            zeta, _ = _synthesize(catalog_structure, rng, scale=0.6, with_complement=True)
+            mostow_decompose(zeta, catalog_structure, max_restarts=2, seed=seed)
+        assert len(evaluations) == 40
+        assert max(evaluations) <= 20
 
 
 class TestDeterminism:
