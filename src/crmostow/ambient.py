@@ -38,7 +38,8 @@ class AmbientAlgebra:
             block_of.extend([idx] * b)
         self._block_of = tuple(block_of)
         self._subalgebras: dict[Subspace, object] = {}
-        self._eigenvalues: dict[ExactMatrix, list] = {}  # see structure._eigenvalues
+        # (roots in Q(i), charpoly) per matrix, kept by structure._eigenvalues
+        self._eigenvalues: dict[ExactMatrix, tuple] = {}
         self._space: Subspace | None = None
         self._k0: Subspace | None = None
         self._p0: Subspace | None = None

@@ -28,7 +28,7 @@ class ClosureError(CrmostowError):
 
 
 class IrrationalWeightsError(CrmostowError):
-    """Triangularization required an eigenvalue outside the Gaussian rationals."""
+    """An element of a radical has an eigenvalue outside the Gaussian rationals."""
 
 
 class NonConvergenceError(CrmostowError):

@@ -178,7 +178,7 @@ def _action_eigenvalue_candidates(ambient: AmbientAlgebra, z: ExactMatrix) -> li
     These contain every eigenvalue of ad(z) on the ambient algebra whenever
     the natural action of ``z`` splits over the rationals.
     """
-    spectrum = _eigenvalues(ambient, z)
+    spectrum, _ = _eigenvalues(ambient, z)
     diffs = {QI_ZERO}
     for a in spectrum:
         for b in spectrum:

@@ -1,9 +1,10 @@
 """Structure theory of matrix Lie subalgebras of the ambient algebra.
 
 Everything here is exact: radicals come from trace-form orthogonality,
-nilpotent radicals from simultaneous triangularization over the Gaussian
-rationals (failing loudly when an eigenvalue leaves Q(i)), and reductive
-decompositions are verified dimension identities, never numerics.
+nilpotent radicals from the trace form of the associative algebra the
+radical generates (failing loudly when an eigenvalue of the radical leaves
+Q(i)), and reductive decompositions are verified dimension identities,
+never numerics.
 """
 
 from __future__ import annotations
@@ -17,20 +18,16 @@ from .errors import ClosureError, IrrationalWeightsError
 from .exact import (
     QI,
     ExactMatrix,
-    SparseRow,
     Subspace,
-    VectorSpan,
     bracket,
     bracket_space,
     charpoly,
     semisimple_part,
+    squarefree_part,
     subspace_intersect,
     _columns_to_rows,
     _common_row,
     _kernel_mats,
-    _kernel_num,
-    _lincomb,
-    _matrix_from_columns,
     _poly_derivative,
     _rref_num,
     _squarefree_num,
@@ -233,16 +230,31 @@ class Subalgebra:
             )
 
     def _compute_nr(self) -> Subspace:
+        """nr = rad ∩ J(A), for A the unital associative algebra that rad
+        generates and J(A) = {a in A : tr(a b) = 0 for all b in A} its
+        radical (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).
+
+        rad is solvable, so A is triangular in some flag over C, and an
+        element of rad is nilpotent exactly when it lies in J(A), whatever
+        the weights; irrational weights are an error all the same.
+        """
         rad = self.radical
         if rad.dim == 0:
             return self.ambient.zero_space()
-        weights = _triangular_weights(self.ambient, rad)
-        mats = _kernel_mats(rad.basis(), weights)
-        out = Subspace.span(mats, self.ambient.n)
+        mats = rad.basis()
+        for x in mats:
+            roots, poly = _eigenvalues(self.ambient, x)
+            if len(roots) < len(squarefree_part(poly)) - 1:
+                raise IrrationalWeightsError("irrational weights")
+        alg = _unital_closure(rad)
+        rows = [
+            _common_row([_trace_form(x, b) for x in mats])[1] for b in alg.basis()
+        ]
+        out = Subspace.span(_kernel_mats(mats, rows), self.ambient.n)
         # post-verification: nilpotent basis, ideal, contains rad ∩ derived
         for x in out.basis():
             if not x.is_nilpotent():
-                raise ArithmeticError("triangularization produced a non-nilpotent")
+                raise ArithmeticError("trace criterion produced a non-nilpotent")
         if out.dim and not out.contains_space(bracket_space(self.space, out)):
             raise ArithmeticError("nilpotent radical is not an ideal")
         radn = subspace_intersect(rad, self.derived)
@@ -344,6 +356,22 @@ def _bracket_closure(space: Subspace) -> Subspace:
         space = nxt
 
 
+def _unital_closure(rad: Subspace) -> Subspace:
+    """The unital associative algebra generated by ``rad``: span{I} + rad
+    closed under left multiplication by rad.  Each round multiplies only the
+    canonical rows new to the span, those at pivots it did not have."""
+    n = rad.side
+    mats = rad.basis()
+    alg = Subspace.span([ExactMatrix.identity(n)], n).sum(rad)
+    frontier = mats
+    while frontier:
+        grown = alg.sum(Subspace.span([x @ y for x in mats for y in frontier], n))
+        old = set(alg.pivots)
+        frontier = [m for m, p in zip(grown.basis(), grown.pivots) if p not in old]
+        alg = grown
+    return alg
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -376,7 +404,7 @@ def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Triangularization machinery (weights of a solvable algebra)
+# Eigenvalues in Q(i)
 # ---------------------------------------------------------------------------
 
 
@@ -487,184 +515,12 @@ def rational_roots(poly) -> list[QI]:
     return [QI(Fraction(a, den), Fraction(b, den)) for a, b in roots]
 
 
-def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> list[QI]:
-    """``rational_roots(charpoly(z))``, memoized on the ambient: the weight
-    searches meet the same matrices again and again within one analysis."""
-    roots = ambient._eigenvalues.get(z)
-    if roots is None:
-        roots = ambient._eigenvalues[z] = rational_roots(charpoly(z))
-    return roots
-
-
-def _structure_table(mats: list[ExactMatrix], space: Subspace):
-    """T[a][b] = coordinates of [m_a, m_b] in the canonical basis of space.
-
-    Each entry lists the nonzero coordinates as ``(index, re, im)``
-    numerators over one denominator shared by the whole table; the table
-    only feeds spans of brackets, which that common scale does not change.
-    """
-    k = len(mats)
-    coords = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            br = bracket(mats[a], mats[b])
-            coords[(a, b)] = space._coordinate_num(
-                br._den, space._coords_of(br), "matrix is not a member of the subspace"
-            )
-    den = lcm(*(d for d, _ in coords.values()))
-    table = [[()] * k for _ in range(k)]
-    for (a, b), (d, num) in coords.items():
-        f = den // d
-        terms = [(c, x * f, y * f) for c, (x, y) in num.items()]
-        table[a][b] = tuple(terms)
-        table[b][a] = tuple((c, -x, -y) for c, x, y in terms)
-    return table
-
-
-def _abstract_bracket(x, y, table) -> dict:
-    """Numerators of the bracket of two coefficient rows, up to a common scale."""
-    acc: dict[int, list] = {}
-    for a, (xa, xb) in x.items():
-        for b, (ya, yb) in y.items():
-            sr, si = xa * ya - xb * yb, xa * yb + xb * ya
-            for c, tr, ti in table[a][b]:
-                v = acc.setdefault(c, [0, 0])
-                v[0] += sr * tr - si * ti
-                v[1] += sr * ti + si * tr
-    return {c: (re, im) for c, (re, im) in acc.items() if re or im}
-
-
-def _restricted_matrix(big: ExactMatrix, basis_span: VectorSpan) -> ExactMatrix:
-    """Matrix of a linear map restricted to an invariant VectorSpan."""
-    return _matrix_from_columns(
-        [
-            basis_span._coordinate_num(
-                *big._apply(row[p][0], row), "vector is not a member of the span"
-            )
-            for row, p in zip(basis_span._irows, basis_span.pivots)
-        ]
-    )
-
-
-def _span_rows(span: VectorSpan) -> list[tuple[int, tuple]]:
-    """The canonical basis rows of a span as exact ``(den, numerators)``."""
-    return [(row[p][0], row) for row, p in zip(span._irows, span.pivots)]
-
-
-def _joint_weight_space(ambient, alg_rows, act, w_span, table, k):
-    """Full joint eigenspace of a solvable algebra inside an invariant span.
-
-    ``alg_rows``: exact ``(den, numerators)`` coefficient vectors (over the
-    ambient solvable algebra's basis) spanning the current subalgebra;
-    ``act``: coefficient vector → action matrix on the current quotient
-    coordinates; ``w_span``: a span invariant under the whole algebra.
-    Returns (subspan, pairs) where pairs lists (coefficient vector,
-    eigenvalue) for a basis of the subalgebra.
-    """
-    if not alg_rows:
-        return w_span, []
-    dim_a = len(alg_rows)
-    der_rows = []
-    for i in range(dim_a):
-        for j in range(i + 1, dim_a):
-            der_rows.append(
-                _abstract_bracket(alg_rows[i][1], alg_rows[j][1], table)
-            )
-    h_span = VectorSpan._of(k, *_rref_num(der_rows))
-    if h_span.dim >= dim_a:
-        raise ArithmeticError("weight search requires a solvable algebra")
-    target = dim_a - 1
-    for _, r in alg_rows:
-        if h_span.dim == target:
-            break
-        if not h_span._has(r):
-            h_span = VectorSpan._of(k, *_rref_num(h_span._irows + (r,)))
-    z_row = next(r for r in alg_rows if not h_span._has(r[1]))
-    w_h, pairs = _joint_weight_space(ambient, _span_rows(h_span), act, w_span, table, k)
-    z_big = act(z_row)
-    z_small = _restricted_matrix(z_big, w_h)
-    roots = _eigenvalues(ambient, z_small)
-    if not roots:
-        raise IrrationalWeightsError("irrational weights")
-    mu = roots[0]
-    d = z_small.rows
-    shifted = z_small - ExactMatrix.identity(d).scale(mu)
-    _, kernel = _kernel_num(shifted._row_nums(), d)
-    # the kernel vectors are coordinates over w_h's basis, taken as 1-row matrices
-    basis = [ExactMatrix._make(1, w_h.width, den, row) for den, row in _span_rows(w_h)]
-    lifted = [_lincomb(basis, 1, kv)._terms for kv in kernel]
-    w_star = VectorSpan._of(w_h.width, *_rref_num(lifted))
-    return w_star, pairs + [(z_row, mu)]
-
-
-def _weight_functional(pairs, k: int) -> SparseRow:
-    """The functional on the canonical basis taking each eigenvalue ``mu``
-    on its coefficient vector ``z``, for the pairs ``((den, z), mu)``, as a
-    Gaussian-integer row up to a nonzero scale.
-
-    The vectors form a basis, so this is the unique solution of the linear
-    system ``z . lambda = mu``; the one-dimensional kernel of the augmented
-    integer system ``[den_mu * z | -den * mu_num]`` holds ``(t lambda, t)``.
-    """
-    system = []
-    for (den, row), mu in pairs:
-        mden, ((ma, mb),) = _to_num([mu])
-        eq = {c: (a * mden, b * mden) for c, (a, b) in row.items()}
-        if ma or mb:
-            eq[k] = (-ma * den, -mb * den)
-        system.append(eq)
-    _, kernel = _kernel_num(system, k + 1)
-    if len(kernel) != 1 or k not in kernel[0]:
-        raise ValueError("matrix is singular")
-    return {c: pair for c, pair in kernel[0].items() if c < k}
-
-
-def _triangular_weights(ambient: AmbientAlgebra, rad: Subspace) -> list[SparseRow]:
-    """Weights of a simultaneous triangularization of a solvable algebra.
-
-    Returns one functional per flag chunk, as a coefficient row over the
-    canonical basis of ``rad``; an element is nilpotent iff every functional
-    vanishes on it.
-    """
-    mats = rad.basis()
-    k, n = len(mats), ambient.n
-    table = _structure_table(mats, rad)
-    identity_rows = [(1, {a: (1, 0)}) for a in range(k)]
-    columns = [r.transpose()._row_nums() for r in mats]
-    accumulated = VectorSpan._of(n, (), ())
-    weights = []
-    while accumulated.dim < n:
-        comp = [c for c in range(n) if c not in accumulated._where]
-        slot = {c: i for i, c in enumerate(comp)}
-        m = len(comp)
-
-        # the action of each basis element on C^n / accumulated, in the
-        # coordinates ``comp`` (a residue vanishes at the pivots)
-        action_mats = []
-        for r, r_cols in zip(mats, columns):
-            cols = []
-            for c in comp:
-                den, res = accumulated._residue(r._den, r_cols[c])
-                cols.append((den, {slot[p]: pair for p, pair in res.items()}))
-            action_mats.append(_matrix_from_columns(cols))
-
-        def act(coeff_row):
-            if not action_mats:
-                return ExactMatrix.zeros(m)
-            return _lincomb(action_mats, *coeff_row)
-
-        full_span = VectorSpan._of(m, range(m), [{i: (1, 0)} for i in range(m)])
-        w_star, pairs = _joint_weight_space(
-            ambient, identity_rows, act, full_span, table, k
-        )
-        if w_star.dim == 0:
-            raise ArithmeticError("weight search lost the eigenspace")
-        weights.append(_weight_functional(pairs, k))
-        lifted = tuple(
-            {comp[i]: pair for i, pair in row.items()} for row in w_star._irows
-        )
-        before = accumulated.dim
-        accumulated = VectorSpan._of(n, *_rref_num(accumulated._irows + lifted))
-        if accumulated.dim != before + w_star.dim:
-            raise ArithmeticError("flag chunks failed to stay independent")
-    return weights
+def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> tuple[list[QI], list[QI]]:
+    """``(rational_roots(charpoly(z)), charpoly(z))``, memoized on the
+    ambient: nr's rationality check and the regularization meet the same
+    matrices again and again within one analysis."""
+    entry = ambient._eigenvalues.get(z)
+    if entry is None:
+        poly = charpoly(z)
+        entry = ambient._eigenvalues[z] = (rational_roots(poly), poly)
+    return entry

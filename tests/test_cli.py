@@ -220,10 +220,12 @@ class TestAnalyze:
             "from crmostow import cli\n"
             "sys.exit(cli.main(['analyze', sys.argv[1]]))\n"
         )
-        proc = _python("-c", script, str(path))
-        assert proc.returncode == EXIT_IRRATIONAL, proc.stderr
-        assert proc.stdout == ""
-        assert "irrational" in proc.stderr
+        # the check raises, it does not assert: -O leaves it in place
+        for flags in ((), ("-O",)):
+            proc = _python(*flags, "-c", script, str(path))
+            assert proc.returncode == EXIT_IRRATIONAL, (flags, proc.stderr)
+            assert proc.stdout == ""
+            assert "irrational" in proc.stderr
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = _run_json(capsys, "catalog", "export", "su22_f12")

@@ -15,7 +15,7 @@ from functools import cache
 from hypothesis import given, settings, strategies as st
 
 from crmostow import catalog, cli
-from crmostow.exact import QI, ExactMatrix
+from crmostow.exact import QI, ExactMatrix, Subspace
 from crmostow.structure import make_subalgebra
 
 SPECS = tuple(
@@ -61,6 +61,13 @@ def _conjugated(index: int, g: ExactMatrix):
     g_inv = g.star()
     assert g @ g_inv == ExactMatrix.identity(g.rows)
     return make_subalgebra(entry.ambient, [g @ b @ g_inv for b in entry.subalgebra.basis()])
+
+
+def _moved_nr(index: int, g: ExactMatrix) -> Subspace:
+    """g nr(v) g* for the unconjugated spec ``index``, as an exact subspace."""
+    name, params = SPECS[index]
+    nr = catalog.build(name, params).subalgebra.nr
+    return Subspace.span([g @ b @ g.star() for b in nr.basis()], g.rows)
 
 
 def _blocks(index: int) -> tuple[int, ...]:
@@ -116,14 +123,18 @@ def _cayley(draw):
 @given(_monomial())
 def test_monomial_conjugation_keeps_invariants(case):
     index, g = case
-    assert _invariants(_conjugated(index, g), witt=True) == _reference(index, True)
+    v = _conjugated(index, g)
+    assert _invariants(v, witt=True) == _reference(index, True)
+    assert v.nr == _moved_nr(index, g)
 
 
 @settings(max_examples=6, deadline=None)
 @given(_cayley())
 def test_cayley_conjugation_keeps_invariants(case):
     index, g = case
-    assert _invariants(_conjugated(index, g), witt=False) == _reference(index, False)
+    v = _conjugated(index, g)
+    assert _invariants(v, witt=False) == _reference(index, False)
+    assert v.nr == _moved_nr(index, g)
 
 
 def test_cayley_conjugation_needs_no_factorization(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from crmostow.ambient import block_special_linear, special_linear
-from crmostow.errors import ClosureError
+from crmostow.errors import ClosureError, IrrationalWeightsError
 from crmostow.exact import (
     QI,
     ExactMatrix,
@@ -217,6 +217,18 @@ def test_nr_complex_weights():
     a = special_linear(2)
     v = make_subalgebra(a, [_diag(QI(0, 1), QI(0, -1))])
     assert v.nr.dim == 0
+    # the same torus with a root vector: Gaussian weights, nr nonzero
+    v = make_subalgebra(a, [_diag(QI(0, 1), QI(0, -1)), _E(2, 0, 1)])
+    assert v.nr == echelonize([_E(2, 0, 1)])
+
+
+def test_nr_irrational_weights():
+    # the basis of the CLI's irrational spec: [[0, 1], [2, 0]] has
+    # eigenvalues ±sqrt(2), so rad's weights leave Q(i)
+    a = special_linear(3)
+    v = make_subalgebra(a, [_E(3, 0, 1) + _E(3, 1, 0).scale(2), _E(3, 0, 2), _E(3, 1, 2)])
+    with pytest.raises(IrrationalWeightsError):
+        v.nr
 
 
 def test_nr_brute_force_cross_check():
