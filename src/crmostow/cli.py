@@ -632,8 +632,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     _add_zeta_options(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--max-restarts",
+        type=int,
+        default=8,
+        help="optimizer restarts; no effect where the decomposition has a "
+        "closed form (strictly horocyclic structures), whose restarts_agree "
+        "is always true",
+    )
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of --random and of the optimizer restarts; the closed "
+        "form uses no seed",
+    )
     p.add_argument(
         "--allow-nonunique",
         action="store_true",
@@ -645,8 +658,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exhaust", help="evaluate the exhaustion function")
     _add_input_options(p)
     _add_zeta_options(p)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=4,
+        help="minimization restarts; no effect where the exhaustion has a "
+        "closed form (strictly horocyclic structures)",
+    )
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of --random and of the minimization restarts; the closed "
+        "form uses no seed",
+    )
     p.add_argument(
         "--cross-check",
         action="store_true",

@@ -106,7 +106,9 @@ class HorocyclicVerdict:
     with its conjugate; ``nilpotent_part`` is its nilpotent radical.
     ``horocyclic`` tests that nilpotent part, ``strictly_horocyclic`` tests
     the nilpotent radical of the input itself.  ``witness`` is the parabolic
-    whose nilradical realizes ``nilpotent_part`` when ``horocyclic`` holds.
+    whose nilradical realizes ``nilpotent_part`` when ``horocyclic`` holds,
+    and ``strict_witness`` the one whose nilradical is the input's nilpotent
+    radical when ``strictly_horocyclic`` holds.
     """
 
     intermediate: Subalgebra
@@ -114,6 +116,7 @@ class HorocyclicVerdict:
     horocyclic: bool
     strictly_horocyclic: bool
     witness: ParabolicSubalgebra | None
+    strict_witness: ParabolicSubalgebra | None
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +605,8 @@ def horocyclic_verdict(v: Subalgebra) -> HorocyclicVerdict:
     w = largest_intermediate(v)
     w_nil = w.nr
     ok, witness = is_horocyclic(v.ambient, w_nil)
-    strict, _ = is_horocyclic(v.ambient, v.nr)
-    return HorocyclicVerdict(w, w_nil, ok, strict, witness)
+    strict, strict_witness = is_horocyclic(v.ambient, v.nr)
+    return HorocyclicVerdict(w, w_nil, ok, strict, witness, strict_witness)
 
 
 def strengthen(v: Subalgebra, p: ParabolicSubalgebra) -> Subalgebra:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,8 +29,18 @@ import scipy.linalg
 from .ambient import AmbientAlgebra
 from .crinv import FiberData, fiber_data
 from .errors import NonConvergenceError, RestartDisagreementError
-from .exact import Subspace, subspace_intersect, subspace_sum
-from .parabolic import horocyclic_verdict
+from .exact import (
+    QI,
+    QI_I,
+    QI_ONE,
+    QI_ZERO,
+    ExactMatrix,
+    Subspace,
+    solve_kernel,
+    subspace_intersect,
+    subspace_sum,
+)
+from .parabolic import HorocyclicVerdict, horocyclic_verdict
 from .structure import Subalgebra
 
 __all__ = [
@@ -39,6 +50,7 @@ __all__ = [
     "CROSS_CHECK_TOL",
     "SpdPoint",
     "JacobiFieldSpec",
+    "LeviFrame",
     "MostowStructure",
     "MostowDecomposition",
     "CounterexampleReport",
@@ -361,6 +373,24 @@ def geodesic_variation_spec(h: np.ndarray, x: np.ndarray) -> JacobiFieldSpec:
 
 
 @dataclass(frozen=True)
+class LeviFrame:
+    """Float data of the closed-form decomposition on a strictly horocyclic
+    structure, certified by ``mostow_structure``.
+
+    In the unitary ``frame`` (``None`` for the identity) the flag that the
+    parabolic q = l ⋉ u with u = nr fixes is a coordinate flag, so u is block
+    strictly upper triangular and l block diagonal.  ``blocks`` lists the
+    Levi blocks as ``(size, split)``: the fiber part of the block is nothing
+    (``split == 0``), its whole Hermitian part (``split == size``), or the
+    off-diagonal Hermitian part of the two-way split after ``split``
+    coordinates; the Hermitian factor spans the rest of l's Hermitian part.
+    """
+
+    frame: np.ndarray | None
+    blocks: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
 class MostowStructure:
     """Float bases of all the subspaces the decomposition optimizers need.
 
@@ -373,6 +403,11 @@ class MostowStructure:
     ``nil_index``, ``complement_index`` and ``envelope_nil_index`` are the
     nilpotency indices of the three nilpotent spans, certified over ℚ(i) by
     ``mostow_structure``: every product of that many members is zero.
+
+    ``levi_frame`` is set when ``mostow_structure`` has certified that the
+    decomposition, the exhaustion and the Levi probes have a closed form
+    (see ``LeviFrame``), and ``None`` otherwise; the optimizers serve every
+    structure without it.
     """
 
     size: int
@@ -390,6 +425,7 @@ class MostowStructure:
     nil_index: int
     complement_index: int
     envelope_nil_index: int
+    levi_frame: LeviFrame | None
 
     @property
     def fiber_dim(self) -> int:
@@ -421,9 +457,194 @@ def _nilpotency_index(space: Subspace) -> int:
     return d
 
 
+# --------------------------------------------------------------------------
+# exact certificate of the closed form
+# --------------------------------------------------------------------------
+
+
+def _inner(u: Sequence[QI], w: Sequence[QI]) -> QI:
+    return sum((a.conj() * b for a, b in zip(u, w)), QI_ZERO)
+
+
+def _orthogonalize(vectors: Iterable[Sequence[QI]], kept: list) -> list:
+    """Gram–Schmidt over ℚ(i) without normalization: each vector minus its
+    projections onto ``kept`` and onto the new vectors before it; zero
+    remainders are dropped.  Returns the new vectors."""
+    new: list = []
+    for vec in vectors:
+        vec = list(vec)
+        for u in kept + new:
+            c = _inner(u, vec) / _inner(u, u)
+            if c:
+                vec = [x - c * y for x, y in zip(vec, u)]
+        if any(vec):
+            new.append(vec)
+    return new
+
+
+def _outer(u: Sequence[QI], w: Sequence[QI]) -> ExactMatrix:
+    return ExactMatrix([[a * b.conj() for b in w] for a in u])
+
+
+def _projector(basis: list) -> ExactMatrix:
+    """The orthogonal projector onto the span of an orthogonal basis."""
+    n = len(basis[0])
+    out = ExactMatrix.zeros(n)
+    for u in basis:
+        out = out + _outer(u, u).scale(QI_ONE / _inner(u, u))
+    return out
+
+
+def _hermitian_mats(left: list, right: list | None = None) -> list[ExactMatrix]:
+    """A real spanning set of the Hermitian matrices on the span of the
+    orthogonal basis ``left``, or, given ``right``, of the Hermitian matrices
+    exchanging the spans of ``left`` and ``right``."""
+    pairs = (
+        [(u, w) for i, u in enumerate(left) for w in left[i:]]
+        if right is None
+        else [(u, w) for u in left for w in right]
+    )
+    mats = []
+    for u, w in pairs:
+        if u is w:
+            mats.append(_outer(u, u))
+            continue
+        uw, wu = _outer(u, w), _outer(w, u)
+        mats += [uw + wu, (uw - wu).scale(QI_I)]
+    return mats
+
+
+def _rational_sqrt(c: QI) -> QI | None:
+    """The positive square root of a positive rational, if it is rational."""
+    if c.im or c.re <= 0:
+        return None
+    num, den = c.re.numerator, c.re.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    return QI(Fraction(rn, rd)) if rn * rn == num and rd * rd == den else None
+
+
+def _split_of_block(
+    basis: list, projector: ExactMatrix, fiber: list, herm: list
+) -> tuple[list, list] | None:
+    """The two-way split ``W = W₁ ⊕ W₂`` of a Levi block whose fiber part is
+    its off-diagonal Hermitian part: ``J = P_{W₁} − P_{W₂}`` is the Hermitian
+    matrix on ``W`` that anticommutes with the fiber part and commutes with
+    the Hermitian factor's part, unique up to scale.  Returns orthogonal bases
+    of ``W₁`` and ``W₂``, or ``None`` when ``J`` is not unique up to scale
+    or not a rational multiple of an involution."""
+    candidates = _hermitian_mats(basis)
+    columns = []
+    for b in candidates:
+        col: list[QI] = []
+        for x in fiber:
+            col += (b @ x + x @ b).flatten_real()
+        for h in herm:
+            col += (b @ h - h @ b).flatten_real()
+        columns.append(col)
+    kernel = solve_kernel(list(zip(*columns)), len(candidates))
+    if len(kernel) != 1:
+        return None
+    j0 = ExactMatrix.zeros(projector.rows)
+    for c, b in zip(kernel[0], candidates):
+        if c:
+            j0 = j0 + b.scale(c)
+    square = j0 @ j0
+    root = _rational_sqrt(square.trace() / QI(len(basis)))
+    if root is None or square != projector.scale(root * root):
+        return None
+    two = QI(2)
+    halves = []
+    for sign in (QI_ONE, -QI_ONE):
+        e = (projector.scale(root) + j0.scale(sign)).scale(QI_ONE / (two * root))
+        halves.append(_orthogonalize(zip(*e.entries), []))
+    if not all(halves):
+        return None
+    # the half holding the earlier coordinate comes first, so that a
+    # coordinate split keeps the identity frame
+    lead = [min(i for u in half for i, x in enumerate(u) if x) for half in halves]
+    return (halves[0], halves[1]) if lead[0] <= lead[1] else (halves[1], halves[0])
+
+
+def _levi_frame(
+    verdict: HorocyclicVerdict, fiber: Subspace, herm: Subspace, complement: Subspace
+) -> LeviFrame | None:
+    """Certify over ℚ(i) that the closed form applies, and assemble its data.
+
+    The conditions: ``v`` is strictly horocyclic and the nilpotent fiber
+    factor is zero; the blocks ``W_k`` are the orthogonal steps of the flag
+    that the witness parabolic fixes, and the Hermitian part of its Levi
+    factor is the traceless part of ``⊕ Herm(W_k)``; in each block the
+    fiber's part is nothing, all of ``Herm(W_k)``, or the off-diagonal part
+    of a split ``W_k = W_k1 ⊕ W_k2``; and the fiber and the Hermitian factor
+    are exactly the traceless parts of the sums of their block parts.
+    """
+    if not verdict.strictly_horocyclic or complement.dim:
+        return None
+    witness = verdict.strict_witness
+    amb = witness.ambient
+    n = amb.n
+    levi_herm = subspace_intersect(witness.levi.realify(), amb.p0)
+    fiber_mats, herm_mats = fiber.basis(), herm.basis()
+
+    kept: list = []
+    blocks: list[tuple[int, int]] = []
+    frame_vectors: list = []
+    fiber_parts: list[ExactMatrix] = []
+    herm_parts: list[ExactMatrix] = []
+    every_part: list[ExactMatrix] = []
+    for step in witness.invariant_flag:
+        basis = _orthogonalize(step.rows, kept)
+        kept += basis
+        proj = _projector(basis)
+        whole = _hermitian_mats(basis)
+        every_part += whole
+        block_fiber = [proj @ x @ proj for x in fiber_mats]
+        if all(x.is_zero for x in block_fiber):
+            blocks.append((len(basis), 0))
+            frame_vectors += basis
+            herm_parts += whole
+            continue
+        block_fiber_space = Subspace.span(block_fiber, n, real=True)
+        if block_fiber_space == Subspace.span(whole, n, real=True):
+            blocks.append((len(basis), len(basis)))
+            frame_vectors += basis
+            fiber_parts += whole
+            continue
+        split = _split_of_block(
+            basis,
+            proj,
+            block_fiber_space.basis(),
+            [proj @ h @ proj for h in herm_mats],
+        )
+        if split is None:
+            return None
+        first, second = split
+        blocks.append((len(basis), len(first)))
+        frame_vectors += first + second
+        fiber_parts += _hermitian_mats(first, second)
+        herm_parts += _hermitian_mats(first) + _hermitian_mats(second)
+
+    def traceless(mats: list[ExactMatrix]) -> Subspace:
+        return subspace_intersect(Subspace.span(mats, n, real=True), amb.p0)
+
+    if (
+        traceless(every_part) != levi_herm
+        or traceless(fiber_parts) != fiber
+        or traceless(herm_parts) != herm
+        or fiber.dim + herm.dim != levi_herm.dim
+    ):
+        return None
+
+    columns = [[complex(x.re, x.im) for x in u] for u in frame_vectors]
+    frame = np.array(columns).T
+    frame /= np.linalg.norm(frame, axis=0)
+    return LeviFrame(None if np.array_equal(frame, np.eye(n)) else frame, tuple(blocks))
+
+
 def mostow_structure(v: Subalgebra, q=None) -> MostowStructure:
     """Assemble the numeric structure bundle for a subalgebra (and optional
-    envelope choice)."""
+    envelope choice), with the certified data of the closed form where it
+    applies (see ``LeviFrame``)."""
     fd: FiberData = fiber_data(v) if q is None else fiber_data(v, q)
     verdict = horocyclic_verdict(v)
     amb: AmbientAlgebra = v.ambient
@@ -450,6 +671,7 @@ def mostow_structure(v: Subalgebra, q=None) -> MostowStructure:
         nil_index=_nilpotency_index(v.nr),
         complement_index=_nilpotency_index(complement),
         envelope_nil_index=_nilpotency_index(envelope_nil),
+        levi_frame=_levi_frame(verdict, fd.hermitian_part, herm_part, complement),
     )
 
 
@@ -879,18 +1101,25 @@ def mostow_decompose(
 ) -> MostowDecomposition:
     """Decompose a group element as ``u · exp(X) · exp(Z) · v``.
 
-    Stage one drives the squared distance between ``ζ*ζ`` and
+    On a structure with a ``levi_frame`` the decomposition is closed-form:
+    the block LDL* of ``ζ*ζ`` along the flag, the principal angles of the
+    split Levi block, a polar factor for ``P`` and a finite log series for
+    ``N`` (``_levi_decompose``).  No optimizer runs, ``restarts_agree`` is
+    true, and ``max_restarts``, ``seed`` and ``agree_tol`` have no effect.
+
+    Otherwise stage one drives the squared distance between ``ζ*ζ`` and
     ``η*·exp(2X)·η`` to zero over the enlarged chart ``η``; stage two solves
     ``exp(Z*)·exp(2X)·exp(Z) = (v*)⁻¹·ζ*ζ·v⁻¹`` for ``Z`` and the group
     factor.  Deterministic multi-start; restarts are compared through the
     fiber norm ``‖X‖``.
 
-    ``require_unique`` controls whether disagreeing restarts raise (the
-    decomposition is provably unique in the strictly-horocyclic case, so
-    that is the default) or are merely reported via ``restarts_agree``.
+    Either way the result carries the residual ``‖ζ − u·exp(X)·exp(Z)·v‖``,
+    and ``NonConvergenceError`` is raised when it exceeds ``tol`` times the
+    scale of ``ζ``.  ``require_unique`` controls whether disagreeing restarts
+    raise (the decomposition is provably unique in the strictly-horocyclic
+    case, so that is the default) or are merely reported via
+    ``restarts_agree``.
     """
-    import scipy.optimize
-
     if max_restarts < 1:
         raise ValueError(f"max_restarts must be at least 1, got {max_restarts}")
     if not (math.isfinite(tol) and tol > 0):
@@ -899,6 +1128,10 @@ def mostow_decompose(
         require_unique = structure.strict_horocyclic
     zm = _as_matrix(zeta)
     _check_group_membership(zm, structure)
+    if structure.levi_frame is not None:
+        return _closed_form_decompose(zm, structure, tol)
+    import scipy.optimize
+
     n = structure.size
     a_mat = zm.conj().T @ zm
 
@@ -975,6 +1208,175 @@ def mostow_decompose(
 
 
 # --------------------------------------------------------------------------
+# closed form on strictly horocyclic structures
+# --------------------------------------------------------------------------
+
+
+def _hermitian_function(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``f(H)`` for Hermitian ``H`` through its eigendecomposition."""
+    w, q = np.linalg.eigh(h)
+    return (q * f(w)) @ q.conj().T
+
+
+def _unipotent_log(umat: np.ndarray, index: int) -> np.ndarray:
+    """``log(U) = Σ_{1≤j<d} (−1)^{j+1} (U − I)^j/j`` when every product of
+    ``d`` factors ``U − I`` vanishes."""
+    step = umat - np.eye(len(umat))
+    out = np.zeros_like(step)
+    power = np.eye(len(umat), dtype=complex)
+    for j in range(1, index):
+        power = power @ step
+        out = out + ((-1) ** (j + 1) / j) * power
+    return out
+
+
+def _expm_taylor(m: np.ndarray) -> np.ndarray:
+    """``exp(M)`` of a general matrix: a Taylor series after scaling ``M`` to
+    1-norm at most 1/2, then as many squarings."""
+    norm = float(np.linalg.norm(m, 1))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    a = m / 2.0**squarings
+    out = term = np.eye(len(m), dtype=complex)
+    for j in range(1, 30):
+        term = term @ a / j
+        out = out + term
+        if float(np.linalg.norm(term, 1)) <= 1e-17 * float(np.linalg.norm(out, 1)):
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _positive_polar(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``b = M·W`` with ``M`` positive and ``W`` unitary; returns
+    ``(M, W, log M)``."""
+    left, sv, right = np.linalg.svd(b)
+    return (left * sv) @ left.conj().T, left @ right, (left * np.log(sv)) @ left.conj().T
+
+
+def _levi_block(g: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Factor one diagonal block ``D = g*·g`` of the block LDL* as
+    ``D = M·exp(2X)·M`` with ``X`` in the block's fiber part and
+    ``M = exp(P)`` in its Hermitian-factor part; returns ``(X, P, M, ‖X‖²)``.
+
+    On a split block ``X = [[0, x*], [x, 0]]``, and the singular values σ of
+    ``x`` are given by the canonical correlations ρ = tanh 2σ between the
+    column spaces of ``g₁ = g[:, :a]`` and ``g₂ = g[:, a:]``: with
+    ``gᵢ = Qᵢ·Rᵢ``, ``Q₁*·Q₂ = Y₁·diag(cos θ)·Y₂*`` and ``sin θ`` the column
+    norms of ``Q₁⊥*·Q₂·Y₂`` (Björck & Golub, *Math. Comp.* 27, 1973), so
+    ``2σ = log((1 + cos θ)/sin θ)``, accurate where ρ is close to 1.  Then
+    ``Bᵢ = Rᵢ*·Yᵢ·diag(sin θ)^{1/2}`` have polar factors ``B₁ = M₁·V`` and
+    ``B₂ = M₂·W``, and ``x = W·diag(σ)·V*`` on the paired columns.
+    """
+    m = len(g)
+    zero = np.zeros((m, m), dtype=complex)
+    if split in (0, m):
+        _, sv, right = np.linalg.svd(g)
+        half_log = (right.conj().T * np.log(sv)) @ right
+        if split == 0:
+            return zero, half_log, (right.conj().T * sv) @ right, 0.0
+        return half_log, zero, np.eye(m, dtype=complex), float(np.sum(np.log(sv) ** 2))
+    a, b = split, m - split
+    q1, r1 = np.linalg.qr(g[:, :a], mode="complete")
+    q2, r2 = np.linalg.qr(g[:, a:])
+    y1, cos, y2h = np.linalg.svd(q1[:, :a].conj().T @ q2)
+    y2 = y2h.conj().T
+    paired = len(cos)
+    sin = np.linalg.norm(q1[:, a:].conj().T @ q2 @ y2[:, :paired], axis=0)
+    if not (np.all(cos < 1.0) and np.all(sin > 0.0)):
+        raise NonConvergenceError("non-convergent")
+    sigma = 0.5 * np.log((1.0 + cos) / sin)
+    scale1, scale2 = np.ones(a), np.ones(b)
+    scale1[:paired] = scale2[:paired] = np.sqrt(sin)
+    m1, v1, log1 = _positive_polar((r1[:a].conj().T @ y1) * scale1)
+    m2, w2, log2 = _positive_polar((r2.conj().T @ y2) * scale2)
+    x = (w2[:, :paired] * sigma) @ v1[:, :paired].conj().T
+    xmat, pmat, mmat = zero, zero.copy(), zero.copy()
+    xmat[a:, :a] = x
+    xmat[:a, a:] = x.conj().T
+    pmat[:a, :a], pmat[a:, a:] = log1, log2
+    mmat[:a, :a], mmat[a:, a:] = m1, m2
+    return xmat, pmat, mmat, 2.0 * float(np.sum(sigma**2))
+
+
+def _horospherical(zm: np.ndarray, frame: LeviFrame) -> tuple[np.ndarray, float, list]:
+    """The block LDL* of ``ζ*ζ`` in the frame: ``ζ*ζ = R*·R`` with ``R``
+    upper triangular, scaled to determinant one; the Schur complements are
+    ``R_kk*·R_kk``.  Returns ``R``, ``log det ζ*ζ`` and the diagonal blocks
+    ``R_kk``."""
+    z = zm if frame.frame is None else frame.frame.conj().T @ zm @ frame.frame
+    try:
+        r = np.linalg.cholesky(z.conj().T @ z).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError("non-convergent") from exc
+    log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(r)))))
+    r = r * math.exp(-log_det / (2 * len(r)))
+    ends = np.cumsum([size for size, _ in frame.blocks])
+    diagonal = [r[e - size : e, e - size : e] for (size, _), e in zip(frame.blocks, ends)]
+    return r, log_det, diagonal
+
+
+def _closed_form_phi(zm: np.ndarray, structure: MostowStructure) -> float:
+    """The exhaustion ``‖X‖²`` from the closed form.  A determinant off one
+    adds the orbit's distance ``(log det ζ*ζ)²/4n`` in the scalar direction,
+    as the minimization does."""
+    frame = structure.levi_frame
+    _, log_det, diagonal = _horospherical(zm, frame)
+    fiber_sq = sum(_levi_block(g, split)[3] for g, (_, split) in zip(diagonal, frame.blocks))
+    return fiber_sq + log_det**2 / (4 * structure.size)
+
+
+def _levi_decompose(
+    zm: np.ndarray, structure: MostowStructure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, P, N)`` with ``ζ*ζ = v*·exp(2X)·v`` for ``v = exp(N)·exp(P)``.
+
+    From ``ζ*ζ = R*·R``, ``R = D_R·U`` with ``D_R`` the diagonal blocks of
+    ``R`` and ``U`` unipotent in exp(u); each block gives ``D_R*·D_R =
+    M·exp(2X)·M`` with ``M = exp(P)``, so ``v = M·U`` and ``N = log(M·U·M⁻¹)``,
+    a finite series of nilpotency index ``nil_index``."""
+    frame = structure.levi_frame
+    r, _, diagonal = _horospherical(zm, frame)
+    parts = [_levi_block(g, split) for g, (_, split) in zip(diagonal, frame.blocks)]
+    xmat, pmat, mmat = (scipy.linalg.block_diag(*mats) for mats in list(zip(*parts))[:3])
+    unipotent = np.linalg.solve(scipy.linalg.block_diag(*diagonal), r)
+    nmat = mmat @ _unipotent_log(unipotent, structure.nil_index) @ np.linalg.inv(mmat)
+    if frame.frame is not None:
+        f = frame.frame
+        xmat, pmat, nmat = (f @ m @ f.conj().T for m in (xmat, pmat, nmat))
+    return xmat, pmat, nmat
+
+
+def _closed_form_decompose(zm: np.ndarray, structure: MostowStructure, tol: float) -> MostowDecomposition:
+    """The decomposition from ``_levi_decompose``, certified by the residual
+    ``‖ζ − u·exp(X)·v‖`` of the ``v`` rebuilt from the reported
+    ``v_params``."""
+    n = structure.size
+    xmat, pmat, nmat = _levi_decompose(zm, structure)
+    herm = _chart_coordinates(structure.herm_basis, [pmat], n, False)[:, 0]
+    nil_pairs = _chart_coordinates(structure.nil_basis, [nmat], n, True)[:, 0]
+    nil = _ChartFactor(structure.nil_basis, n, True, 0, structure.nil_index)
+    v, _ = nil.exp(nil.exponent(nil_pairs))
+    if structure.herm_basis:
+        v = v @ _hermitian_function(_combo(herm, structure.herm_basis, n), np.exp)
+    w = _hermitian_function(xmat, np.exp) @ v
+    left, _, right = np.linalg.svd(zm @ np.linalg.inv(w))
+    u = left @ right
+    residual = float(np.linalg.norm(zm - u @ w))
+    if not residual <= tol * _scale(zm):
+        raise NonConvergenceError("non-convergent")
+    return MostowDecomposition(
+        u=u,
+        X=xmat,
+        Z=np.zeros((n, n), dtype=complex),
+        v_params=np.concatenate([herm, nil_pairs]),
+        residual=residual,
+        restarts_agree=True,
+        v_matrix=v,
+    )
+
+
+# --------------------------------------------------------------------------
 # exhaustion function
 # --------------------------------------------------------------------------
 
@@ -989,8 +1391,6 @@ def _phi_minimize(
     """min over the group-factor chart of dist²(ζ*ζ, v*v); returns (value, argmin)."""
     import scipy.optimize
 
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     chart = _group_chart(structure)
     objective = _orbit_objective(a_mat, chart)
     if chart.dim == 0:
@@ -1027,6 +1427,11 @@ def _phi_minimize(
     return best_val, best_y
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
 def exhaustion_phi(
     zeta,
     structure: MostowStructure,
@@ -1035,15 +1440,33 @@ def exhaustion_phi(
     cross_check: bool = False,
 ) -> float:
     """Quarter of the squared distance from ``ζ*ζ`` to the orbit
-    ``{v*v : v in the group factor}`` — the exhaustion value of the coset."""
+    ``{v*v : v in the group factor}`` — the exhaustion value of the coset.
+
+    On a structure with a ``levi_frame`` the value is the closed form
+    ``‖X‖²`` of the block LDL* of ``ζ*ζ`` (``_closed_form_phi``), and
+    ``restarts`` and ``seed`` have no effect on it; otherwise a multi-start
+    L-BFGS-B minimization over the group-factor chart gives it.
+
+    ``cross_check`` (on horocyclic structures without a nilpotent fiber
+    factor) recomputes the value independently and raises
+    ``ArithmeticError`` when the two disagree: the closed form against the
+    minimization, and the minimization against ``‖X‖²`` of
+    ``mostow_decompose``.
+    """
     zm = _as_matrix(zeta)
     _check_group_membership(zm, structure)
+    _check_restarts(restarts)
     a_mat = zm.conj().T @ zm
-    value, _ = _phi_minimize(a_mat, structure, restarts, seed)
-    phi = 0.25 * value
+    closed_form = structure.levi_frame is not None
+    if closed_form:
+        phi = _closed_form_phi(zm, structure)
+    else:
+        phi = 0.25 * _phi_minimize(a_mat, structure, restarts, seed)[0]
     if cross_check and structure.horocyclic and structure.complement_dim == 0:
-        md = mostow_decompose(zm, structure, seed=seed)
-        expected = md.fiber_norm**2
+        if closed_form:
+            expected = 0.25 * _phi_minimize(a_mat, structure, restarts, seed)[0]
+        else:
+            expected = mostow_decompose(zm, structure, seed=seed).fiber_norm ** 2
         if abs(phi - expected) > max(1e-7, 1e-6 * expected):
             raise ArithmeticError("exhaustion cross-check failed")
     return phi
@@ -1208,23 +1631,34 @@ def phi_levi_probe(
     restarts: int = 4,
 ) -> HessianProbe:
     """Second-difference estimate of the complex Hessian of the exhaustion
-    at ``[ζ]`` along each holomorphic direction ``s ↦ ζ·exp(sW)``."""
+    at ``[ζ]`` along each holomorphic direction ``s ↦ ζ·exp(sW)``.
+
+    On a structure with a ``levi_frame`` every value is the closed form of
+    ``exhaustion_phi``, and ``restarts`` and ``seed`` have no effect;
+    otherwise the base point is minimized with ``restarts`` starts and each
+    shifted point from the base point's minimizer."""
     if step * step * gap_tol < 1e-12:
         raise ArithmeticError("step too small / noise-dominated")
     zm = _as_matrix(zeta)
     _check_group_membership(zm, structure)
-    a_mat = zm.conj().T @ zm
-    base_val, base_y = _phi_minimize(a_mat, structure, restarts, seed)
-    if 0.25 * base_val <= 1e-10:
+    _check_restarts(restarts)
+    if structure.levi_frame is not None:
+        phi0 = _closed_form_phi(zm, structure)
+
+        def shifted_phi(point: np.ndarray) -> float:
+            return _closed_form_phi(point, structure)
+
+    else:
+        base_val, base_y = _phi_minimize(zm.conj().T @ zm, structure, restarts, seed)
+        phi0 = 0.25 * base_val
+
+        def shifted_phi(point: np.ndarray) -> float:
+            val, _ = _phi_minimize(point.conj().T @ point, structure, 1, seed, y0=base_y)
+            return 0.25 * val
+
+    if phi0 <= 1e-10:
         raise ValueError("exhaustion not positive at base point")
 
-    def warm_phi(point: np.ndarray) -> float:
-        val, _ = _phi_minimize(
-            point.conj().T @ point, structure, 1, seed, y0=base_y
-        )
-        return 0.25 * val
-
-    phi0 = 0.25 * base_val
     values: list[float] = []
     for w in directions:
         wm = _as_matrix(w)
@@ -1233,7 +1667,7 @@ def phi_levi_probe(
             continue
         total = 0.0
         for shift in (step, -step, 1j * step, -1j * step):
-            total += warm_phi(zm @ scipy.linalg.expm(shift * wm))
+            total += shifted_phi(zm @ _expm_taylor(shift * wm))
         values.append((total - 4.0 * phi0) / (4.0 * step * step))
 
     pos = sum(1 for v in values if v > gap_tol)

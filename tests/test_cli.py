@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import crmostow
-from crmostow import acceptance, catalog, cli
+from crmostow import acceptance, catalog, cli, symspace
 from crmostow.cli import (
     EXIT_BAD_INPUT,
     EXIT_DISAGREEMENT,
@@ -436,6 +437,28 @@ class TestExhaust:
             capsys,
             "exhaust",
             "--catalog",
+            "su22_f12",
+            "--random",
+            "--seed",
+            "5",
+        )
+        assert code == EXIT_NONCONVERGENT
+        assert "non-convergent" in err
+
+    def test_wrong_closed_form_exits_4(self, capsys, monkeypatch):
+        # a closed-form group factor off by exp(0.1·P) leaves a residual
+        # that the certificate rejects
+        levi_decompose = symspace._levi_decompose
+
+        def wrong(zm, structure):
+            x, p, n = levi_decompose(zm, structure)
+            return x, p + 0.1 * structure.herm_basis[0], n
+
+        monkeypatch.setattr(symspace, "_levi_decompose", wrong)
+        code, _, err = _run(
+            capsys,
+            "decompose",
+            "--catalog",
             "grassmann_pair",
             "--params",
             GRASSMANN_PARAMS,
@@ -445,6 +468,29 @@ class TestExhaust:
         )
         assert code == EXIT_NONCONVERGENT
         assert "non-convergent" in err
+
+    @pytest.mark.parametrize(
+        "entry", [["upper_triangular_horocycle"], ["grassmann_pair", "--params", GRASSMANN_PARAMS]]
+    )
+    def test_closed_form_needs_no_optimizer(self, capsys, monkeypatch, tmp_path, entry):
+        structure = symspace.mostow_structure(
+            catalog.build(entry[0], json.loads(entry[2]) if len(entry) > 2 else None).subalgebra
+        )
+        zeta = symspace.random_group_element(structure, np.random.default_rng(5), 0.3)
+        path = tmp_path / "zeta.json"
+        path.write_text(json.dumps(cli._float_matrix_to_json(zeta)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form called a SciPy solver")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
+        monkeypatch.setattr(scipy.optimize, "least_squares", forbidden)
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        argv = ["--catalog", *entry, "--zeta", str(path)]
+        decomposed = _run_json(capsys, "decompose", *argv)
+        assert decomposed["result"]["restarts_agree"] is True
+        assert decomposed["result"]["residual"] < 1e-9
+        assert _run_json(capsys, "exhaust", *argv)["phi"] > 1e-3
 
     def test_output_does_not_depend_on_optimize_flag(self):
         plain, optimized = _stdout_with_and_without_optimize(

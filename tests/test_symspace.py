@@ -2,18 +2,22 @@
 two-stage group decomposition, the exhaustion function, and the associated
 inequalities and probes."""
 
+import dataclasses
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
-from crmostow import catalog
+from crmostow import catalog, symspace
 from crmostow.errors import NonConvergenceError, RestartDisagreementError
 from crmostow.exact import ExactMatrix, Subspace
+from crmostow.structure import make_subalgebra
+from test_metamorphic import _cayley_transform
 from crmostow.symspace import (
     CounterexampleReport,
     JacobiFieldSpec,
@@ -126,6 +130,33 @@ def grassmann_structure():
 @pytest.fixture(scope="module")
 def f13_structure():
     return mostow_structure(catalog.build("su23_f13").subalgebra)
+
+
+# The two strictly horocyclic catalog structures that the closed form serves.
+CLOSED_FORM_SPECS = [
+    ("upper_triangular_horocycle", None),
+    ("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1}),
+]
+
+
+@functools.cache
+def _cached_structure(name, params):
+    return mostow_structure(catalog.build(name, dict(params) if params else None).subalgebra)
+
+
+def _closed_form_structure(name, params=None):
+    return _cached_structure(name, tuple(params.items()) if params else None)
+
+
+def _forbid_solvers(monkeypatch):
+    """Make every SciPy optimizer and ``expm`` raise when called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form called a SciPy solver")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
+    monkeypatch.setattr(scipy.optimize, "least_squares", forbidden)
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
 
 
 class TestDistance:
@@ -606,9 +637,34 @@ class TestExhaustion:
             )
 
         monkeypatch.setattr(scipy.optimize, "minimize", stalled)
-        zeta = random_group_element(grassmann_structure, np.random.default_rng(4), 0.4)
+        structure = dataclasses.replace(grassmann_structure, levi_frame=None)
+        zeta = random_group_element(structure, np.random.default_rng(4), 0.4)
         with pytest.raises(NonConvergenceError, match="non-convergent"):
-            exhaustion_phi(zeta, grassmann_structure)
+            exhaustion_phi(zeta, structure)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    def test_closed_form_needs_no_optimizer(self, spec, monkeypatch):
+        st = _closed_form_structure(*spec)
+        zeta, x0 = _synthesize(st, np.random.default_rng(4), scale=0.4)
+        directions = [-m.conj().T for m in st.nil_basis] + list(st.nil_basis)
+        _forbid_solvers(monkeypatch)
+        md = mostow_decompose(zeta, st)
+        assert md.residual < 1e-9 and md.restarts_agree
+        assert abs(exhaustion_phi(zeta, st) - np.linalg.norm(x0) ** 2) < 1e-12
+        probe = phi_levi_probe(zeta, st, directions)
+        assert len(probe.values) == len(directions)
+
+    def test_cross_check_compares_with_the_optimizer(self, grassmann_structure, monkeypatch):
+        zeta, _ = _synthesize(grassmann_structure, np.random.default_rng(5))
+        phi = exhaustion_phi(zeta, grassmann_structure, cross_check=True)
+        closed_form_phi = symspace._closed_form_phi
+        monkeypatch.setattr(
+            symspace, "_closed_form_phi", lambda *args: closed_form_phi(*args) + 1e-3
+        )
+        assert exhaustion_phi(zeta, grassmann_structure) == phi + 1e-3
+        with pytest.raises(ArithmeticError, match="exhaustion cross-check failed"):
+            exhaustion_phi(zeta, grassmann_structure, cross_check=True)
 
 
 DERIVATIVE_STRUCTURES = [
@@ -776,12 +832,26 @@ class TestStageBStart:
             return result
 
         monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        structure = dataclasses.replace(catalog_structure, levi_frame=None)
         for seed in range(20, 40):
             rng = np.random.default_rng(seed)
-            zeta, _ = _synthesize(catalog_structure, rng, scale=0.6, with_complement=True)
-            mostow_decompose(zeta, catalog_structure, max_restarts=2, seed=seed)
+            zeta, _ = _synthesize(structure, rng, scale=0.6, with_complement=True)
+            mostow_decompose(zeta, structure, max_restarts=2, seed=seed)
         assert len(evaluations) == 40
         assert max(evaluations) <= 20
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    def test_closed_form_runs_no_solve(self, spec, monkeypatch):
+        st = _closed_form_structure(*spec)
+        inputs = [
+            _synthesize(st, np.random.default_rng(seed), scale=0.6, with_complement=True)
+            for seed in range(20, 40)
+        ]
+        _forbid_solvers(monkeypatch)
+        for zeta, x0 in inputs:
+            md = mostow_decompose(zeta, st, max_restarts=2)
+            assert abs(md.fiber_norm - np.linalg.norm(x0)) < 1e-9
 
 
 class TestDeterminism:
@@ -922,3 +992,91 @@ class TestHessianProbe:
             scipy.linalg.expm(x), st, list(st.nil_basis), step=1e-3, gap_tol=1e-4
         )
         assert probe.zero == len(st.nil_basis)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestClosedForm:
+    """The closed form on strictly horocyclic structures against the
+    optimizers, which run on the same structure with ``levi_frame`` removed."""
+
+    @pytest.mark.parametrize(
+        "name, params, count",
+        [(name, params, 20) for name, params in CLOSED_FORM_SPECS]
+        + [
+            ("grassmann_pair", {"p": 2, "q": 3, "n": 4, "k": 1}, 2),
+            ("grassmann_pair", {"p": 2, "q": 4, "n": 5, "k": 1}, 2),
+        ],
+        ids=["horocycle", "grassmann-1231", "grassmann-2341", "grassmann-2451"],
+    )
+    def test_matches_the_optimizer(self, name, params, count):
+        st = _closed_form_structure(name, params)
+        optimizer = dataclasses.replace(st, levi_frame=None)
+        for seed in range(count):
+            zeta, x0 = _synthesize(st, np.random.default_rng([71, seed]), scale=0.4)
+            phi = exhaustion_phi(zeta, st)
+            md = mostow_decompose(zeta, st)
+            oracle_phi = exhaustion_phi(zeta, optimizer, restarts=2, seed=seed)
+            oracle = mostow_decompose(zeta, optimizer, max_restarts=2, seed=seed)
+            assert abs(phi - oracle_phi) <= 1e-12 * oracle_phi
+            assert np.linalg.norm(md.X - oracle.X) <= 1e-9
+            assert abs(md.fiber_norm - oracle.fiber_norm) <= 1e-9
+            assert abs(md.fiber_norm - np.linalg.norm(x0)) <= 1e-9
+
+    def test_covers_the_grassmann_grid(self):
+        grid = catalog.grassmann_parameter_grid(6)
+        assert len(grid) == 44
+        for index, params in enumerate(grid):
+            st = mostow_structure(catalog.build("grassmann_pair", params).subalgebra)
+            assert st.levi_frame is not None, params
+            for seed in range(3):
+                rng = np.random.default_rng([72, index, seed])
+                zeta, x0 = _synthesize(st, rng, scale=0.4)
+                md = mostow_decompose(zeta, st)
+                assert md.residual <= 1e-9 * max(1.0, np.linalg.norm(zeta)), params
+                assert abs(md.fiber_norm - np.linalg.norm(x0)) <= 1e-9, params
+
+    def test_floating_point_guards(self):
+        # ζ*ζ = [[1, 1e10, 0], [1e10, 1e20 + 1, 0], [0, 0, 1]] rounds to a
+        # singular matrix, whose Cholesky factorization fails
+        st = _closed_form_structure("upper_triangular_horocycle")
+        zeta = np.eye(3, dtype=complex)
+        zeta[0, 1] = 1e10
+        with pytest.raises(NonConvergenceError, match="non-convergent"):
+            exhaustion_phi(zeta, st)
+        with pytest.raises(NonConvergenceError, match="non-convergent"):
+            mostow_decompose(zeta, st)
+        # parallel columns: a canonical correlation of exactly one
+        with pytest.raises(NonConvergenceError, match="non-convergent"):
+            symspace._levi_block(np.array([[1, 1], [0, 0]], dtype=complex), 1)
+
+    @pytest.mark.parametrize("name", ["su22_f12", "su23_f12", "su23_f13"])
+    def test_absent_without_the_certificate(self, name):
+        assert mostow_structure(catalog.build(name).subalgebra).levi_frame is None
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    def test_non_coordinate_flags(self, spec):
+        # a unitary conjugation is an isometry of the symmetric space, so it
+        # moves the flag off the coordinates but changes no value; the
+        # optimizer runs on the unconjugated chart, whose basis is sparse
+        name, params = spec
+        entry = catalog.build(name, params)
+        st = _closed_form_structure(name, params)
+        values = itertools.cycle([Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3))])
+        g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
+        g_inv = g.star()
+        assert g @ g_inv == ExactMatrix.identity(g.rows)
+        moved = mostow_structure(
+            make_subalgebra(entry.ambient, [g @ b @ g_inv for b in entry.subalgebra.basis()])
+        )
+        assert moved.levi_frame is not None and moved.levi_frame.frame is not None
+        gm = g.to_numpy()
+        optimizer = dataclasses.replace(st, levi_frame=None)
+        for seed in range(3):
+            zeta, _ = _synthesize(st, np.random.default_rng([73, seed]), scale=0.4)
+            phi = exhaustion_phi(zeta, st)
+            moved_phi = exhaustion_phi(gm @ zeta @ gm.conj().T, moved)
+            assert abs(moved_phi - phi) <= 1e-12 * phi
+            oracle = exhaustion_phi(zeta, optimizer, restarts=2, seed=seed)
+            assert abs(moved_phi - oracle) <= 1e-12 * oracle
+            md = mostow_decompose(gm @ zeta @ gm.conj().T, moved)
+            assert abs(md.fiber_norm - math.sqrt(phi)) <= 1e-9
