@@ -25,8 +25,7 @@ from crmostow.symspace import (
     SpdPoint,
     _ChartFactor,
     _check_restart_agreement,
-    _envelope_chart,
-    _fiber_chart,
+    _decomposition_chart,
     _group_chart,
     _nilpotency_index,
     _orbit_objective,
@@ -705,7 +704,7 @@ class TestExactDerivatives:
         for m in derivative_structure.fiber_basis:
             assert np.array_equal(m, m.conj().T)
 
-    @pytest.mark.parametrize("chart_of", [_envelope_chart, _group_chart], ids=["stage_a", "phi"])
+    @pytest.mark.parametrize("chart_of", [_decomposition_chart, _group_chart], ids=["stage_a", "phi"])
     def test_objective_gradients(self, derivative_structure, chart_of):
         a_mat, rng = self._point(derivative_structure, 31)
         chart = chart_of(derivative_structure)
@@ -718,10 +717,10 @@ class TestExactDerivatives:
 
     def test_stage_b_jacobian(self, derivative_structure):
         a_mat, rng = self._point(derivative_structure, 32)
-        fiber, group = _fiber_chart(derivative_structure), _group_chart(derivative_structure)
-        residual, jacobian = _stage_b_residual(a_mat, fiber, group)
+        chart = _decomposition_chart(derivative_structure)
+        residual, jacobian = _stage_b_residual(a_mat, chart)
         for _ in range(3):
-            y = 0.4 * rng.standard_normal(fiber.dim + group.dim)
+            y = 0.4 * rng.standard_normal(chart.dim)
             fd = _central_jacobian(residual, y)
             assert np.linalg.norm(jacobian(y) - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -744,7 +743,6 @@ def _nilpotent_spans(structure):
     spans = [
         (structure.nil_basis, structure.nil_index),
         (structure.complement_basis, structure.complement_index),
-        (structure.envelope_nil_basis, structure.envelope_nil_index),
     ]
     return [(basis, index) for basis, index in spans if basis]
 
@@ -771,7 +769,7 @@ class TestNilpotentCharts:
                 assert _relative_error(factor.frechet(f, powers, s), expected) <= 1e-13
 
     @pytest.mark.parametrize(
-        "chart_of", [_envelope_chart, _fiber_chart, _group_chart], ids=["envelope", "fiber", "group"]
+        "chart_of", [_decomposition_chart, _group_chart], ids=["envelope", "group"]
     )
     def test_tangents_match_scipy(self, catalog_structure, chart_of):
         # reference: ∂w/∂y = E₁···E_{j−1}·L(F_j, B)·E_{j+1}···E_m from SciPy
@@ -817,10 +815,10 @@ class TestNilpotentCharts:
 
 
 class TestStageBStart:
-    """Stage B starts from its restart's whole stage-A estimate, so the
-    least-squares solve only polishes it.  Started from Z = 0 and v = I (and
-    a random v on later restarts), solves on these inputs took up to
-    ``max_nfev`` = 4000 residual evaluations."""
+    """Stage B starts on stage A's chart from its restart's stage-A
+    estimate, so the least-squares solve only polishes it.  Started from
+    Z = 0 and v = I (and a random v on later restarts), solves on these
+    inputs took up to ``max_nfev`` = 4000 residual evaluations."""
 
     def test_stage_b_solves_are_short(self, catalog_structure, monkeypatch):
         evaluations = []
@@ -838,6 +836,27 @@ class TestStageBStart:
             zeta, _ = _synthesize(structure, rng, scale=0.6, with_complement=True)
             mostow_decompose(zeta, structure, max_restarts=2, seed=seed)
         assert len(evaluations) == 40
+        assert max(evaluations) <= 20
+
+    @pytest.mark.parametrize("seed", [3, 18])
+    def test_stage_b_solves_are_short_at_scale_08(self, su22_structure, monkeypatch, seed):
+        # inputs on which a stage A that stopped at f = 6.58 (seed 3) or
+        # 16.99 (seed 18) while reporting success left stage B 854 or 1510
+        # evaluations
+        evaluations = []
+        least_squares = scipy.optimize.least_squares
+
+        def counted(*args, **kwargs):
+            result = least_squares(*args, **kwargs)
+            evaluations.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        rng = np.random.default_rng(seed)
+        zeta, x0 = _synthesize(su22_structure, rng, scale=0.8, with_complement=True)
+        md = mostow_decompose(zeta, su22_structure, max_restarts=2, seed=seed)
+        assert abs(md.fiber_norm - np.linalg.norm(x0)) < 1e-9
+        assert len(evaluations) == 2
         assert max(evaluations) <= 20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1080,3 +1099,58 @@ class TestClosedForm:
             assert abs(moved_phi - oracle) <= 1e-12 * oracle
             md = mostow_decompose(gm @ zeta @ gm.conj().T, moved)
             assert abs(md.fiber_norm - math.sqrt(phi)) <= 1e-9
+
+
+def _conjugated_optimizer_inputs(name, params):
+    """The structure of a Cayley-conjugated catalog entry with ``levi_frame``
+    removed, so that the optimizers serve it, and four inputs synthesized on
+    the unconjugated structure and then conjugated, with their fiber norms."""
+    entry = catalog.build(name, params)
+    values = itertools.cycle(
+        [Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3), (1, 3))]
+    )
+    g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
+    g_inv = g.star()
+    moved = mostow_structure(
+        make_subalgebra(entry.ambient, [g @ b @ g_inv for b in entry.subalgebra.basis()])
+    )
+    st = _closed_form_structure(name, params)
+    gm = g.to_numpy()
+    inputs = []
+    for seed in range(4):
+        zeta, x0 = _synthesize(st, np.random.default_rng([73, seed]), scale=0.4)
+        inputs.append((gm @ zeta @ gm.conj().T, float(np.linalg.norm(x0))))
+    return dataclasses.replace(moved, levi_frame=None), inputs
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+class TestOptimizerFailures:
+    """On a Cayley-conjugated chart (``herm_basis`` norms up to 135) the
+    line searches reach points where the chart value overflows.  That start
+    fails, as does one whose polar factor cannot be reconstructed, and a call
+    whose every start fails raises ``NonConvergenceError``."""
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    def test_decomposition_on_a_conjugated_chart(self, spec):
+        structure, inputs = _conjugated_optimizer_inputs(*spec)
+        for seed, (zeta, fiber_norm) in enumerate(inputs):
+            md = mostow_decompose(zeta, structure, max_restarts=2, seed=seed)
+            assert md.residual <= 1e-9 * max(1.0, np.linalg.norm(zeta))
+            assert abs(md.fiber_norm - fiber_norm) < 1e-9
+
+    def test_exhaustion_on_a_conjugated_chart_fails_typed(self):
+        structure, inputs = _conjugated_optimizer_inputs(*CLOSED_FORM_SPECS[1])
+        for seed, (zeta, _) in enumerate(inputs):
+            with pytest.raises(NonConvergenceError, match="non-convergent"):
+                exhaustion_phi(zeta, structure, restarts=2, seed=seed)
+
+    def test_failed_polar_reconstruction_fails_the_start(self, su22_structure, monkeypatch):
+        def failing(z, det_one=True):
+            raise ArithmeticError("polar reconstruction failed")
+
+        monkeypatch.setattr(symspace, "polar_decompose", failing)
+        zeta, _ = _synthesize(su22_structure, np.random.default_rng(4))
+        with pytest.raises(NonConvergenceError, match="non-convergent"):
+            mostow_decompose(zeta, su22_structure, max_restarts=2)
