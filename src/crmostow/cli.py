@@ -636,8 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-restarts",
         type=int,
         default=8,
-        help="optimizer restarts; no effect where the decomposition has a "
-        "closed form (strictly horocyclic structures), whose restarts_agree "
+        help="optimizer starts, all of which run so that restarts_agree "
+        "compares their fiber norms; no effect where the decomposition has "
+        "a closed form (strictly horocyclic structures), whose restarts_agree "
         "is always true",
     )
     p.add_argument(
@@ -662,8 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts",
         type=int,
         default=4,
-        help="minimization restarts; no effect where the exhaustion has a "
-        "closed form (strictly horocyclic structures)",
+        metavar="N",
+        help="at most N minimization starts; stops once phi is within "
+        "2.5e-15 of 0; no effect where the exhaustion has a closed form "
+        "(strictly horocyclic structures)",
     )
     p.add_argument(
         "--seed",

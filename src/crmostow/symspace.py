@@ -78,6 +78,12 @@ DET_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-8
 _MAX_CONDITION = 1e12
 _STATIONARY_TOL = 1e-5
+# The orbit objective is a sum of squares, so a start that ends at or below
+# this value leaves later starts less than a quarter of it to gain in phi.
+_OBJECTIVE_FLOOR = 1e-14
+# Stage A of the decomposition only has to land in the basin of stage B's
+# least-squares solve, which then converges quadratically.
+_HANDOFF_GTOL = 1e-3
 _AGREE_TOL = 1e-6
 _COUNTEREXAMPLE_TOL = 1e-10
 _QUAD_TARGET = 1e-10
@@ -1051,10 +1057,12 @@ def mostow_decompose(
     true, and ``max_restarts`` and ``seed`` have no effect.
 
     Otherwise both stages run on the chart ``w = exp(X)·exp(Z)·v`` of
-    ``_decomposition_chart``: stage one drives the squared distance between
-    ``ζ*ζ`` and ``w*·w`` to zero, and stage two solves ``w*·w = ζ*ζ`` from
-    stage one's coordinates.  Deterministic multi-start; a start whose chart
-    value overflows fails, and restarts are compared through the fiber norm
+    ``_decomposition_chart``: stage one decreases the squared distance
+    between ``ζ*ζ`` and ``w*·w`` only until its gradient falls to
+    ``_HANDOFF_GTOL``, and so only hands over to stage two, whose
+    least-squares solve of ``w*·w = ζ*ζ`` from stage one's coordinates
+    gives the answer.  Deterministic multi-start; a start whose chart value
+    overflows fails, and restarts are compared through the fiber norm
     ``‖X‖``.
 
     Either way the result carries the residual ``‖ζ − u·exp(X)·exp(Z)·v‖``,
@@ -1100,7 +1108,7 @@ def mostow_decompose(
                 xa0,
                 method="L-BFGS-B",
                 jac=True,
-                options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
+                options={"maxiter": 1000, "ftol": 1e-16, "gtol": _HANDOFF_GTOL},
             )
             # The matrix equation pins the whole parameter vector, and a
             # least-squares solve from stage A's estimate polishes it to
@@ -1332,8 +1340,12 @@ def _phi_minimize(
     y0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """min over the group-factor chart of dist²(ζ*ζ, v*v); returns (value,
-    argmin).  A start whose chart value overflows fails, and
-    ``NonConvergenceError`` is raised when every start fails."""
+    argmin).  Runs at most ``restarts`` starts (one from ``y0`` when given):
+    the value is a sum of squares, so the starts stop once one ends at or
+    below ``_OBJECTIVE_FLOOR``, where no later start can lower φ = value/4 by
+    more than 2.5e-15.  A start whose chart value overflows fails, and
+    ``NonConvergenceError`` is raised when every start fails or the gradient
+    at the best point exceeds ``_STATIONARY_TOL``."""
     import scipy.optimize
 
     chart = _group_chart(structure)
@@ -1365,6 +1377,8 @@ def _phi_minimize(
         if res.fun < best_val:
             best_val = float(res.fun)
             best_y = res.x
+        if best_val <= _OBJECTIVE_FLOOR:
+            break
     # L-BFGS-B's success flag is no certificate: it reports failure when its
     # line search stalls at a minimum already exact to rounding.  The exact
     # gradient at the best point is one.
@@ -1392,8 +1406,10 @@ def exhaustion_phi(
 
     On a structure with a ``levi_frame`` the value is the closed form
     ``‖X‖²`` of the block LDL* of ``ζ*ζ`` (``_closed_form_phi``), and
-    ``restarts`` and ``seed`` have no effect on it; otherwise a multi-start
-    L-BFGS-B minimization over the group-factor chart gives it.
+    ``restarts`` and ``seed`` have no effect on it; otherwise an L-BFGS-B
+    minimization over the group-factor chart with at most ``restarts``
+    starts gives it.  The starts stop once φ is within 2.5e-15 of its lower
+    bound 0, so a point of the zero set runs one start.
 
     ``cross_check`` (on horocyclic structures without a nilpotent fiber
     factor) recomputes the value independently and raises

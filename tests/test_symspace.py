@@ -143,8 +143,37 @@ def _cached_structure(name, params):
     return mostow_structure(catalog.build(name, dict(params) if params else None).subalgebra)
 
 
-def _closed_form_structure(name, params=None):
+def _catalog_structure(name, params=None):
     return _cached_structure(name, tuple(params.items()) if params else None)
+
+
+def _record_results(monkeypatch, name):
+    """Patch ``scipy.optimize.<name>`` to record every result it returns;
+    returns the list it appends to."""
+    results = []
+    solver = getattr(scipy.optimize, name)
+
+    def recorded(*args, **kwargs):
+        result = solver(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(scipy.optimize, name, recorded)
+    return results
+
+
+def _zero_set_point(st, rng, scale=0.5):
+    """``u·exp(N)·exp(P)`` with ``u`` compact and ``exp(N)·exp(P)`` in the
+    group factor: a point where φ vanishes."""
+    u0 = random_compact_element(st, rng, scale)
+    nmat = sum(
+        complex(a, b) * m
+        for (a, b), m in zip(scale * rng.standard_normal((len(st.nil_basis), 2)), st.nil_basis)
+    )
+    pmat = sum(
+        c * m for c, m in zip(scale * rng.standard_normal(len(st.herm_basis)), st.herm_basis)
+    )
+    return u0 @ scipy.linalg.expm(nmat) @ scipy.linalg.expm(pmat)
 
 
 def _forbid_solvers(monkeypatch):
@@ -565,22 +594,34 @@ class TestExhaustion:
         for _ in range(3):
             zeta, _ = _synthesize(su22_structure, rng, scale=0.5)
             # rebuild without the Hermitian fiber factor: u0 * v0 only
-            st = su22_structure
-            u0 = random_compact_element(st, rng, 0.5)
-            nmat = sum(
-                complex(a, b) * m
-                for (a, b), m in zip(
-                    0.5 * rng.standard_normal((len(st.nil_basis), 2)), st.nil_basis
-                )
-            )
-            pmat = sum(
-                c * m
-                for c, m in zip(
-                    0.5 * rng.standard_normal(len(st.herm_basis)), st.herm_basis
-                )
-            )
-            point = u0 @ scipy.linalg.expm(nmat) @ scipy.linalg.expm(pmat)
-            assert exhaustion_phi(point, st) < 1e-8
+            point = _zero_set_point(su22_structure, rng)
+            assert exhaustion_phi(point, su22_structure) < 1e-8
+
+    @pytest.mark.parametrize("name", ["su22_f12", "su23_f12"])
+    def test_zero_set_runs_one_start(self, name, monkeypatch):
+        # the objective is non-negative, so a start ending at f <= 1e-14
+        # leaves the other starts less than 2.5e-15 to gain in phi
+        st = _catalog_structure(name)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            point = _zero_set_point(st, rng)
+            results = _record_results(monkeypatch, "minimize")
+            phi = exhaustion_phi(point, st, restarts=4)
+            assert len(results) == 1
+            assert phi <= 2.5e-15
+            assert phi == exhaustion_phi(point, st, restarts=1)
+
+    @pytest.mark.parametrize("name", ["su22_f12", "su23_f12"])
+    def test_tangency_runs_every_start(self, name, monkeypatch):
+        st = _catalog_structure(name)
+        rng = np.random.default_rng(24)
+        for _ in range(2):
+            x = sum(c * m for c, m in zip(0.4 * rng.standard_normal(st.fiber_dim), st.fiber_basis))
+            point = scipy.linalg.expm(x) @ random_compact_element(st, rng)
+            results = _record_results(monkeypatch, "minimize")
+            phi = exhaustion_phi(point, st, restarts=4)
+            assert len(results) == 4
+            assert 1e-6 < phi <= np.linalg.norm(x) ** 2 + 1e-8
 
     def test_fiber_exponentials_attain_their_norm(self, su22_structure):
         rng = np.random.default_rng(19)
@@ -644,7 +685,7 @@ class TestExhaustion:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
     def test_closed_form_needs_no_optimizer(self, spec, monkeypatch):
-        st = _closed_form_structure(*spec)
+        st = _catalog_structure(*spec)
         zeta, x0 = _synthesize(st, np.random.default_rng(4), scale=0.4)
         directions = [-m.conj().T for m in st.nil_basis] + list(st.nil_basis)
         _forbid_solvers(monkeypatch)
@@ -734,8 +775,7 @@ MOSTOW_ENTRIES = [
 
 @pytest.fixture(scope="module", params=MOSTOW_ENTRIES)
 def catalog_structure(request):
-    entry = catalog.build(request.param, catalog.REFERENCE_PARAMS.get(request.param))
-    return mostow_structure(entry.subalgebra)
+    return _catalog_structure(request.param, catalog.REFERENCE_PARAMS.get(request.param))
 
 
 def _nilpotent_spans(structure):
@@ -814,55 +854,68 @@ class TestNilpotentCharts:
             _nilpotency_index(Subspace.span([e(3, 0, 1), e(3, 1, 0)], 3))
 
 
+# About 10 % above the objective evaluations that stage A of
+# ``mostow_decompose`` takes on the inputs of
+# ``TestStageBStart::test_stage_b_solves_are_short`` when it hands over at a
+# gradient of 1e-3 (901, 1385, 2206, 3259 and 911); driving the gradient to
+# 1e-12 took 1227, 2919, 4711, 7751 and 1533.
+STAGE_A_CEILINGS = {
+    "su22_f12": 990,
+    "su23_f13": 1520,
+    "su23_f12": 2450,
+    "grassmann_pair": 3580,
+    "upper_triangular_horocycle": 1000,
+}
+
+
 class TestStageBStart:
     """Stage B starts on stage A's chart from its restart's stage-A
     estimate, so the least-squares solve only polishes it.  Started from
     Z = 0 and v = I (and a random v on later restarts), solves on these
     inputs took up to ``max_nfev`` = 4000 residual evaluations."""
 
-    def test_stage_b_solves_are_short(self, catalog_structure, monkeypatch):
-        evaluations = []
-        least_squares = scipy.optimize.least_squares
-
-        def counted(*args, **kwargs):
-            result = least_squares(*args, **kwargs)
-            evaluations.append(result.nfev)
-            return result
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
-        structure = dataclasses.replace(catalog_structure, levi_frame=None)
+    @staticmethod
+    def _decompose_inputs(structure):
+        """Decompose the 20 inputs (scale 0.6, seeds 20-39) with 2 restarts
+        on the optimizer path."""
+        structure = dataclasses.replace(structure, levi_frame=None)
         for seed in range(20, 40):
             rng = np.random.default_rng(seed)
             zeta, _ = _synthesize(structure, rng, scale=0.6, with_complement=True)
             mostow_decompose(zeta, structure, max_restarts=2, seed=seed)
+
+    def test_stage_b_solves_are_short(self, catalog_structure, monkeypatch):
+        solves = _record_results(monkeypatch, "least_squares")
+        self._decompose_inputs(catalog_structure)
+        evaluations = [result.nfev for result in solves]
         assert len(evaluations) == 40
         assert max(evaluations) <= 20
+
+    @pytest.mark.parametrize("name", sorted(STAGE_A_CEILINGS))
+    def test_stage_a_hands_over_early(self, name, monkeypatch):
+        # L-BFGS-B's nfev counts its evaluations of _orbit_objective
+        stage_a = _record_results(monkeypatch, "minimize")
+        self._decompose_inputs(_catalog_structure(name, catalog.REFERENCE_PARAMS.get(name)))
+        assert sum(result.nfev for result in stage_a) <= STAGE_A_CEILINGS[name]
 
     @pytest.mark.parametrize("seed", [3, 18])
     def test_stage_b_solves_are_short_at_scale_08(self, su22_structure, monkeypatch, seed):
         # inputs on which a stage A that stopped at f = 6.58 (seed 3) or
         # 16.99 (seed 18) while reporting success left stage B 854 or 1510
         # evaluations
-        evaluations = []
-        least_squares = scipy.optimize.least_squares
-
-        def counted(*args, **kwargs):
-            result = least_squares(*args, **kwargs)
-            evaluations.append(result.nfev)
-            return result
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+        solves = _record_results(monkeypatch, "least_squares")
         rng = np.random.default_rng(seed)
         zeta, x0 = _synthesize(su22_structure, rng, scale=0.8, with_complement=True)
         md = mostow_decompose(zeta, su22_structure, max_restarts=2, seed=seed)
         assert abs(md.fiber_norm - np.linalg.norm(x0)) < 1e-9
+        evaluations = [result.nfev for result in solves]
         assert len(evaluations) == 2
         assert max(evaluations) <= 20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
     def test_closed_form_runs_no_solve(self, spec, monkeypatch):
-        st = _closed_form_structure(*spec)
+        st = _catalog_structure(*spec)
         inputs = [
             _synthesize(st, np.random.default_rng(seed), scale=0.6, with_complement=True)
             for seed in range(20, 40)
@@ -1028,7 +1081,7 @@ class TestClosedForm:
         ids=["horocycle", "grassmann-1231", "grassmann-2341", "grassmann-2451"],
     )
     def test_matches_the_optimizer(self, name, params, count):
-        st = _closed_form_structure(name, params)
+        st = _catalog_structure(name, params)
         optimizer = dataclasses.replace(st, levi_frame=None)
         for seed in range(count):
             zeta, x0 = _synthesize(st, np.random.default_rng([71, seed]), scale=0.4)
@@ -1057,7 +1110,7 @@ class TestClosedForm:
     def test_floating_point_guards(self):
         # ζ*ζ = [[1, 1e10, 0], [1e10, 1e20 + 1, 0], [0, 0, 1]] rounds to a
         # singular matrix, whose Cholesky factorization fails
-        st = _closed_form_structure("upper_triangular_horocycle")
+        st = _catalog_structure("upper_triangular_horocycle")
         zeta = np.eye(3, dtype=complex)
         zeta[0, 1] = 1e10
         with pytest.raises(NonConvergenceError, match="non-convergent"):
@@ -1079,7 +1132,7 @@ class TestClosedForm:
         # optimizer runs on the unconjugated chart, whose basis is sparse
         name, params = spec
         entry = catalog.build(name, params)
-        st = _closed_form_structure(name, params)
+        st = _catalog_structure(name, params)
         values = itertools.cycle([Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3))])
         g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
         g_inv = g.star()
@@ -1114,7 +1167,7 @@ def _conjugated_optimizer_inputs(name, params):
     moved = mostow_structure(
         make_subalgebra(entry.ambient, [g @ b @ g_inv for b in entry.subalgebra.basis()])
     )
-    st = _closed_form_structure(name, params)
+    st = _catalog_structure(name, params)
     gm = g.to_numpy()
     inputs = []
     for seed in range(4):
