@@ -10,15 +10,12 @@ cohomology degrees where finiteness transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 import random
 
 from .ambient import AmbientAlgebra
-from .errors import ClosureError
 from .exact import (
-    QI,
     ExactMatrix,
     Subspace,
     bracket,
@@ -37,7 +34,7 @@ from .parabolic import (
     largest_intermediate,
     minimal_envelope,
 )
-from .structure import Subalgebra, make_subalgebra
+from .structure import Subalgebra
 
 __all__ = [
     "CRType",
@@ -133,9 +130,10 @@ class OrbitData:
     ``stabilizer`` is the real space of compact elements of the subalgebra
     commuting with the displacement, ``orbit_dim`` the real dimension of the
     corresponding compact-group orbit, and ``conjugated`` the subalgebra
-    moved by the exponential of the displacement — exact when the
-    exponential is rational (``exact_conjugation``), otherwise a tuple of
-    floating-point basis matrices.
+    moved by the exponential of the displacement.  The displacement lies in
+    the Hermitian fiber factor, so its exponential is rational only at zero:
+    there ``conjugated`` is the subalgebra itself and ``exact_conjugation``
+    is true; otherwise it is a tuple of floating-point basis matrices.
     """
 
     stabilizer: Subspace
@@ -213,21 +211,6 @@ def _hermitian_signature(h: ExactMatrix) -> tuple[int, int]:
     return _sign_changes(coeffs), _sign_changes(
         [-c if k % 2 else c for k, c in enumerate(coeffs)]
     )
-
-
-def _exact_exp(x: ExactMatrix) -> ExactMatrix:
-    """Exponential of a nilpotent matrix, exact over the rationals."""
-    n = x.rows
-    out = ExactMatrix.identity(n)
-    term = ExactMatrix.identity(n)
-    factorial = 1
-    for k in range(1, n):
-        term = term @ x
-        if term.is_zero:
-            break
-        factorial *= k
-        out = out + term.scale(QI(Fraction(1, factorial)))
-    return out
 
 
 def _real_kernel_space(
@@ -456,15 +439,6 @@ def orbit_data(v: Subalgebra, x: ExactMatrix) -> OrbitData:
 
     if x.is_zero:
         return OrbitData(stab, orbit_dim, v, True)
-    if x.is_nilpotent():
-        g = _exact_exp(x)
-        ginv = g.inverse()
-        moved = [g @ b @ ginv for b in v.basis()]
-        try:
-            conj = make_subalgebra(amb, moved)
-        except ClosureError as exc:
-            raise ArithmeticError("conjugation broke bracket closure") from exc
-        return OrbitData(stab, orbit_dim, conj, True)
 
     import numpy as np
     from scipy.linalg import expm

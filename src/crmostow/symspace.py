@@ -27,18 +27,9 @@ import scipy.linalg
 # them, so a process that only uses the exact layer never loads them.
 
 from .ambient import AmbientAlgebra
-from .crinv import fiber_data
+from .crinv import _real_kernel_space, fiber_data
 from .errors import NonConvergenceError, RestartDisagreementError
-from .exact import (
-    QI,
-    QI_I,
-    QI_ONE,
-    QI_ZERO,
-    ExactMatrix,
-    Subspace,
-    solve_kernel,
-    subspace_intersect,
-)
+from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, VectorSpan, subspace_intersect
 from .parabolic import HorocyclicVerdict, horocyclic_verdict
 from .structure import Subalgebra
 
@@ -473,56 +464,26 @@ def _nilpotency_index(space: Subspace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _inner(u: Sequence[QI], w: Sequence[QI]) -> QI:
-    return sum((a.conj() * b for a, b in zip(u, w)), QI_ZERO)
+def _step_projector(step: VectorSpan) -> ExactMatrix:
+    """The orthogonal projector ``B·(B*B)⁻¹·B*`` onto a flag step, with
+    ``B`` the matrix whose columns are the step's basis."""
+    b = ExactMatrix(step.rows).transpose()
+    return b @ (b.star() @ b).inverse() @ b.star()
 
 
-def _orthogonalize(vectors: Iterable[Sequence[QI]], kept: list) -> list:
-    """Gram–Schmidt over ℚ(i) without normalization: each vector minus its
-    projections onto ``kept`` and onto the new vectors before it; zero
-    remainders are dropped.  Returns the new vectors."""
-    new: list = []
-    for vec in vectors:
-        vec = list(vec)
-        for u in kept + new:
-            c = _inner(u, vec) / _inner(u, u)
-            if c:
-                vec = [x - c * y for x, y in zip(vec, u)]
-        if any(vec):
-            new.append(vec)
-    return new
-
-
-def _outer(u: Sequence[QI], w: Sequence[QI]) -> ExactMatrix:
-    return ExactMatrix([[a * b.conj() for b in w] for a in u])
-
-
-def _projector(basis: list) -> ExactMatrix:
-    """The orthogonal projector onto the span of an orthogonal basis."""
-    n = len(basis[0])
-    out = ExactMatrix.zeros(n)
-    for u in basis:
-        out = out + _outer(u, u).scale(QI_ONE / _inner(u, u))
-    return out
-
-
-def _hermitian_mats(left: list, right: list | None = None) -> list[ExactMatrix]:
-    """A real spanning set of the Hermitian matrices on the span of the
-    orthogonal basis ``left``, or, given ``right``, of the Hermitian matrices
-    exchanging the spans of ``left`` and ``right``."""
-    pairs = (
-        [(u, w) for i, u in enumerate(left) for w in left[i:]]
-        if right is None
-        else [(u, w) for u in left for w in right]
-    )
-    mats = []
-    for u, w in pairs:
-        if u is w:
-            mats.append(_outer(u, u))
-            continue
-        uw, wu = _outer(u, w), _outer(w, u)
-        mats += [uw + wu, (uw - wu).scale(QI_I)]
-    return mats
+def _hermitian_span(a: ExactMatrix, b: ExactMatrix) -> Subspace:
+    """The real span of ``a·H·b + b·H·a`` over the ``n²`` Hermitian unit
+    matrices ``H``: for ``a = b`` an orthogonal projector, the Hermitian
+    matrices on its range; for projectors onto orthogonal ranges, the
+    Hermitian matrices exchanging the two ranges."""
+    n = a.rows
+    units = []
+    for j in range(n):
+        units.append(ExactMatrix.unit(n, j, j))
+        for k in range(j + 1, n):
+            jk, kj = ExactMatrix.unit(n, j, k), ExactMatrix.unit(n, k, j)
+            units += [jk + kj, (jk - kj).scale(QI_I)]
+    return Subspace.span([a @ h @ b + b @ h @ a for h in units], n, real=True)
 
 
 def _rational_sqrt(c: QI) -> QI | None:
@@ -535,44 +496,39 @@ def _rational_sqrt(c: QI) -> QI | None:
 
 
 def _split_of_block(
-    basis: list, projector: ExactMatrix, fiber: list, herm: list
-) -> tuple[list, list] | None:
+    amb: AmbientAlgebra, projector: ExactMatrix, whole: Subspace, fiber: list, herm: list
+) -> tuple[ExactMatrix, ExactMatrix] | None:
     """The two-way split ``W = W₁ ⊕ W₂`` of a Levi block whose fiber part is
-    its off-diagonal Hermitian part: ``J = P_{W₁} − P_{W₂}`` is the Hermitian
-    matrix on ``W`` that anticommutes with the fiber part and commutes with
-    the Hermitian factor's part, unique up to scale.  Returns orthogonal bases
-    of ``W₁`` and ``W₂``, or ``None`` when ``J`` is not unique up to scale
-    or not a rational multiple of an involution."""
-    candidates = _hermitian_mats(basis)
-    columns = []
-    for b in candidates:
-        col: list[QI] = []
-        for x in fiber:
-            col += (b @ x + x @ b).flatten_real()
-        for h in herm:
-            col += (b @ h - h @ b).flatten_real()
-        columns.append(col)
-    kernel = solve_kernel(list(zip(*columns)), len(candidates))
-    if len(kernel) != 1:
+    its off-diagonal Hermitian part: ``J = √c·(P_{W₁} − P_{W₂})`` is the
+    member of ``Herm(W)`` (``whole``) that anticommutes with the fiber part
+    and commutes with the Hermitian factor's part, unique up to scale.
+    Returns the projectors ``(√c·P_W ± J)/(2√c)`` onto ``W₁`` and ``W₂``, or
+    ``None`` when ``J`` is not unique up to scale or not a rational multiple
+    of an involution."""
+    candidates = whole.basis()
+    # one image per candidate: its constraint values stacked into a tall matrix
+    images = [
+        ExactMatrix(
+            [row for x in fiber for row in (c @ x + x @ c).entries]
+            + [row for h in herm for row in (c @ h - h @ c).entries]
+        )
+        for c in candidates
+    ]
+    kernel = _real_kernel_space(amb, candidates, images)
+    if kernel.dim != 1:
         return None
-    j0 = ExactMatrix.zeros(projector.rows)
-    for c, b in zip(kernel[0], candidates):
-        if c:
-            j0 = j0 + b.scale(c)
+    (j0,) = kernel.basis()
     square = j0 @ j0
-    root = _rational_sqrt(square.trace() / QI(len(basis)))
+    root = _rational_sqrt(square.trace() / projector.trace())
     if root is None or square != projector.scale(root * root):
         return None
-    two = QI(2)
-    halves = []
-    for sign in (QI_ONE, -QI_ONE):
-        e = (projector.scale(root) + j0.scale(sign)).scale(QI_ONE / (two * root))
-        halves.append(_orthogonalize(zip(*e.entries), []))
-    if not all(halves):
+    half = QI_ONE / (root + root)
+    halves = [(projector.scale(root) + j0.scale(sign)).scale(half) for sign in (1, -1)]
+    if any(e.is_zero for e in halves):
         return None
-    # the half holding the earlier coordinate comes first, so that a
+    # the half meeting the earlier coordinate comes first, so that a
     # coordinate split keeps the identity frame
-    lead = [min(i for u in half for i, x in enumerate(u) if x) for half in halves]
+    lead = [min(i for i, row in enumerate(e.entries) if row[i]) for e in halves]
     return (halves[0], halves[1]) if lead[0] <= lead[1] else (halves[1], halves[0])
 
 
@@ -588,6 +544,13 @@ def _levi_frame(
     fiber's part is nothing, all of ``Herm(W_k)``, or the off-diagonal part
     of a split ``W_k = W_k1 ⊕ W_k2``; and the fiber and the Hermitian factor
     are exactly the traceless parts of the sums of their block parts.
+
+    The blocks come from the exact projectors ``P_k = Π_k − Π_{k−1}``, with
+    ``Π_k`` the orthogonal projector onto the k-th flag step.  The float
+    frame is the eigenvector matrix of ``Σ k·E_k`` over the pieces ``E_k``
+    (the projectors onto the blocks and split halves, in frame order); on a
+    coordinate flag that matrix is diagonal and sorted, so the frame is the
+    identity.
     """
     if not verdict.strictly_horocyclic or complement.dim:
         return None
@@ -597,58 +560,53 @@ def _levi_frame(
     levi_herm = subspace_intersect(witness.levi.realify(), amb.p0)
     fiber_mats, herm_mats = fiber.basis(), herm.basis()
 
-    kept: list = []
+    every_part = fiber_parts = herm_parts = Subspace.zero(n, real=True)
     blocks: list[tuple[int, int]] = []
-    frame_vectors: list = []
-    fiber_parts: list[ExactMatrix] = []
-    herm_parts: list[ExactMatrix] = []
-    every_part: list[ExactMatrix] = []
+    pieces: list[ExactMatrix] = []
+    below, lower_dim = ExactMatrix.zeros(n), 0
     for step in witness.invariant_flag:
-        basis = _orthogonalize(step.rows, kept)
-        kept += basis
-        proj = _projector(basis)
-        whole = _hermitian_mats(basis)
-        every_part += whole
+        upto = _step_projector(step)
+        proj, size = upto - below, step.dim - lower_dim
+        below, lower_dim = upto, step.dim
+        whole = _hermitian_span(proj, proj)
+        every_part = every_part.sum(whole)
         block_fiber = [proj @ x @ proj for x in fiber_mats]
         if all(x.is_zero for x in block_fiber):
-            blocks.append((len(basis), 0))
-            frame_vectors += basis
-            herm_parts += whole
+            blocks.append((size, 0))
+            pieces.append(proj)
+            herm_parts = herm_parts.sum(whole)
             continue
         block_fiber_space = Subspace.span(block_fiber, n, real=True)
-        if block_fiber_space == Subspace.span(whole, n, real=True):
-            blocks.append((len(basis), len(basis)))
-            frame_vectors += basis
-            fiber_parts += whole
+        if block_fiber_space == whole:
+            blocks.append((size, size))
+            pieces.append(proj)
+            fiber_parts = fiber_parts.sum(whole)
             continue
         split = _split_of_block(
-            basis,
-            proj,
-            block_fiber_space.basis(),
-            [proj @ h @ proj for h in herm_mats],
+            amb, proj, whole, block_fiber_space.basis(), [proj @ h @ proj for h in herm_mats]
         )
         if split is None:
             return None
         first, second = split
-        blocks.append((len(basis), len(first)))
-        frame_vectors += first + second
-        fiber_parts += _hermitian_mats(first, second)
-        herm_parts += _hermitian_mats(first) + _hermitian_mats(second)
-
-    def traceless(mats: list[ExactMatrix]) -> Subspace:
-        return subspace_intersect(Subspace.span(mats, n, real=True), amb.p0)
+        blocks.append((size, int(first.trace().re)))
+        pieces += [first, second]
+        fiber_parts = fiber_parts.sum(_hermitian_span(first, second))
+        herm_parts = herm_parts.sum(_hermitian_span(first, first)).sum(
+            _hermitian_span(second, second)
+        )
 
     if (
-        traceless(every_part) != levi_herm
-        or traceless(fiber_parts) != fiber
-        or traceless(herm_parts) != herm
+        subspace_intersect(every_part, amb.p0) != levi_herm
+        or subspace_intersect(fiber_parts, amb.p0) != fiber
+        or subspace_intersect(herm_parts, amb.p0) != herm
         or fiber.dim + herm.dim != levi_herm.dim
     ):
         return None
 
-    columns = [[complex(x.re, x.im) for x in u] for u in frame_vectors]
-    frame = np.array(columns).T
-    frame /= np.linalg.norm(frame, axis=0)
+    order = ExactMatrix.zeros(n)
+    for k, piece in enumerate(pieces, 1):
+        order = order + piece.scale(k)
+    frame = np.linalg.eigh(order.to_numpy())[1]
     return LeviFrame(None if np.array_equal(frame, np.eye(n)) else frame, tuple(blocks))
 
 
@@ -1538,18 +1496,8 @@ def counterexample_search(seed: int = 0) -> CounterexampleReport:
     # The float entries are exact rationals, so cube the matrix in exact
     # arithmetic: the structural cancellations (a·b·c⁻¹ terms) are then
     # genuinely zero rather than FMA rounding residue.
-    from fractions import Fraction
-
-    zf = [[Fraction(float(np.real(z[i, j]))) for j in range(3)] for i in range(3)]
-    z2 = [
-        [sum(zf[i][k] * zf[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-    z3 = [
-        [sum(z2[i][k] * zf[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-    nilpotency = math.sqrt(float(sum(val * val for row in z3 for val in row)))
+    z3 = ExactMatrix([[Fraction(float(np.real(x))) for x in row] for row in z]).power(3)
+    nilpotency = math.sqrt(float((z3 @ z3.star()).trace().re))
 
     residuals = {
         "system": abs(f(lam2)),

@@ -15,7 +15,8 @@ import scipy.optimize
 
 from crmostow import catalog, symspace
 from crmostow.errors import NonConvergenceError, RestartDisagreementError
-from crmostow.exact import ExactMatrix, Subspace
+from crmostow.exact import QI, ExactMatrix, Subspace
+from crmostow.parabolic import horocyclic_verdict
 from crmostow.structure import make_subalgebra
 from test_metamorphic import _cayley_transform
 from crmostow.symspace import (
@@ -1100,12 +1101,51 @@ class TestClosedForm:
         for index, params in enumerate(grid):
             st = mostow_structure(catalog.build("grassmann_pair", params).subalgebra)
             assert st.levi_frame is not None, params
+            assert st.levi_frame.frame is None, params
             for seed in range(3):
                 rng = np.random.default_rng([72, index, seed])
                 zeta, x0 = _synthesize(st, rng, scale=0.4)
                 md = mostow_decompose(zeta, st)
                 assert md.residual <= 1e-9 * max(1.0, np.linalg.norm(zeta)), params
                 assert abs(md.fiber_norm - np.linalg.norm(x0)) <= 1e-9, params
+
+    @pytest.mark.parametrize(
+        "name, params, blocks",
+        [
+            ("upper_triangular_horocycle", None, ((1, 1), (1, 1), (1, 1))),
+            ("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1}, ((3, 1), (1, 0))),
+            ("grassmann_pair", {"p": 2, "q": 3, "n": 4, "k": 1}, ((1, 0), (2, 1), (2, 0))),
+            ("grassmann_pair", {"p": 2, "q": 4, "n": 5, "k": 1}, ((1, 0), (2, 1), (3, 0))),
+        ],
+        ids=["horocycle", "grassmann-1231", "grassmann-2341", "grassmann-2451"],
+    )
+    def test_frame_layouts(self, name, params, blocks):
+        # a coordinate flag keeps the identity frame
+        frame = _catalog_structure(name, params).levi_frame
+        assert frame.blocks == blocks
+        assert frame.frame is None
+
+    def test_step_projectors(self):
+        # the flag of a Cayley-conjugated grassmann_pair lies off the coordinates
+        entry = catalog.build("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1})
+        values = itertools.cycle([Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1))])
+        g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
+        moved = make_subalgebra(
+            entry.ambient, [g @ b @ g.star() for b in entry.subalgebra.basis()]
+        )
+        flag = horocyclic_verdict(moved).strict_witness.invariant_flag
+        below, lower_dim = ExactMatrix.zeros(4), 0
+        for step in flag:
+            basis = ExactMatrix(step.rows).transpose()
+            upto = symspace._step_projector(step)
+            assert upto @ upto == upto and upto.star() == upto
+            assert upto @ basis == basis
+            assert upto.trace() == QI(step.dim)
+            block, size = upto - below, step.dim - lower_dim
+            assert block @ block == block and block @ below == ExactMatrix.zeros(4)
+            assert symspace._hermitian_span(block, block).dim == size * size
+            below, lower_dim = upto, step.dim
+        assert below == ExactMatrix.identity(4)
 
     def test_floating_point_guards(self):
         # ζ*ζ = [[1, 1e10, 0], [1e10, 1e20 + 1, 0], [0, 0, 1]] rounds to a
