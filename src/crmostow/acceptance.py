@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import catalog
 from .crinv import cr_type, fiber_data, levi_report
-from .exact import ExactMatrix, echelonize
+from .exact import ExactMatrix, Subspace
 from .parabolic import (
     horocyclic_verdict,
     is_parabolic,
@@ -165,8 +165,8 @@ def check_structural_invariants() -> CheckResult:
     entry = catalog.build("su23_f13")
     v = entry.subalgebra
     n5 = entry.ambient.n
-    nil_span = echelonize([e(n5, 0, 1) + e(n5, 2, 4), e(n5, 3, 4)])
-    normalizer_span = echelonize(
+    nil_span = Subspace.span([e(n5, 0, 1) + e(n5, 2, 4), e(n5, 3, 4)], n5)
+    normalizer_span = Subspace.span(
         [
             e(n5, 0, 0) - e(n5, 4, 4),
             e(n5, 0, 1),
@@ -175,7 +175,8 @@ def check_structural_invariants() -> CheckResult:
             e(n5, 2, 4),
             e(n5, 3, 2),
             e(n5, 3, 4),
-        ]
+        ],
+        n5,
     )
     if v.nr != nil_span:
         failures.append(

@@ -442,6 +442,8 @@ def _resolve_zeta(args: argparse.Namespace, structure) -> tuple[np.ndarray, dict
 
     from .symspace import random_group_element
 
+    if not cmath.isfinite(args.scale):
+        raise ValueError(f"--scale must be finite, got {args.scale}")
     if args.zeta:
         zeta = _float_matrix_from_json(_load_json(args.zeta))
         return zeta, {"source": "file", "path": args.zeta}

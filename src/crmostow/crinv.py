@@ -19,12 +19,10 @@ from .exact import (
     ExactMatrix,
     Subspace,
     bracket,
-    subspace_intersect,
-    subspace_sum,
+    kernel_space,
+    trace_annihilator,
     _charpoly_num,
-    _columns_to_rows,
     _common_row,
-    _kernel_mats,
     _lincomb,
     _trace_form,
 )
@@ -147,13 +145,6 @@ class OrbitData:
 # ---------------------------------------------------------------------------
 
 
-def _trace_complement(ambient: AmbientAlgebra, space: Subspace) -> Subspace:
-    """Trace-form orthogonal complement of a complex subspace inside k."""
-    kb = ambient.space.basis()
-    rows = [_common_row([_trace_form(x, u) for x in kb])[1] for u in space.basis()]
-    return Subspace.span(_kernel_mats(kb, rows), ambient.n)
-
-
 def _trace_projector(amb: AmbientAlgebra, pair: Subspace, comp: Subspace):
     """The projection of k onto ``comp`` along ``pair``, for the
     trace-orthogonal complement ``comp`` of ``pair``.
@@ -179,17 +170,6 @@ def _trace_projector(amb: AmbientAlgebra, pair: Subspace, comp: Subspace):
     return project
 
 
-def _real_rows(row) -> list:
-    """The real and the imaginary parts of a complex constraint row, as two
-    real rows (each kept only when nonzero)."""
-    out = []
-    for part in (0, 1):
-        real = {k: (pair[part], 0) for k, pair in row.items() if pair[part]}
-        if real:
-            out.append(real)
-    return out
-
-
 def _sign_changes(values) -> int:
     """Sign changes along a sequence of rationals, zeros skipped."""
     signs = [v > 0 for v in values if v]
@@ -211,23 +191,6 @@ def _hermitian_signature(h: ExactMatrix) -> tuple[int, int]:
     return _sign_changes(coeffs), _sign_changes(
         [-c if k % 2 else c for k, c in enumerate(coeffs)]
     )
-
-
-def _real_kernel_space(
-    ambient: AmbientAlgebra, basis_mats, images
-) -> Subspace:
-    """Real-coefficient combinations of ``basis_mats`` killing the images.
-
-    ``images[r]`` is the constraint value (a matrix) attached to the r-th
-    basis matrix; both real and imaginary parts of every entry must
-    cancel, so the kernel is computed over the reals.
-    """
-    if not basis_mats:
-        return Subspace.zero(ambient.n, real=True)
-    rows = []
-    for row in _columns_to_rows([(img._den, img._terms) for img in images]):
-        rows += _real_rows(row)
-    return Subspace.span(_kernel_mats(basis_mats, rows), ambient.n, real=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +238,14 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
     amb = v.ambient
 
     # Hermitian factor: trace-orthogonal to v + n(q) inside the Hermitian part
-    vqn = subspace_sum(v.space, q.nilradical)
-    p0_basis = amb.p0.basis()
-    rows = []
-    for u in vqn.basis():
-        rows += _real_rows(_common_row([_trace_form(b, u) for b in p0_basis])[1])
-    f0 = Subspace.span(_kernel_mats(p0_basis, rows), amb.n, real=True)
+    vqn = v.space.sum(q.nilradical)
+    f0 = trace_annihilator(amb.p0.basis(), vqn.basis(), amb.n, real=True)
 
     # nilpotent factor: invariant complement of nr(v) in nr(v) + n(q),
     # orthogonal under the conjugation-invariant product Re tr(X Y*)
-    total = subspace_sum(v.nr, q.nilradical)
-    big = total.basis()
-    lrows = [
-        _common_row([_trace_form(m, y.star()) for m in big])[1] for y in v.nr.basis()
-    ]
-    comp = Subspace.span(_kernel_mats(big, lrows), amb.n)
-    if (
-        subspace_sum(comp, v.nr) != total
-        or subspace_intersect(comp, v.nr).dim != 0
-    ):
+    total = v.nr.sum(q.nilradical)
+    comp = trace_annihilator(total.basis(), [y.star() for y in v.nr.basis()], amb.n)
+    if comp.sum(v.nr) != total or comp.intersect(v.nr).dim != 0:
         raise ArithmeticError("fiber complement construction failed")
     for x in v.compact_intersection.basis():
         for m in comp.basis():
@@ -355,11 +307,11 @@ def levi_report(
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
     amb = v.ambient
-    pair = subspace_sum(v.space, amb.conj_space(v.space))
+    pair = v.space.sum(amb.conj_space(v.space))
     if pair == amb.space:
         raise ValueError("empty characteristic space")
-    comp = _trace_complement(amb, pair)
-    c0 = subspace_intersect(comp.realify(), amb.k0)
+    comp = trace_annihilator(amb.space.basis(), pair.basis(), amb.n)
+    c0 = comp.realify().intersect(amb.k0)
     if c0.dim != cr_type(v).cr_codim:
         raise ArithmeticError("characteristic space dimension mismatch")
 
@@ -433,8 +385,7 @@ def orbit_data(v: Subalgebra, x: ExactMatrix) -> OrbitData:
     amb = v.ambient
     compact = v.compact_intersection
     mats = compact.basis()
-    images = [bracket(y, x) for y in mats]
-    stab = _real_kernel_space(amb, mats, images)
+    stab = kernel_space(mats, [[bracket(y, x) for y in mats]], amb.n, real=True)
     orbit_dim = amb.k0.dim - stab.dim
 
     if x.is_zero:

@@ -34,6 +34,18 @@ imaginary slot, in that order).  Each canonical row is kept as its
 Gaussian-integer numerators over the least positive integer that clears its
 denominators, which is also its pivot entry.  Two subspaces are equal iff
 these rows agree entry-wise, which makes equality a syntactic check.
+
+Kernels
+-------
+Subspaces cut out of a span by linear constraints come from two entry
+points.  :func:`trace_annihilator` keeps the combinations of given matrices
+that are trace-orthogonal to others (radicals, nilradicals, trace
+complements, fiber factors); :func:`kernel_space` keeps those that given
+linear maps send to zero, or into a subspace (normalizers, stabilizers, the
+closed-form split).  Both solve one integer system by the shared
+elimination, over complex coefficients or, with ``real=True``, over
+rational ones with the real and imaginary parts of each constraint
+imposed separately.
 """
 
 from __future__ import annotations
@@ -48,12 +60,10 @@ __all__ = [
     "ExactMatrix",
     "Subspace",
     "VectorSpan",
-    "echelonize",
-    "subspace_sum",
-    "subspace_intersect",
-    "contains",
     "bracket",
     "bracket_space",
+    "trace_annihilator",
+    "kernel_space",
     "solve_kernel",
     "charpoly",
     "squarefree_part",
@@ -386,10 +396,6 @@ class ExactMatrix:
     def flatten(self) -> tuple[QI, ...]:
         """Row-major coordinate vector of length ``rows * cols``."""
         return _qi_vec(self._terms, self.rows * self.cols, self._den)
-
-    def flatten_real(self) -> tuple[QI, ...]:
-        """Real-doubled coordinates: (Re, Im) per entry, row-major."""
-        return _qi_vec(self._coords(True), 2 * self.rows * self.cols, self._den)
 
     def to_numpy(self):
         import numpy as np
@@ -842,8 +848,8 @@ class _Span:
 class VectorSpan(_Span):
     """A canonical-echelon span of plain coordinate vectors over Q(i).
 
-    Companion to :class:`Subspace` for coefficient spaces that are not
-    matrix-shaped (weight functionals, abstract coordinates, flags of C^n).
+    Companion to :class:`Subspace` for spans that are not matrix-shaped:
+    the steps of flags of C^n.
     """
 
     __slots__ = ("width",)
@@ -943,13 +949,6 @@ class Subspace(_Span):
         self._check_compatible(other)
         return all(self._has(row) for row in other._irows)
 
-    def coordinates_of(self, mat: ExactMatrix) -> list[QI]:
-        """Coefficients of ``mat`` in the canonical basis (must be a member)."""
-        den, coords = self._coordinate_num(
-            mat._den, self._coords_of(mat), "matrix is not a member of the subspace"
-        )
-        return list(_qi_vec(coords, self.dim, den))
-
     def _check_compatible(self, other: "Subspace") -> None:
         if self.side != other.side or self.real != other.real:
             raise ValueError("ambient mismatch")
@@ -997,50 +996,14 @@ class Subspace(_Span):
         ]
         return Subspace._of(self.side, True, *_rref_num(rows))
 
-    def complexify_if_stable(self) -> "Subspace | None":
-        """The complex-linear space with the same elements, if i-stable."""
-        if not self.real:
-            return self
-        mats = self.basis()
-        for m in mats:
-            if not self.contains_mat(m.scale(QI_I)):
-                return None
-        return Subspace.span(mats, self.side, real=False)
-
     def __repr__(self) -> str:
         kind = "R" if self.real else "C"
         return f"Subspace(side={self.side}, dim={self.dim}, field={kind})"
 
 
 # ---------------------------------------------------------------------------
-# Module-level convenience operations
+# Commutator spans and kernels
 # ---------------------------------------------------------------------------
-
-
-def echelonize(mats: Sequence[ExactMatrix], side: int | None = None,
-               real: bool = False) -> Subspace:
-    """Canonical subspace spanned by the given matrices.
-
-    ``side`` may be omitted when at least one matrix is supplied.
-    """
-    mats = list(mats)
-    if side is None:
-        if not mats:
-            raise ValueError("incompatible shapes")
-        side = mats[0].rows
-    return Subspace.span(mats, side, real=real)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def contains(a: Subspace, x: ExactMatrix) -> bool:
-    return a.contains_mat(x)
 
 
 def bracket_space(a: Subspace, b: Subspace) -> Subspace:
@@ -1058,6 +1021,59 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
     else:
         brackets = [bracket(x, y) for x in a.basis() for y in b.basis()]
     return Subspace.span(brackets, a.side, real=False)
+
+
+def _real_rows(row: SparseRow) -> list[SparseRow]:
+    """The real and the imaginary parts of a complex constraint row, as two
+    real rows (each kept only when nonzero)."""
+    out = []
+    for part in (0, 1):
+        real = {k: (pair[part], 0) for k, pair in row.items() if pair[part]}
+        if real:
+            out.append(real)
+    return out
+
+
+def _kernel_subspace(mats: Sequence[ExactMatrix], rows: list[SparseRow], side: int,
+                     real: bool) -> Subspace:
+    """The span of the combinations of ``mats`` whose coefficients satisfy
+    the constraint ``rows``; with ``real``, each row's real and imaginary
+    parts separately, over rational coefficients."""
+    if real:
+        rows = [part for row in rows for part in _real_rows(row)]
+    return Subspace.span(_kernel_mats(mats, rows), side, real=real)
+
+
+def trace_annihilator(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix],
+                      side: int, real: bool = False) -> Subspace:
+    """The combinations ``x`` of ``mats`` with ``tr(x·y) = 0`` for every
+    ``y`` in ``others``.
+
+    ``real=False`` takes complex coefficients and returns a complex-linear
+    subspace; ``real=True`` takes rational coefficients, asks the real and
+    the imaginary part of each trace to vanish, and returns a real-linear
+    subspace.
+    """
+    rows = [_common_row([_trace_form(x, y) for x in mats])[1] for y in others]
+    return _kernel_subspace(mats, rows, side, real)
+
+
+def kernel_space(mats: Sequence[ExactMatrix], images: Iterable[Sequence[ExactMatrix]],
+                 side: int, real: bool = False, modulo: Subspace | None = None) -> Subspace:
+    """The combinations ``Σ c_k·mats[k]`` that every linear map in ``images``
+    sends to zero, or into ``modulo`` when it is given.
+
+    Each member of ``images`` lists one map's values at ``mats``, in order;
+    the values may be matrices of any shape when ``modulo`` is ``None``.
+    Each entry of ``Σ c_k·f(mats[k])``, or of its residue modulo
+    ``modulo`` (the residue is linear), is one constraint row.  ``real``
+    is as for :func:`trace_annihilator`.
+    """
+    column = modulo._residue_mat if modulo is not None else lambda m: (m._den, m._terms)
+    rows = []
+    for values in images:
+        rows += _columns_to_rows([column(m) for m in values])
+    return _kernel_subspace(mats, rows, side, real)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from .exact import (
     Subspace,
     VectorSpan,
     bracket,
-    subspace_intersect,
-    subspace_sum,
     _columns_to_rows,
     _kernel_mats,
     _kernel_num,
@@ -239,7 +237,7 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
             if covered.contains_mat(b):
                 continue
             cyc = _module_closure(ambient, act, Subspace.span([b], ambient.n))
-            if subspace_intersect(cyc, covered).dim:
+            if cyc.intersect(covered).dim:
                 clean = False
                 break
             chosen.append(cyc)
@@ -306,7 +304,7 @@ def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:
     if cached is not None:
         return cached
     result: tuple[bool, ParabolicSubalgebra | None]
-    radn = subspace_intersect(q.radical, q.derived)
+    radn = q.radical.intersect(q.derived)
     flag = _invariant_flag(q.ambient, radn.basis())
     if flag is None:
         result = (False, None)
@@ -315,10 +313,10 @@ def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:
         if stab.space != q.space:
             result = (False, None)
         else:
-            levi = subspace_intersect(q.space, q.ambient.conj_space(q.space))
+            levi = q.space.intersect(q.ambient.conj_space(q.space))
             if (
-                subspace_sum(levi, radn) != q.space
-                or subspace_intersect(levi, radn).dim != 0
+                levi.sum(radn) != q.space
+                or levi.intersect(radn).dim != 0
                 or radn != q.nr
             ):
                 raise ArithmeticError("parabolic decomposition failed")
@@ -377,11 +375,11 @@ def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
     if not p.nilradical.contains_space(v.nr):
         return False
     conj_q = v.ambient.conj_space(p.q.space)
-    inter = subspace_intersect(p.q.space, conj_q)
+    inter = p.q.space.intersect(conj_q)
     return (
         inter == p.levi
-        and subspace_sum(inter, p.nilradical) == p.q.space
-        and subspace_intersect(inter, p.nilradical).dim == 0
+        and inter.sum(p.nilradical) == p.q.space
+        and inter.intersect(p.nilradical).dim == 0
     )
 
 
@@ -399,8 +397,8 @@ def minimal_envelope(v: Subalgebra) -> ParabolicSubalgebra:
     trace = parabolic_regularization(v)
     e = trace.fixed_point
     _, pe = is_parabolic(e)
-    inter = subspace_intersect(e.space, v.ambient.conj_space(e.space))
-    q_space = subspace_sum(inter, pe.nilradical)
+    inter = e.space.intersect(v.ambient.conj_space(e.space))
+    q_space = inter.sum(pe.nilradical)
     if q_space == e.space:
         q = e
     else:
@@ -485,7 +483,7 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
         occurring = set()
         for wt in positive:
             piece = table[wt]
-            inter_dim = subspace_intersect(piece, generated).dim
+            inter_dim = piece.intersect(generated).dim
             if inter_dim == piece.dim:
                 occurring.add(wt)
             elif inter_dim:
@@ -505,7 +503,7 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
         if neg is None:
             raise ArithmeticError("weight ascent stalled")
         try:
-            bigger = subalgebra_from_space(amb, subspace_sum(current.q.space, neg))
+            bigger = subalgebra_from_space(amb, current.q.space.sum(neg))
         except ClosureError as exc:
             raise ArithmeticError("weight ascent stalled") from exc
         ok, enlarged = is_parabolic(bigger)
@@ -526,9 +524,7 @@ def combine_parabolics(
     """Intersection of two parabolics completed by the first nilradical."""
     if q1.ambient is not q2.ambient:
         raise ValueError("ambient mismatch")
-    space = subspace_sum(
-        subspace_intersect(q1.q.space, q2.q.space), q1.nilradical
-    )
+    space = q1.q.space.intersect(q2.q.space).sum(q1.nilradical)
     combined = subalgebra_from_space(q1.ambient, space)
     ok, witness = is_parabolic(combined)
     if not ok:
@@ -584,7 +580,7 @@ def largest_intermediate(v: Subalgebra) -> Subalgebra:
         for i in combo:
             u = u.sum(summands[i])
         try:
-            cand = subalgebra_from_space(amb, subspace_sum(v.space, u))
+            cand = subalgebra_from_space(amb, v.space.sum(u))
         except ClosureError:
             continue
         closed.append((u, cand))
@@ -617,7 +613,7 @@ def strengthen(v: Subalgebra, p: ParabolicSubalgebra) -> Subalgebra:
     """
     if not is_admissible_envelope(v, p):
         raise ValueError("not in P0")
-    enlarged = subalgebra_from_space(v.ambient, subspace_sum(v.space, p.nilradical))
+    enlarged = subalgebra_from_space(v.ambient, v.space.sum(p.nilradical))
     if not enlarged.n_reductive_verdict.ok:
         raise ArithmeticError("strengthening lost n-reductiveness")
     if enlarged.levi_part.space != v.levi_part.space:

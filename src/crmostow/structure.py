@@ -22,17 +22,14 @@ from .exact import (
     bracket,
     bracket_space,
     charpoly,
+    kernel_space,
     semisimple_part,
     squarefree_part,
-    subspace_intersect,
-    _columns_to_rows,
-    _common_row,
-    _kernel_mats,
+    trace_annihilator,
     _poly_derivative,
     _rref_num,
     _squarefree_num,
     _to_num,
-    _trace_form,
 )
 
 __all__ = [
@@ -118,7 +115,7 @@ class Subalgebra:
         nondegenerate Killing form.
         """
         if "radical" not in self._cache:
-            rad = self._compute_radical()
+            rad = trace_annihilator(self.basis(), self.derived.basis(), self.ambient.n)
             self._verify_radical(rad)
             self._cache["radical"] = rad
         return self._cache["radical"]  # type: ignore[return-value]
@@ -142,20 +139,16 @@ class Subalgebra:
     def levi_part(self) -> "Subalgebra":
         """L(v) = v ∩ σ(v): reductive, σ-stable, bracket-closed."""
         if "levi_part" not in self._cache:
-            inter = subspace_intersect(self.space, self.conj.space)
+            inter = self.space.intersect(self.conj.space)
             self._cache["levi_part"] = subalgebra_from_space(self.ambient, inter)
         return self._cache["levi_part"]  # type: ignore[return-value]
-
-    @property
-    def is_sigma_stable(self) -> bool:
-        return self.conj.space == self.space
 
     @property
     def compact_intersection(self) -> Subspace:
         """v ∩ k0 as a real subspace (coordinates doubled)."""
         if "compact_intersection" not in self._cache:
-            self._cache["compact_intersection"] = subspace_intersect(
-                self.space.realify(), self.ambient.k0
+            self._cache["compact_intersection"] = self.space.realify().intersect(
+                self.ambient.k0
             )
         return self._cache["compact_intersection"]  # type: ignore[return-value]
 
@@ -166,7 +159,7 @@ class Subalgebra:
             red = self.levi_part.space
             ok = (
                 nil.dim + red.dim == self.dim
-                and subspace_intersect(nil, red).dim == 0
+                and nil.intersect(red).dim == 0
                 and nil.sum(red) == self.space
             )
             self._cache["n_reductive_verdict"] = NReductiveVerdict(ok, nil, red)
@@ -182,16 +175,6 @@ class Subalgebra:
         return self._cache["is_splittable"]  # type: ignore[return-value]
 
     # -- internals ----------------------------------------------------------------
-    def _compute_radical(self) -> Subspace:
-        mats = self.basis()
-        if not mats:
-            return self.ambient.zero_space()
-        rows = [
-            _common_row([_trace_form(x, y) for x in mats])[1]
-            for y in self.derived.basis()
-        ]
-        return Subspace.span(_kernel_mats(mats, rows), self.ambient.n)
-
     def _verify_radical(self, rad: Subspace) -> None:
         if rad.dim and not rad.contains_space(
             bracket_space(self.space, rad)
@@ -246,18 +229,14 @@ class Subalgebra:
             roots, poly = _eigenvalues(self.ambient, x)
             if len(roots) < len(squarefree_part(poly)) - 1:
                 raise IrrationalWeightsError("irrational weights")
-        alg = _unital_closure(rad)
-        rows = [
-            _common_row([_trace_form(x, b) for x in mats])[1] for b in alg.basis()
-        ]
-        out = Subspace.span(_kernel_mats(mats, rows), self.ambient.n)
+        out = trace_annihilator(mats, _unital_closure(rad).basis(), self.ambient.n)
         # post-verification: nilpotent basis, ideal, contains rad ∩ derived
         for x in out.basis():
             if not x.is_nilpotent():
                 raise ArithmeticError("trace criterion produced a non-nilpotent")
         if out.dim and not out.contains_space(bracket_space(self.space, out)):
             raise ArithmeticError("nilpotent radical is not an ideal")
-        radn = subspace_intersect(rad, self.derived)
+        radn = rad.intersect(self.derived)
         if not out.contains_space(radn):
             raise ArithmeticError("nilpotent radical misses rad ∩ derived")
         return out
@@ -384,12 +363,8 @@ def normalizer(ambient: AmbientAlgebra, s: Subspace) -> Subalgebra:
     if not ambient.contains_space(s):
         raise ValueError("not inside ambient")
     kmats = ambient.space.basis()
-    rows = []
-    for y in s.basis():
-        # the residue modulo s is linear in its argument, so residues of the
-        # basis brackets assemble into a linear system for the coefficients
-        rows += _columns_to_rows([s._residue_mat(bracket(x, y)) for x in kmats])
-    space = Subspace.span(_kernel_mats(kmats, rows), ambient.n)
+    images = ([bracket(x, y) for x in kmats] for y in s.basis())
+    space = kernel_space(kmats, images, ambient.n, modulo=s)
     return subalgebra_from_space(ambient, space, verified=True)
 
 

@@ -27,9 +27,9 @@ import scipy.linalg
 # them, so a process that only uses the exact layer never loads them.
 
 from .ambient import AmbientAlgebra
-from .crinv import _real_kernel_space, fiber_data
+from .crinv import fiber_data
 from .errors import NonConvergenceError, RestartDisagreementError
-from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, VectorSpan, subspace_intersect
+from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, VectorSpan, kernel_space
 from .parabolic import HorocyclicVerdict, horocyclic_verdict
 from .structure import Subalgebra
 
@@ -496,7 +496,7 @@ def _rational_sqrt(c: QI) -> QI | None:
 
 
 def _split_of_block(
-    amb: AmbientAlgebra, projector: ExactMatrix, whole: Subspace, fiber: list, herm: list
+    projector: ExactMatrix, whole: Subspace, fiber: list, herm: list
 ) -> tuple[ExactMatrix, ExactMatrix] | None:
     """The two-way split ``W = W₁ ⊕ W₂`` of a Levi block whose fiber part is
     its off-diagonal Hermitian part: ``J = √c·(P_{W₁} − P_{W₂})`` is the
@@ -506,15 +506,9 @@ def _split_of_block(
     ``None`` when ``J`` is not unique up to scale or not a rational multiple
     of an involution."""
     candidates = whole.basis()
-    # one image per candidate: its constraint values stacked into a tall matrix
-    images = [
-        ExactMatrix(
-            [row for x in fiber for row in (c @ x + x @ c).entries]
-            + [row for h in herm for row in (c @ h - h @ c).entries]
-        )
-        for c in candidates
-    ]
-    kernel = _real_kernel_space(amb, candidates, images)
+    images = [[c @ x + x @ c for c in candidates] for x in fiber]
+    images += [[c @ h - h @ c for c in candidates] for h in herm]
+    kernel = kernel_space(candidates, images, whole.side, real=True)
     if kernel.dim != 1:
         return None
     (j0,) = kernel.basis()
@@ -557,7 +551,7 @@ def _levi_frame(
     witness = verdict.strict_witness
     amb = witness.ambient
     n = amb.n
-    levi_herm = subspace_intersect(witness.levi.realify(), amb.p0)
+    levi_herm = witness.levi.realify().intersect(amb.p0)
     fiber_mats, herm_mats = fiber.basis(), herm.basis()
 
     every_part = fiber_parts = herm_parts = Subspace.zero(n, real=True)
@@ -583,7 +577,7 @@ def _levi_frame(
             fiber_parts = fiber_parts.sum(whole)
             continue
         split = _split_of_block(
-            amb, proj, whole, block_fiber_space.basis(), [proj @ h @ proj for h in herm_mats]
+            proj, whole, block_fiber_space.basis(), [proj @ h @ proj for h in herm_mats]
         )
         if split is None:
             return None
@@ -596,9 +590,9 @@ def _levi_frame(
         )
 
     if (
-        subspace_intersect(every_part, amb.p0) != levi_herm
-        or subspace_intersect(fiber_parts, amb.p0) != fiber
-        or subspace_intersect(herm_parts, amb.p0) != herm
+        every_part.intersect(amb.p0) != levi_herm
+        or fiber_parts.intersect(amb.p0) != fiber
+        or herm_parts.intersect(amb.p0) != herm
         or fiber.dim + herm.dim != levi_herm.dim
     ):
         return None
@@ -618,7 +612,7 @@ def mostow_structure(v: Subalgebra) -> MostowStructure:
     verdict = horocyclic_verdict(v)
     amb: AmbientAlgebra = v.ambient
 
-    herm_part = subspace_intersect(v.space.realify(), amb.p0)
+    herm_part = v.space.realify().intersect(amb.p0)
     complement = fd.nilpotent_complement
 
     return MostowStructure(
@@ -640,7 +634,7 @@ def mostow_structure(v: Subalgebra) -> MostowStructure:
 
 def _check_group_membership(zeta: np.ndarray, structure: MostowStructure) -> None:
     n = structure.size
-    if zeta.shape != (n, n):
+    if zeta.shape != (n, n) or not np.isfinite(zeta).all():
         raise ValueError("not in the group")
     det = np.linalg.det(zeta)
     if abs(det - 1.0) > 1e-6 * max(1.0, abs(det)):
@@ -917,29 +911,18 @@ def _decomposition_chart(structure: MostowStructure) -> _ProductChart:
 
 
 def _chart_coordinates(
-    basis: Sequence[np.ndarray],
-    targets: Sequence[np.ndarray],
-    n: int,
-    is_complex: bool,
+    basis: Sequence[np.ndarray], target: np.ndarray, n: int, is_complex: bool
 ) -> np.ndarray:
-    """The real matrix taking the chart coordinates of a member of the span
-    of ``targets`` to those of its least-squares projection onto the span of
-    ``basis``: one coordinate per matrix over the reals, an (re, im) pair per
-    matrix over the complex numbers."""
+    """The chart coordinates of the least-squares projection of ``target``
+    onto the span of ``basis``: one coordinate per matrix over the reals, an
+    (re, im) pair per matrix over the complex numbers."""
     a = np.array(basis, dtype=complex).reshape(len(basis), n * n).T
-    b = np.array(targets, dtype=complex).reshape(len(targets), n * n).T
+    b = np.asarray(target, dtype=complex).reshape(n * n)
     if not is_complex:
         a = np.concatenate([a.real, a.imag])
         b = np.concatenate([b.real, b.imag])
     coeffs = np.linalg.lstsq(a, b, rcond=None)[0]
-    if not is_complex:
-        return coeffs
-    out = np.empty((2 * len(basis), 2 * len(targets)))
-    out[0::2, 0::2] = coeffs.real
-    out[0::2, 1::2] = -coeffs.imag
-    out[1::2, 0::2] = coeffs.imag
-    out[1::2, 1::2] = coeffs.real
-    return out
+    return np.stack([coeffs.real, coeffs.imag], axis=1).ravel() if is_complex else coeffs
 
 
 def _stage_b_residual(
@@ -1262,8 +1245,8 @@ def _closed_form_decompose(zm: np.ndarray, structure: MostowStructure, tol: floa
     ``v_params``."""
     n = structure.size
     xmat, pmat, nmat = _levi_decompose(zm, structure)
-    herm = _chart_coordinates(structure.herm_basis, [pmat], n, False)[:, 0]
-    nil_pairs = _chart_coordinates(structure.nil_basis, [nmat], n, True)[:, 0]
+    herm = _chart_coordinates(structure.herm_basis, pmat, n, False)
+    nil_pairs = _chart_coordinates(structure.nil_basis, nmat, n, True)
     nil = _ChartFactor(structure.nil_basis, n, True, 0, structure.nil_index)
     v, _ = nil.exp(nil.exponent(nil_pairs))
     if structure.herm_basis:

@@ -541,6 +541,16 @@ OUT_OF_RANGE = [
     (["decompose", "--tol", "-1"], "tol must be positive and finite, got -1.0"),
     (["decompose", "--tol", "0"], "tol must be positive and finite, got 0.0"),
     (["decompose", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["decompose", "--scale", "nan"], "--scale must be finite, got nan"),
+    (["exhaust", "--scale", "inf"], "--scale must be finite, got inf"),
+    (
+        ["decompose", "--random", "--scale", "nan", "--catalog", "upper_triangular_horocycle"],
+        "--scale must be finite, got nan",
+    ),
+    (
+        ["exhaust", "--random", "--scale", "inf", "--catalog", "su22_f12"],
+        "--scale must be finite, got inf",
+    ),
     (["exhaust", "--restarts", "0"], "restarts must be at least 1, got 0"),
     (["exhaust", "--restarts", "-3"], "restarts must be at least 1, got -3"),
     (["analyze", "--levi-grid", "0"], "grid density must be at least 1, got 0"),

@@ -17,7 +17,7 @@ from crmostow.crinv import (
     levi_report,
     orbit_data,
 )
-from crmostow.exact import QI, ExactMatrix, bracket
+from crmostow.exact import QI, ExactMatrix, bracket, trace_annihilator
 from crmostow.parabolic import is_parabolic, minimal_envelope
 from crmostow.structure import make_subalgebra
 
@@ -282,7 +282,7 @@ def _levi_projection_setup(name):
     entry = catalog.build(name, catalog.REFERENCE_PARAMS.get(name))
     v, amb = entry.subalgebra, entry.ambient
     pair = v.space.sum(amb.conj_space(v.space))
-    comp = crinv._trace_complement(amb, pair)
+    comp = trace_annihilator(amb.space.basis(), pair.basis(), amb.n)
     return v, amb, pair, comp
 
 

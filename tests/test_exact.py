@@ -12,13 +12,11 @@ from crmostow.exact import (
     bracket,
     bracket_space,
     charpoly,
-    contains,
-    echelonize,
+    kernel_space,
     semisimple_part,
     solve_kernel,
     squarefree_part,
-    subspace_intersect,
-    subspace_sum,
+    trace_annihilator,
 )
 from crmostow.exact import _rref_num
 
@@ -110,7 +108,6 @@ def test_matrix_storage_is_canonical():
     assert y.entries == x.entries
     assert (x - x) == ExactMatrix.zeros(2) and hash(x - x) == hash(ExactMatrix.zeros(2))
     assert x.flatten() == tuple(e for row in x.entries for e in row)
-    assert x.flatten_real()[:2] == (QI(Fraction(1, 2)), QI(1))
     # the identity, built from its terms, is stored as the diagonal of ones is
     for n in (1, 2, 5):
         ones = ExactMatrix.diagonal([1] * n)
@@ -172,7 +169,7 @@ def test_bracket_jacobi_and_antisymmetry(flat):
 
 def test_echelonize_dependent_spans():
     n = 2
-    s = echelonize([_E(n, 0, 1), _E(n, 0, 1).scale(2)])
+    s = Subspace.span([_E(n, 0, 1), _E(n, 0, 1).scale(2)], n)
     assert s.dim == 1
     assert s.contains_mat(_E(n, 0, 1).scale(QI(0, 7)))
 
@@ -188,29 +185,29 @@ def test_echelonize_mixed_combination():
     n = 4
     a = _E(n, 0, 1) + _E(n, 2, 3)
     b = _E(n, 0, 1) - _E(n, 2, 3)
-    s = echelonize([a, b])
+    s = Subspace.span([a, b], n)
     assert s.dim == 2
     assert s.contains_mat(_E(n, 0, 1))
     assert s.contains_mat(_E(n, 2, 3))
-    assert s == echelonize([_E(n, 0, 1), _E(n, 2, 3)])
+    assert s == Subspace.span([_E(n, 0, 1), _E(n, 2, 3)], n)
 
 
 def test_canonical_form_is_basis_independent():
     n = 3
     a = _E(n, 0, 1).scale(QI(0, 2)) + _E(n, 1, 2)
     b = _E(n, 0, 1) + _E(n, 0, 2)
-    s1 = echelonize([a, b])
-    s2 = echelonize([b.scale(QI(3, 1)), a + b.scale(5), a])
+    s1 = Subspace.span([a, b], n)
+    s2 = Subspace.span([b.scale(QI(3, 1)), a + b.scale(5), a], n)
     assert s1 == s2
     assert hash(s1) == hash(s2)
 
 
 def test_sum_and_intersection_dims():
     n = 3
-    a = echelonize([_E(n, 0, 1), _E(n, 0, 2)])
-    b = echelonize([_E(n, 0, 2), _E(n, 1, 2)])
-    u = subspace_sum(a, b)
-    w = subspace_intersect(a, b)
+    a = Subspace.span([_E(n, 0, 1), _E(n, 0, 2)], n)
+    b = Subspace.span([_E(n, 0, 2), _E(n, 1, 2)], n)
+    u = a.sum(b)
+    w = a.intersect(b)
     assert u.dim == 3
     assert w.dim == 1
     assert w.contains_mat(_E(n, 0, 2))
@@ -218,33 +215,19 @@ def test_sum_and_intersection_dims():
 
 def test_intersection_nontrivial_combination():
     n = 2
-    a = echelonize([_E(n, 0, 0) + _E(n, 1, 1), _E(n, 0, 1)])
-    b = echelonize([_E(n, 0, 0) + _E(n, 1, 1) + _E(n, 0, 1), _E(n, 1, 0)])
-    w = subspace_intersect(a, b)
+    a = Subspace.span([_E(n, 0, 0) + _E(n, 1, 1), _E(n, 0, 1)], n)
+    b = Subspace.span([_E(n, 0, 0) + _E(n, 1, 1) + _E(n, 0, 1), _E(n, 1, 0)], n)
+    w = a.intersect(b)
     assert w.dim == 1
     assert w.contains_mat(_E(n, 0, 0) + _E(n, 1, 1) + _E(n, 0, 1))
 
 
 def test_contains_rejects_outside():
     n = 2
-    a = echelonize([_E(n, 0, 1)])
-    assert contains(a, _E(n, 0, 1).scale(QI(Fraction(2, 3), 5)))
-    assert not contains(a, _E(n, 1, 0))
-    assert not contains(a, _E(n, 0, 1) + _E(n, 1, 0))
-
-
-def test_coordinates_roundtrip():
-    n = 3
-    basis_mats = [_E(n, 0, 1) + _E(n, 1, 2), _E(n, 0, 2)]
-    s = echelonize(basis_mats)
-    target = basis_mats[0].scale(QI(2, 1)) + basis_mats[1].scale(QI(0, -3))
-    coeffs = s.coordinates_of(target)
-    rebuilt = ExactMatrix.zeros(n)
-    for c, m in zip(coeffs, s.basis()):
-        rebuilt = rebuilt + m.scale(c)
-    assert rebuilt == target
-    with pytest.raises(ValueError):
-        s.coordinates_of(_E(n, 1, 0))
+    a = Subspace.span([_E(n, 0, 1)], n)
+    assert a.contains_mat(_E(n, 0, 1).scale(QI(Fraction(2, 3), 5)))
+    assert not a.contains_mat(_E(n, 1, 0))
+    assert not a.contains_mat(_E(n, 0, 1) + _E(n, 1, 0))
 
 
 @st.composite
@@ -274,7 +257,7 @@ def _subspace_triples(draw):
 def test_dimension_lattice_identity(pair):
     a, b = pair
     assert (
-        subspace_sum(a, b).dim + subspace_intersect(a, b).dim
+        a.sum(b).dim + a.intersect(b).dim
         == a.dim + b.dim
     )
 
@@ -283,21 +266,21 @@ def test_dimension_lattice_identity(pair):
 @given(_subspace_triples())
 def test_sum_contains_both_and_intersection_in_both(pair):
     a, b = pair
-    u = subspace_sum(a, b)
-    w = subspace_intersect(a, b)
+    u = a.sum(b)
+    w = a.intersect(b)
     assert u.contains_space(a) and u.contains_space(b)
     assert a.contains_space(w) and b.contains_space(w)
 
 
 def test_bracket_space_oracle():
     n = 2
-    sl2 = echelonize([_E(n, 0, 1), _E(n, 1, 0), ExactMatrix.diagonal([1, -1])])
+    sl2 = Subspace.span([_E(n, 0, 1), _E(n, 1, 0), ExactMatrix.diagonal([1, -1])], n)
     derived = bracket_space(sl2, sl2)
     assert derived == sl2
-    cartan = echelonize([ExactMatrix.diagonal([1, -1])])
+    cartan = Subspace.span([ExactMatrix.diagonal([1, -1])], n)
     assert bracket_space(cartan, cartan).dim == 0
-    borel = echelonize([ExactMatrix.diagonal([1, -1]), _E(n, 0, 1)])
-    assert bracket_space(borel, borel) == echelonize([_E(n, 0, 1)])
+    borel = Subspace.span([ExactMatrix.diagonal([1, -1]), _E(n, 0, 1)], n)
+    assert bracket_space(borel, borel) == Subspace.span([_E(n, 0, 1)], n)
 
 
 def test_real_subspace_doubling():
@@ -308,14 +291,11 @@ def test_real_subspace_doubling():
     assert s.dim == 1
     assert s.contains_mat(m.scale(Fraction(5, 7)))
     assert not s.contains_mat(m.scale(QI(0, 1)))
-    assert s.complexify_if_stable() is None
     # complex line realified has real dimension 2
-    line = echelonize([m])
+    line = Subspace.span([m], n)
     doubled = line.realify()
     assert doubled.dim == 2
     assert doubled.contains_mat(m.scale(QI(1, 1)))
-    back = doubled.complexify_if_stable()
-    assert back == line
 
 
 def test_real_intersection_of_complex_spaces():
@@ -324,7 +304,7 @@ def test_real_intersection_of_complex_spaces():
     b = Subspace.span(
         [_E(n, 0, 1) + _E(n, 1, 0), _E(n, 0, 1).scale(QI(0, 1))], n, real=True
     )
-    w = subspace_intersect(a, b)
+    w = a.intersect(b)
     assert w.dim == 1
     assert w.contains_mat(_E(n, 0, 1) + _E(n, 1, 0))
 
@@ -404,6 +384,11 @@ def _fractions(vec):
     return tuple((Fraction(q.re), Fraction(q.im)) for q in vec)
 
 
+def _real_fractions(m):
+    """Real-doubled coordinates of a matrix: (Re, Im) per entry, row-major."""
+    return tuple((x, Fraction(0)) for q in m.flatten() for x in (Fraction(q.re), Fraction(q.im)))
+
+
 def _engine_rref(pivots, rows, width):
     return pivots, [
         tuple(
@@ -468,7 +453,7 @@ def _matrix_sets(draw):
 def test_span_sum_intersect_match_oracle(case):
     mats_u, mats_w, real = case
     width = 8 if real else 4
-    coords = (lambda m: _fractions(m.flatten_real())) if real else (lambda m: _fractions(m.flatten()))
+    coords = _real_fractions if real else (lambda m: _fractions(m.flatten()))
     u = Subspace.span(mats_u, 2, real=real)
     w = Subspace.span(mats_w, 2, real=real)
     ou = _oracle_rref([coords(m) for m in mats_u], width)
@@ -482,6 +467,94 @@ def test_span_sum_intersect_match_oracle(case):
         ou[1], ow[1], width
     )
     assert total.dim + inter.dim == u.dim + w.dim
+
+
+# ---------------------------------------------------------------------------
+# kernels against the QI oracle solve_kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _kernel_cases(draw):
+    """2x2 matrices to combine, matrices to pair them with, up to two maps
+    x -> a·x·b, a subspace to work modulo, and the field."""
+    def mats():
+        out = []
+        for r in draw(_row_sets(4)):
+            entries = [QI(*r.get(k, (0, 0))) for k in range(4)]
+            out.append(ExactMatrix([entries[:2], entries[2:]]))
+        return out
+    mats_, others, factors = mats(), mats(), mats()
+    maps = list(zip(factors[0::2], factors[1::2]))[:2]
+    return mats_, others, maps, Subspace.span(mats(), 2), draw(st.booleans())
+
+
+def _oracle_span(mats, rows, unknowns, real):
+    """The span of Σ c_k·mats[k] over solve_kernel's basis of the rows (in
+    ``unknowns`` variables, the first len(mats) of them the c_k); with
+    ``real``, each row's real and imaginary parts are imposed separately."""
+    if real:
+        rows = [tuple(QI(getattr(q, part)) for q in row) for row in rows for part in ("re", "im")]
+    combos = []
+    for vec in solve_kernel(rows, unknowns):
+        combo = ExactMatrix.zeros(2)
+        for c, m in zip(vec, mats):
+            combo = combo + m.scale(c)
+        combos.append(combo)
+    return Subspace.span(combos, 2, real=real)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_cases())
+def test_trace_annihilator_matches_oracle(case):
+    mats, others, _, _, real = case
+    rows = [tuple((x @ y).trace() for x in mats) for y in others]
+    expected = _oracle_span(mats, rows, len(mats), real)
+    assert trace_annihilator(mats, others, 2, real=real) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_cases())
+def test_kernel_space_matches_oracle(case):
+    mats, _, maps, modulo, real = case
+    images = [[a @ m @ b for m in mats] for a, b in maps]
+    # Σ c_k·f(mats[k]) = Σ d_l·b_l with b_l the basis of the modulus, one
+    # vector d per map: the kernel in (c, d), projected to c
+    basis = [] if real else [b.flatten() for b in modulo.basis()]
+    unknowns = len(mats) + len(maps) * len(basis)
+    rows = []
+    for j, values in enumerate(images):
+        flat = [m.flatten() for m in values]
+        for e in range(4):
+            row = [QI(0)] * unknowns
+            row[: len(mats)] = [v[e] for v in flat]
+            for l, b in enumerate(basis):
+                row[len(mats) + j * len(basis) + l] = -b[e]
+            rows.append(tuple(row))
+    expected = _oracle_span(mats, rows, unknowns, real)
+    got = kernel_space(mats, images, 2, real=real, modulo=None if real else modulo)
+    assert got == expected
+
+
+def test_kernel_space_modulo_is_the_normalizer():
+    # {x in gl(2) : [x, E01] in span(E01)} is the upper triangular algebra
+    units = [_E(2, i, j) for i in range(2) for j in range(2)]
+    line = Subspace.span([_E(2, 0, 1)], 2)
+    images = [[bracket(x, _E(2, 0, 1)) for x in units]]
+    upper = Subspace.span([_E(2, 0, 0), _E(2, 0, 1), _E(2, 1, 1)], 2)
+    assert kernel_space(units, images, 2, modulo=line) == upper
+    # without the modulus only the centralizer span(I, E01) is left
+    centralizer = Subspace.span([ExactMatrix.identity(2), _E(2, 0, 1)], 2)
+    assert kernel_space(units, images, 2) == centralizer
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_kernels_of_no_matrices_are_zero(real):
+    others = [_E(2, 0, 1), ExactMatrix.identity(2)]
+    assert trace_annihilator([], others, 2, real=real) == Subspace.zero(2, real=real)
+    assert kernel_space([], [[], []], 2, real=real) == Subspace.zero(2, real=real)
+    modulo = Subspace.span(others, 2)
+    assert kernel_space([], [[]], 2, modulo=modulo) == Subspace.zero(2)
 
 
 # ---------------------------------------------------------------------------

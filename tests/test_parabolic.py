@@ -4,7 +4,7 @@ import pytest
 
 from crmostow import catalog
 from crmostow.ambient import block_special_linear, special_linear
-from crmostow.exact import QI, ExactMatrix, Subspace, echelonize
+from crmostow.exact import QI, ExactMatrix, Subspace
 from crmostow.parabolic import (
     HorocyclicVerdict,
     combine_parabolics,
@@ -256,9 +256,12 @@ def test_su23_f13_normalizer_certificate():
     def e(i, j, c=1):
         return _E(5, i, j, c)
 
-    assert v.nr == echelonize([e(0, 1) + e(2, 4), e(3, 4)])
+    def span(mats):
+        return Subspace.span(mats, 5)
 
-    in_block = echelonize(
+    assert v.nr == span([e(0, 1) + e(2, 4), e(3, 4)])
+
+    in_block = span(
         [
             e(0, 0) - e(4, 4),
             e(0, 1),
@@ -273,7 +276,7 @@ def test_su23_f13_normalizer_certificate():
     assert n_block.space == in_block and n_block.dim == 7
     assert not is_parabolic(n_block)[0]
 
-    in_sl5 = echelonize(
+    in_sl5 = span(
         [
             e(0, 0) - e(4, 4),
             e(0, 1),
@@ -292,7 +295,7 @@ def test_su23_f13_normalizer_certificate():
     assert n_sl5.space == in_sl5 and n_sl5.dim == 11
     assert not is_parabolic(n_sl5)[0]
 
-    q_min_span = echelonize(
+    q_min_span = span(
         [
             e(0, 0) - e(4, 4),
             e(1, 1) - e(4, 4),
@@ -311,7 +314,7 @@ def test_su23_f13_normalizer_certificate():
     assert trace.fixed_point.space == q_min.q.space == q_min_span
 
     q_max = maximal_envelope(v, q_min)
-    assert q_max.q.space == q_min_span.sum(echelonize([e(2, 3)]))
+    assert q_max.q.space == q_min_span.sum(span([e(2, 3)]))
     assert q_max.dim == 9
 
 

@@ -581,6 +581,20 @@ class TestMostowDecompose:
         with pytest.raises(ValueError, match="not in the group"):
             mostow_decompose(2.0 * np.eye(4, dtype=complex), su22_structure)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "infinity"])
+    @pytest.mark.parametrize("name", ["upper_triangular_horocycle", "su22_f12"])
+    def test_rejects_non_finite_entries(self, name, value):
+        # every comparison with NaN is false, and inf - inf is NaN, so the
+        # determinant and block tests alone let such a matrix through; the
+        # horocycle takes the closed form, su22_f12 the optimizers
+        structure = _catalog_structure(name)
+        n = structure.size
+        for zeta in (np.full((n, n), value, dtype=complex), np.eye(n, dtype=complex)):
+            zeta[0, 0] = value
+            for call in (mostow_decompose, exhaustion_phi):
+                with pytest.raises(ValueError, match="not in the group"):
+                    call(zeta, structure)
+
     def test_restart_agreement_gate(self):
         assert _check_restart_agreement([1.0, 1.0 + 1e-9], 1e-6, strict=True)
         assert not _check_restart_agreement([1.0, 1.5], 1e-6, strict=False)
