@@ -280,7 +280,7 @@ def build_analysis_report(
         return {
             "dim": p.q.dim,
             "nilradical_dim": p.nilradical.dim,
-            "flag_dims": [w.dim for w in p.invariant_flag],
+            "flag_dims": list(p.flag_dims),
         }
 
     if not verdict.ok:
@@ -520,11 +520,7 @@ def cmd_exhaust(args: argparse.Namespace) -> int:
         "zeta": dict(zeta_info, matrix=_float_matrix_to_json(zeta)),
         "options": {"restarts": args.restarts, "seed": args.seed},
         "phi": phi,
-        "cross_checked": bool(
-            args.cross_check
-            and structure.horocyclic
-            and structure.complement_dim == 0
-        ),
+        "cross_checked": args.cross_check and structure.cross_checkable,
     }
     _emit(report, args.out)
     return EXIT_OK

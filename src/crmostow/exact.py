@@ -23,7 +23,7 @@ Gaussian-integer ``(re, im)`` coefficients, taken up to a scalar: the
 characteristic polynomial is that of the numerator matrix, and gcds and
 squarefree parts come from a primitive pseudo-remainder sequence.
 :class:`QI` values are built only at the public edges (``entries``,
-``rows``, ``flatten``, coefficient lists, ``repr``).
+``flatten``, coefficient lists, ``repr``).
 
 Canonical form
 --------------
@@ -45,7 +45,11 @@ linear maps send to zero, or into a subspace (normalizers, stabilizers, the
 closed-form split).  Both solve one integer system by the shared
 elimination, over complex coefficients or, with ``real=True``, over
 rational ones with the real and imaginary parts of each constraint
-imposed separately.
+imposed separately.  :func:`kernel_projector` solves the same kind of
+system on Cⁿ itself and returns the orthogonal projector onto the joint
+kernel of given matrices: a subspace of Cⁿ, such as a step of an invariant
+flag, is held as that projector, which is unique, so two steps are equal
+iff their projectors are.
 """
 
 from __future__ import annotations
@@ -59,11 +63,11 @@ __all__ = [
     "QI",
     "ExactMatrix",
     "Subspace",
-    "VectorSpan",
     "bracket",
     "bracket_space",
     "trace_annihilator",
     "kernel_space",
+    "kernel_projector",
     "solve_kernel",
     "charpoly",
     "squarefree_part",
@@ -767,112 +771,7 @@ def solve_kernel(rows: Sequence[Sequence[QI]], ncols: int) -> list[tuple[QI, ...
 # ---------------------------------------------------------------------------
 
 
-class _Span:
-    """Canonical reduced echelon basis of a span of coordinate vectors.
-
-    Row ``i`` is stored as the sparse Gaussian-integer numerators of the
-    canonical row over its pivot entry ``d_i`` (the least positive integer
-    making the row integral); ``_where`` maps each pivot column to its row.
-    """
-
-    __slots__ = ("pivots", "_irows", "_where", "_hash")
-
-    def _set_echelon(self, pivots, irows) -> None:
-        _set(self, "pivots", tuple(pivots))
-        _set(self, "_irows", tuple(irows))
-        _set(self, "_where", {p: i for i, p in enumerate(self.pivots)})
-        _set(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def rows(self) -> tuple[tuple[QI, ...], ...]:
-        """The canonical basis rows (pivot entries 1)."""
-        return tuple(
-            _qi_vec(r, self.width, r[p][0]) for r, p in zip(self._irows, self.pivots)
-        )
-
-    def _reduce(self, row: SparseRow) -> SparseRow:
-        """A row reduced against the basis (scale not preserved).
-
-        A canonical row is zero at every other pivot, so clearing one pivot
-        column fills no other; the order does not matter.
-        """
-        where, irows = self._where, self._irows
-        for col in [c for c in row if c in where]:
-            row = _eliminate(row, irows[where[col]], col)
-        return row
-
-    def _has(self, row: SparseRow) -> bool:
-        return not self._reduce(row)
-
-    def _residue(self, den: int, row: SparseRow) -> tuple[int, SparseRow]:
-        """``(den', numerators)`` of the residue of ``row / den``: the vector
-        minus the unique member agreeing with it at the pivot coordinates."""
-        where, irows = self._where, self._irows
-        for col in [c for c in row if c in where]:
-            prow = irows[where[col]]
-            row = _eliminate(row, prow, col)
-            den *= prow[col][0]
-        g = _content(row.values(), den)
-        return den // g, _divide(row, g)
-
-    def _coordinate_num(self, den: int, row: SparseRow, outside: str) -> tuple[int, SparseRow]:
-        """Basis coefficients of ``row / den`` as ``(den, {index: numerator})``;
-        the vector must lie in the span, else ``ValueError(outside)``.
-
-        A canonical row is 1 at its own pivot and 0 at every other pivot, so
-        the coefficients are the vector's values at the pivots.
-        """
-        if not self._has(row):
-            raise ValueError(outside)
-        where = self._where
-        return den, {where[c]: pair for c, pair in row.items() if c in where}
-
-    def _same_span(self, other) -> bool:
-        return self.pivots == other.pivots and self._irows == other._irows
-
-    def _span_hash(self, *key) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(key + (self.pivots, tuple(frozenset(r.items()) for r in self._irows)))
-            _set(self, "_hash", h)
-        return h
-
-
-class VectorSpan(_Span):
-    """A canonical-echelon span of plain coordinate vectors over Q(i).
-
-    Companion to :class:`Subspace` for spans that are not matrix-shaped:
-    the steps of flags of C^n.
-    """
-
-    __slots__ = ("width",)
-
-    @staticmethod
-    def _of(width: int, pivots, irows) -> "VectorSpan":
-        span = _new(VectorSpan)
-        _set(span, "width", width)
-        span._set_echelon(pivots, irows)
-        return span
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorSpan)
-            and self.width == other.width
-            and self._same_span(other)
-        )
-
-    def __hash__(self) -> int:
-        return self._span_hash(self.width)
-
-
-class Subspace(_Span):
+class Subspace:
     """A linear subspace of the space of ``side x side`` matrices.
 
     ``real=False``: a complex-linear subspace; coordinates are the row-major
@@ -880,19 +779,28 @@ class Subspace(_Span):
     (Re, Im) pairs of the row-major entries and scalars are rational.
 
     The stored basis is the unique canonical reduced echelon basis, so
-    equality of subspaces is entry-wise equality of bases.
+    equality of subspaces is entry-wise equality of bases.  Row ``i`` is
+    stored as the sparse Gaussian-integer numerators of the canonical row
+    over its pivot entry ``d_i`` (the least positive integer making the row
+    integral); ``_where`` maps each pivot column to its row.
     """
 
-    __slots__ = ("side", "real", "_basis")
+    __slots__ = ("side", "real", "pivots", "_irows", "_where", "_hash", "_basis")
 
     @staticmethod
     def _of(side: int, real: bool, pivots, irows) -> "Subspace":
         s = _new(Subspace)
         _set(s, "side", side)
         _set(s, "real", real)
+        _set(s, "pivots", tuple(pivots))
+        _set(s, "_irows", tuple(irows))
+        _set(s, "_where", {p: i for i, p in enumerate(s.pivots)})
+        _set(s, "_hash", None)
         _set(s, "_basis", None)
-        s._set_echelon(pivots, irows)
         return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -910,11 +818,8 @@ class Subspace(_Span):
 
     # -- core queries ---------------------------------------------------------
     @property
-    def ambient_dim(self) -> int:
-        n2 = self.side * self.side
-        return 2 * n2 if self.real else n2
-
-    width = ambient_dim  # the coordinate count, as for a VectorSpan
+    def dim(self) -> int:
+        return len(self.pivots)
 
     def _coords_of(self, mat: ExactMatrix) -> SparseRow:
         if mat.rows != self.side or mat.cols != self.side:
@@ -939,8 +844,41 @@ class Subspace(_Span):
             _set(self, "_basis", mats)
         return list(mats)
 
+    def _has(self, row: SparseRow) -> bool:
+        """Whether a coordinate row lies in the span.
+
+        A canonical row is zero at every other pivot, so clearing one pivot
+        column fills no other; the order does not matter.
+        """
+        where, irows = self._where, self._irows
+        for col in [c for c in row if c in where]:
+            row = _eliminate(row, irows[where[col]], col)
+        return not row
+
     def _residue_mat(self, mat: ExactMatrix) -> tuple[int, SparseRow]:
-        return self._residue(mat._den, self._coords_of(mat))
+        """``(den, numerators)`` of the residue of ``mat``: its coordinates
+        minus those of the unique member agreeing with it at the pivots."""
+        where, irows = self._where, self._irows
+        den, row = mat._den, self._coords_of(mat)
+        for col in [c for c in row if c in where]:
+            prow = irows[where[col]]
+            row = _eliminate(row, prow, col)
+            den *= prow[col][0]
+        g = _content(row.values(), den)
+        return den // g, _divide(row, g)
+
+    def _coordinate_num(self, mat: ExactMatrix) -> tuple[int, SparseRow] | None:
+        """Basis coefficients of ``mat`` as ``(den, {index: numerator})``, or
+        ``None`` when it lies outside the span.
+
+        A canonical row is 1 at its own pivot and 0 at every other pivot, so
+        the coefficients are the matrix's values at the pivots.
+        """
+        row = self._coords_of(mat)
+        if not self._has(row):
+            return None
+        where = self._where
+        return mat._den, {where[c]: pair for c, pair in row.items() if c in where}
 
     def contains_mat(self, mat: ExactMatrix) -> bool:
         return self._has(self._coords_of(mat))
@@ -961,7 +899,7 @@ class Subspace(_Span):
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus double-block elimination."""
         self._check_compatible(other)
-        width = self.ambient_dim
+        width = self.side * self.side * (2 if self.real else 1)
         ech = _Echelon()
         for row in self._irows:
             ech.insert({**row, **{k + width: pair for k, pair in row.items()}})
@@ -979,11 +917,17 @@ class Subspace(_Span):
             isinstance(other, Subspace)
             and self.side == other.side
             and self.real == other.real
-            and self._same_span(other)
+            and self.pivots == other.pivots
+            and self._irows == other._irows
         )
 
     def __hash__(self) -> int:
-        return self._span_hash(self.side, self.real)
+        h = self._hash
+        if h is None:
+            h = hash((self.side, self.real, self.pivots,
+                      tuple(frozenset(r.items()) for r in self._irows)))
+            _set(self, "_hash", h)
+        return h
 
     # -- real/complex interplay --------------------------------------------------
     def realify(self) -> "Subspace":
@@ -1074,6 +1018,29 @@ def kernel_space(mats: Sequence[ExactMatrix], images: Iterable[Sequence[ExactMat
     for values in images:
         rows += _columns_to_rows([column(m) for m in values])
     return _kernel_subspace(mats, rows, side, real)
+
+
+def kernel_projector(mats: Iterable[ExactMatrix], n: int) -> ExactMatrix:
+    """The orthogonal projector onto ``{v ∈ Cⁿ : m·v = 0 for every m}``.
+
+    With ``B`` a matrix whose columns are a basis of the kernel, this is
+    ``B·(B*B)⁻¹·B*``, which does not depend on the basis chosen; it is zero
+    when the kernel is.
+    """
+    rows = []
+    for m in mats:
+        if m.cols != n:
+            raise ValueError("incompatible shapes")
+        rows += m._row_nums()
+    _, kernel = _kernel_num(rows, n)
+    if not kernel:
+        return ExactMatrix.zeros(n)
+    k = len(kernel)
+    b = ExactMatrix._make(
+        n, k, 1, {i * k + j: pair for j, vec in enumerate(kernel) for i, pair in vec.items()}
+    )
+    b_star = b.star()
+    return b @ (b_star @ b).inverse() @ b_star
 
 
 # ---------------------------------------------------------------------------

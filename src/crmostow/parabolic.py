@@ -21,11 +21,10 @@ from .exact import (
     QI_ZERO,
     ExactMatrix,
     Subspace,
-    VectorSpan,
     bracket,
-    _columns_to_rows,
+    kernel_projector,
+    kernel_space,
     _kernel_mats,
-    _kernel_num,
     _matrix_from_columns,
 )
 from .structure import (
@@ -65,14 +64,15 @@ class ParabolicSubalgebra:
     ``q = levi ⊕ nilradical`` where ``levi = q ∩ σ(q)`` and ``nilradical`` is
     the ideal of ad-nilpotent elements of the radical.  ``invariant_flag`` is
     the strictly increasing chain of joint-invariant subspaces of the natural
-    representation, ending at the full space; ``q`` equals the stabilizer of
-    that chain intersected with the ambient algebra.
+    representation, ending at the full space, each step held as its exact
+    orthogonal projector (so the last one is the identity); ``q`` equals the
+    stabilizer of that chain intersected with the ambient algebra.
     """
 
     q: Subalgebra
     levi: Subspace
     nilradical: Subspace
-    invariant_flag: tuple[VectorSpan, ...]
+    invariant_flag: tuple[ExactMatrix, ...]
 
     @property
     def ambient(self) -> AmbientAlgebra:
@@ -82,8 +82,13 @@ class ParabolicSubalgebra:
     def dim(self) -> int:
         return self.q.dim
 
+    @property
+    def flag_dims(self) -> tuple[int, ...]:
+        """The dimensions of the flag's steps: the traces of their projectors."""
+        return tuple(int(step.trace().re) for step in self.invariant_flag)
+
     def __repr__(self) -> str:
-        steps = ", ".join(str(w.dim) for w in self.invariant_flag)
+        steps = ", ".join(map(str, self.flag_dims))
         return f"ParabolicSubalgebra(dim={self.dim}, flag=[{steps}])"
 
 
@@ -125,24 +130,14 @@ class HorocyclicVerdict:
 def _center_mats(space: Subspace) -> list[ExactMatrix]:
     """Basis of the centralizer of ``space`` inside itself."""
     mats = space.basis()
-    if not mats:
-        return []
-    rows = []
-    for b in mats:
-        brackets = [bracket(x, b) for x in mats]
-        rows += _columns_to_rows([(br._den, br._terms) for br in brackets])
-    return _kernel_mats(mats, rows)
+    return kernel_space(mats, [[bracket(x, b) for x in mats] for b in mats], space.side).basis()
 
 
 def _ad_matrix(z: ExactMatrix, space: Subspace) -> ExactMatrix:
     """Matrix of ad(z) restricted to an invariant subspace, in its basis."""
-    cols = []
-    for b in space.basis():
-        br = bracket(z, b)
-        try:
-            cols.append(space._coordinate_num(br._den, br._terms, "outside"))
-        except ValueError as exc:
-            raise ArithmeticError("weight space decomposition failed") from exc
+    cols = [space._coordinate_num(bracket(z, b)) for b in space.basis()]
+    if None in cols:
+        raise ArithmeticError("weight space decomposition failed")
     return _matrix_from_columns(cols)
 
 
@@ -254,23 +249,23 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
 # ---------------------------------------------------------------------------
 
 
-def _invariant_flag(ambient: AmbientAlgebra, nilmats) -> list[VectorSpan] | None:
+def _invariant_flag(ambient: AmbientAlgebra, nilmats) -> list[ExactMatrix] | None:
     """Iterated joint kernels of a nilpotently-acting span on C^n.
 
-    Returns the strictly increasing chain ending at the full space, or
-    ``None`` when the chain stalls (some element acts invertibly on a
-    quotient, so the span is not the nilradical of a flag stabilizer).
+    Each step is ``{v : b·v ∈ previous step for every b}``, the kernel of
+    the ``(I − Π)·b`` with ``Π`` the previous step's projector; it contains
+    the previous step.  Returns the projectors of the strictly increasing
+    chain ending at the full space, or ``None`` when the chain stalls (some
+    element acts invertibly on a quotient, so the span is not the
+    nilradical of a flag stabilizer).
     """
     n = ambient.n
-    current = VectorSpan._of(n, (), ())
-    flag: list[VectorSpan] = []
-    while current.dim < n:
-        rows = []
-        for b in nilmats:
-            columns = b.transpose()._row_nums()
-            rows += _columns_to_rows([current._residue(b._den, c) for c in columns])
-        nxt = VectorSpan._of(n, *_kernel_num(rows, n))
-        if nxt.dim <= current.dim:
+    identity = ExactMatrix.identity(n)
+    current = ExactMatrix.zeros(n)
+    flag: list[ExactMatrix] = []
+    while current != identity:
+        nxt = kernel_projector([(identity - current) @ b for b in nilmats], n)
+        if nxt == current:
             return None
         current = nxt
         flag.append(current)
@@ -278,19 +273,13 @@ def _invariant_flag(ambient: AmbientAlgebra, nilmats) -> list[VectorSpan] | None
 
 
 def _flag_stabilizer(ambient: AmbientAlgebra, flag) -> Subalgebra:
-    """The subalgebra of the ambient preserving every step of the flag."""
+    """The subalgebra of the ambient preserving every step of the flag:
+    ``x`` keeps the range of ``Π`` exactly when ``(I − Π)·x·Π = 0``."""
     kmats = ambient.space.basis()
     n = ambient.n
-    rows = []
-    for step in flag:
-        if step.dim == n:
-            continue
-        for u, p in zip(step._irows, step.pivots):
-            rows += _columns_to_rows(
-                [step._residue(*x._apply(u[p][0], u)) for x in kmats]
-            )
-    space = Subspace.span(_kernel_mats(kmats, rows), n)
-    return subalgebra_from_space(ambient, space, verified=True)
+    identity = ExactMatrix.identity(n)
+    images = [[(identity - step) @ x @ step for x in kmats] for step in flag[:-1]]
+    return subalgebra_from_space(ambient, kernel_space(kmats, images, n), verified=True)
 
 
 def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:

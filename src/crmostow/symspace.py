@@ -29,7 +29,7 @@ import scipy.linalg
 from .ambient import AmbientAlgebra
 from .crinv import fiber_data
 from .errors import NonConvergenceError, RestartDisagreementError
-from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, VectorSpan, kernel_space
+from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, kernel_space
 from .parabolic import HorocyclicVerdict, horocyclic_verdict
 from .structure import Subalgebra
 
@@ -437,6 +437,13 @@ class MostowStructure:
     def complement_dim(self) -> int:
         return len(self.complement_basis)
 
+    @property
+    def cross_checkable(self) -> bool:
+        """Whether ``exhaustion_phi(..., cross_check=True)`` recomputes φ
+        independently: on horocyclic structures without a nilpotent fiber
+        factor."""
+        return self.horocyclic and self.complement_dim == 0
+
 
 def _numpy_basis(space: Subspace) -> tuple[np.ndarray, ...]:
     return tuple(m.to_numpy() for m in space.basis())
@@ -462,13 +469,6 @@ def _nilpotency_index(space: Subspace) -> int:
 # --------------------------------------------------------------------------
 # exact certificate of the closed form
 # --------------------------------------------------------------------------
-
-
-def _step_projector(step: VectorSpan) -> ExactMatrix:
-    """The orthogonal projector ``B·(B*B)⁻¹·B*`` onto a flag step, with
-    ``B`` the matrix whose columns are the step's basis."""
-    b = ExactMatrix(step.rows).transpose()
-    return b @ (b.star() @ b).inverse() @ b.star()
 
 
 def _hermitian_span(a: ExactMatrix, b: ExactMatrix) -> Subspace:
@@ -540,7 +540,8 @@ def _levi_frame(
     are exactly the traceless parts of the sums of their block parts.
 
     The blocks come from the exact projectors ``P_k = Π_k − Π_{k−1}``, with
-    ``Π_k`` the orthogonal projector onto the k-th flag step.  The float
+    ``Π_k`` the k-th step of the witness's flag, which is held as its
+    orthogonal projector.  The float
     frame is the eigenvector matrix of ``Σ k·E_k`` over the pieces ``E_k``
     (the projectors onto the blocks and split halves, in frame order); on a
     coordinate flag that matrix is diagonal and sorted, so the frame is the
@@ -558,10 +559,9 @@ def _levi_frame(
     blocks: list[tuple[int, int]] = []
     pieces: list[ExactMatrix] = []
     below, lower_dim = ExactMatrix.zeros(n), 0
-    for step in witness.invariant_flag:
-        upto = _step_projector(step)
-        proj, size = upto - below, step.dim - lower_dim
-        below, lower_dim = upto, step.dim
+    for upto, dim in zip(witness.invariant_flag, witness.flag_dims):
+        proj, size = upto - below, dim - lower_dim
+        below, lower_dim = upto, dim
         whole = _hermitian_span(proj, proj)
         every_part = every_part.sum(whole)
         block_fiber = [proj @ x @ proj for x in fiber_mats]
@@ -1367,7 +1367,7 @@ def exhaustion_phi(
         phi = _closed_form_phi(zm, structure)
     else:
         phi = 0.25 * _phi_minimize(a_mat, structure, restarts, seed)[0]
-    if cross_check and structure.horocyclic and structure.complement_dim == 0:
+    if cross_check and structure.cross_checkable:
         if closed_form:
             expected = 0.25 * _phi_minimize(a_mat, structure, restarts, seed)[0]
         else:
@@ -1529,12 +1529,30 @@ def phi_levi_probe(
     On a structure with a ``levi_frame`` every value is the closed form of
     ``exhaustion_phi``, and ``restarts`` and ``seed`` have no effect;
     otherwise the base point is minimized with ``restarts`` starts and each
-    shifted point from the base point's minimizer."""
+    shifted point from the base point's minimizer.
+
+    ``step`` and ``gap_tol`` must be positive and finite, and every direction
+    a finite matrix of the group's size (``ValueError``); ``step²·gap_tol``
+    below 1e-12 leaves the second differences to rounding noise
+    (``ArithmeticError``)."""
+    for name, value in (("step", step), ("gap_tol", gap_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if step * step * gap_tol < 1e-12:
         raise ArithmeticError("step too small / noise-dominated")
     zm = _as_matrix(zeta)
     _check_group_membership(zm, structure)
     _check_restarts(restarts)
+    n = structure.size
+    direction_mats = []
+    for k, w in enumerate(directions):
+        try:
+            wm = _as_matrix(w)
+        except ValueError:
+            wm = None
+        if wm is None or wm.shape != (n, n) or not np.isfinite(wm).all():
+            raise ValueError(f"direction {k} must be a finite {n} x {n} matrix")
+        direction_mats.append(wm)
     if structure.levi_frame is not None:
         phi0 = _closed_form_phi(zm, structure)
 
@@ -1553,8 +1571,7 @@ def phi_levi_probe(
         raise ValueError("exhaustion not positive at base point")
 
     values: list[float] = []
-    for w in directions:
-        wm = _as_matrix(w)
+    for wm in direction_mats:
         if np.linalg.norm(wm) == 0.0:
             values.append(0.0)
             continue

@@ -425,6 +425,24 @@ class TestExhaust:
         assert report["phi"] > 1e-3
         assert report["cross_checked"] is True
 
+    def test_random_point_without_cross_check_on_su23_f13(self, capsys):
+        # su23_f13 is not horocyclic and has a nilpotent fiber factor, so
+        # --cross-check has nothing to compare
+        report = _run_json(
+            capsys,
+            "exhaust",
+            "--catalog",
+            "su23_f13",
+            "--random",
+            "--seed",
+            "5",
+            "--restarts",
+            "2",
+            "--cross-check",
+        )
+        assert report["phi"] > 1e-3
+        assert report["cross_checked"] is False
+
     def test_unconverged_minimization_exits_4(self, capsys, monkeypatch):
         def stalled(fun, x0, **kwargs):
             value, _ = fun(x0)

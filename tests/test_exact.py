@@ -12,6 +12,7 @@ from crmostow.exact import (
     bracket,
     bracket_space,
     charpoly,
+    kernel_projector,
     kernel_space,
     semisimple_part,
     solve_kernel,
@@ -459,11 +460,11 @@ def test_span_sum_intersect_match_oracle(case):
     ou = _oracle_rref([coords(m) for m in mats_u], width)
     ow = _oracle_rref([coords(m) for m in mats_w], width)
     for space, oracle in ((u, ou), (w, ow)):
-        assert (space.pivots, [_fractions(r) for r in space.rows]) == oracle
+        assert (space.pivots, [coords(m) for m in space.basis()]) == oracle
     total = u.sum(w)
     inter = u.intersect(w)
-    assert (total.pivots, [_fractions(r) for r in total.rows]) == _oracle_rref(ou[1] + ow[1], width)
-    assert (inter.pivots, [_fractions(r) for r in inter.rows]) == _oracle_intersection(
+    assert (total.pivots, [coords(m) for m in total.basis()]) == _oracle_rref(ou[1] + ow[1], width)
+    assert (inter.pivots, [coords(m) for m in inter.basis()]) == _oracle_intersection(
         ou[1], ow[1], width
     )
     assert total.dim + inter.dim == u.dim + w.dim
@@ -546,6 +547,41 @@ def test_kernel_space_modulo_is_the_normalizer():
     # without the modulus only the centralizer span(I, E01) is left
     centralizer = Subspace.span([ExactMatrix.identity(2), _E(2, 0, 1)], 2)
     assert kernel_space(units, images, 2) == centralizer
+
+
+@st.composite
+def _square_sets(draw):
+    """A size n and n x n Gaussian-rational matrices, sparse, dense or zero."""
+    n = draw(st.integers(1, 3))
+    out = []
+    for r in draw(_row_sets(n * n)):
+        den = draw(st.integers(1, 3))
+        entries = [QI(Fraction(a, den), Fraction(b, den)) for a, b in (r.get(k, (0, 0)) for k in range(n * n))]
+        out.append(ExactMatrix([entries[i * n:(i + 1) * n] for i in range(n)]))
+    return n, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_sets())
+def test_kernel_projector_matches_oracle(case):
+    n, mats = case
+    p = kernel_projector(mats, n)
+    assert p @ p == p and p.star() == p
+    assert all(m @ p == ExactMatrix.zeros(n) for m in mats)
+    kernel = solve_kernel([row for m in mats for row in m.entries], n)
+    for vec in kernel:
+        column = ExactMatrix([[c] for c in vec])
+        assert p @ column == column
+    assert p.trace() == QI(len(kernel))
+
+
+def test_kernel_projector_of_no_matrices_and_of_a_zero_kernel():
+    assert kernel_projector([], 3) == ExactMatrix.identity(3)
+    assert kernel_projector([_E(3, 0, 1), _E(3, 1, 0), _E(3, 2, 2)], 3) == ExactMatrix.zeros(3)
+    # the kernel of E01 - E02 is span(e1, e2 + e3)
+    half = QI(Fraction(1, 2))
+    line = ExactMatrix([[1, 0, 0], [0, half, half], [0, half, half]])
+    assert kernel_projector([_E(3, 0, 1) - _E(3, 0, 2)], 3) == line
 
 
 @pytest.mark.parametrize("real", [False, True])

@@ -1,5 +1,8 @@
 """Tests for the parabolic machinery: flags, regularization, envelopes."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from crmostow import catalog
@@ -19,6 +22,7 @@ from crmostow.parabolic import (
     strengthen,
 )
 from crmostow.structure import make_subalgebra, normalizer, subalgebra_from_space
+from test_metamorphic import _cayley_transform
 
 
 def _E(n, i, j, c=1):
@@ -106,8 +110,8 @@ def test_borel_sl2_is_parabolic(sl2, borel2):
     assert p.levi.dim == 1
     assert p.nilradical.dim == 1
     assert p.nilradical.contains_mat(_E(2, 0, 1))
-    assert [w.dim for w in p.invariant_flag] == [1, 2]
-    assert p.invariant_flag[0].rows == ((QI(1), QI(0)),)
+    assert p.flag_dims == (1, 2)
+    assert p.invariant_flag == (ExactMatrix([[1, 0], [0, 0]]), ExactMatrix.identity(2))
 
 
 def test_cartan_sl2_not_parabolic(sl2):
@@ -123,7 +127,8 @@ def test_whole_algebra_is_parabolic(sl3, gl22):
         assert ok
         assert p.nilradical.dim == 0
         assert p.levi.dim == amb.dim
-        assert [w.dim for w in p.invariant_flag] == [amb.n]
+        assert p.flag_dims == (amb.n,)
+        assert p.invariant_flag == (ExactMatrix.identity(amb.n),)
 
 
 def test_noncoordinate_line_stabilizer_is_parabolic(sl2):
@@ -133,8 +138,31 @@ def test_noncoordinate_line_stabilizer_is_parabolic(sl2):
     q = make_subalgebra(sl2, [a, b])
     ok, p = is_parabolic(q)
     assert ok
-    assert p.invariant_flag[0].rows == ((QI(1), QI(1)),)
+    half = QI(Fraction(1, 2))
+    assert p.invariant_flag[0] == ExactMatrix([[half, half], [half, half]])
     assert p.levi.dim == 1 and p.nilradical.dim == 1
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("upper_triangular_horocycle", None),
+        ("su23_f12", None),
+        ("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1}),
+    ],
+    ids=["horocycle", "su23_f12", "grassmann-1231"],
+)
+def test_flag_is_equivariant_under_unitary_conjugation(name, params):
+    # the flag of g·q·g* is g·Π·g* for a unitary g preserving the blocks
+    entry = catalog.build(name, params)
+    values = itertools.cycle([Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3))])
+    g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
+    g_star = g.star()
+    assert g @ g_star == ExactMatrix.identity(g.rows)
+    moved = make_subalgebra(entry.ambient, [g @ b @ g_star for b in entry.subalgebra.basis()])
+    p, p_moved = minimal_envelope(entry.subalgebra), minimal_envelope(moved)
+    assert p_moved.invariant_flag == tuple(g @ step @ g_star for step in p.invariant_flag)
+    assert p_moved.flag_dims == p.flag_dims
 
 
 def test_seven_dim_normalizer_not_parabolic(gl23, flag13):
@@ -161,7 +189,7 @@ def test_nine_dim_envelope_is_parabolic(gl23):
     q = make_subalgebra(gl23, gens)
     ok, p = is_parabolic(q)
     assert ok
-    assert [w.dim for w in p.invariant_flag] == [3, 5]
+    assert p.flag_dims == (3, 5)
     assert p.levi.dim == 6 and p.nilradical.dim == 3
 
 
@@ -200,7 +228,7 @@ def test_regularization_chain_flag13(flag13):
     assert [c.dim for c in trace.chain] == [4, 7, 8]
     ok, p = is_parabolic(trace.fixed_point)
     assert ok
-    assert [w.dim for w in p.invariant_flag] == [2, 4, 5]
+    assert p.flag_dims == (2, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +239,14 @@ def test_regularization_chain_flag13(flag13):
 def test_minimal_envelope_pair22(pair22):
     p = minimal_envelope(pair22)
     assert p.dim == 5
-    assert [w.dim for w in p.invariant_flag] == [2, 4]
+    assert p.flag_dims == (2, 4)
     assert is_admissible_envelope(pair22, p)
 
 
 def test_minimal_envelope_flag13(gl23, flag13):
     p = minimal_envelope(flag13)
     assert p.dim == 8
-    assert [w.dim for w in p.invariant_flag] == [2, 4, 5]
+    assert p.flag_dims == (2, 4, 5)
     assert is_admissible_envelope(flag13, p)
     assert p.nilradical.dim == 4
 
@@ -321,7 +349,7 @@ def test_su23_f13_normalizer_certificate():
 def _envelope_summary(v):
     q_min = minimal_envelope(v)
     return [
-        (p.dim, p.nilradical.dim, [w.dim for w in p.invariant_flag])
+        (p.dim, p.nilradical.dim, p.flag_dims)
         for p in (q_min, maximal_envelope(v, q_min))
     ]
 
@@ -428,7 +456,7 @@ def test_combine_line_stabilizers_sl3(sl3):
     _, p2 = is_parabolic(q2)
     comb = combine_parabolics(p1, p2)
     assert comb.dim == 5
-    assert [w.dim for w in comb.invariant_flag] == [1, 2, 3]
+    assert comb.flag_dims == (1, 2, 3)
 
 
 def test_combine_rejects_mixed_ambients(sl2, sl3, borel2):

@@ -1040,6 +1040,39 @@ class TestHessianProbe:
                 scipy.linalg.expm(x), st, [st.nil_basis[0]], step=1e-6, gap_tol=1e-4
             )
 
+    # the closed form (grassmann_pair) and the optimizer path (su22_f12)
+    @pytest.mark.parametrize("structure", ["grassmann_structure", "su22_structure"])
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"step": math.nan}, "step must be positive and finite, got nan"),
+            ({"step": math.inf}, "step must be positive and finite, got inf"),
+            ({"step": -1e-3}, "step must be positive and finite"),
+            ({"gap_tol": math.nan}, "gap_tol must be positive and finite, got nan"),
+            ({"gap_tol": -1.0}, "gap_tol must be positive and finite"),
+            ({"gap_tol": 0.0}, "gap_tol must be positive and finite"),
+        ],
+        ids=["step-nan", "step-inf", "step-negative", "gap-nan", "gap-negative", "gap-zero"],
+    )
+    def test_rejects_non_finite_or_non_positive_options(self, structure, options, match, request):
+        st = request.getfixturevalue(structure)
+        zeta = scipy.linalg.expm(0.3 * st.fiber_basis[0])
+        with pytest.raises(ValueError, match=match):
+            phi_levi_probe(zeta, st, [st.nil_basis[0]], **options)
+
+    @pytest.mark.parametrize("structure", ["grassmann_structure", "su22_structure"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "size", "non-square"])
+    def test_rejects_bad_directions(self, structure, bad, request):
+        st = request.getfixturevalue(structure)
+        zeta = scipy.linalg.expm(0.3 * st.fiber_basis[0])
+        direction = np.array(st.nil_basis[0])
+        if bad in ("nan", "inf"):
+            direction[0, 0] = float(bad)
+        else:
+            direction = direction[:-1] if bad == "non-square" else direction[:-1, :-1]
+        with pytest.raises(ValueError, match="direction 1 must be a finite 4 x 4 matrix"):
+            phi_levi_probe(zeta, st, [st.nil_basis[0], direction])
+
     def test_requires_positive_base_value(self, grassmann_structure):
         direction = [np.zeros((4, 4), dtype=complex)]
         with pytest.raises(ValueError, match="not positive"):
@@ -1147,19 +1180,20 @@ class TestClosedForm:
         moved = make_subalgebra(
             entry.ambient, [g @ b @ g.star() for b in entry.subalgebra.basis()]
         )
-        flag = horocyclic_verdict(moved).strict_witness.invariant_flag
+        witness = horocyclic_verdict(moved).strict_witness
+        nil = witness.nilradical.basis()
+        identity = ExactMatrix.identity(4)
         below, lower_dim = ExactMatrix.zeros(4), 0
-        for step in flag:
-            basis = ExactMatrix(step.rows).transpose()
-            upto = symspace._step_projector(step)
+        for upto, dim in zip(witness.invariant_flag, witness.flag_dims):
             assert upto @ upto == upto and upto.star() == upto
-            assert upto @ basis == basis
-            assert upto.trace() == QI(step.dim)
-            block, size = upto - below, step.dim - lower_dim
+            # the step is the joint kernel of the nilradical modulo the last one
+            assert all((identity - below) @ b @ upto == ExactMatrix.zeros(4) for b in nil)
+            assert upto.trace() == QI(dim) and dim > lower_dim
+            block, size = upto - below, dim - lower_dim
             assert block @ block == block and block @ below == ExactMatrix.zeros(4)
             assert symspace._hermitian_span(block, block).dim == size * size
-            below, lower_dim = upto, step.dim
-        assert below == ExactMatrix.identity(4)
+            below, lower_dim = upto, dim
+        assert below == identity
 
     def test_floating_point_guards(self):
         # ζ*ζ = [[1, 1e10, 0], [1e10, 1e20 + 1, 0], [0, 0, 1]] rounds to a
