@@ -444,6 +444,8 @@ def _resolve_zeta(args: argparse.Namespace, structure) -> tuple[np.ndarray, dict
 
     if not cmath.isfinite(args.scale):
         raise ValueError(f"--scale must be finite, got {args.scale}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.zeta:
         zeta = _float_matrix_from_json(_load_json(args.zeta))
         return zeta, {"source": "file", "path": args.zeta}

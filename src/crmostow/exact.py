@@ -49,7 +49,10 @@ imposed separately.  :func:`kernel_projector` solves the same kind of
 system on Cⁿ itself and returns the orthogonal projector onto the joint
 kernel of given matrices: a subspace of Cⁿ, such as a step of an invariant
 flag, is held as that projector, which is unique, so two steps are equal
-iff their projectors are.
+iff their projectors are.  The same call gives eigenspaces:
+``kernel_projector([z − λ])`` projects onto the λ-eigenspace of z, and for
+commuting normal z the products of these are the joint eigenprojectors
+from which the weight pieces of a Levi center are built.
 """
 
 from __future__ import annotations
@@ -698,13 +701,6 @@ def _kernel_num(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[int, ...],
     return _rref_num(basis)
 
 
-def _kernel_mats(mats: Sequence[ExactMatrix], rows: Iterable[SparseRow]) -> list[ExactMatrix]:
-    """The combinations of ``mats`` whose coefficient vectors span the
-    canonical kernel of the integer constraint ``rows``."""
-    pivots, kernel = _kernel_num(rows, len(mats))
-    return [_lincomb(mats, row[p][0], row) for row, p in zip(kernel, pivots)]
-
-
 def _common_den(parts) -> tuple[int, list[SparseRow]]:
     """``(den, vector)`` pairs brought to their least common denominator."""
     den = lcm(*(d for d, _ in parts))
@@ -732,14 +728,6 @@ def _columns_to_rows(cols) -> list[SparseRow]:
         for i, pair in vec.items():
             rows.setdefault(i, {})[j] = pair
     return list(rows.values())
-
-
-def _matrix_from_columns(cols) -> ExactMatrix:
-    """The square matrix whose ``j``-th column is ``cols[j] = (den, vector)``."""
-    m = len(cols)
-    den, vecs = _common_den(cols)
-    terms = {i * m + j: pair for j, vec in enumerate(vecs) for i, pair in vec.items()}
-    return ExactMatrix._make(m, m, den, terms)
 
 
 def _qi_vec(vec: SparseRow, width: int, den: int) -> tuple[QI, ...]:
@@ -867,19 +855,6 @@ class Subspace:
         g = _content(row.values(), den)
         return den // g, _divide(row, g)
 
-    def _coordinate_num(self, mat: ExactMatrix) -> tuple[int, SparseRow] | None:
-        """Basis coefficients of ``mat`` as ``(den, {index: numerator})``, or
-        ``None`` when it lies outside the span.
-
-        A canonical row is 1 at its own pivot and 0 at every other pivot, so
-        the coefficients are the matrix's values at the pivots.
-        """
-        row = self._coords_of(mat)
-        if not self._has(row):
-            return None
-        where = self._where
-        return mat._den, {where[c]: pair for c, pair in row.items() if c in where}
-
     def contains_mat(self, mat: ExactMatrix) -> bool:
         return self._has(self._coords_of(mat))
 
@@ -985,7 +960,9 @@ def _kernel_subspace(mats: Sequence[ExactMatrix], rows: list[SparseRow], side: i
     parts separately, over rational coefficients."""
     if real:
         rows = [part for row in rows for part in _real_rows(row)]
-    return Subspace.span(_kernel_mats(mats, rows), side, real=real)
+    pivots, kernel = _kernel_num(rows, len(mats))
+    combos = [_lincomb(mats, row[p][0], row) for row, p in zip(kernel, pivots)]
+    return Subspace.span(combos, side, real=real)
 
 
 def trace_annihilator(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix],

@@ -16,17 +16,7 @@ from itertools import combinations
 
 from .ambient import AmbientAlgebra
 from .errors import ClosureError
-from .exact import (
-    QI,
-    QI_ZERO,
-    ExactMatrix,
-    Subspace,
-    bracket,
-    kernel_projector,
-    kernel_space,
-    _kernel_mats,
-    _matrix_from_columns,
-)
+from .exact import ExactMatrix, Subspace, bracket, kernel_projector, kernel_space
 from .structure import (
     Subalgebra,
     normalizer,
@@ -133,65 +123,61 @@ def _center_mats(space: Subspace) -> list[ExactMatrix]:
     return kernel_space(mats, [[bracket(x, b) for x in mats] for b in mats], space.side).basis()
 
 
-def _ad_matrix(z: ExactMatrix, space: Subspace) -> ExactMatrix:
-    """Matrix of ad(z) restricted to an invariant subspace, in its basis."""
-    cols = [space._coordinate_num(bracket(z, b)) for b in space.basis()]
-    if None in cols:
-        raise ArithmeticError("weight space decomposition failed")
-    return _matrix_from_columns(cols)
+def _eigenprojectors(ambient: AmbientAlgebra, z_mats) -> list[tuple[tuple, ExactMatrix]]:
+    """Joint eigenspaces on Cⁿ of commuting normal ``z_mats``, as
+    ``(eigenvalue tuple, orthogonal projector)`` pairs.
 
-
-def _eigensplit(space: Subspace, z: ExactMatrix, candidates) -> list[tuple[QI, Subspace]]:
-    """Split an ad(z)-invariant subspace into exact eigenspaces.
-
-    ``candidates`` is a finite set of scalars guaranteed to contain every
-    eigenvalue; the split must account for the whole space (the action is
-    semisimple here), otherwise an :class:`ArithmeticError` is raised.
+    The eigenprojectors ``kernel_projector([z − λ])`` of each ``z`` must sum
+    to the identity, which holds exactly when ``z`` is normal with its
+    spectrum in ℚ(i), as the center of a σ-stable subalgebra is; otherwise
+    an :class:`ArithmeticError` is raised.  Commuting projectors multiply to
+    the projector onto the intersection of their ranges, so the nonzero
+    products over one eigenvalue of each ``z`` are the joint eigenprojectors.
     """
-    m = space.dim
-    if m == 0:
-        return []
-    basis = space.basis()
-    mat = _ad_matrix(z, space)
-    pieces = []
-    total = 0
-    for lam in candidates:
-        shifted = mat - ExactMatrix.identity(m).scale(lam)
-        kernel = _kernel_mats(basis, shifted._row_nums())
-        if not kernel:
-            continue
-        piece = Subspace.span(kernel, space.side)
-        total += piece.dim
-        pieces.append((lam, piece))
-    if total != m:
-        raise ArithmeticError("weight space decomposition failed")
+    n = ambient.n
+    identity = ExactMatrix.identity(n)
+    pieces = [((), identity)]
+    for z in z_mats:
+        spectrum, _ = _eigenvalues(ambient, z)
+        split = [(lam, kernel_projector([z - identity.scale(lam)], n)) for lam in spectrum]
+        if sum((f for _, f in split), ExactMatrix.zeros(n)) != identity:
+            raise ArithmeticError("weight space decomposition failed")
+        products = [(wt + (lam,), e @ f) for wt, e in pieces for lam, f in split]
+        pieces = [(wt, e) for wt, e in products if not e.is_zero]
     return pieces
 
 
-def _action_eigenvalue_candidates(ambient: AmbientAlgebra, z: ExactMatrix) -> list[QI]:
-    """All pairwise differences of the natural eigenvalues of ``z``.
-
-    These contain every eigenvalue of ad(z) on the ambient algebra whenever
-    the natural action of ``z`` splits over the rationals.
-    """
-    spectrum, _ = _eigenvalues(ambient, z)
-    diffs = {QI_ZERO}
-    for a in spectrum:
-        for b in spectrum:
-            diffs.add(a - b)
-    return sorted(diffs, key=lambda c: (c.re, c.im))
-
-
 def _weight_pieces(ambient: AmbientAlgebra, space: Subspace, z_mats) -> list[tuple[tuple, Subspace]]:
-    """Joint eigenspace decomposition of ``space`` under commuting ad(z)."""
-    pieces: list[tuple[tuple, Subspace]] = [((), space)]
-    for z in z_mats:
-        candidates = _action_eigenvalue_candidates(ambient, z)
-        refined = []
-        for wt, sub in pieces:
-            for lam, piece in _eigensplit(sub, z, candidates):
-                refined.append((wt + (lam,), piece))
-        pieces = refined
+    """Joint eigenspace decomposition of ``space`` under commuting ad(z).
+
+    With ``E_s`` the joint eigenprojectors of ``z_mats`` on Cⁿ and ``μ_s``
+    their eigenvalue tuples, ad(z) acts on ``E_s·x·E_t`` by ``μ_s − μ_t``,
+    so the weight-``w`` piece is spanned by the sums of ``E_s·x·E_t`` over
+    the pairs with ``μ_s − μ_t = w``, for ``x`` in a basis of ``space``.
+    Pieces come in the order of their weights' ``(re, im)`` keys, and each
+    must lie in ``space``: that certifies ``space`` is ad-invariant.
+    """
+    projectors = _eigenprojectors(ambient, z_mats)
+    parts: dict[tuple, list[ExactMatrix]] = {}
+    for x in space.basis():
+        components: dict[tuple, ExactMatrix] = {}
+        for mu_s, e_s in projectors:
+            left = e_s @ x
+            if left.is_zero:
+                continue
+            for mu_t, e_t in projectors:
+                y = left @ e_t
+                if y.is_zero:
+                    continue
+                wt = tuple(a - b for a, b in zip(mu_s, mu_t))
+                components[wt] = components[wt] + y if wt in components else y
+        for wt, y in components.items():
+            if not y.is_zero:
+                parts.setdefault(wt, []).append(y)
+    order = sorted(parts, key=lambda wt: tuple((c.re, c.im) for c in wt))
+    pieces = [(wt, Subspace.span(parts[wt], space.side)) for wt in order]
+    if not all(space.contains_space(piece) for _, piece in pieces):
+        raise ArithmeticError("weight space decomposition failed")
     return pieces
 
 
@@ -216,12 +202,8 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
     if mod.dim == 0:
         return []
     act = levi.basis()
-    pieces = [mod]
-    for z in _center_mats(levi.space):
-        candidates = _action_eigenvalue_candidates(ambient, z)
-        pieces = [p for sub in pieces for _, p in _eigensplit(sub, z, candidates)]
     out: list[Subspace] = []
-    for piece in pieces:
+    for _, piece in _weight_pieces(ambient, mod, _center_mats(levi.space)):
         if piece.dim <= 1 or not act:
             out.append(piece)
             continue
@@ -412,17 +394,12 @@ def _classified_weights(amb: AmbientAlgebra, p: ParabolicSubalgebra):
     nilradical and in its conjugate.  The zero-weight part must equal the
     Levi and every other piece must land on one side.
     """
-    z_mats = _center_mats(p.levi)
-    pieces = _weight_pieces(amb, amb.space, z_mats)
+    table = dict(_weight_pieces(amb, amb.space, _center_mats(p.levi)))
     conj_nil = amb.conj_space(p.nilradical)
-    table: dict[tuple, Subspace] = {}
     positive: set[tuple] = set()
     negative: set[tuple] = set()
     zero_sum = Subspace.zero(amb.n)
-    for wt, piece in pieces:
-        if wt in table:
-            raise ArithmeticError("weight ascent stalled")
-        table[wt] = piece
+    for wt, piece in table.items():
         if not any(x for x in wt):
             zero_sum = zero_sum.sum(piece)
         elif p.nilradical.contains_space(piece):

@@ -16,6 +16,7 @@ the earliest restart winning ties.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -185,15 +186,19 @@ def dist(p, q) -> float:
 
 
 def polar_decompose(z, det_one: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``z = u·exp(X)`` with ``u`` unitary and ``X`` Hermitian."""
+    """Factor ``z = u·exp(X)`` with ``u`` unitary and ``X`` Hermitian, and
+    traceless under ``det_one``, which needs ``|det z| = 1`` (``ValueError``)."""
     zm = _as_matrix(z)
     u_svd, s, vh = np.linalg.svd(zm)
     if s[-1] <= 1e-13 * s[0]:
         raise ValueError("singular input")
+    n = zm.shape[0]
+    log_det = float(np.sum(np.log(s)))
+    if det_one and abs(math.expm1(log_det / n)) > DET_TOL:
+        raise ValueError(f"det_one needs |det z| = 1, got |det z| = {math.exp(log_det):.6g}")
     u = u_svd @ vh
     x = vh.conj().T @ np.diag(np.log(s)) @ vh
     x = 0.5 * (x + x.conj().T)
-    n = zm.shape[0]
     if det_one:
         x = x - (np.trace(x) / n) * np.eye(n)
     residual = np.linalg.norm(zm - u @ scipy.linalg.expm(x))
@@ -1017,6 +1022,7 @@ def mostow_decompose(
         raise ValueError(f"max_restarts must be at least 1, got {max_restarts}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_seed(seed)
     if require_unique is None:
         require_unique = structure.strict_horocyclic
     zm = _as_matrix(zeta)
@@ -1335,6 +1341,13 @@ def _check_restarts(restarts: int) -> None:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse on every path, the closed form included, the seeds that the
+    optimizer path's ``default_rng([seed, r])`` refuses."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def exhaustion_phi(
     zeta,
     structure: MostowStructure,
@@ -1361,6 +1374,7 @@ def exhaustion_phi(
     zm = _as_matrix(zeta)
     _check_group_membership(zm, structure)
     _check_restarts(restarts)
+    _check_seed(seed)
     a_mat = zm.conj().T @ zm
     closed_form = structure.levi_frame is not None
     if closed_form:
@@ -1543,6 +1557,7 @@ def phi_levi_probe(
     zm = _as_matrix(zeta)
     _check_group_membership(zm, structure)
     _check_restarts(restarts)
+    _check_seed(seed)
     n = structure.size
     direction_mats = []
     for k, w in enumerate(directions):

@@ -574,6 +574,17 @@ OUT_OF_RANGE = [
     (["analyze", "--levi-grid", "0"], "grid density must be at least 1, got 0"),
     (["analyze", "--levi-grid", "-2"], "grid density must be at least 1, got -2"),
     (["analyze", "--hd", "-1"], "sheaf depth must be nonnegative, got -1"),
+    # the optimizer path (su22_f12) and the closed form alike
+    (["decompose", "--seed", "-1", "--catalog", "su22_f12"], "--seed must be non-negative, got -1"),
+    (["exhaust", "--seed", "-1", "--catalog", "su22_f12"], "--seed must be non-negative, got -1"),
+    (
+        ["decompose", "--seed", "-1", "--catalog", "upper_triangular_horocycle"],
+        "--seed must be non-negative, got -1",
+    ),
+    (
+        ["exhaust", "--seed", "-1", "--catalog", "upper_triangular_horocycle"],
+        "--seed must be non-negative, got -1",
+    ),
     # inputs that never reach the step using the option: so_n_symmetric is not
     # n-reductive, and this grassmann_pair has CR codimension 0
     (
@@ -603,6 +614,13 @@ def test_out_of_range_options_exit_2(capsys, argv, message):
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_analyze_accepts_a_negative_seed(capsys):
+    # analyze's seed only picks the Witt bound's sample points, and
+    # random.Random takes any integer
+    report = _run_json(capsys, "analyze", "--catalog", "upper_triangular_horocycle", "--seed", "-1")
+    assert report["seed"] == -1
 
 
 # -----------------------------------------------------------------------

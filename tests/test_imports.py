@@ -19,7 +19,7 @@ PRIVATE_IMPORTS = {
     "acceptance": {"_combo", "_complex_combo"},
     "ambient": {"_qi_of", "_trace_form"},
     "crinv": {"_charpoly_num", "_common_row", "_lincomb", "_trace_form"},
-    "parabolic": {"_kernel_mats", "_matrix_from_columns", "_bracket_closure", "_eigenvalues"},
+    "parabolic": {"_bracket_closure", "_eigenvalues"},
     "structure": {"_poly_derivative", "_rref_num", "_squarefree_num", "_to_num"},
 }
 

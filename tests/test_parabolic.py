@@ -2,12 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
 
 from crmostow import catalog
 from crmostow.ambient import block_special_linear, special_linear
-from crmostow.exact import QI, ExactMatrix, Subspace
+from crmostow.exact import QI, ExactMatrix, Subspace, bracket, kernel_space
 from crmostow.parabolic import (
     HorocyclicVerdict,
     combine_parabolics,
@@ -20,9 +22,11 @@ from crmostow.parabolic import (
     minimal_envelope,
     parabolic_regularization,
     strengthen,
+    _center_mats,
+    _weight_pieces,
 )
 from crmostow.structure import make_subalgebra, normalizer, subalgebra_from_space
-from test_metamorphic import _cayley_transform
+from test_metamorphic import SPECS, _cayley, _cayley_transform
 
 
 def _E(n, i, j, c=1):
@@ -163,6 +167,47 @@ def test_flag_is_equivariant_under_unitary_conjugation(name, params):
     p, p_moved = minimal_envelope(entry.subalgebra), minimal_envelope(moved)
     assert p_moved.invariant_flag == tuple(g @ step @ g_star for step in p.invariant_flag)
     assert p_moved.flag_dims == p.flag_dims
+
+
+@cache
+def _levi_weight_data(index):
+    """The ambient, the center of L(v) and σ(nr v) for spec ``index``."""
+    name, params = SPECS[index]
+    v = catalog.build(name, params).subalgebra
+    return v.ambient, _center_mats(v.levi_part.space), v.ambient.conj_space(v.nr)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_cayley())
+def test_weight_pieces_are_the_joint_eigenspaces(case):
+    # the pieces under a Cayley-conjugated Levi center are the kernels of
+    # x ↦ [z_j, x] − w_j·x, and together they fill the space
+    index, g = case
+    amb, center, conj_nil = _levi_weight_data(index)
+    g_star = g.star()
+    z_mats = [g @ z @ g_star for z in center]
+    moved_nil = Subspace.span([g @ b @ g_star for b in conj_nil.basis()], amb.n)
+    for space in (amb.space, moved_nil):
+        basis = space.basis()
+        pieces = _weight_pieces(amb, space, z_mats)
+        assert sum(piece.dim for _, piece in pieces) == space.dim
+        for wt, piece in pieces:
+            images = [[bracket(z, x) - x.scale(w) for x in basis] for z, w in zip(z_mats, wt)]
+            assert piece == kernel_space(basis, images, amb.n)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        ExactMatrix([[0, 1], [0, 0]]),
+        ExactMatrix([[1, 1], [0, -1]]),
+        ExactMatrix([[0, 1], [2, 0]]),
+    ],
+    ids=["nilpotent", "non-normal", "irrational"],
+)
+def test_weight_pieces_need_a_normal_rational_center(sl2, z):
+    with pytest.raises(ArithmeticError, match="weight space decomposition failed"):
+        _weight_pieces(sl2, sl2.space, [z])
 
 
 def test_seven_dim_normalizer_not_parabolic(gl23, flag13):

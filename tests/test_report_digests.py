@@ -4,17 +4,23 @@ Every ``crmostow/1`` report is meant to stay byte-identical across changes
 that do not change an answer.  This file holds the sha256 of the stdout of
 ``crmostow analyze --catalog NAME [--params P] --seed 11`` for the five
 fixed catalog entries and the 44 ``grassmann_pair`` grid entries up to
-sl(6); a change that alters a report fails here, and its new digests go in
-with the reason the report changed.
+sl(6), and of ``crmostow analyze SPEC --seed 11`` for Cayley-conjugated
+copies of the fixed entries and of ``grassmann_pair`` (1,2,3,1), whose
+dense bases exercise the exact layer's general case; a change that alters a
+report fails here, and its new digests go in with the reason the report
+changed.
 """
 
 import hashlib
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from crmostow import catalog
-from crmostow.cli import EXIT_OK, main
+from crmostow.cli import EXIT_OK, _matrix_to_json, main, subalgebra_spec_from_entry
+from test_metamorphic import _cayley_transform
 
 REPORT_SHA256 = {
     "so_n_symmetric": "214041e5773941e2b69f919e89c6ded1c78a4ecabd07cf38fee28634125cbdde",
@@ -93,3 +99,39 @@ def test_analyze_report_bytes(label, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[label]
+
+
+# One fixed Cayley transform (I - S)(I + S)^-1 per entry, S drawn from the
+# cycle below by test_metamorphic._cayley_transform.
+CAYLEY_VALUES = ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3))
+
+CAYLEY_REPORT_SHA256 = {
+    "so_n_symmetric": "476a95b132e72bf8edfcc076c6a09fe6e2cab5834563c92743e75b693059f33f",
+    "su22_f12": "51deea61e8068de1d99a7f47b8742c3ca9d76e1b8cbdba5394dbb0222875f33f",
+    "su23_f12": "fa0cd6ba7299439ebf02fc3346264e5fadf20f0554202be69fa672a735d17d33",
+    "su23_f13": "bf058823b41fb285f30fed19019e9de1d6fe1b94afea64e269564d8660d70d70",
+    "upper_triangular_horocycle": "f31719c5b6066affc46f6884b7af29e9d1ac4e4a163b35a84a2043fb8a4b7dd4",
+    "grassmann_pair 1,2,3,1": "d352cbb78dc827fd72b2ac8525129c2b9c22b89a0b5715a023e56873c839b5e5",
+}
+
+
+def _cayley_spec(label) -> dict:
+    name, _, params = label.partition(" ")
+    if params:
+        params = dict(zip("pqnk", map(int, params.split(","))))
+    entry = catalog.build(name, params or None)
+    values = itertools.cycle([Fraction(k, d) for k, d in CAYLEY_VALUES])
+    g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
+    spec = subalgebra_spec_from_entry(entry)
+    spec["basis"] = [_matrix_to_json(g @ b @ g.star()) for b in entry.subalgebra.basis()]
+    return spec
+
+
+@pytest.mark.parametrize("label", sorted(CAYLEY_REPORT_SHA256))
+def test_cayley_conjugated_report_bytes(label, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_cayley_spec(label)))
+    code = main(["analyze", str(path), "--seed", "11"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CAYLEY_REPORT_SHA256[label]

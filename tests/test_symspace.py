@@ -258,6 +258,16 @@ class TestPolarDecompose:
         with pytest.raises(ValueError, match="singular input"):
             polar_decompose(np.diag([1.0, 0.0]).astype(complex))
 
+    @pytest.mark.parametrize(
+        "z, det", [(2.0 * np.eye(2), "4"), (np.diag([1.0, 2.0]), "2")], ids=["2I", "diag-1-2"]
+    )
+    def test_det_one_needs_unit_determinant(self, z, det):
+        # an input error, reported before factoring, not a failed reconstruction
+        with pytest.raises(ValueError, match=rf"\|det z\| = {det}$"):
+            polar_decompose(z.astype(complex))
+        u, x = polar_decompose(z.astype(complex), det_one=False)
+        assert np.linalg.norm(z - u @ scipy.linalg.expm(x)) < 1e-12
+
     def test_reconstruction_check_raises(self, monkeypatch):
         # the check is an explicit raise, so it also runs under python -O
         monkeypatch.setattr(scipy.linalg, "expm", lambda x: 2.0 * np.eye(len(x)))
@@ -953,6 +963,28 @@ class TestDeterminism:
         assert exhaustion_phi(zeta, grassmann_structure, seed=5) == exhaustion_phi(
             zeta, grassmann_structure, seed=5
         )
+
+
+class TestSeedCheck:
+    # the optimizer path seeds default_rng([seed, restart]), which refuses a
+    # negative or fractional seed; the closed form uses none, yet refuses it
+    # the same way
+    @pytest.mark.parametrize(
+        "name", ["su22_f12", "upper_triangular_horocycle"], ids=["optimizer", "closed-form"]
+    )
+    @pytest.mark.parametrize("call", ["decompose", "exhaust", "probe"])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_rejected_on_every_path(self, name, call, seed):
+        structure = _catalog_structure(name)
+        assert (structure.levi_frame is None) == (name == "su22_f12")
+        zeta = np.eye(structure.size, dtype=complex)
+        calls = {
+            "decompose": lambda: mostow_decompose(zeta, structure, seed=seed),
+            "exhaust": lambda: exhaustion_phi(zeta, structure, seed=seed),
+            "probe": lambda: phi_levi_probe(zeta, structure, [], seed=seed),
+        }
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}$"):
+            calls[call]()
 
 
 class TestMinorLogInequality:
