@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import QI, QI_I, ExactMatrix, Subspace, _qi_of, _trace_form
+from .exact import QI, QI_I, ExactMatrix, Subspace, trace_pairing
 
 __all__ = ["AmbientAlgebra", "special_linear", "block_special_linear"]
 
@@ -33,10 +33,6 @@ class AmbientAlgebra:
         self.kind = (
             "special_linear" if len(self.blocks) == 1 else "block_special_linear"
         )
-        block_of = []
-        for idx, b in enumerate(self.blocks):
-            block_of.extend([idx] * b)
-        self._block_of = tuple(block_of)
         self._subalgebras: dict[Subspace, object] = {}
         # (roots in Q(i), charpoly) per matrix, kept by structure._eigenvalues
         self._eigenvalues: dict[ExactMatrix, tuple] = {}
@@ -44,18 +40,15 @@ class AmbientAlgebra:
         self._k0: Subspace | None = None
         self._p0: Subspace | None = None
 
-    # -- indexing -------------------------------------------------------------
-    def in_same_block(self, i: int, j: int) -> bool:
-        return self._block_of[i] == self._block_of[j]
-
     # -- canonical bases --------------------------------------------------------
     def _offdiag_positions(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.in_same_block(i, j)
-        ]
+        """The off-diagonal positions inside the diagonal blocks, row-major."""
+        out, start = [], 0
+        for b in self.blocks:
+            block = range(start, start + b)
+            out += [(i, j) for i in block for j in block if i != j]
+            start += b
+        return out
 
     def basis(self) -> list[ExactMatrix]:
         """Complex basis of k: admissible off-diagonal units and traceless
@@ -131,30 +124,18 @@ class AmbientAlgebra:
 
     def beta(self, x: ExactMatrix, y: ExactMatrix) -> QI:
         """Trace form tr(XY)."""
-        den, (re, im) = _trace_form(x, y)
-        return _qi_of(re, im, den)
+        return trace_pairing([x], [y]).entries[0][0]
 
     # -- membership ---------------------------------------------------------------
     def contains(self, x: ExactMatrix) -> bool:
-        """Fast structural membership test for k."""
-        n = self.n
-        if x.rows != n or x.cols != n:
+        """Membership in k; False for a matrix of another shape."""
+        if x.rows != self.n or x.cols != self.n:
             return False
-        block_of = self._block_of
-        tre = tim = 0
-        for k, (a, b) in x._terms.items():
-            i, j = divmod(k, n)
-            if block_of[i] != block_of[j]:
-                return False
-            if i == j:
-                tre += a
-                tim += b
-        return not (tre or tim)
+        return self.space.contains_mat(x)
 
     def contains_space(self, s: Subspace) -> bool:
-        if s.side != self.n:
-            return False
-        return all(self.contains(m) for m in s.basis())
+        """Whether a complex subspace lies in k; False on another side."""
+        return s.side == self.n and self.space.contains_space(s)
 
     def zero_space(self, real: bool = False) -> Subspace:
         return Subspace.zero(self.n, real=real)

@@ -474,10 +474,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         tol=args.tol,
         max_restarts=args.max_restarts,
         seed=args.seed,
-        require_unique=False if args.allow_nonunique else None,
+        require_unique=not args.allow_nonunique,
     )
-    if not result.restarts_agree and not args.allow_nonunique:
-        raise RestartDisagreementError("restart disagreement")
     report = {
         "schema": SCHEMA,
         "command": "decompose",

@@ -16,15 +16,15 @@ import random
 
 from .ambient import AmbientAlgebra
 from .exact import (
+    QI_I,
     ExactMatrix,
     Subspace,
     bracket,
+    charpoly,
+    combine,
     kernel_space,
     trace_annihilator,
-    _charpoly_num,
-    _common_row,
-    _lincomb,
-    _trace_form,
+    trace_pairing,
 )
 from .parabolic import (
     ParabolicSubalgebra,
@@ -145,29 +145,26 @@ class OrbitData:
 # ---------------------------------------------------------------------------
 
 
-def _trace_projector(amb: AmbientAlgebra, pair: Subspace, comp: Subspace):
-    """The projection of k onto ``comp`` along ``pair``, for the
-    trace-orthogonal complement ``comp`` of ``pair``.
+def _trace_projection(amb: AmbientAlgebra, pair: Subspace, comp: Subspace,
+                      ts: list[ExactMatrix]) -> list[ExactMatrix]:
+    """The projections of the ``ts`` in k onto ``comp`` along ``pair``, for
+    the trace-orthogonal complement ``comp`` of ``pair``.
 
     With w_k the basis of ``comp`` and G_lk = tr(w_k w_l), the ``comp``
     component of t is Σ g_k w_k where G g = (tr(t w_l))_l, since every
-    member of ``pair`` is trace-orthogonal to every w_l.  The dimension
-    count and an invertible G certify that k = pair ⊕ comp; otherwise
-    ``ArithmeticError`` is raised.
+    member of ``pair`` is trace-orthogonal to every w_l; G is symmetric, so
+    the rows g for all the ts are the rows of (tr(t w_l)) · G⁻¹.  The
+    dimension count and an invertible G certify that k = pair ⊕ comp;
+    otherwise ``ArithmeticError`` is raised.
     """
     if pair.dim + comp.dim != amb.space.dim:
         raise ArithmeticError("pair and its trace complement do not span k")
     w = comp.basis()
     try:
-        g_inv = ExactMatrix([[amb.beta(wk, wl) for wk in w] for wl in w]).inverse()
+        g_inv = trace_pairing(w, w).inverse()
     except ValueError as exc:
         raise ArithmeticError("trace form is degenerate on the complement") from exc
-
-    def project(t: ExactMatrix) -> ExactMatrix:
-        den, rhs = _common_row([_trace_form(t, wl) for wl in w])
-        return _lincomb(w, *g_inv._apply(den, rhs))
-
-    return project
+    return combine(w, trace_pairing(ts, w) @ g_inv)
 
 
 def _sign_changes(values) -> int:
@@ -184,10 +181,9 @@ def _hermitian_signature(h: ExactMatrix) -> tuple[int, int]:
     the positive eigenvalues are the sign changes of p(t), the negative
     ones those of p(-t).  A zero eigenvalue of multiplicity m makes the
     last m coefficients zero; skipping zeros counts the roots of p(t)/t^m.
-    p is taken for the numerator matrix den * h: its coefficients are
-    den^k > 0 times those for h, with the same signs.
+    The numerator of each coefficient carries its sign.
     """
-    coeffs = [a for a, _ in _charpoly_num(h)]
+    coeffs = [c.re.numerator for c in charpoly(h)]
     return _sign_changes(coeffs), _sign_changes(
         [-c if k % 2 else c for k, c in enumerate(coeffs)]
     )
@@ -317,29 +313,26 @@ def levi_report(
 
     zb = v.nr.basis()
     nu = len(zb)
-    values = [[bracket(za, amb.sigma(zc)) for zc in zb] for za in zb]
+    # the bracket values [z_a, σ(z_b)], row-major in (a, b)
+    values = [bracket(za, amb.sigma(zc)) for za in zb for zc in zb]
 
     # vector-valued form: component of each bracket value in the complement
-    project = _trace_projector(amb, pair, comp)
-    vector_form = [tuple(project(t) for t in row) for row in values]
+    projected = _trace_projection(amb, pair, comp, values)
+    vector_form = [tuple(projected[a * nu:(a + 1) * nu]) for a in range(nu)]
 
     # one exact Hermitian matrix per covector-basis direction:
-    # h[a][b] = i * tr(s @ values[a][b])
+    # h[a][b] = i * tr(s @ [z_a, σ(z_b)])
     s_basis = c0.basis()
     h_basis = []
     for s in s_basis:
-        traces = [_trace_form(s, values[a][b]) for a in range(nu) for b in range(nu)]
-        den, row = _common_row([(d, (-im, re)) for d, (re, im) in traces])
-        h = ExactMatrix._make(nu, nu, den, row)
+        h = trace_pairing([s], values).reshape(nu, nu).scale(QI_I)
         if h != h.star():
             raise ArithmeticError("scalar Levi form is not Hermitian")
         h_basis.append(h)
 
     @cache  # refinement candidates repeat earlier samples
     def _signature_at(coords: tuple[int, ...]) -> tuple[int, int]:
-        return _hermitian_signature(
-            _lincomb(h_basis, 1, {k: (c, 0) for k, c in enumerate(coords) if c})
-        )
+        return _hermitian_signature(combine(h_basis, ExactMatrix([coords]))[0])
 
     samples = _covector_samples(c0.dim, grid_density, seed)
     recorded = []

@@ -3,14 +3,19 @@
 This module is the deterministic substrate for all structure-theoretic
 computations: scalars in Q(i), immutable matrices, canonical-echelon
 subspaces of a matrix space (complex-linear or real-linear via coordinate
-doubling), commutators, and exact polynomial utilities (characteristic
-polynomials, squarefree parts).  The semisimple part of a matrix comes from
-matrix Newton iteration on the squarefree part of its characteristic
-polynomial, and the inverse from the same reduced echelon form as every
-other elimination here.
+doubling), commutators, the trace pairing and the Killing form of a
+quotient algebra, and exact polynomial utilities (characteristic
+polynomials, squarefree parts, roots in Q(i)).  The semisimple part of a
+matrix comes from matrix Newton iteration on the squarefree part of its
+characteristic polynomial, and the inverse from the same reduced echelon
+form as every other elimination here.
 
 Working form
 ------------
+The working form below is private to this module: other modules reach it
+only through the public names in ``__all__`` and the public methods of
+:class:`ExactMatrix` and :class:`Subspace`.
+
 Matrices, coordinate vectors and echelon rows are sparse: dicts from an
 index (row-major for matrices) to the Gaussian-integer ``(re, im)`` pair of
 each nonzero entry, over one shared positive denominator.  Products,
@@ -53,13 +58,19 @@ iff their projectors are.  The same call gives eigenspaces:
 ``kernel_projector([z − λ])`` projects onto the λ-eigenspace of z, and for
 commuting normal z the products of these are the joint eigenprojectors
 from which the weight pieces of a Levi center are built.
+
+Forms and roots
+---------------
+:func:`trace_pairing` is the one place the trace form is computed, and
+:func:`killing_form` certifies radicals.  :func:`rational_roots` finds the
+roots in Q(i) by Hensel lifting modulo an inert prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -68,6 +79,9 @@ __all__ = [
     "Subspace",
     "bracket",
     "bracket_space",
+    "trace_pairing",
+    "combine",
+    "killing_form",
     "trace_annihilator",
     "kernel_space",
     "kernel_projector",
@@ -75,6 +89,7 @@ __all__ = [
     "charpoly",
     "squarefree_part",
     "semisimple_part",
+    "rational_roots",
 ]
 
 class QI:
@@ -201,10 +216,14 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_den", "_terms", "_entries", "_row_terms")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = [[_qi(e) for e in row] for row in entries]
+        grid = [list(row) for row in entries]
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("incompatible shapes")
-        den, num = _to_num([q for row in grid for q in row])
+        flat = [e for row in grid for e in row]
+        if all(type(e) is int for e in flat):  # no QI needed
+            den, num = 1, [(e, 0) for e in flat]
+        else:
+            den, num = _to_num([_qi(e) for e in flat])
         terms = {k: pair for k, pair in enumerate(num) if pair != (0, 0)}
         ExactMatrix._init(self, len(grid), len(grid[0]) if grid else 0, den, terms)
 
@@ -313,6 +332,12 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return self._transposed(False)
 
+    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
+        """The same entries, read row-major into a ``rows x cols`` matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("incompatible shapes")
+        return ExactMatrix._make(rows, cols, self._den, self._terms)
+
     def trace(self) -> QI:
         if self.rows != self.cols:
             raise ValueError("incompatible shapes")
@@ -378,22 +403,11 @@ class ExactMatrix:
 
     def _row_nums(self) -> list[SparseRow]:
         """The rows' sparse numerators (the common denominator dropped)."""
-        return [{j: (a, b) for j, a, b in terms} for terms in self._nonzero_by_row()]
-
-    def _apply(self, den: int, vec: SparseRow) -> tuple[int, SparseRow]:
-        """``self @ (vec / den)`` as ``(den', numerators)``."""
-        out = {}
-        for i, terms in enumerate(self._nonzero_by_row()):
-            sre = sim = 0
-            for j, a, b in terms:
-                v = vec.get(j)
-                if v is not None:
-                    c, d = v
-                    sre += a * c - b * d
-                    sim += a * d + b * c
-            if sre or sim:
-                out[i] = (sre, sim)
-        return self._den * den, out
+        rows = [{} for _ in range(self.rows)]
+        for k, pair in self._terms.items():
+            i, j = divmod(k, self.cols)
+            rows[i][j] = pair
+        return rows
 
     def _coords(self, real: bool) -> SparseRow:
         """Sparse coordinate numerators (over ``_den``): row-major,
@@ -496,6 +510,27 @@ def _trace_form(x: ExactMatrix, y: ExactMatrix) -> tuple[int, tuple[int, int]]:
             sre += a * c - b * d
             sim += a * d + b * c
     return x._den * y._den, (sre, sim)
+
+
+def trace_pairing(xs: Sequence[ExactMatrix], ys: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The ``len(xs) x len(ys)`` matrix of traces ``tr(xs[i] @ ys[j])``,
+    each summed over the entries the two factors share, without forming the
+    products."""
+    mats = (*xs, *ys)
+    n = mats[0].rows if mats else 0
+    if any(m.rows != n or m.cols != n for m in mats):
+        raise ValueError("incompatible shapes")
+    return ExactMatrix._make(
+        len(xs), len(ys), *_common_row([_trace_form(x, y) for x in xs for y in ys])
+    )
+
+
+def combine(mats: Sequence[ExactMatrix], coeffs: ExactMatrix) -> list[ExactMatrix]:
+    """``Σ_k coeffs[i, k]·mats[k]`` for each row ``i`` of ``coeffs``, each in
+    one integer pass."""
+    if coeffs.cols != len(mats):
+        raise ValueError("incompatible shapes")
+    return [_lincomb(mats, coeffs._den, row) for row in coeffs._row_nums()]
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +1010,7 @@ def trace_annihilator(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix]
     the imaginary part of each trace to vanish, and returns a real-linear
     subspace.
     """
-    rows = [_common_row([_trace_form(x, y) for x in mats])[1] for y in others]
+    rows = trace_pairing(mats, list(others)).transpose()._row_nums()
     return _kernel_subspace(mats, rows, side, real)
 
 
@@ -1018,6 +1053,50 @@ def kernel_projector(mats: Iterable[ExactMatrix], n: int) -> ExactMatrix:
     )
     b_star = b.star()
     return b @ (b_star @ b).inverse() @ b_star
+
+
+def killing_form(space: Subspace, ideal: Subspace) -> ExactMatrix:
+    """The Killing form ``tr(ad x · ad y)`` of the quotient algebra
+    ``space / ideal``, for an ideal of a bracket-closed complex subspace.
+
+    The quotient basis is the canonical basis of ``space`` at the pivots
+    that are not pivots of ``ideal``: the class of a member of ``space`` is
+    the combination of these with the entries of its residue modulo
+    ``ideal`` at their pivots.  Entry ``(i, j)`` pairs the i-th and the j-th
+    basis element.
+    """
+    ideal_pivots = set(ideal.pivots)
+    kept = [(x, p) for x, p in zip(space.basis(), space.pivots) if p not in ideal_pivots]
+    index = {p: k for k, (_, p) in enumerate(kept)}
+    m = len(kept)
+    residues = {
+        (i, j): ideal._residue_mat(bracket(x, y))
+        for i, (x, _) in enumerate(kept)
+        for j, (y, _) in enumerate(kept)
+        if i != j
+    }
+    den = lcm(*(d for d, _ in residues.values()))
+    # ad[i][(k, j)]: the coefficient of mats[k] in [mats[i], mats[j]] mod ideal
+    ad = [{} for _ in range(m)]
+    for (i, j), (d, num) in residues.items():
+        f = den // d
+        for p, (a, b) in num.items():
+            k = index.get(p)
+            if k is not None:
+                ad[i][(k, j)] = (a * f, b * f)
+    terms = {}
+    for i in range(m):
+        for j in range(i, m):
+            sre = sim = 0
+            for (a, b), (cr, ci) in ad[i].items():
+                other = ad[j].get((b, a))
+                if other is not None:
+                    dr, di = other
+                    sre += cr * dr - ci * di
+                    sim += cr * di + ci * dr
+            if sre or sim:
+                terms[i * m + j] = terms[j * m + i] = (sre, sim)
+    return ExactMatrix._make(m, m, den * den, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1165,3 +1244,115 @@ def semisimple_part(x: ExactMatrix) -> ExactMatrix:
             return ExactMatrix._make(s.rows, s.cols, s._den * x._den, s._terms)
         s = s - val @ _poly_eval_matrix(dfs, s).inverse()
     raise ArithmeticError("Newton iteration failed to converge exactly")
+
+
+# ---------------------------------------------------------------------------
+# Roots in Q(i)
+# ---------------------------------------------------------------------------
+
+
+def _deflate(coeffs, root):
+    """Quotient of a Gaussian-integer polynomial by ``t - root``, or None
+    when ``root`` is not a root (exact synthetic division)."""
+    x, y = root
+    out = []
+    acc_re = acc_im = 0
+    for a, b in coeffs:
+        acc_re, acc_im = a + acc_re * x - acc_im * y, b + acc_re * y + acc_im * x
+        out.append((acc_re, acc_im))
+    if out.pop() != (0, 0):
+        return None
+    return out
+
+
+def _inert_primes():
+    """The primes q = 3 (mod 4) in increasing order.  Each stays prime in
+    Z[i], so Z[i] / (q) is the field with q^2 elements."""
+    q = 3
+    while True:
+        if all(q % p for p in range(3, isqrt(q) + 1, 2)):
+            yield q
+        q += 4
+
+
+def _poly_at(coeffs, x: int, y: int, mod: int) -> tuple[int, int]:
+    """A Gaussian-integer polynomial at ``x + y i``, modulo ``mod`` (Horner)."""
+    re = im = 0
+    for a, b in coeffs:
+        re, im = (re * x - im * y + a) % mod, (re * y + im * x + b) % mod
+    return re, im
+
+
+def _gaussian_integer_roots(f) -> list[tuple[int, int]]:
+    """The roots in Z[i] of a squarefree Gaussian-integer polynomial.
+
+    Hensel lifting modulo an inert prime q: every root in Z[i] reduces to a
+    root of ``f`` in Z[i] / (q), and from a simple root there Newton's
+    iteration lifts it to the unique root modulo q^(2^j).  A q for which
+    every root modulo q is simple exists, because ``f`` has a nonzero
+    discriminant.  Once q^(2^j) exceeds twice a bound on the roots, the
+    symmetric residues of a lift are its real and imaginary parts; a lift
+    that does not come from a root in Z[i] fails the exact deflation.
+    """
+    df = _poly_derivative(f)
+    for q in _inert_primes():
+        fq = [(a % q, b % q) for a, b in f]
+        roots = [
+            (x, y)
+            for x in range(q)
+            for y in range(q)
+            if _poly_at(fq, x, y, q) == (0, 0)
+        ]
+        if all(_poly_at(df, x, y, q) != (0, 0) for x, y in roots):
+            break
+    # Fujiwara's bound |root| <= 2 max_k |f_k / f_0|^(1/k) is below 2^(e+1),
+    # from |f_0| >= 2^lead and |f_k| <= |re f_k| + |im f_k|
+    lead = max(map(abs, f[0])).bit_length() - 1
+    e = max(
+        -((lead - (abs(a) + abs(b)).bit_length()) // k)
+        for k, (a, b) in enumerate(f[1:], 1)
+    )
+    limit = 4 << max(e, 0)
+    found = []
+    for x, y in roots:
+        mod = q
+        while mod <= limit:
+            mod *= mod
+            fr, fi = _poly_at(f, x, y, mod)
+            dr, di = _poly_at(df, x, y, mod)
+            # f / f' = f * conj(f') / (dr^2 + di^2), a unit modulo q
+            inv = pow(dr * dr + di * di, -1, mod)
+            x = (x - (fr * dr + fi * di) * inv) % mod
+            y = (y - (fi * dr - fr * di) * inv) % mod
+        half = mod // 2
+        root = (x - mod if x > half else x, y - mod if y > half else y)
+        if _deflate(f, root) is not None:
+            found.append(root)
+    return found
+
+
+def rational_roots(poly) -> list[QI]:
+    """Gaussian-rational roots of an exact polynomial (leading coeff first).
+
+    Returns the distinct roots in Q(i), sorted by (real, imaginary) part.
+    With ``t = s / D`` for the common denominator ``D`` of the monic
+    coefficients, the polynomial becomes monic over the Gaussian integers,
+    so its roots in Q(i) are Gaussian integers over ``D``: those of its
+    squarefree part, found exactly by :func:`_gaussian_integer_roots`.
+    """
+    coeffs = list(poly)
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+    if not coeffs:
+        raise ValueError("zero polynomial has no finite root list")
+    lead = coeffs[0]
+    den, num = _to_num([c / lead for c in coeffs[1:]])
+    monic = [(1, 0)]
+    power = 1
+    for a, b in num:
+        monic.append((a * power, b * power))
+        power *= den
+    if len(monic) == 1:
+        return []
+    roots = sorted(_gaussian_integer_roots(_squarefree_num(monic)))
+    return [_qi_of(a, b, den) for a, b in roots]

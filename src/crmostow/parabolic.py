@@ -182,14 +182,18 @@ def _weight_pieces(ambient: AmbientAlgebra, space: Subspace, z_mats) -> list[tup
 
 
 def _module_closure(ambient: AmbientAlgebra, act_mats, seed: Subspace) -> Subspace:
-    """Smallest subspace containing ``seed`` stable under brackets with ``act_mats``."""
+    """Smallest subspace containing ``seed`` stable under brackets with
+    ``act_mats``.  Each round brackets only the canonical rows new to the
+    span, those at pivots it did not have (as ``_unital_closure`` does)."""
     acc = seed
-    while True:
-        gen = [bracket(l, a) for l in act_mats for a in acc.basis()]
-        new = acc.sum(Subspace.span(gen, ambient.n)) if gen else acc
-        if new.dim == acc.dim:
-            return acc
-        acc = new
+    frontier = seed.basis()
+    while frontier:
+        gen = [bracket(l, a) for l in act_mats for a in frontier]
+        grown = acc.sum(Subspace.span(gen, ambient.n))
+        old = set(acc.pivots)
+        frontier = [m for m, p in zip(grown.basis(), grown.pivots) if p not in old]
+        acc = grown
+    return acc
 
 
 def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -> list[Subspace]:

@@ -10,8 +10,6 @@ never numerics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt, lcm
 
 from .ambient import AmbientAlgebra
 from .errors import ClosureError, IrrationalWeightsError
@@ -22,14 +20,13 @@ from .exact import (
     bracket,
     bracket_space,
     charpoly,
+    kernel_projector,
     kernel_space,
+    killing_form,
+    rational_roots,
     semisimple_part,
     squarefree_part,
     trace_annihilator,
-    _poly_derivative,
-    _rref_num,
-    _squarefree_num,
-    _to_num,
 )
 
 __all__ = [
@@ -88,22 +85,11 @@ class Subalgebra:
 
     # -- cached structure -------------------------------------------------------
     @property
-    def derived_series(self) -> tuple[Subspace, ...]:
-        """[v, [v,v], [[v,v],[v,v]], ...] down to its fixed point."""
-        if "derived_series" not in self._cache:
-            chain = [self.space]
-            while chain[-1].dim:
-                nxt = bracket_space(chain[-1], chain[-1])
-                if nxt == chain[-1]:
-                    break
-                chain.append(nxt)
-            self._cache["derived_series"] = tuple(chain)
-        return self._cache["derived_series"]  # type: ignore[return-value]
-
-    @property
     def derived(self) -> Subspace:
-        series = self.derived_series
-        return series[1] if len(series) > 1 else series[0]
+        """The derived algebra [v, v]."""
+        if "derived" not in self._cache:
+            self._cache["derived"] = bracket_space(self.space, self.space)
+        return self._cache["derived"]  # type: ignore[return-value]
 
     @property
     def radical(self) -> Subspace:
@@ -189,25 +175,9 @@ class Subalgebra:
             if nxt == cur:
                 raise ArithmeticError("radical verification failed: not solvable")
             cur = nxt
-        # semisimplicity of the quotient: Killing form has full rank
-        m, ad_tables = _quotient_structure(self.space, rad)
-        if m == 0:
-            return
-        killing_rows = []
-        for i in range(m):
-            row = {}
-            for j in range(m):
-                sre = sim = 0
-                for (a, b), (cr, ci) in ad_tables[i].items():
-                    other = ad_tables[j].get((b, a))
-                    if other is not None:
-                        dr, di = other
-                        sre += cr * dr - ci * di
-                        sim += cr * di + ci * dr
-                if sre or sim:
-                    row[j] = (sre, sim)
-            killing_rows.append(row)
-        if len(_rref_num(killing_rows)[0]) != m:
+        # semisimplicity of the quotient: its Killing form is nondegenerate
+        killing = killing_form(self.space, rad)
+        if not kernel_projector([killing], killing.rows).is_zero:
             raise ArithmeticError(
                 "radical verification failed: quotient Killing form degenerate"
             )
@@ -243,40 +213,6 @@ class Subalgebra:
 
 
 _INTERN_TOKEN = object()
-
-
-def _quotient_structure(space: Subspace, rad: Subspace):
-    """Sparse adjoint tables of the quotient algebra space/rad.
-
-    The quotient basis consists of the canonical rows of ``space`` whose
-    pivots are not pivots of ``rad``.  Returns (m, tables) where tables[i]
-    maps (k, j) to the coefficient of basis element k in [m_i, m_j] mod rad,
-    as Gaussian-integer numerators over one denominator shared by all tables.
-    """
-    rad_pivots = set(rad.pivots)
-    mats = [
-        mat for mat, p in zip(space.basis(), space.pivots) if p not in rad_pivots
-    ]
-    comp_pivots = [p for p in space.pivots if p not in rad_pivots]
-    m = len(mats)
-    if m == 0:
-        return 0, []
-    residues = {
-        (i, j): rad._residue_mat(bracket(mats[i], mats[j]))
-        for i in range(m)
-        for j in range(m)
-        if i != j
-    }
-    den = lcm(*(d for d, _ in residues.values()))
-    comp_index = {p: k for k, p in enumerate(comp_pivots)}
-    tables = [{} for _ in range(m)]
-    for (i, j), (d, num) in residues.items():
-        f = den // d
-        for p, (a, b) in num.items():
-            k = comp_index.get(p)
-            if k is not None:
-                tables[i][(k, j)] = (a * f, b * f)
-    return m, tables
 
 
 def subalgebra_from_space(
@@ -381,113 +317,6 @@ def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:
 # ---------------------------------------------------------------------------
 # Eigenvalues in Q(i)
 # ---------------------------------------------------------------------------
-
-
-def _deflate(coeffs, root):
-    """Quotient of a Gaussian-integer polynomial by ``t - root``, or None
-    when ``root`` is not a root (exact synthetic division)."""
-    x, y = root
-    out = []
-    acc_re = acc_im = 0
-    for a, b in coeffs:
-        acc_re, acc_im = a + acc_re * x - acc_im * y, b + acc_re * y + acc_im * x
-        out.append((acc_re, acc_im))
-    if out.pop() != (0, 0):
-        return None
-    return out
-
-
-def _inert_primes():
-    """The primes q = 3 (mod 4) in increasing order.  Each stays prime in
-    Z[i], so Z[i] / (q) is the field with q^2 elements."""
-    q = 3
-    while True:
-        if all(q % p for p in range(3, isqrt(q) + 1, 2)):
-            yield q
-        q += 4
-
-
-def _poly_at(coeffs, x: int, y: int, mod: int) -> tuple[int, int]:
-    """A Gaussian-integer polynomial at ``x + y i``, modulo ``mod`` (Horner)."""
-    re = im = 0
-    for a, b in coeffs:
-        re, im = (re * x - im * y + a) % mod, (re * y + im * x + b) % mod
-    return re, im
-
-
-def _gaussian_integer_roots(f) -> list[tuple[int, int]]:
-    """The roots in Z[i] of a squarefree Gaussian-integer polynomial.
-
-    Hensel lifting modulo an inert prime q: every root in Z[i] reduces to a
-    root of ``f`` in Z[i] / (q), and from a simple root there Newton's
-    iteration lifts it to the unique root modulo q^(2^j).  A q for which
-    every root modulo q is simple exists, because ``f`` has a nonzero
-    discriminant.  Once q^(2^j) exceeds twice a bound on the roots, the
-    symmetric residues of a lift are its real and imaginary parts; a lift
-    that does not come from a root in Z[i] fails the exact deflation.
-    """
-    df = _poly_derivative(f)
-    for q in _inert_primes():
-        fq = [(a % q, b % q) for a, b in f]
-        roots = [
-            (x, y)
-            for x in range(q)
-            for y in range(q)
-            if _poly_at(fq, x, y, q) == (0, 0)
-        ]
-        if all(_poly_at(df, x, y, q) != (0, 0) for x, y in roots):
-            break
-    # Fujiwara's bound |root| <= 2 max_k |f_k / f_0|^(1/k) is below 2^(e+1),
-    # from |f_0| >= 2^lead and |f_k| <= |re f_k| + |im f_k|
-    lead = max(map(abs, f[0])).bit_length() - 1
-    e = max(
-        -((lead - (abs(a) + abs(b)).bit_length()) // k)
-        for k, (a, b) in enumerate(f[1:], 1)
-    )
-    limit = 4 << max(e, 0)
-    found = []
-    for x, y in roots:
-        mod = q
-        while mod <= limit:
-            mod *= mod
-            fr, fi = _poly_at(f, x, y, mod)
-            dr, di = _poly_at(df, x, y, mod)
-            # f / f' = f * conj(f') / (dr^2 + di^2), a unit modulo q
-            inv = pow(dr * dr + di * di, -1, mod)
-            x = (x - (fr * dr + fi * di) * inv) % mod
-            y = (y - (fi * dr - fr * di) * inv) % mod
-        half = mod // 2
-        root = (x - mod if x > half else x, y - mod if y > half else y)
-        if _deflate(f, root) is not None:
-            found.append(root)
-    return found
-
-
-def rational_roots(poly) -> list[QI]:
-    """Gaussian-rational roots of an exact polynomial (leading coeff first).
-
-    Returns the distinct roots in Q(i), sorted by (real, imaginary) part.
-    With ``t = s / D`` for the common denominator ``D`` of the monic
-    coefficients, the polynomial becomes monic over the Gaussian integers,
-    so its roots in Q(i) are Gaussian integers over ``D``: those of its
-    squarefree part, found exactly by :func:`_gaussian_integer_roots`.
-    """
-    coeffs = list(poly)
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-    if not coeffs:
-        raise ValueError("zero polynomial has no finite root list")
-    lead = coeffs[0]
-    den, num = _to_num([c / lead for c in coeffs[1:]])
-    monic = [(1, 0)]
-    power = 1
-    for a, b in num:
-        monic.append((a * power, b * power))
-        power *= den
-    if len(monic) == 1:
-        return []
-    roots = sorted(_gaussian_integer_roots(_squarefree_num(monic)))
-    return [QI(Fraction(a, den), Fraction(b, den)) for a, b in roots]
 
 
 def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> tuple[list[QI], list[QI]]:

@@ -351,6 +351,17 @@ class TestDecompose:
         )
         assert report["result"]["residual"] < 1e-8
 
+    def test_restart_disagreement_exits_5_unless_allowed(self, capsys, monkeypatch):
+        # su22_f12 runs the optimizer; a negative tolerance makes any two
+        # converged restarts disagree
+        monkeypatch.setattr(symspace, "_AGREE_TOL", -1.0)
+        argv = ["decompose", "--catalog", "su22_f12", "--random", "--seed", "7"]
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_DISAGREEMENT
+        assert "restart disagreement" in err
+        report = _run_json(capsys, *argv, "--allow-nonunique")
+        assert report["result"]["restarts_agree"] is False
+
     def test_zeta_from_file(self, capsys, tmp_path):
         theta = 0.4
         zeta = np.eye(4, dtype=complex)

@@ -12,12 +12,15 @@ from crmostow.exact import (
     bracket,
     bracket_space,
     charpoly,
+    combine,
     kernel_projector,
     kernel_space,
+    killing_form,
     semisimple_part,
     solve_kernel,
     squarefree_part,
     trace_annihilator,
+    trace_pairing,
 )
 from crmostow.exact import _rref_num
 
@@ -591,6 +594,111 @@ def test_kernels_of_no_matrices_are_zero(real):
     assert kernel_space([], [[], []], 2, real=real) == Subspace.zero(2, real=real)
     modulo = Subspace.span(others, 2)
     assert kernel_space([], [[]], 2, modulo=modulo) == Subspace.zero(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_sets(), _square_sets())
+def test_trace_pairing_matches_oracle(left, right):
+    n, xs = left
+    ys = [m for m in right[1] if m.rows == n]
+    pairing = trace_pairing(xs, ys)
+    assert (pairing.rows, pairing.cols) == (len(xs), len(ys))
+    assert pairing.entries == tuple(tuple((x @ y).trace() for y in ys) for x in xs)
+
+
+def test_trace_pairing_rejects_mixed_sides():
+    with pytest.raises(ValueError):
+        trace_pairing([_E(2, 0, 1)], [_E(3, 1, 0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_sets(), st.data())
+def test_combine_matches_sums_of_scales(case, data):
+    n, mats = case
+    if not mats:
+        return
+    gaussian = st.builds(QI, st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4))
+    coeffs = data.draw(st.lists(st.lists(gaussian, min_size=len(mats), max_size=len(mats)), max_size=3))
+    rows = ExactMatrix(coeffs) if coeffs else ExactMatrix.zeros(0, len(mats))
+    expected = []
+    for row in coeffs:
+        total = ExactMatrix.zeros(n)
+        for c, m in zip(row, mats):
+            total = total + m.scale(c)
+        expected.append(total)
+    assert combine(mats, rows) == expected
+    with pytest.raises(ValueError):
+        combine(mats[1:], ExactMatrix.zeros(1, len(mats)))
+
+
+def test_reshape_round_trip():
+    m = ExactMatrix([[1, QI(0, Fraction(1, 2)), 0], [QI(-2, 1), 0, Fraction(3, 4)]])
+    flat = m.flatten()
+    assert m.reshape(1, 6).entries == (flat,)
+    assert m.reshape(3, 2).entries == (flat[0:2], flat[2:4], flat[4:6])
+    assert m.reshape(3, 2).reshape(2, 3) == m
+    with pytest.raises(ValueError):
+        m.reshape(4, 2)
+
+
+def _coordinates(x, basis):
+    """The coefficients c with x = Σ c_k·basis[k], by a QI kernel solve."""
+    width = len(basis)
+    columns = [b.flatten() for b in basis] + [x.flatten()]
+    rows = [[col[e] for col in columns] for e in range(len(columns[0]))]
+    (vec,) = solve_kernel(rows, width + 1)
+    return [-c / vec[width] for c in vec[:width]]
+
+
+def _killing_oracle(space, ideal):
+    """tr(ad x·ad y) on space/ideal from QI coordinates in the basis of
+    ``space`` at the non-ideal pivots followed by that of ``ideal``."""
+    kept = [m for m, p in zip(space.basis(), space.pivots) if p not in ideal.pivots]
+    full = kept + ideal.basis()
+    m = len(kept)
+    ad = [
+        [_coordinates(bracket(x, y), full)[:m] for y in kept]  # ad[i][j][k]
+        for x in kept
+    ]
+    def entry(i, j):
+        total = QI(0)
+        for a in range(m):
+            for b in range(m):
+                total = total + ad[i][b][a] * ad[j][a][b]
+        return total
+    return [[entry(i, j) for j in range(m)] for i in range(m)]
+
+
+def _killing_cases():
+    h = ExactMatrix.diagonal([1, -1])
+    sl2 = Subspace.span([_E(2, 0, 1), _E(2, 1, 0), h], 2)
+    h3 = [ExactMatrix.diagonal([1, -1, 0]), ExactMatrix.diagonal([0, 1, -1])]
+    upper = [_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)]
+    borel = Subspace.span(h3 + upper, 3)
+    nil = Subspace.span(upper, 3)
+    return [
+        (sl2, Subspace.zero(2)),
+        (borel, Subspace.zero(3)),
+        (borel, Subspace.span(upper[1:2], 3)),
+        (borel, nil),
+        (borel, borel),
+    ]
+
+
+@pytest.mark.parametrize("space, ideal", _killing_cases())
+def test_killing_form_matches_oracle(space, ideal):
+    form = killing_form(space, ideal)
+    assert form.entries == tuple(map(tuple, _killing_oracle(space, ideal)))
+
+
+def test_killing_form_of_sl2_and_of_a_borel():
+    space, _ = _killing_cases()[0]
+    # canonical basis diag(1, -1), E01, E10: K(h, h) = 8, K(e, f) = 4
+    assert killing_form(space, Subspace.zero(2)) == ExactMatrix([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
+    borel, _ = _killing_cases()[1]
+    nil = _killing_cases()[3][1]
+    # the quotient of a Borel by its nilradical is abelian
+    assert killing_form(borel, nil) == ExactMatrix.zeros(2)
 
 
 # ---------------------------------------------------------------------------

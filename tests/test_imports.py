@@ -12,23 +12,30 @@ import crmostow
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crmostow.__path__))
 
-# The private names each module imports from a sibling module.  Most are
-# pieces of the exact core's working form; a new entry here is a new
-# dependency on a sibling's internals, and should be argued for in review.
+# The private names each module imports from a sibling module; a new entry
+# here is a new dependency on a sibling's internals, and should be argued for
+# in review.  None of them is a piece of the exact core's working form.
 PRIVATE_IMPORTS = {
     "acceptance": {"_combo", "_complex_combo"},
-    "ambient": {"_qi_of", "_trace_form"},
-    "crinv": {"_charpoly_num", "_common_row", "_lincomb", "_trace_form"},
     "parabolic": {"_bracket_closure", "_eigenvalues"},
-    "structure": {"_poly_derivative", "_rref_num", "_squarefree_num", "_to_num"},
+}
+
+# The attributes through which ExactMatrix and Subspace hold and read their
+# Gaussian-integer numerators and denominators: only exact.py touches them.
+WORKING_FORM = {
+    "_terms", "_den", "_make", "_apply", "_row_nums", "_nonzero_by_row",
+    "_coords", "_irows", "_residue_mat",
 }
 
 
+def _tree(name):
+    return ast.parse(pathlib.Path(crmostow.__path__[0], f"{name}.py").read_text())
+
+
 def _private_imports(name):
-    source = pathlib.Path(crmostow.__path__[0], f"{name}.py").read_text()
     return {
         alias.name
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(_tree(name))
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
         if alias.name.startswith("_")
@@ -46,3 +53,13 @@ def test_exported_names_resolve(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_private_imports_stay_on_the_list(name):
     assert _private_imports(name) <= PRIVATE_IMPORTS.get(name, set())
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "exact"])
+def test_only_exact_reads_the_working_form(name):
+    read = {
+        node.attr
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Attribute) and node.attr in WORKING_FORM
+    }
+    assert read == set()

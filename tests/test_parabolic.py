@@ -7,8 +7,8 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 
-from crmostow import catalog
-from crmostow.ambient import block_special_linear, special_linear
+from crmostow import catalog, parabolic
+from crmostow.ambient import AmbientAlgebra, block_special_linear, special_linear
 from crmostow.exact import QI, ExactMatrix, Subspace, bracket, kernel_space
 from crmostow.parabolic import (
     HorocyclicVerdict,
@@ -656,3 +656,38 @@ def test_column_pattern_sl4_pipeline():
     hv = horocyclic_verdict(v)
     assert hv.horocyclic and hv.strictly_horocyclic
     assert hv.witness.dim == 12
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("su22_f12", None),
+        ("su23_f13", None),
+        ("su23_f12", None),
+        ("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1}),
+    ],
+)
+def test_module_closure_brackets_each_direction_once(monkeypatch, name, params):
+    # a fresh ambient, so that no cached envelope skips the closures
+    entry = catalog.build(name, params)
+    v = make_subalgebra(AmbientAlgebra(entry.ambient.blocks), entry.subalgebra.basis())
+    made = [0]
+    calls = []
+    real_bracket, real_closure = parabolic.bracket, parabolic._module_closure
+
+    def counting_bracket(x, y):
+        made[0] += 1
+        return real_bracket(x, y)
+
+    def recording_closure(ambient, act_mats, seed):
+        before = made[0]
+        out = real_closure(ambient, act_mats, seed)
+        calls.append((made[0] - before, len(act_mats) * out.dim))
+        return out
+
+    monkeypatch.setattr(parabolic, "bracket", counting_bracket)
+    monkeypatch.setattr(parabolic, "_module_closure", recording_closure)
+    largest_intermediate(v)
+    maximal_envelope(v, minimal_envelope(v))
+    assert calls
+    assert all(count <= bound for count, bound in calls), calls

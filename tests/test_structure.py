@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from crmostow import structure
 from crmostow.ambient import block_special_linear, special_linear
 from crmostow.errors import ClosureError, IrrationalWeightsError
 from crmostow.exact import (
@@ -489,6 +490,24 @@ def test_radn_inside_nr_examples():
     radn = borel.radical.intersect(borel.derived)
     assert borel.nr.contains_space(radn)
     assert borel.nr == Subspace.span([_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)], 3)
+
+
+def test_derived_is_one_bracket_space(monkeypatch):
+    # strictly upper triangular sl(4) in a fresh ambient: nothing is cached
+    upper = [_E(4, i, j) for i in range(4) for j in range(i + 1, 4)]
+    v = make_subalgebra(structure.AmbientAlgebra((4,)), upper)
+    calls = []
+    real = structure.bracket_space
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(structure, "bracket_space", counting)
+    steps = Subspace.span([_E(4, i, j) for i in range(4) for j in range(i + 2, 4)], 4)
+    assert v.derived == steps
+    assert v.derived == steps
+    assert len(calls) == 1
 
 
 def test_splittability():
