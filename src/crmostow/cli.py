@@ -636,8 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="optimizer starts, all of which run so that restarts_agree "
         "compares their fiber norms; no effect where the decomposition has "
-        "a closed form (strictly horocyclic structures), whose restarts_agree "
-        "is always true",
+        "a certified closed form (horocyclic structures whose group factor "
+        "couples Levi blocks at most in pairs, strictly horocyclic ones "
+        "among them), whose restarts_agree is always true",
     )
     p.add_argument(
         "--seed",
@@ -663,8 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="at most N minimization starts; stops once phi is within "
-        "2.5e-15 of 0; no effect where the exhaustion has a closed form "
-        "(strictly horocyclic structures)",
+        "2.5e-15 of 0; no effect where the exhaustion has a certified closed "
+        "form (horocyclic structures whose group factor couples Levi blocks "
+        "at most in pairs, strictly horocyclic ones among them)",
     )
     p.add_argument(
         "--seed",

@@ -30,8 +30,17 @@ import scipy.linalg
 from .ambient import AmbientAlgebra
 from .crinv import fiber_data
 from .errors import NonConvergenceError, RestartDisagreementError
-from .exact import QI, QI_I, QI_ONE, ExactMatrix, Subspace, kernel_space
-from .parabolic import HorocyclicVerdict, horocyclic_verdict
+from .exact import (
+    QI,
+    QI_I,
+    QI_ONE,
+    ExactMatrix,
+    Subspace,
+    kernel_projector,
+    kernel_space,
+    trace_annihilator,
+)
+from .parabolic import HorocyclicVerdict, ParabolicSubalgebra, horocyclic_verdict
 from .structure import Subalgebra
 
 __all__ = [
@@ -385,20 +394,35 @@ def geodesic_variation_spec(h: np.ndarray, x: np.ndarray) -> JacobiFieldSpec:
 
 @dataclass(frozen=True)
 class LeviFrame:
-    """Float data of the closed-form decomposition on a strictly horocyclic
-    structure, certified by ``mostow_structure``.
+    """Float data of the closed-form decomposition, certified by
+    ``mostow_structure`` on a horocyclic structure without a nilpotent
+    fiber factor whose group factor's image in the witness's Levi factor
+    acts by classes of at most two Levi blocks.
 
-    In the unitary ``frame`` (``None`` for the identity) the flag that the
-    parabolic q = l ⋉ u with u = nr fixes is a coordinate flag, so u is block
-    strictly upper triangular and l block diagonal.  ``blocks`` lists the
-    Levi blocks as ``(size, split)``: the fiber part of the block is nothing
-    (``split == 0``), its whole Hermitian part (``split == size``), or the
-    off-diagonal Hermitian part of the two-way split after ``split``
-    coordinates; the Hermitian factor spans the rest of l's Hermitian part.
+    In the unitary ``frame`` (``None`` for the identity) the flag of the
+    witness parabolic q = l ⋉ u(q) is a coordinate flag, so u(q) is block
+    strictly upper triangular and l block diagonal, with one block per
+    ``(size, split)`` in ``blocks``.
+
+    On a strictly horocyclic structure (``center`` is ``None``) u(q) is the
+    nilradical, and the fiber part of a block is nothing (``split == 0``),
+    its whole Hermitian part (``split == size``), or the off-diagonal
+    Hermitian part of the two-way split after ``split`` coordinates; the
+    Hermitian factor spans the rest of l's Hermitian part.
+
+    Otherwise (``split == 0`` throughout) u(q) lies in the nilradical, and
+    the group factor acts on each block, modulo the center, by the upper
+    triangular matrices with positive diagonal; a pair ``(k, j, t)`` in
+    ``pairs`` couples block ``j`` to block ``k`` by ``b ↦ t·b·t*`` with
+    ``t`` unitary.  ``center`` projects the blocks' log-determinant
+    coordinates ``log det D_k / d_k`` onto those of the group factor's
+    center, orthogonally for the weights ``d_k``.
     """
 
     frame: np.ndarray | None
     blocks: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[int, int, np.ndarray], ...]
+    center: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -416,8 +440,10 @@ class MostowStructure:
 
     ``levi_frame`` is set when ``mostow_structure`` has certified that the
     decomposition, the exhaustion and the Levi probes have a closed form
-    (see ``LeviFrame``), and ``None`` otherwise; the optimizers serve every
-    structure without it.
+    (see ``LeviFrame``): on strictly horocyclic structures, and on
+    horocyclic ones whose group factor couples Levi blocks at most in pairs.
+    It is ``None`` otherwise; the optimizers serve every structure without
+    it.
     """
 
     size: int
@@ -480,7 +506,8 @@ def _hermitian_span(a: ExactMatrix, b: ExactMatrix) -> Subspace:
     """The real span of ``a·H·b + b·H·a`` over the ``n²`` Hermitian unit
     matrices ``H``: for ``a = b`` an orthogonal projector, the Hermitian
     matrices on its range; for projectors onto orthogonal ranges, the
-    Hermitian matrices exchanging the two ranges."""
+    Hermitian matrices exchanging the two ranges.  For ``a`` and ``b`` the
+    same matrix only ``a·H·a`` is formed."""
     n = a.rows
     units = []
     for j in range(n):
@@ -488,7 +515,8 @@ def _hermitian_span(a: ExactMatrix, b: ExactMatrix) -> Subspace:
         for k in range(j + 1, n):
             jk, kj = ExactMatrix.unit(n, j, k), ExactMatrix.unit(n, k, j)
             units += [jk + kj, (jk - kj).scale(QI_I)]
-    return Subspace.span([a @ h @ b + b @ h @ a for h in units], n, real=True)
+    mats = [a @ h @ a for h in units] if a is b else [a @ h @ b + b @ h @ a for h in units]
+    return Subspace.span(mats, n, real=True)
 
 
 def _rational_sqrt(c: QI) -> QI | None:
@@ -531,54 +559,50 @@ def _split_of_block(
     return (halves[0], halves[1]) if lead[0] <= lead[1] else (halves[1], halves[0])
 
 
-def _levi_frame(
-    verdict: HorocyclicVerdict, fiber: Subspace, herm: Subspace, complement: Subspace
-) -> LeviFrame | None:
-    """Certify over ℚ(i) that the closed form applies, and assemble its data.
+def _levi_pieces(witness: ParabolicSubalgebra) -> list[ExactMatrix]:
+    """The Levi pieces of a parabolic, in flag order: the projectors
+    ``Π_k − Π_{k−1}`` onto the orthogonal steps of its flag, whose steps
+    ``Π_k`` it holds as orthogonal projectors, cut by the ambient's
+    coordinate blocks."""
+    n = witness.ambient.n
+    cuts, start = [], 0
+    for size in witness.ambient.blocks:
+        cuts.append(ExactMatrix.diagonal([int(start <= i < start + size) for i in range(n)]))
+        start += size
+    pieces, below = [], ExactMatrix.zeros(n)
+    for upto in witness.invariant_flag:
+        pieces += [p for p in ((upto - below) @ cut for cut in cuts) if not p.is_zero]
+        below = upto
+    return pieces
 
-    The conditions: ``v`` is strictly horocyclic and the nilpotent fiber
-    factor is zero; the blocks ``W_k`` are the orthogonal steps of the flag
-    that the witness parabolic fixes, and the Hermitian part of its Levi
-    factor is the traceless part of ``⊕ Herm(W_k)``; in each block the
-    fiber's part is nothing, all of ``Herm(W_k)``, or the off-diagonal part
-    of a split ``W_k = W_k1 ⊕ W_k2``; and the fiber and the Hermitian factor
-    are exactly the traceless parts of the sums of their block parts.
 
-    The blocks come from the exact projectors ``P_k = Π_k − Π_{k−1}``, with
-    ``Π_k`` the k-th step of the witness's flag, which is held as its
-    orthogonal projector.  The float
-    frame is the eigenvector matrix of ``Σ k·E_k`` over the pieces ``E_k``
-    (the projectors onto the blocks and split halves, in frame order); on a
-    coordinate flag that matrix is diagonal and sorted, so the frame is the
-    identity.
-    """
-    if not verdict.strictly_horocyclic or complement.dim:
-        return None
-    witness = verdict.strict_witness
-    amb = witness.ambient
-    n = amb.n
-    levi_herm = witness.levi.realify().intersect(amb.p0)
+def _strict_layout(
+    pieces: list[ExactMatrix], wholes: list[Subspace], fiber: Subspace, herm: Subspace,
+    p0: Subspace, levi_dim: int,
+) -> tuple[list, list, Subspace, tuple, None] | None:
+    """Blocks, frame pieces and fiber parts of a strictly horocyclic
+    structure, with no pairs and no center: in each piece ``W_k`` (with
+    ``Herm(W_k)`` in ``wholes``) the fiber's part is nothing, all of
+    ``Herm(W_k)``, or the off-diagonal part of a split
+    ``W_k = W_k1 ⊕ W_k2``, and the Hermitian factor is exactly the
+    traceless part of the sum of the rest."""
+    n = fiber.side
     fiber_mats, herm_mats = fiber.basis(), herm.basis()
-
-    every_part = fiber_parts = herm_parts = Subspace.zero(n, real=True)
+    fiber_parts = herm_parts = Subspace.zero(n, real=True)
     blocks: list[tuple[int, int]] = []
-    pieces: list[ExactMatrix] = []
-    below, lower_dim = ExactMatrix.zeros(n), 0
-    for upto, dim in zip(witness.invariant_flag, witness.flag_dims):
-        proj, size = upto - below, dim - lower_dim
-        below, lower_dim = upto, dim
-        whole = _hermitian_span(proj, proj)
-        every_part = every_part.sum(whole)
+    lines: list[ExactMatrix] = []
+    for proj, whole in zip(pieces, wholes):
+        size = int(proj.trace().re)
         block_fiber = [proj @ x @ proj for x in fiber_mats]
         if all(x.is_zero for x in block_fiber):
             blocks.append((size, 0))
-            pieces.append(proj)
+            lines.append(proj)
             herm_parts = herm_parts.sum(whole)
             continue
         block_fiber_space = Subspace.span(block_fiber, n, real=True)
         if block_fiber_space == whole:
             blocks.append((size, size))
-            pieces.append(proj)
+            lines.append(proj)
             fiber_parts = fiber_parts.sum(whole)
             continue
         split = _split_of_block(
@@ -588,25 +612,210 @@ def _levi_frame(
             return None
         first, second = split
         blocks.append((size, int(first.trace().re)))
-        pieces += [first, second]
+        lines += [first, second]
         fiber_parts = fiber_parts.sum(_hermitian_span(first, second))
         herm_parts = herm_parts.sum(_hermitian_span(first, first)).sum(
             _hermitian_span(second, second)
         )
+    if herm_parts.intersect(p0) != herm or fiber.dim + herm.dim != levi_dim:
+        return None
+    return blocks, lines, fiber_parts, (), None
 
-    if (
-        every_part.intersect(amb.p0) != levi_herm
-        or fiber_parts.intersect(amb.p0) != fiber
-        or herm_parts.intersect(amb.p0) != herm
-        or fiber.dim + herm.dim != levi_herm.dim
+
+def _coupling(
+    first: ExactMatrix, second: ExactMatrix, mats: list[ExactMatrix]
+) -> tuple[ExactMatrix, QI] | None:
+    """The map ``T`` from the range ``W`` of ``first`` to that ``W′`` of
+    ``second`` with ``T·x = x·T`` for every ``x`` in ``mats``, so that
+    ``x_{W′}·T = T·x_W``, and ``c`` with ``T*·T = c·P_W``; ``None`` unless
+    ``T`` is unique up to scale and ``T/√c`` is unitary."""
+    n = first.rows
+    candidates = Subspace.span(
+        [second @ ExactMatrix.unit(n, i, j) @ first for i in range(n) for j in range(n)], n
+    ).basis()
+    kernel = kernel_space(candidates, [[t @ x - x @ t for t in candidates] for x in mats], n)
+    if kernel.dim != 1:
+        return None
+    (t,) = kernel.basis()
+    gram = t.star() @ t
+    c = gram.trace() / first.trace()
+    return (t, c) if gram == first.scale(c) else None
+
+
+def _flag_lines(proj: ExactMatrix, nil: list[ExactMatrix]) -> list[ExactMatrix]:
+    """Projectors onto the lines of the complete flag ``F`` of the range
+    ``W`` of ``proj`` that the nilradical ``nil`` of a Borel of ``gl(W)``
+    lowers, in order: ``F_j = {w ∈ W : x·w ∈ F_{j−1} for x in nil}``."""
+    n = proj.rows
+    lines, below = [], ExactMatrix.zeros(n)
+    for _ in range(int(proj.trace().re)):
+        upto = kernel_projector([(proj - below) @ x for x in nil], n) @ proj
+        lines.append(upto - below)
+        below = upto
+    return lines
+
+
+def _coupled_layout(
+    pieces: list[ExactMatrix], wholes: list[Subspace], fiber: Subspace, herm: Subspace,
+    nr: Subspace,
+) -> tuple[list, list, Subspace, list, np.ndarray] | None:
+    """Blocks, frame pieces, fiber parts, pairs and center projection of a
+    structure whose nilradical ``nr`` contains the witness's; ``wholes``
+    holds ``Herm(W_k)`` of each piece.
+
+    The group factor's image in the Levi factor is the Hermitian factor plus
+    the block-diagonal parts ``L(x) = Σ_k P_k·x·P_k`` of ``nr``.  The
+    central part ``Σ_k tr(P_k·h)/d_k·P_k`` of each ``h`` in the Hermitian
+    factor must lie in it, and the traceless rest ``a`` must split, with
+    ``L(nr)``, over classes of at most two pieces.  The image of a class in
+    the ``gl(W)`` of its first piece must be a real Borel: ``d − 1`` real
+    dimensions of ``a`` and ``d(d−1)/2`` complex ones of ``L(nr)``.  The
+    nilpotent part is then the nilradical of a complete flag, and ``a``,
+    which normalizes it, is its real diagonal, so the image acts simply
+    transitively on ``P₁(W)``; in a frame through the flag's lines it is
+    upper triangular.  On a class of two the image is, in addition, the
+    graph of ``a ↦ T·a·T⁻¹`` with ``T/√c`` unitary (``_coupling``), so the
+    orbit there is ``{(M, T·M·T*/c)}``, an isometric copy of the diagonal.
+    Together with the central part these make the orbit's tangent at the
+    base point the graphs of the traceless ``Herm(W)`` plus the center, so
+    the fiber must be the antigraphs ``{(h, −T·h·T*/c)}`` plus the traceless
+    central directions trace-orthogonal to the center.
+
+    ``center`` is the projection of the pieces' log-determinant coordinates
+    onto the image's center, orthogonal for the weights ``d_k``."""
+    n = fiber.side
+    sizes = [p.trace() for p in pieces]
+    herm_mats = herm.basis()
+    centers = [
+        sum((p.scale((p @ h).trace() / d) for p, d in zip(pieces, sizes)), ExactMatrix.zeros(n))
+        for h in herm_mats
+    ]
+    if not all(herm.contains_mat(z) for z in centers):
+        return None
+    tilts = [h - z for h, z in zip(herm_mats, centers)]
+    nil = [sum((p @ x @ p for p in pieces), ExactMatrix.zeros(n)) for x in nr.basis()]
+    tilt_space = Subspace.span(tilts, n, real=True)
+    nil_space = Subspace.span(nil, n)
+
+    def splits_off(proj: ExactMatrix) -> bool:
+        return all(tilt_space.contains_mat(proj @ a @ proj) for a in tilts) and all(
+            nil_space.contains_mat(proj @ x @ proj) for x in nil
+        )
+
+    classes: list[tuple[int, ...]] = []
+    free = list(range(len(pieces)))
+    while free:
+        k = free.pop(0)
+        if splits_off(pieces[k]):
+            classes.append((k,))
+            continue
+        partner = next((j for j in free if splits_off(pieces[k] + pieces[j])), None)
+        if partner is None:
+            return None
+        free.remove(partner)
+        classes.append((k, partner))
+
+    pairs = []
+    fiber_mats: list[ExactMatrix] = []
+    for cls in classes:
+        first = pieces[cls[0]]
+        d = int(sizes[cls[0]].re)
+        tilt_dim = Subspace.span([first @ a @ first for a in tilts], n, real=True).dim
+        nil_dim = Subspace.span([first @ x @ first for x in nil], n).dim
+        if tilt_dim != d - 1 or nil_dim != d * (d - 1) // 2:
+            return None
+        if len(cls) == 2:
+            coupling = _coupling(first, pieces[cls[1]], tilts + nil)
+            if coupling is None:
+                return None
+            t, c = coupling
+            pairs.append((cls[0], cls[1], t, c))
+            t_inv = t.star().scale(QI_ONE / c)
+            for h in wholes[cls[0]].basis():
+                h0 = h - first.scale(h.trace() / sizes[cls[0]])
+                fiber_mats.append(h0 - t @ h0 @ t_inv)
+
+    identity = ExactMatrix.identity(n)
+    center_fiber = trace_annihilator(pieces, centers + [identity], n, real=True)
+    fiber_parts = Subspace.span(fiber_mats, n, real=True).sum(center_fiber)
+    center_basis = Subspace.span(centers, n, real=True).basis()
+    center = np.zeros((len(pieces), len(pieces)))
+    if center_basis:
+        coords = ExactMatrix(
+            [[(p @ z).trace() / d for z in center_basis] for p, d in zip(pieces, sizes)]
+        )
+        weighted = coords.transpose() @ ExactMatrix.diagonal(sizes)
+        center = (coords @ (weighted @ coords).inverse() @ weighted).to_numpy().real
+    blocks = [(int(d.re), 0) for d in sizes]
+    lines = [line for p in pieces for line in _flag_lines(p, [p @ x @ p for x in nil])]
+    return blocks, lines, fiber_parts, pairs, center
+
+
+def _levi_frame(
+    v: Subalgebra, verdict: HorocyclicVerdict, fiber: Subspace, herm: Subspace,
+    complement: Subspace,
+) -> LeviFrame | None:
+    """Certify over ℚ(i) that the closed form applies, and assemble its data.
+
+    The nilpotent fiber factor must be zero.  A strictly horocyclic
+    structure uses its strict witness (``_strict_layout``); otherwise a
+    horocyclic one uses its witness, once the witness's nilradical is
+    certified to lie in ``nr`` and ``v`` in the witness
+    (``_coupled_layout``).  Either way the pieces ``W_k`` of the witness's
+    Levi factor (``_levi_pieces``) must carry all of its Hermitian part, and
+    the fiber must be exactly the traceless part of the sum of its parts
+    on them.
+
+    The float frame is the eigenvector matrix of ``Σ k·E_k`` over the frame
+    pieces ``E_k`` (blocks, split halves or flag lines, in frame order); on
+    coordinate pieces that matrix is diagonal and sorted, so the frame is
+    the identity.
+    """
+    if complement.dim:
+        return None
+    if verdict.strictly_horocyclic:
+        witness = verdict.strict_witness
+    elif (
+        verdict.horocyclic
+        and v.nr.contains_space(verdict.witness.nilradical)
+        and verdict.witness.q.space.contains_space(v.space)
     ):
+        witness = verdict.witness
+    else:
+        return None
+    amb = witness.ambient
+    n = amb.n
+    levi_herm = witness.levi.realify().intersect(amb.p0)
+    pieces = _levi_pieces(witness)
+
+    wholes = [_hermitian_span(proj, proj) for proj in pieces]
+    if verdict.strictly_horocyclic:
+        layout = _strict_layout(pieces, wholes, fiber, herm, amb.p0, levi_herm.dim)
+    else:
+        layout = _coupled_layout(pieces, wholes, fiber, herm, v.nr)
+    if layout is None:
+        return None
+    blocks, lines, fiber_parts, pairs, center = layout
+
+    every_part = Subspace.zero(n, real=True)
+    for whole in wholes:
+        every_part = every_part.sum(whole)
+    if every_part.intersect(amb.p0) != levi_herm or fiber_parts.intersect(amb.p0) != fiber:
         return None
 
     order = ExactMatrix.zeros(n)
-    for k, piece in enumerate(pieces, 1):
-        order = order + piece.scale(k)
+    for k, line in enumerate(lines, 1):
+        order = order + line.scale(k)
     frame = np.linalg.eigh(order.to_numpy())[1]
-    return LeviFrame(None if np.array_equal(frame, np.eye(n)) else frame, tuple(blocks))
+    frame = None if np.array_equal(frame, np.eye(n)) else frame
+    ends = np.cumsum([size for size, _ in blocks])
+    float_pairs = []
+    for k, j, t, c in pairs:
+        tm = t.to_numpy() if frame is None else frame.conj().T @ t.to_numpy() @ frame
+        rows = slice(ends[j] - blocks[j][0], ends[j])
+        cols = slice(ends[k] - blocks[k][0], ends[k])
+        float_pairs.append((k, j, tm[rows, cols] / math.sqrt(float(c.re))))
+    return LeviFrame(frame, tuple(blocks), tuple(float_pairs), center)
 
 
 def mostow_structure(v: Subalgebra) -> MostowStructure:
@@ -633,7 +842,7 @@ def mostow_structure(v: Subalgebra) -> MostowStructure:
         group_basis=_numpy_basis(amb.space),
         nil_index=_nilpotency_index(v.nr),
         complement_index=_nilpotency_index(complement),
-        levi_frame=_levi_frame(verdict, fd.hermitian_part, herm_part, complement),
+        levi_frame=_levi_frame(v, verdict, fd.hermitian_part, herm_part, complement),
     )
 
 
@@ -996,11 +1205,14 @@ def mostow_decompose(
 ) -> MostowDecomposition:
     """Decompose a group element as ``u · exp(X) · exp(Z) · v``.
 
-    On a structure with a ``levi_frame`` the decomposition is closed-form:
-    the block LDL* of ``ζ*ζ`` along the flag, the principal angles of the
-    split Levi block, a polar factor for ``P`` and a finite log series for
-    ``N`` (``_levi_decompose``).  No optimizer runs, ``restarts_agree`` is
-    true, and ``max_restarts`` and ``seed`` have no effect.
+    On a structure with a ``levi_frame`` (strictly horocyclic, or
+    horocyclic with Levi blocks coupled at most in pairs) the decomposition
+    is closed-form: the block LDL* of ``ζ*ζ`` along the flag, then the
+    principal angles of a split Levi block and a polar factor, or the
+    Riemannian midpoint of a coupled pair of blocks and its Cholesky factor,
+    and a finite log series for ``N`` (``_levi_decompose``).  No optimizer
+    runs, ``restarts_agree`` is true, and ``max_restarts`` and ``seed`` have
+    no effect.
 
     Otherwise both stages run on the chart ``w = exp(X)·exp(Z)·v`` of
     ``_decomposition_chart``: stage one decreases the squared distance
@@ -1106,7 +1318,7 @@ def mostow_decompose(
 
 
 # --------------------------------------------------------------------------
-# closed form on strictly horocyclic structures
+# closed form on certified structures
 # --------------------------------------------------------------------------
 
 
@@ -1214,13 +1426,82 @@ def _horospherical(zm: np.ndarray, frame: LeviFrame) -> tuple[np.ndarray, float,
     return r, log_det, diagonal
 
 
+def _coupled_blocks(
+    diagonal: list, frame: LeviFrame
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``(X_k, B_k)`` with ``D_k = B_k*·exp(2X_k)·B_k`` for the diagonal
+    blocks ``g_k`` of the block LDL* (``D_k = g_k*·g_k``) on a structure
+    with a ``center``; each ``B_k`` is upper triangular with a positive
+    diagonal.
+
+    Write ``D_k = e^{μ_k}·D_k⁰`` with ``det D_k⁰ = 1``.  The group factor's
+    center gives ``ν = center·μ``, a least-squares step in the
+    log-determinant flat weighted by ``d_k``, and ``X_k`` gets the scalar
+    ``(μ_k − ν_k)/2``.  A block outside every pair has ``B_k = e^{−(μ_k −
+    ν_k)/2}·g_k``.  A pair ``(k, j, t)`` meets its orbit ``{(M, t·M·t*)}``
+    at the Riemannian midpoint ``M⁰ = D_k⁰ # (t*·D_j⁰·t)``: with ``b`` its
+    Cholesky factor, ``B_k = e^{ν_k/2}·b``, ``B_j = e^{ν_j/2}·t·b·t*``, and
+    ``x = ½·log(b^-*·D_k⁰·b⁻¹)`` enters ``X_k`` as ``x`` and ``X_j`` as
+    ``−t·x·t*``."""
+    log_scale = np.array(
+        [2.0 * float(np.sum(np.log(np.real(np.diag(g))))) / len(g) for g in diagonal]
+    )
+    target = frame.center @ log_scale
+    shift = 0.5 * (log_scale - target)
+    xs = [s * np.eye(len(g), dtype=complex) for g, s in zip(diagonal, shift)]
+    lifts = [g * math.exp(-s) for g, s in zip(diagonal, shift)]
+    for k, j, t in frame.pairs:
+        # D_k⁰ = g*·g and t*·D_j⁰·t = h*·h; their midpoint is
+        # g*·(K*K)^½·g with K = h·g⁻¹
+        g = diagonal[k] * math.exp(-0.5 * log_scale[k])
+        h = diagonal[j] @ t * math.exp(-0.5 * log_scale[j])
+        root = _positive_polar(np.linalg.solve(g.conj().T, h.conj().T))[0]
+        b = np.linalg.cholesky(g.conj().T @ root @ g).conj().T
+        x = _positive_polar(np.linalg.solve(b.conj().T, g.conj().T))[2]
+        xs[k] = xs[k] + x
+        xs[j] = xs[j] - t @ x @ t.conj().T
+        lifts[k] = b * math.exp(0.5 * target[k])
+        lifts[j] = t @ b @ t.conj().T * math.exp(0.5 * target[j])
+    return xs, lifts
+
+
+def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The complex block-diagonal matrix of square blocks, as
+    ``scipy.linalg.block_diag`` builds it, without that function's per-call
+    overhead."""
+    out = np.zeros((sum(len(m) for m in mats),) * 2, dtype=complex)
+    start = 0
+    for m in mats:
+        out[start : start + len(m), start : start + len(m)] = m
+        start += len(m)
+    return out
+
+
+def _levi_parts(diagonal: list, frame: LeviFrame) -> tuple[list, list | None]:
+    """Per block ``(X, P, M, ‖X‖²)`` with ``M = exp(P)`` and
+    ``D = (M·L)*·exp(2X)·(M·L)``, and the unipotent ``L`` of each block,
+    or ``None`` where every ``L`` is the identity (on strictly horocyclic
+    structures, ``_levi_block``)."""
+    if frame.center is None:
+        return [_levi_block(g, split) for g, (_, split) in zip(diagonal, frame.blocks)], None
+    parts, lower = [], []
+    for x, lift in zip(*_coupled_blocks(diagonal, frame)):
+        scale = np.real(np.diag(lift))
+        parts.append(
+            (x, np.diag(np.log(scale)).astype(complex), np.diag(scale).astype(complex),
+             float(np.sum(np.abs(x) ** 2)))
+        )
+        lower.append(lift / scale[:, None])
+    return parts, lower
+
+
 def _closed_form_phi(zm: np.ndarray, structure: MostowStructure) -> float:
     """The exhaustion ``‖X‖²`` from the closed form.  A determinant off one
     adds the orbit's distance ``(log det ζ*ζ)²/4n`` in the scalar direction,
     as the minimization does."""
     frame = structure.levi_frame
     _, log_det, diagonal = _horospherical(zm, frame)
-    fiber_sq = sum(_levi_block(g, split)[3] for g, (_, split) in zip(diagonal, frame.blocks))
+    fiber_sq = sum(part[3] for part in _levi_parts(diagonal, frame)[0])
     return fiber_sq + log_det**2 / (4 * structure.size)
 
 
@@ -1230,14 +1511,17 @@ def _levi_decompose(
     """``(X, P, N)`` with ``ζ*ζ = v*·exp(2X)·v`` for ``v = exp(N)·exp(P)``.
 
     From ``ζ*ζ = R*·R``, ``R = D_R·U`` with ``D_R`` the diagonal blocks of
-    ``R`` and ``U`` unipotent in exp(u); each block gives ``D_R*·D_R =
-    M·exp(2X)·M`` with ``M = exp(P)``, so ``v = M·U`` and ``N = log(M·U·M⁻¹)``,
-    a finite series of nilpotency index ``nil_index``."""
+    ``R`` and ``U`` unipotent in exp(u(q)); each block gives ``D_R*·D_R =
+    (M·L)*·exp(2X)·(M·L)`` with ``M = exp(P)`` (``_levi_parts``), so
+    ``v = M·L·U`` and ``N = M·log(L·U)·M⁻¹``, a finite series of nilpotency
+    index ``nil_index``."""
     frame = structure.levi_frame
     r, _, diagonal = _horospherical(zm, frame)
-    parts = [_levi_block(g, split) for g, (_, split) in zip(diagonal, frame.blocks)]
-    xmat, pmat, mmat = (scipy.linalg.block_diag(*mats) for mats in list(zip(*parts))[:3])
-    unipotent = np.linalg.solve(scipy.linalg.block_diag(*diagonal), r)
+    parts, lower = _levi_parts(diagonal, frame)
+    xmat, pmat, mmat = (_block_diag(mats) for mats in list(zip(*parts))[:3])
+    unipotent = np.linalg.solve(_block_diag(diagonal), r)
+    if lower is not None:
+        unipotent = _block_diag(lower) @ unipotent
     nmat = mmat @ _unipotent_log(unipotent, structure.nil_index) @ np.linalg.inv(mmat)
     if frame.frame is not None:
         f = frame.frame
@@ -1359,7 +1643,7 @@ def exhaustion_phi(
     ``{v*v : v in the group factor}`` — the exhaustion value of the coset.
 
     On a structure with a ``levi_frame`` the value is the closed form
-    ``‖X‖²`` of the block LDL* of ``ζ*ζ`` (``_closed_form_phi``), and
+    ``‖X‖²`` from the block LDL* of ``ζ*ζ`` (``_closed_form_phi``), and
     ``restarts`` and ``seed`` have no effect on it; otherwise an L-BFGS-B
     minimization over the group-factor chart with at most ``restarts``
     starts gives it.  The starts stop once φ is within 2.5e-15 of its lower

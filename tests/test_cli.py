@@ -71,12 +71,24 @@ def _python(*args):
     )
 
 
-def _stdout_with_and_without_optimize(*argv):
-    """Run ``python [-O] -m crmostow.cli ARGV`` in subprocesses; both must
-    exit 0.  Returns the two stdouts."""
+# ``python -c`` with this script runs the CLI with every structure's
+# closed-form data dropped, so that the optimizers serve it.
+_WITHOUT_CLOSED_FORM = (
+    "import sys\n"
+    "from crmostow import cli, symspace\n"
+    "symspace._levi_frame = lambda *args: None\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _stdout_with_and_without_optimize(*argv, closed_form=True):
+    """Run ``python [-O] -m crmostow.cli ARGV`` in subprocesses, without the
+    closed forms unless ``closed_form``; both must exit 0.  Returns the two
+    stdouts."""
     outputs = []
+    run = ["-m", "crmostow.cli"] if closed_form else ["-c", _WITHOUT_CLOSED_FORM]
     for flags in ([], ["-O"]):
-        proc = _python(*flags, "-m", "crmostow.cli", *argv)
+        proc = _python(*flags, *run, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         outputs.append(proc.stdout)
     return outputs
@@ -352,8 +364,9 @@ class TestDecompose:
         assert report["result"]["residual"] < 1e-8
 
     def test_restart_disagreement_exits_5_unless_allowed(self, capsys, monkeypatch):
-        # su22_f12 runs the optimizer; a negative tolerance makes any two
-        # converged restarts disagree
+        # without its closed form su22_f12 runs the optimizer; a negative
+        # tolerance makes any two converged restarts disagree
+        monkeypatch.setattr(symspace, "_levi_frame", lambda *args: None)
         monkeypatch.setattr(symspace, "_AGREE_TOL", -1.0)
         argv = ["decompose", "--catalog", "su22_f12", "--random", "--seed", "7"]
         code, _, err = _run(capsys, *argv)
@@ -462,6 +475,7 @@ class TestExhaust:
             )
 
         monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        monkeypatch.setattr(symspace, "_levi_frame", lambda *args: None)
         code, _, err = _run(
             capsys,
             "exhaust",
@@ -499,7 +513,13 @@ class TestExhaust:
         assert "non-convergent" in err
 
     @pytest.mark.parametrize(
-        "entry", [["upper_triangular_horocycle"], ["grassmann_pair", "--params", GRASSMANN_PARAMS]]
+        "entry",
+        [
+            ["upper_triangular_horocycle"],
+            ["grassmann_pair", "--params", GRASSMANN_PARAMS],
+            ["su22_f12"],
+            ["su23_f12"],
+        ],
     )
     def test_closed_form_needs_no_optimizer(self, capsys, monkeypatch, tmp_path, entry):
         structure = symspace.mostow_structure(
@@ -523,7 +543,7 @@ class TestExhaust:
 
     def test_output_does_not_depend_on_optimize_flag(self):
         plain, optimized = _stdout_with_and_without_optimize(
-            "exhaust", "--catalog", "su22_f12", "--random", "--seed", "7"
+            "exhaust", "--catalog", "su22_f12", "--random", "--seed", "7", closed_form=False
         )
         assert plain == optimized
 
@@ -585,7 +605,8 @@ OUT_OF_RANGE = [
     (["analyze", "--levi-grid", "0"], "grid density must be at least 1, got 0"),
     (["analyze", "--levi-grid", "-2"], "grid density must be at least 1, got -2"),
     (["analyze", "--hd", "-1"], "sheaf depth must be nonnegative, got -1"),
-    # the optimizer path (su22_f12) and the closed form alike
+    # the Levi-coupled (su22_f12) and the strict closed form alike; the check
+    # comes before either runs
     (["decompose", "--seed", "-1", "--catalog", "su22_f12"], "--seed must be non-negative, got -1"),
     (["exhaust", "--seed", "-1", "--catalog", "su22_f12"], "--seed must be non-negative, got -1"),
     (

@@ -14,6 +14,7 @@ import scipy.linalg
 import scipy.optimize
 
 from crmostow import catalog, symspace
+from crmostow.ambient import block_special_linear
 from crmostow.errors import NonConvergenceError, RestartDisagreementError
 from crmostow.exact import QI, ExactMatrix, Subspace
 from crmostow.parabolic import horocyclic_verdict
@@ -122,6 +123,13 @@ def su22_structure():
 
 
 @pytest.fixture(scope="module")
+def su22_optimizer(su22_structure):
+    """``su22_f12`` without its closed-form data, so that the optimizers
+    serve it."""
+    return dataclasses.replace(su22_structure, levi_frame=None)
+
+
+@pytest.fixture(scope="module")
 def grassmann_structure():
     entry = catalog.build("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1})
     return mostow_structure(entry.subalgebra)
@@ -137,6 +145,9 @@ CLOSED_FORM_SPECS = [
     ("upper_triangular_horocycle", None),
     ("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 1}),
 ]
+# The two horocyclic catalog structures that are not strictly horocyclic,
+# whose group factor couples two Levi blocks; the closed form serves them too.
+LEVI_COUPLED_SPECS = [("su22_f12", None), ("su23_f12", None)]
 
 
 @functools.cache
@@ -539,19 +550,20 @@ class TestMostowStructure:
 
 
 class TestMostowDecompose:
-    def test_compact_input_gives_trivial_factors(self, su22_structure):
-        rng = np.random.default_rng(17)
-        u0 = random_compact_element(su22_structure, rng)
-        md = mostow_decompose(u0, su22_structure, max_restarts=2)
-        assert md.residual < 1e-9
-        assert np.linalg.norm(md.X) < 1e-6
-        assert np.linalg.norm(md.Z) < 1e-6
+    def test_compact_input_gives_trivial_factors(self, su22_structure, su22_optimizer):
+        for st in (su22_structure, su22_optimizer):
+            rng = np.random.default_rng(17)
+            u0 = random_compact_element(st, rng)
+            md = mostow_decompose(u0, st, max_restarts=2)
+            assert md.residual < 1e-9
+            assert np.linalg.norm(md.X) < 1e-6
+            assert np.linalg.norm(md.Z) < 1e-6
 
-    def test_round_trip_recovers_fiber_norm(self, su22_structure):
+    def test_round_trip_recovers_fiber_norm(self, su22_optimizer):
         for seed in (7, 21, 35):
             rng = np.random.default_rng(seed)
-            zeta, x0 = _synthesize(su22_structure, rng)
-            md = mostow_decompose(zeta, su22_structure, max_restarts=3)
+            zeta, x0 = _synthesize(su22_optimizer, rng)
+            md = mostow_decompose(zeta, su22_optimizer, max_restarts=3)
             assert md.residual < 1e-9
             assert abs(md.fiber_norm - np.linalg.norm(x0)) < 1e-6
             recon = (
@@ -598,6 +610,8 @@ class TestMostowDecompose:
         # determinant and block tests alone let such a matrix through; the
         # horocycle takes the closed form, su22_f12 the optimizers
         structure = _catalog_structure(name)
+        if name == "su22_f12":
+            structure = dataclasses.replace(structure, levi_frame=None)
         n = structure.size
         for zeta in (np.full((n, n), value, dtype=complex), np.eye(n, dtype=complex)):
             zeta[0, 0] = value
@@ -614,19 +628,20 @@ class TestMostowDecompose:
 
 
 class TestExhaustion:
-    def test_zero_on_base_orbit(self, su22_structure):
-        rng = np.random.default_rng(18)
-        for _ in range(3):
-            zeta, _ = _synthesize(su22_structure, rng, scale=0.5)
-            # rebuild without the Hermitian fiber factor: u0 * v0 only
-            point = _zero_set_point(su22_structure, rng)
-            assert exhaustion_phi(point, su22_structure) < 1e-8
+    def test_zero_on_base_orbit(self, su22_structure, su22_optimizer):
+        for st in (su22_structure, su22_optimizer):
+            rng = np.random.default_rng(18)
+            for _ in range(3):
+                zeta, _ = _synthesize(st, rng, scale=0.5)
+                # rebuild without the Hermitian fiber factor: u0 * v0 only
+                point = _zero_set_point(st, rng)
+                assert exhaustion_phi(point, st) < 1e-8
 
     @pytest.mark.parametrize("name", ["su22_f12", "su23_f12"])
     def test_zero_set_runs_one_start(self, name, monkeypatch):
         # the objective is non-negative, so a start ending at f <= 1e-14
         # leaves the other starts less than 2.5e-15 to gain in phi
-        st = _catalog_structure(name)
+        st = dataclasses.replace(_catalog_structure(name), levi_frame=None)
         rng = np.random.default_rng(23)
         for _ in range(3):
             point = _zero_set_point(st, rng)
@@ -638,7 +653,7 @@ class TestExhaustion:
 
     @pytest.mark.parametrize("name", ["su22_f12", "su23_f12"])
     def test_tangency_runs_every_start(self, name, monkeypatch):
-        st = _catalog_structure(name)
+        st = dataclasses.replace(_catalog_structure(name), levi_frame=None)
         rng = np.random.default_rng(24)
         for _ in range(2):
             x = sum(c * m for c, m in zip(0.4 * rng.standard_normal(st.fiber_dim), st.fiber_basis))
@@ -648,26 +663,26 @@ class TestExhaustion:
             assert len(results) == 4
             assert 1e-6 < phi <= np.linalg.norm(x) ** 2 + 1e-8
 
-    def test_fiber_exponentials_attain_their_norm(self, su22_structure):
-        rng = np.random.default_rng(19)
-        st = su22_structure
-        for _ in range(3):
-            coeffs = 0.4 * rng.standard_normal(st.fiber_dim)
-            x = sum(c * m for c, m in zip(coeffs, st.fiber_basis))
-            phi = exhaustion_phi(scipy.linalg.expm(x), st)
-            assert abs(phi - np.linalg.norm(x) ** 2) < 1e-7 * max(
-                1.0, np.linalg.norm(x) ** 2
-            )
+    def test_fiber_exponentials_attain_their_norm(self, su22_structure, su22_optimizer):
+        for st in (su22_structure, su22_optimizer):
+            rng = np.random.default_rng(19)
+            for _ in range(3):
+                coeffs = 0.4 * rng.standard_normal(st.fiber_dim)
+                x = sum(c * m for c, m in zip(coeffs, st.fiber_basis))
+                phi = exhaustion_phi(scipy.linalg.expm(x), st)
+                assert abs(phi - np.linalg.norm(x) ** 2) < 1e-7 * max(
+                    1.0, np.linalg.norm(x) ** 2
+                )
 
-    def test_left_compact_invariance(self, su22_structure):
-        rng = np.random.default_rng(20)
-        st = su22_structure
-        zeta, _ = _synthesize(st, rng)
-        base = exhaustion_phi(zeta, st)
-        for _ in range(10):
-            u = random_compact_element(st, rng)
-            moved = exhaustion_phi(u @ zeta, st)
-            assert abs(moved - base) < 1e-7 * max(1.0, base)
+    def test_left_compact_invariance(self, su22_structure, su22_optimizer):
+        for st in (su22_structure, su22_optimizer):
+            rng = np.random.default_rng(20)
+            zeta, _ = _synthesize(st, rng)
+            base = exhaustion_phi(zeta, st)
+            for _ in range(10):
+                u = random_compact_element(st, rng)
+                moved = exhaustion_phi(u @ zeta, st)
+                assert abs(moved - base) < 1e-7 * max(1.0, base)
 
     def test_translated_orbit_stays_below_fiber_level(self, grassmann_structure):
         rng = np.random.default_rng(21)
@@ -679,10 +694,10 @@ class TestExhaustion:
             phi = exhaustion_phi(scipy.linalg.expm(x) @ u, st)
             assert phi <= np.linalg.norm(x) ** 2 + 1e-8
 
-    def test_cross_check_against_decomposition(self, su22_structure):
+    def test_cross_check_against_decomposition(self, su22_optimizer):
         rng = np.random.default_rng(22)
-        zeta, x0 = _synthesize(su22_structure, rng)
-        phi = exhaustion_phi(zeta, su22_structure, cross_check=True)
+        zeta, x0 = _synthesize(su22_optimizer, rng)
+        phi = exhaustion_phi(zeta, su22_optimizer, cross_check=True)
         assert abs(phi - np.linalg.norm(x0) ** 2) < 1e-6 * max(
             1.0, np.linalg.norm(x0) ** 2
         )
@@ -708,7 +723,7 @@ class TestExhaustion:
             exhaustion_phi(zeta, structure)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS + LEVI_COUPLED_SPECS, ids=lambda s: s[0])
     def test_closed_form_needs_no_optimizer(self, spec, monkeypatch):
         st = _catalog_structure(*spec)
         zeta, x0 = _synthesize(st, np.random.default_rng(4), scale=0.4)
@@ -924,21 +939,21 @@ class TestStageBStart:
         assert sum(result.nfev for result in stage_a) <= STAGE_A_CEILINGS[name]
 
     @pytest.mark.parametrize("seed", [3, 18])
-    def test_stage_b_solves_are_short_at_scale_08(self, su22_structure, monkeypatch, seed):
+    def test_stage_b_solves_are_short_at_scale_08(self, su22_optimizer, monkeypatch, seed):
         # inputs on which a stage A that stopped at f = 6.58 (seed 3) or
         # 16.99 (seed 18) while reporting success left stage B 854 or 1510
         # evaluations
         solves = _record_results(monkeypatch, "least_squares")
         rng = np.random.default_rng(seed)
-        zeta, x0 = _synthesize(su22_structure, rng, scale=0.8, with_complement=True)
-        md = mostow_decompose(zeta, su22_structure, max_restarts=2, seed=seed)
+        zeta, x0 = _synthesize(su22_optimizer, rng, scale=0.8, with_complement=True)
+        md = mostow_decompose(zeta, su22_optimizer, max_restarts=2, seed=seed)
         assert abs(md.fiber_norm - np.linalg.norm(x0)) < 1e-9
         evaluations = [result.nfev for result in solves]
         assert len(evaluations) == 2
         assert max(evaluations) <= 20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS + LEVI_COUPLED_SPECS, ids=lambda s: s[0])
     def test_closed_form_runs_no_solve(self, spec, monkeypatch):
         st = _catalog_structure(*spec)
         inputs = [
@@ -976,6 +991,8 @@ class TestSeedCheck:
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_is_rejected_on_every_path(self, name, call, seed):
         structure = _catalog_structure(name)
+        if name == "su22_f12":
+            structure = dataclasses.replace(structure, levi_frame=None)
         assert (structure.levi_frame is None) == (name == "su22_f12")
         zeta = np.eye(structure.size, dtype=complex)
         calls = {
@@ -1072,7 +1089,8 @@ class TestHessianProbe:
                 scipy.linalg.expm(x), st, [st.nil_basis[0]], step=1e-6, gap_tol=1e-4
             )
 
-    # the closed form (grassmann_pair) and the optimizer path (su22_f12)
+    # the strict (grassmann_pair) and the Levi-coupled (su22_f12) closed form;
+    # the options are checked before either path runs
     @pytest.mark.parametrize("structure", ["grassmann_structure", "su22_structure"])
     @pytest.mark.parametrize(
         "options, match",
@@ -1241,11 +1259,12 @@ class TestClosedForm:
         with pytest.raises(NonConvergenceError, match="non-convergent"):
             symspace._levi_block(np.array([[1, 1], [0, 0]], dtype=complex), 1)
 
-    @pytest.mark.parametrize("name", ["su22_f12", "su23_f12", "su23_f13"])
+    @pytest.mark.parametrize("name", ["su23_f13"])
     def test_absent_without_the_certificate(self, name):
+        # not horocyclic, and with a nilpotent fiber factor
         assert mostow_structure(catalog.build(name).subalgebra).levi_frame is None
 
-    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS + LEVI_COUPLED_SPECS, ids=lambda s: s[0])
     def test_non_coordinate_flags(self, spec):
         # a unitary conjugation is an isometry of the symmetric space, so it
         # moves the flag off the coordinates but changes no value; the
@@ -1272,6 +1291,103 @@ class TestClosedForm:
             assert abs(moved_phi - oracle) <= 1e-12 * oracle
             md = mostow_decompose(gm @ zeta @ gm.conj().T, moved)
             assert abs(md.fiber_norm - math.sqrt(phi)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLeviCoupled:
+    """The closed form on the horocyclic structures that are not strictly
+    horocyclic: the group factor couples two Levi blocks by a graph, so its
+    orbit is a totally geodesic diagonal and the nearest point a midpoint."""
+
+    @pytest.mark.parametrize(
+        "name, blocks, center",
+        [
+            ("su22_f12", ((2, 0), (2, 0)), np.zeros((2, 2))),
+            # one least-squares step in the log-det flat: μ = (a + b − 2c)/10
+            ("su23_f12", ((2, 0), (2, 0), (1, 0)), np.outer([1, 1, -4], [1, 1, -2]) / 10),
+        ],
+    )
+    def test_layouts(self, name, blocks, center):
+        frame = _catalog_structure(name).levi_frame
+        assert frame.frame is None and frame.blocks == blocks
+        ((k, j, t),) = frame.pairs
+        assert (k, j) == (0, 1) and np.array_equal(t, np.eye(2))
+        assert np.allclose(frame.center, center, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", LEVI_COUPLED_SPECS, ids=lambda s: s[0])
+    def test_matches_the_optimizer(self, spec):
+        st = _catalog_structure(*spec)
+        optimizer = dataclasses.replace(st, levi_frame=None)
+        n = st.size
+        transverse = np.zeros((n, n), dtype=complex)
+        transverse[1, 0] = 1.0
+        directions = [-m.conj().T for m in st.nil_basis] + [transverse]
+        # φ is the distance to a totally geodesic orbit, which is convex, so
+        # one start of each optimizer finds the minimum
+        rng = np.random.default_rng(74)
+        for index in range(30):
+            zeta = random_group_element(st, rng, scale=0.6)
+            phi = exhaustion_phi(zeta, st)
+            oracle_phi = exhaustion_phi(zeta, optimizer, restarts=1)
+            assert abs(phi - oracle_phi) <= 1e-12 * oracle_phi
+            md = mostow_decompose(zeta, st)
+            oracle = mostow_decompose(zeta, optimizer, max_restarts=1)
+            assert md.residual <= 1e-12 * max(1.0, np.linalg.norm(zeta))
+            assert abs(md.fiber_norm - oracle.fiber_norm) <= 1e-10
+            if index % 10 == 0:
+                probe = phi_levi_probe(zeta, st, directions)
+                oracle_probe = phi_levi_probe(zeta, optimizer, directions, restarts=1)
+                signs = [np.sign(v) * (abs(v) > probe.gap) for v in probe.values]
+                oracle_signs = [np.sign(v) * (abs(v) > probe.gap) for v in oracle_probe.values]
+                assert signs == oracle_signs
+
+    def test_three_coupled_blocks_keep_the_optimizer(self):
+        # the real-diagonal Borel of sl(2), diagonally in s(gl2 × gl2 × gl2):
+        # the midpoint of three points, their Karcher mean, has no closed form
+        amb = block_special_linear((2, 2, 2))
+        e = ExactMatrix.unit
+        v = make_subalgebra(
+            amb, [ExactMatrix.diagonal([1, -1, 1, -1, 1, -1]), e(6, 0, 1) + e(6, 2, 3) + e(6, 4, 5)]
+        )
+        verdict = horocyclic_verdict(v)
+        assert verdict.horocyclic and not verdict.strictly_horocyclic
+        assert mostow_structure(v).levi_frame is None
+
+    def test_a_coupled_parabolic_keeps_the_optimizer(self):
+        # sl(3)'s parabolic of C² ⊂ C³, diagonally in s(gl3 × gl3): its orbit
+        # is still the diagonal, but the group factor is no real Borel, so the
+        # upper triangular closed form does not parametrize it
+        e = ExactMatrix.unit
+        v = make_subalgebra(
+            block_special_linear((3, 3)),
+            [e(6, i, j) + e(6, i + 3, j + 3) for i, j in ((0, 1), (1, 0), (0, 2), (1, 2))]
+            + [ExactMatrix.diagonal([1, -1, 0, 1, -1, 0]), ExactMatrix.diagonal([1, 1, -2, 1, 1, -2])],
+        )
+        verdict = horocyclic_verdict(v)
+        assert verdict.horocyclic and not verdict.strictly_horocyclic
+        assert mostow_structure(v).levi_frame is None
+
+    @pytest.mark.parametrize(
+        "herm_diagonal, scale, certified",
+        [
+            ([1, -1, 1, -1], 1, True),
+            # b ↦ T·b·T⁻¹ with T = diag(2, 1) couples the blocks, but T*T is
+            # not scalar, so the orbit {(b*b, T^-*·b*·T*T·b·T⁻¹)} is no diagonal
+            ([1, -1, 1, -1], 2, False),
+            # the central part diag(1, 1, −1, −1) of the Hermitian factor is
+            # not in it, so the orbit is no product of a diagonal and a flat
+            ([2, 0, 0, -2], 1, False),
+        ],
+        ids=["su22_f12", "coupling-not-an-isometry", "center-not-split-off"],
+    )
+    def test_coupled_layout_certificate(self, herm_diagonal, scale, certified):
+        e = ExactMatrix.unit
+        pieces = [ExactMatrix.diagonal([1, 1, 0, 0]), ExactMatrix.diagonal([0, 0, 1, 1])]
+        wholes = [symspace._hermitian_span(p, p) for p in pieces]
+        herm = Subspace.span([ExactMatrix.diagonal(herm_diagonal)], 4, real=True)
+        nr = Subspace.span([e(4, 0, 1) + e(4, 2, 3).scale(scale)], 4)
+        layout = symspace._coupled_layout(pieces, wholes, Subspace.zero(4, real=True), herm, nr)
+        assert (layout is not None) == certified
 
 
 def _conjugated_optimizer_inputs(name, params):
@@ -1319,11 +1435,11 @@ class TestOptimizerFailures:
             with pytest.raises(NonConvergenceError, match="non-convergent"):
                 exhaustion_phi(zeta, structure, restarts=2, seed=seed)
 
-    def test_failed_polar_reconstruction_fails_the_start(self, su22_structure, monkeypatch):
+    def test_failed_polar_reconstruction_fails_the_start(self, su22_optimizer, monkeypatch):
         def failing(z, det_one=True):
             raise ArithmeticError("polar reconstruction failed")
 
         monkeypatch.setattr(symspace, "polar_decompose", failing)
-        zeta, _ = _synthesize(su22_structure, np.random.default_rng(4))
+        zeta, _ = _synthesize(su22_optimizer, np.random.default_rng(4))
         with pytest.raises(NonConvergenceError, match="non-convergent"):
-            mostow_decompose(zeta, su22_structure, max_restarts=2)
+            mostow_decompose(zeta, su22_optimizer, max_restarts=2)
