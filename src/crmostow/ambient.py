@@ -36,6 +36,8 @@ class AmbientAlgebra:
         self._subalgebras: dict[Subspace, object] = {}
         # (roots in Q(i), charpoly) per matrix, kept by structure._eigenvalues
         self._eigenvalues: dict[ExactMatrix, tuple] = {}
+        # N_k(s) per complex subspace s, kept by structure.normalizer
+        self._normalizers: dict[Subspace, object] = {}
         self._space: Subspace | None = None
         self._k0: Subspace | None = None
         self._p0: Subspace | None = None

@@ -1069,12 +1069,12 @@ def killing_form(space: Subspace, ideal: Subspace) -> ExactMatrix:
     kept = [(x, p) for x, p in zip(space.basis(), space.pivots) if p not in ideal_pivots]
     index = {p: k for k, (_, p) in enumerate(kept)}
     m = len(kept)
-    residues = {
-        (i, j): ideal._residue_mat(bracket(x, y))
-        for i, (x, _) in enumerate(kept)
-        for j, (y, _) in enumerate(kept)
-        if i != j
-    }
+    # [y, x] = −[x, y] and the residue is linear: bracket each pair once
+    residues = {}
+    for i, (x, _) in enumerate(kept):
+        for j in range(i + 1, m):
+            d, num = residues[i, j] = ideal._residue_mat(bracket(x, kept[j][0]))
+            residues[j, i] = (d, {p: (-a, -b) for p, (a, b) in num.items()})
     den = lcm(*(d for d, _ in residues.values()))
     # ad[i][(k, j)]: the coefficient of mats[k] in [mats[i], mats[j]] mod ideal
     ad = [{} for _ in range(m)]

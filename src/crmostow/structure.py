@@ -293,15 +293,21 @@ def _unital_closure(rad: Subspace) -> Subspace:
 
 
 def normalizer(ambient: AmbientAlgebra, s: Subspace) -> Subalgebra:
-    """N_k(s) = {Z in k : [Z, s] ⊆ s}; always bracket-closed."""
+    """N_k(s) = {Z in k : [Z, s] ⊆ s}; always bracket-closed.  Memoized on
+    the ambient: the regularization, its fixed-point test and the
+    horocyclicity verdict normalize the same nilradical."""
     if s.real:
         raise ValueError("ambient mismatch")
+    cached = ambient._normalizers.get(s)
+    if cached is not None:
+        return cached  # type: ignore[return-value]
     if not ambient.contains_space(s):
         raise ValueError("not inside ambient")
     kmats = ambient.space.basis()
     images = ([bracket(x, y) for x in kmats] for y in s.basis())
     space = kernel_space(kmats, images, ambient.n, modulo=s)
-    return subalgebra_from_space(ambient, space, verified=True)
+    out = ambient._normalizers[s] = subalgebra_from_space(ambient, space, verified=True)
+    return out
 
 
 def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:

@@ -15,6 +15,7 @@ the earliest restart winning ties.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -846,6 +847,19 @@ def mostow_structure(v: Subalgebra) -> MostowStructure:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _off_block_mask(blocks: tuple[int, ...]) -> np.ndarray:
+    """The read-only mask of the entries outside the diagonal blocks."""
+    n = sum(blocks)
+    mask = np.ones((n, n), dtype=bool)
+    start = 0
+    for b in blocks:
+        mask[start : start + b, start : start + b] = False
+        start += b
+    mask.flags.writeable = False
+    return mask
+
+
 def _check_group_membership(zeta: np.ndarray, structure: MostowStructure) -> None:
     n = structure.size
     if zeta.shape != (n, n) or not np.isfinite(zeta).all():
@@ -853,15 +867,7 @@ def _check_group_membership(zeta: np.ndarray, structure: MostowStructure) -> Non
     det = np.linalg.det(zeta)
     if abs(det - 1.0) > 1e-6 * max(1.0, abs(det)):
         raise ValueError("not in the group")
-    start = 0
-    ranges = []
-    for b in structure.blocks:
-        ranges.append(range(start, start + b))
-        start += b
-    mask = np.zeros((n, n), dtype=bool)
-    for r in ranges:
-        mask[np.ix_(list(r), list(r))] = True
-    if np.linalg.norm(zeta[~mask]) > 1e-8 * _scale(zeta):
+    if np.linalg.norm(zeta[_off_block_mask(structure.blocks)]) > 1e-8 * _scale(zeta):
         raise ValueError("not in the group")
 
 
@@ -1341,128 +1347,178 @@ def _unipotent_log(umat: np.ndarray, index: int) -> np.ndarray:
 
 
 def _expm_taylor(m: np.ndarray) -> np.ndarray:
-    """``exp(M)`` of a general matrix: a Taylor series after scaling ``M`` to
-    1-norm at most 1/2, then as many squarings."""
-    norm = float(np.linalg.norm(m, 1))
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    a = m / 2.0**squarings
-    out = term = np.eye(len(m), dtype=complex)
+    """``exp(M)`` of a general matrix, or of each matrix of a stack
+    ``(..., n, n)``: a Taylor series after scaling ``M`` to 1-norm at most
+    1/2, then as many squarings.  Each matrix of a stack keeps its own
+    scaling and its own number of terms, so it gets exactly its exponential
+    as a stack of one."""
+    norm = np.linalg.norm(m, 1, axis=(-2, -1))
+    squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
+    a = m / (2.0**squarings)[..., None, None]
+    out = term = np.eye(m.shape[-1], dtype=complex)
+    active = np.ones(norm.shape, dtype=bool)
     for j in range(1, 30):
         term = term @ a / j
-        out = out + term
-        if float(np.linalg.norm(term, 1)) <= 1e-17 * float(np.linalg.norm(out, 1)):
+        out = out + np.where(active[..., None, None], term, 0.0)
+        active &= np.linalg.norm(term, 1, axis=(-2, -1)) > 1e-17 * np.linalg.norm(
+            out, 1, axis=(-2, -1)
+        )
+        if not active.any():
             break
-    for _ in range(squarings):
-        out = out @ out
+    for k in range(int(squarings.max(initial=0))):
+        out = np.where((squarings > k)[..., None, None], out @ out, out)
     return out
 
 
 def _positive_polar(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``b = M·W`` with ``M`` positive and ``W`` unitary; returns
-    ``(M, W, log M)``."""
+    """``b = M·W`` with ``M`` positive and ``W`` unitary, for a matrix or
+    each matrix of a stack; returns ``(M, W, log M)``."""
     left, sv, right = np.linalg.svd(b)
-    return (left * sv) @ left.conj().T, left @ right, (left * np.log(sv)) @ left.conj().T
+    left_h = left.mT.conj()
+    return (
+        (left * sv[..., None, :]) @ left_h,
+        left @ right,
+        (left * np.log(sv)[..., None, :]) @ left_h,
+    )
 
 
-def _levi_block(g: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Factor one diagonal block ``D = g*·g`` of the block LDL* as
-    ``D = M·exp(2X)·M`` with ``X`` in the block's fiber part and
-    ``M = exp(P)`` in its Hermitian-factor part; returns ``(X, P, M, ‖X‖²)``.
+def _canonical_correlations(g: np.ndarray, a: int) -> tuple[np.ndarray, ...]:
+    """``(σ, sin θ, R₁, Y₁, R₂, Y₂)`` for a block ``g`` split after ``a``
+    coordinates, a matrix or a stack ``(..., m, m)``.
 
-    On a split block ``X = [[0, x*], [x, 0]]``, and the singular values σ of
-    ``x`` are given by the canonical correlations ρ = tanh 2σ between the
+    The σ are given by the canonical correlations ρ = tanh 2σ between the
     column spaces of ``g₁ = g[:, :a]`` and ``g₂ = g[:, a:]``: with
     ``gᵢ = Qᵢ·Rᵢ``, ``Q₁*·Q₂ = Y₁·diag(cos θ)·Y₂*`` and ``sin θ`` the column
     norms of ``Q₁⊥*·Q₂·Y₂`` (Björck & Golub, *Math. Comp.* 27, 1973), so
-    ``2σ = log((1 + cos θ)/sin θ)``, accurate where ρ is close to 1.  Then
-    ``Bᵢ = Rᵢ*·Yᵢ·diag(sin θ)^{1/2}`` have polar factors ``B₁ = M₁·V`` and
-    ``B₂ = M₂·W``, and ``x = W·diag(σ)·V*`` on the paired columns.
-    """
-    m = len(g)
-    zero = np.zeros((m, m), dtype=complex)
-    if split in (0, m):
-        _, sv, right = np.linalg.svd(g)
-        half_log = (right.conj().T * np.log(sv)) @ right
-        if split == 0:
-            return zero, half_log, (right.conj().T * sv) @ right, 0.0
-        return half_log, zero, np.eye(m, dtype=complex), float(np.sum(np.log(sv) ** 2))
-    a, b = split, m - split
-    q1, r1 = np.linalg.qr(g[:, :a], mode="complete")
-    q2, r2 = np.linalg.qr(g[:, a:])
-    y1, cos, y2h = np.linalg.svd(q1[:, :a].conj().T @ q2)
-    y2 = y2h.conj().T
-    paired = len(cos)
-    sin = np.linalg.norm(q1[:, a:].conj().T @ q2 @ y2[:, :paired], axis=0)
+    ``2σ = log((1 + cos θ)/sin θ)``, accurate where ρ is close to 1.  A
+    correlation of one anywhere in the stack raises
+    ``NonConvergenceError``."""
+    q1, r1 = np.linalg.qr(g[..., :a], mode="complete")
+    q2, r2 = np.linalg.qr(g[..., a:])
+    y1, cos, y2h = np.linalg.svd(q1[..., :a].mT.conj() @ q2)
+    y2 = y2h.mT.conj()
+    paired = cos.shape[-1]
+    sin = np.linalg.norm(q1[..., a:].mT.conj() @ q2 @ y2[..., :paired], axis=-2)
     if not (np.all(cos < 1.0) and np.all(sin > 0.0)):
         raise NonConvergenceError("non-convergent")
-    sigma = 0.5 * np.log((1.0 + cos) / sin)
-    scale1, scale2 = np.ones(a), np.ones(b)
-    scale1[:paired] = scale2[:paired] = np.sqrt(sin)
-    m1, v1, log1 = _positive_polar((r1[:a].conj().T @ y1) * scale1)
-    m2, w2, log2 = _positive_polar((r2.conj().T @ y2) * scale2)
-    x = (w2[:, :paired] * sigma) @ v1[:, :paired].conj().T
+    return 0.5 * np.log((1.0 + cos) / sin), sin, r1[..., :a, :], y1, r2, y2
+
+
+def _levi_block(g: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor one diagonal block ``D = g*·g`` of the block LDL* as
+    ``D = M·exp(2X)·M`` with ``X`` in the block's fiber part and
+    ``M = exp(P)`` in its Hermitian-factor part; returns ``(X, P, M)``.
+    ``g`` is a matrix or a stack ``(..., m, m)``, and so is each factor.
+
+    On a split block ``X = [[0, x*], [x, 0]]``, where the singular values σ
+    of ``x`` and ``Bᵢ = Rᵢ*·Yᵢ·diag(sin θ)^{1/2}`` come from
+    ``_canonical_correlations``: the polar factors ``B₁ = M₁·V`` and
+    ``B₂ = M₂·W`` give ``x = W·diag(σ)·V*`` on the paired columns.
+    """
+    m = g.shape[-1]
+    zero = np.zeros(g.shape, dtype=complex)
+    if split in (0, m):
+        _, sv, right = np.linalg.svd(g)
+        right_h = right.mT.conj()
+        half_log = (right_h * np.log(sv)[..., None, :]) @ right
+        if split == 0:
+            return zero, half_log, (right_h * sv[..., None, :]) @ right
+        return half_log, zero, zero + np.eye(m)
+    a, b = split, m - split
+    sigma, sin, r1, y1, r2, y2 = _canonical_correlations(g, a)
+    paired = sigma.shape[-1]
+    scale1, scale2 = np.ones(sin.shape[:-1] + (a,)), np.ones(sin.shape[:-1] + (b,))
+    scale1[..., :paired] = scale2[..., :paired] = np.sqrt(sin)
+    m1, v1, log1 = _positive_polar((r1.mT.conj() @ y1) * scale1[..., None, :])
+    m2, w2, log2 = _positive_polar((r2.mT.conj() @ y2) * scale2[..., None, :])
+    x = (w2[..., :paired] * sigma[..., None, :]) @ v1[..., :paired].mT.conj()
     xmat, pmat, mmat = zero, zero.copy(), zero.copy()
-    xmat[a:, :a] = x
-    xmat[:a, a:] = x.conj().T
-    pmat[:a, :a], pmat[a:, a:] = log1, log2
-    mmat[:a, :a], mmat[a:, a:] = m1, m2
-    return xmat, pmat, mmat, 2.0 * float(np.sum(sigma**2))
+    xmat[..., a:, :a] = x
+    xmat[..., :a, a:] = x.mT.conj()
+    pmat[..., :a, :a], pmat[..., a:, a:] = log1, log2
+    mmat[..., :a, :a], mmat[..., a:, a:] = m1, m2
+    return xmat, pmat, mmat
 
 
-def _horospherical(zm: np.ndarray, frame: LeviFrame) -> tuple[np.ndarray, float, list]:
-    """The block LDL* of ``ζ*ζ`` in the frame: ``ζ*ζ = R*·R`` with ``R``
-    upper triangular, scaled to determinant one; the Schur complements are
+def _block_fiber_sq(g: np.ndarray, split: int) -> float | np.ndarray:
+    """``‖X‖²`` of ``_levi_block(g, split)`` without its factors: 0 on a
+    block without fiber part, Σ(log σᵢ(g))² on a fiber block and 2·Σσ² on a
+    split one (per matrix of a stack)."""
+    if split == 0:
+        return 0.0
+    if split == g.shape[-1]:
+        return np.sum(np.log(np.linalg.svd(g, compute_uv=False)) ** 2, axis=-1)
+    return 2.0 * np.sum(_canonical_correlations(g, split)[0] ** 2, axis=-1)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry.  numpy's ``exp`` picks a SIMD kernel by
+    CPU, which on some inputs differs from the C library's in the last bit;
+    the Levi probe's second differences amplify that by ``1/4h²``."""
+    return np.array([math.exp(v) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+def _horospherical(zm: np.ndarray, frame: LeviFrame) -> tuple[np.ndarray, np.ndarray, list]:
+    """The block LDL* of ``ζ*ζ`` in the frame, for a matrix ``ζ`` or each
+    matrix of a stack ``(..., n, n)``: ``ζ*ζ = R*·R`` with ``R`` upper
+    triangular, scaled to determinant one; the Schur complements are
     ``R_kk*·R_kk``.  Returns ``R``, ``log det ζ*ζ`` and the diagonal blocks
-    ``R_kk``."""
+    ``R_kk``.  A singular ``ζ*ζ`` anywhere in the stack raises
+    ``NonConvergenceError``."""
     z = zm if frame.frame is None else frame.frame.conj().T @ zm @ frame.frame
     try:
-        r = np.linalg.cholesky(z.conj().T @ z).conj().T
+        r = np.linalg.cholesky(z.mT.conj() @ z).mT.conj()
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError("non-convergent") from exc
-    log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(r)))))
-    r = r * math.exp(-log_det / (2 * len(r)))
+    log_det = 2.0 * np.sum(np.log(np.diagonal(r, axis1=-2, axis2=-1).real), axis=-1)
+    r = r * _exp(-log_det / (2 * r.shape[-1]))[..., None, None]
     ends = np.cumsum([size for size, _ in frame.blocks])
-    diagonal = [r[e - size : e, e - size : e] for (size, _), e in zip(frame.blocks, ends)]
+    diagonal = [r[..., e - size : e, e - size : e] for (size, _), e in zip(frame.blocks, ends)]
     return r, log_det, diagonal
 
 
 def _coupled_blocks(
     diagonal: list, frame: LeviFrame
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """``(X_k, B_k)`` with ``D_k = B_k*·exp(2X_k)·B_k`` for the diagonal
-    blocks ``g_k`` of the block LDL* (``D_k = g_k*·g_k``) on a structure
-    with a ``center``; each ``B_k`` is upper triangular with a positive
-    diagonal.
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """``X_k`` for the diagonal blocks ``g_k`` of the block LDL*
+    (``D_k = g_k*·g_k``, matrices or stacks ``(..., d_k, d_k)``) on a
+    structure with a ``center``, with what ``_levi_parts`` needs to factor
+    ``D_k = B_k*·exp(2X_k)·B_k``: the shifts, the targets ``ν`` and each
+    pair's Cholesky factor ``b`` keyed by its first block.
 
     Write ``D_k = e^{μ_k}·D_k⁰`` with ``det D_k⁰ = 1``.  The group factor's
     center gives ``ν = center·μ``, a least-squares step in the
     log-determinant flat weighted by ``d_k``, and ``X_k`` gets the scalar
-    ``(μ_k − ν_k)/2``.  A block outside every pair has ``B_k = e^{−(μ_k −
-    ν_k)/2}·g_k``.  A pair ``(k, j, t)`` meets its orbit ``{(M, t·M·t*)}``
-    at the Riemannian midpoint ``M⁰ = D_k⁰ # (t*·D_j⁰·t)``: with ``b`` its
-    Cholesky factor, ``B_k = e^{ν_k/2}·b``, ``B_j = e^{ν_j/2}·t·b·t*``, and
-    ``x = ½·log(b^-*·D_k⁰·b⁻¹)`` enters ``X_k`` as ``x`` and ``X_j`` as
-    ``−t·x·t*``."""
-    log_scale = np.array(
-        [2.0 * float(np.sum(np.log(np.real(np.diag(g))))) / len(g) for g in diagonal]
+    shift ``(μ_k − ν_k)/2``.  A pair ``(k, j, t)`` meets its orbit
+    ``{(M, t·M·t*)}`` at the Riemannian midpoint ``M⁰ = D_k⁰ # (t*·D_j⁰·t)``:
+    with ``b`` its Cholesky factor, ``x = ½·log(b^-*·D_k⁰·b⁻¹)`` enters
+    ``X_k`` as ``x`` and ``X_j`` as ``−t·x·t*``."""
+    log_scale = np.stack(
+        [
+            2.0 * np.sum(np.log(np.diagonal(g, axis1=-2, axis2=-1).real), axis=-1) / g.shape[-1]
+            for g in diagonal
+        ],
+        axis=-1,
     )
-    target = frame.center @ log_scale
+    target = (frame.center @ log_scale[..., None])[..., 0]
     shift = 0.5 * (log_scale - target)
-    xs = [s * np.eye(len(g), dtype=complex) for g, s in zip(diagonal, shift)]
-    lifts = [g * math.exp(-s) for g, s in zip(diagonal, shift)]
+    xs = [
+        shift[..., k, None, None] * np.eye(g.shape[-1], dtype=complex)
+        for k, g in enumerate(diagonal)
+    ]
+    factors = {}
     for k, j, t in frame.pairs:
         # D_k⁰ = g*·g and t*·D_j⁰·t = h*·h; their midpoint is
         # g*·(K*K)^½·g with K = h·g⁻¹
-        g = diagonal[k] * math.exp(-0.5 * log_scale[k])
-        h = diagonal[j] @ t * math.exp(-0.5 * log_scale[j])
-        root = _positive_polar(np.linalg.solve(g.conj().T, h.conj().T))[0]
-        b = np.linalg.cholesky(g.conj().T @ root @ g).conj().T
-        x = _positive_polar(np.linalg.solve(b.conj().T, g.conj().T))[2]
+        g = diagonal[k] * _exp(-0.5 * log_scale[..., k, None, None])
+        h = diagonal[j] @ t * _exp(-0.5 * log_scale[..., j, None, None])
+        root = _positive_polar(np.linalg.solve(g.mT.conj(), h.mT.conj()))[0]
+        b = np.linalg.cholesky(g.mT.conj() @ root @ g).mT.conj()
+        x = _positive_polar(np.linalg.solve(b.mT.conj(), g.mT.conj()))[2]
         xs[k] = xs[k] + x
         xs[j] = xs[j] - t @ x @ t.conj().T
-        lifts[k] = b * math.exp(0.5 * target[k])
-        lifts[j] = t @ b @ t.conj().T * math.exp(0.5 * target[j])
-    return xs, lifts
+        factors[k] = b
+    return xs, shift, target, factors
 
 
 def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -1478,31 +1534,49 @@ def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _levi_parts(diagonal: list, frame: LeviFrame) -> tuple[list, list | None]:
-    """Per block ``(X, P, M, ‖X‖²)`` with ``M = exp(P)`` and
+    """Per block ``(X, P, M)`` with ``M = exp(P)`` and
     ``D = (M·L)*·exp(2X)·(M·L)``, and the unipotent ``L`` of each block,
     or ``None`` where every ``L`` is the identity (on strictly horocyclic
-    structures, ``_levi_block``)."""
+    structures, ``_levi_block``).
+
+    With a ``center``, ``D_k = B_k*·exp(2X_k)·B_k`` (``_coupled_blocks``)
+    for upper triangular ``B_k`` with a positive diagonal, ``M_k`` that
+    diagonal and ``L_k = M_k⁻¹·B_k``.  A block outside every pair has
+    ``B_k = e^{−shift_k}·g_k``; a pair ``(k, j, t)`` has
+    ``B_k = e^{ν_k/2}·b`` and ``B_j = e^{ν_j/2}·t·b·t*``."""
     if frame.center is None:
         return [_levi_block(g, split) for g, (_, split) in zip(diagonal, frame.blocks)], None
+    xs, shift, target, factors = _coupled_blocks(diagonal, frame)
+    lifts = [g * math.exp(-s) for g, s in zip(diagonal, shift)]
+    for k, j, t in frame.pairs:
+        lifts[k] = factors[k] * math.exp(0.5 * target[k])
+        lifts[j] = t @ factors[k] @ t.conj().T * math.exp(0.5 * target[j])
     parts, lower = [], []
-    for x, lift in zip(*_coupled_blocks(diagonal, frame)):
+    for x, lift in zip(xs, lifts):
         scale = np.real(np.diag(lift))
-        parts.append(
-            (x, np.diag(np.log(scale)).astype(complex), np.diag(scale).astype(complex),
-             float(np.sum(np.abs(x) ** 2)))
-        )
+        parts.append((x, np.diag(np.log(scale)).astype(complex), np.diag(scale).astype(complex)))
         lower.append(lift / scale[:, None])
     return parts, lower
 
 
-def _closed_form_phi(zm: np.ndarray, structure: MostowStructure) -> float:
-    """The exhaustion ``‖X‖²`` from the closed form.  A determinant off one
-    adds the orbit's distance ``(log det ζ*ζ)²/4n`` in the scalar direction,
-    as the minimization does."""
+def _closed_form_phi(zm: np.ndarray, structure: MostowStructure) -> float | np.ndarray:
+    """The exhaustion ``‖X‖²`` from the closed form: a float for a point
+    ``ζ``, an array of shape ``(...)`` for a stack ``(..., n, n)``.  Only
+    ``‖X‖²`` is computed: the canonical-correlation σ of a split block
+    (``_block_fiber_sq``) and the coupled ``X_k``, without polar factors or
+    lifts.  A determinant off one adds the orbit's distance
+    ``(log det ζ*ζ)²/4n`` in the scalar direction, as the minimization does.
+    A point anywhere in the stack without a closed form raises
+    ``NonConvergenceError``."""
     frame = structure.levi_frame
     _, log_det, diagonal = _horospherical(zm, frame)
-    fiber_sq = sum(part[3] for part in _levi_parts(diagonal, frame)[0])
-    return fiber_sq + log_det**2 / (4 * structure.size)
+    if frame.center is None:
+        fiber_sq = sum(_block_fiber_sq(g, split) for g, (_, split) in zip(diagonal, frame.blocks))
+    else:
+        xs = _coupled_blocks(diagonal, frame)[0]
+        fiber_sq = sum(np.sum(np.abs(x) ** 2, axis=(-2, -1)) for x in xs)
+    phi = fiber_sq + log_det**2 / (4 * structure.size)
+    return float(phi) if np.ndim(phi) == 0 else phi
 
 
 def _levi_decompose(
@@ -1518,7 +1592,7 @@ def _levi_decompose(
     frame = structure.levi_frame
     r, _, diagonal = _horospherical(zm, frame)
     parts, lower = _levi_parts(diagonal, frame)
-    xmat, pmat, mmat = (_block_diag(mats) for mats in list(zip(*parts))[:3])
+    xmat, pmat, mmat = (_block_diag(mats) for mats in zip(*parts))
     unipotent = np.linalg.solve(_block_diag(diagonal), r)
     if lower is not None:
         unipotent = _block_diag(lower) @ unipotent
@@ -1824,10 +1898,17 @@ def phi_levi_probe(
     """Second-difference estimate of the complex Hessian of the exhaustion
     at ``[ζ]`` along each holomorphic direction ``s ↦ ζ·exp(sW)``.
 
-    On a structure with a ``levi_frame`` every value is the closed form of
-    ``exhaustion_phi``, and ``restarts`` and ``seed`` have no effect;
-    otherwise the base point is minimized with ``restarts`` starts and each
-    shifted point from the base point's minimizer.
+    ``zeta`` is one point and each direction one ``n × n`` matrix.  With k
+    nonzero directions the probe evaluates the exhaustion at the base point
+    and at the 4k shifted points ``ζ·exp(sW)``, ``s ∈ {±h, ±ih}``, whose
+    exponentials form one stack (``_expm_taylor``); a zero direction gives
+    0.0.  On a structure with a ``levi_frame`` every value is the closed
+    form of ``exhaustion_phi``: the base point first, then all shifted
+    points in one stacked ``_closed_form_phi`` call, and ``restarts`` and
+    ``seed`` have no effect.  Otherwise the base point is minimized with
+    ``restarts`` starts and each shifted point from the base point's
+    minimizer.  The base point's ``ValueError`` comes before any shifted
+    point is evaluated.
 
     ``step`` and ``gap_tol`` must be positive and finite, and every direction
     a finite matrix of the group's size (``ValueError``); ``step²·gap_tol``
@@ -1852,32 +1933,35 @@ def phi_levi_probe(
         if wm is None or wm.shape != (n, n) or not np.isfinite(wm).all():
             raise ValueError(f"direction {k} must be a finite {n} x {n} matrix")
         direction_mats.append(wm)
-    if structure.levi_frame is not None:
+    closed_form = structure.levi_frame is not None
+    if closed_form:
         phi0 = _closed_form_phi(zm, structure)
-
-        def shifted_phi(point: np.ndarray) -> float:
-            return _closed_form_phi(point, structure)
-
     else:
         base_val, base_y = _phi_minimize(zm.conj().T @ zm, structure, restarts, seed)
         phi0 = 0.25 * base_val
-
-        def shifted_phi(point: np.ndarray) -> float:
-            val, _ = _phi_minimize(point.conj().T @ point, structure, 1, seed, y0=base_y)
-            return 0.25 * val
-
     if phi0 <= 1e-10:
         raise ValueError("exhaustion not positive at base point")
 
-    values: list[float] = []
-    for wm in direction_mats:
-        if np.linalg.norm(wm) == 0.0:
-            values.append(0.0)
-            continue
-        total = 0.0
-        for shift in (step, -step, 1j * step, -1j * step):
-            total += shifted_phi(zm @ _expm_taylor(shift * wm))
-        values.append((total - 4.0 * phi0) / (4.0 * step * step))
+    # a zero direction gives 0.0; the others' 4k shifted points ζ·exp(sW)
+    # form one stack (direction, shift, n, n)
+    moving = [k for k, wm in enumerate(direction_mats) if np.linalg.norm(wm) != 0.0]
+    values = [0.0] * len(direction_mats)
+    if moving:
+        shifts = np.array([step, -step, 1j * step, -1j * step])
+        stack = np.stack([direction_mats[k] for k in moving])
+        points = zm @ _expm_taylor(shifts[:, None, None] * stack[:, None])
+        if closed_form:
+            phis = _closed_form_phi(points, structure)
+        else:
+            phis = 0.25 * np.array(
+                [
+                    [_phi_minimize(p.conj().T @ p, structure, 1, seed, y0=base_y)[0] for p in row]
+                    for row in points
+                ]
+            )
+        totals = phis[:, 0] + phis[:, 1] + phis[:, 2] + phis[:, 3]
+        for k, value in zip(moving, (totals - 4.0 * phi0) / (4.0 * step * step)):
+            values[k] = float(value)
 
     pos = sum(1 for v in values if v > gap_tol)
     neg = sum(1 for v in values if v < -gap_tol)

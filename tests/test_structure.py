@@ -384,6 +384,24 @@ def test_normalizer_contains_normalizing_subalgebras():
         assert n_of.contains(cand)
 
 
+def test_normalizer_is_memoized_per_ambient(monkeypatch):
+    blocks = (2, 1)
+    a = block_special_linear(blocks)
+    s = Subspace.span([_E(3, 0, 1)], 3)
+    first = normalizer(a, s)
+    brackets = []
+    monkeypatch.setattr(
+        structure, "bracket", lambda x, y: brackets.append((x, y)) or bracket(x, y)
+    )
+    assert normalizer(a, s) is first
+    assert brackets == []
+    # a fresh ambient starts empty, and interns its own subalgebra
+    fresh = type(a)(blocks)
+    assert fresh._normalizers == {}
+    again = normalizer(fresh, s)
+    assert brackets and again is not first and again.space == first.space
+
+
 def test_normalizer_of_zero_is_everything():
     a = special_linear(2)
     n_of = normalizer(a, a.zero_space())

@@ -1390,6 +1390,104 @@ class TestLeviCoupled:
         assert (layout is not None) == certified
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStackedClosedForm:
+    """The closed form on a stack ``(..., n, n)`` of points, as the Levi
+    probe evaluates its shifted points, against one point at a time."""
+
+    @staticmethod
+    def _stack(st, seed, count=20):
+        rng = np.random.default_rng([74, seed])
+        return np.stack([random_group_element(st, rng, 0.5) for _ in range(count)])
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS + LEVI_COUPLED_SPECS, ids=lambda s: s[0])
+    def test_stack_matches_single_points(self, spec):
+        st = _catalog_structure(*spec)
+        points = self._stack(st, 0)
+        stacked = symspace._closed_form_phi(points, st)
+        assert stacked.shape == (20,)
+        single = [symspace._closed_form_phi(p, st) for p in points]
+        assert all(isinstance(v, float) for v in single)
+        assert np.all(np.abs(stacked - single) <= 1e-15 * np.abs(single))
+        # any leading shape, as the probe's (direction, shift) stack
+        grid = symspace._closed_form_phi(points.reshape(5, 4, st.size, st.size), st)
+        assert np.array_equal(grid, stacked.reshape(5, 4))
+
+    def test_levi_block_stack_matches_single_blocks(self):
+        st = _catalog_structure(*CLOSED_FORM_SPECS[1])
+        _, _, diagonal = symspace._horospherical(self._stack(st, 1), st.levi_frame)
+        for g, (_, split) in zip(diagonal, st.levi_frame.blocks):
+            stacked = symspace._levi_block(g, split)
+            for i, block in enumerate(g):
+                for part, single in zip(stacked, symspace._levi_block(block, split)):
+                    assert np.allclose(part[i], single, rtol=0, atol=1e-15)
+
+    def test_expm_taylor_stack_matches_single_matrices(self):
+        # norms from 1e-3 to 40 need from no squaring to seven
+        rng = np.random.default_rng(75)
+        mats = np.stack(
+            [s * _random_traceless(4, rng) for s in (1e-3, 0.05, 0.3, 1.0, 4.0, 10.0)]
+        )
+        stacked = symspace._expm_taylor(mats)
+        for m, e in zip(mats, stacked):
+            assert np.array_equal(e, symspace._expm_taylor(m))
+            assert np.linalg.norm(e - scipy.linalg.expm(m)) <= 1e-12 * np.linalg.norm(e)
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS + LEVI_COUPLED_SPECS, ids=lambda s: s[0])
+    def test_one_singular_point_fails_the_stack(self, spec):
+        st = _catalog_structure(*spec)
+        points = self._stack(st, 2, count=6)
+        points[3] = np.zeros((st.size, st.size))
+        points[3][0, 0] = 1.0
+        with pytest.raises(NonConvergenceError, match="non-convergent"):
+            symspace._closed_form_phi(points, st)
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS + LEVI_COUPLED_SPECS, ids=lambda s: s[0])
+    def test_probe_matches_single_point_second_differences(self, spec, monkeypatch):
+        st = _catalog_structure(*spec)
+        rng = np.random.default_rng(76)
+        zeta, _ = _synthesize(st, rng, scale=0.4)
+        k = len(st.group_basis)
+        directions = [-m.conj().T for m in st.nil_basis] + [np.zeros((st.size, st.size))]
+        for _ in range(3):
+            c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            directions.append(sum(a * m for a, m in zip(c, st.group_basis)))
+        step = 1e-3
+        calls = []
+        closed_form_phi = symspace._closed_form_phi
+
+        def counted(points, structure):
+            calls.append(points.shape)
+            return closed_form_phi(points, structure)
+
+        monkeypatch.setattr(symspace, "_closed_form_phi", counted)
+        probe = phi_levi_probe(zeta, st, directions, step=step)
+        # the base point, then every shifted point in one stack
+        assert calls == [zeta.shape, (len(directions) - 1, 4, st.size, st.size)]
+        monkeypatch.setattr(symspace, "_closed_form_phi", closed_form_phi)
+        phi0 = exhaustion_phi(zeta, st)
+        for w, value in zip(directions, probe.values):
+            shifted = [
+                exhaustion_phi(zeta @ symspace._expm_taylor(s * w), st)
+                for s in (step, -step, 1j * step, -1j * step)
+            ]
+            assert abs(value - (sum(shifted) - 4 * phi0) / (4 * step * step)) <= 1e-9
+
+    def test_base_point_error_comes_first(self, grassmann_structure, monkeypatch):
+        calls = []
+        closed_form_phi = symspace._closed_form_phi
+
+        def counted(points, structure):
+            calls.append(points.shape)
+            return closed_form_phi(points, structure)
+
+        monkeypatch.setattr(symspace, "_closed_form_phi", counted)
+        st = grassmann_structure
+        with pytest.raises(ValueError, match="exhaustion not positive at base point"):
+            phi_levi_probe(np.eye(st.size, dtype=complex), st, list(st.nil_basis))
+        assert calls == [(st.size, st.size)]
+
+
 def _conjugated_optimizer_inputs(name, params):
     """The structure of a Cayley-conjugated catalog entry with ``levi_frame``
     removed, so that the optimizers serve it, and four inputs synthesized on
