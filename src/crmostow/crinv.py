@@ -20,9 +20,9 @@ from .exact import (
     ExactMatrix,
     Subspace,
     bracket,
+    bracket_kernel,
     charpoly,
     combine,
-    kernel_space,
     trace_annihilator,
     trace_pairing,
 )
@@ -245,7 +245,7 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
         raise ArithmeticError("fiber complement construction failed")
     for x in v.compact_intersection.basis():
         for m in comp.basis():
-            if not comp.contains_mat(bracket(x, m)):
+            if not comp.contains_bracket(x, m):
                 raise ArithmeticError("fiber complement is not invariant")
     return FiberData(f0, comp, q)
 
@@ -378,7 +378,7 @@ def orbit_data(v: Subalgebra, x: ExactMatrix) -> OrbitData:
     amb = v.ambient
     compact = v.compact_intersection
     mats = compact.basis()
-    stab = kernel_space(mats, [[bracket(y, x) for y in mats]], amb.n, real=True)
+    stab = bracket_kernel(mats, [x], amb.n, real=True)
     orbit_dim = amb.k0.dim - stab.dim
 
     if x.is_zero:

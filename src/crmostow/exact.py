@@ -20,11 +20,16 @@ Matrices, coordinate vectors and echelon rows are sparse: dicts from an
 index (row-major for matrices) to the Gaussian-integer ``(re, im)`` pair of
 each nonzero entry, over one shared positive denominator.  Products,
 commutators, combinations, elimination and reduction touch only those
-entries.  The echelon maps each pivot column to its row, and reducing a row
-visits only the pivots that occur in it, in increasing column order;
-stored pivot rows are primitive over Z[i], so entries stay as small as
-their lines allow.  Polynomials are dense lists of
-Gaussian-integer ``(re, im)`` coefficients, taken up to a scalar: the
+entries.  A commutator is one pass over the terms of its first factor, with
+the second factor's terms indexed by row and by column; where only its
+coordinates are wanted (commutator spans, closure and membership checks,
+centralizer and normalizer constraints, Killing-form residues) they are
+read as a numerator row, zero ones are dropped, and no matrix is built.
+The echelon maps each pivot column to its row, and reducing a row visits
+only the pivots that occur in it, in increasing column order; stored pivot
+rows are primitive over Z[i], so entries stay as small as their lines
+allow.  Polynomials are dense lists of Gaussian-integer ``(re, im)``
+coefficients, taken up to a scalar: the
 characteristic polynomial is that of the numerator matrix, and gcds and
 squarefree parts come from a primitive pseudo-remainder sequence.
 :class:`QI` values are built only at the public edges (``entries``,
@@ -46,11 +51,12 @@ Subspaces cut out of a span by linear constraints come from two entry
 points.  :func:`trace_annihilator` keeps the combinations of given matrices
 that are trace-orthogonal to others (radicals, nilradicals, trace
 complements, fiber factors); :func:`kernel_space` keeps those that given
-linear maps send to zero, or into a subspace (normalizers, stabilizers, the
-closed-form split).  Both solve one integer system by the shared
-elimination, over complex coefficients or, with ``real=True``, over
-rational ones with the real and imaginary parts of each constraint
-imposed separately.  :func:`kernel_projector` solves the same kind of
+linear maps send to zero, or into a subspace (flag stabilizers, the
+closed-form split), and :func:`bracket_kernel` is its form for the maps
+``ad y`` (centralizers, normalizers, stabilizers).  Both solve one integer
+system by the shared elimination, over complex coefficients or, with
+``real=True``, over rational ones with the real and imaginary parts of
+each constraint imposed separately.  :func:`kernel_projector` solves the same kind of
 system on Cⁿ itself and returns the orthogonal projector onto the joint
 kernel of given matrices: a subspace of Cⁿ, such as a step of an invariant
 flag, is held as that projector, which is unique, so two steps are equal
@@ -79,6 +85,7 @@ __all__ = [
     "Subspace",
     "bracket",
     "bracket_space",
+    "bracket_kernel",
     "trace_pairing",
     "combine",
     "killing_form",
@@ -98,8 +105,8 @@ class QI:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        _qi_re(self, re if isinstance(re, Fraction) else Fraction(re))
+        _qi_im(self, im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("QI is immutable")
@@ -154,13 +161,14 @@ class QI:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+# Construction writes the slots through their descriptors, past the
+# ``__setattr__`` that keeps the classes immutable.
+_new = object.__new__
+_qi_re, _qi_im = QI.re.__set__, QI.im.__set__
+
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
 QI_I = QI(0, 1)
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _qi(value) -> QI:
@@ -213,7 +221,7 @@ class ExactMatrix:
     use.
     """
 
-    __slots__ = ("rows", "cols", "_den", "_terms", "_entries", "_row_terms")
+    __slots__ = ("rows", "cols", "_den", "_terms", "_entries")
 
     def __init__(self, entries: Sequence[Sequence]):
         grid = [list(row) for row in entries]
@@ -231,12 +239,11 @@ class ExactMatrix:
         if den != 1:
             g = _content(terms.values(), den)
             den, terms = den // g, _divide(terms, g)
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "_den", den)
-        _set(self, "_terms", terms)
-        _set(self, "_entries", None)
-        _set(self, "_row_terms", None)
+        _m_rows(self, rows)
+        _m_cols(self, cols)
+        _m_den(self, den)
+        _m_terms(self, terms)
+        _m_entries(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -256,21 +263,8 @@ class ExactMatrix:
             c = self.cols
             flat = _qi_vec(self._terms, self.rows * c, self._den)
             grid = tuple(flat[i * c:(i + 1) * c] for i in range(self.rows))
-            _set(self, "_entries", grid)
+            _m_entries(self, grid)
         return grid
-
-    def _nonzero_by_row(self) -> tuple:
-        """Per row, the nonzero numerators as ``(column, re, im)``; cached."""
-        rows = self._row_terms
-        if rows is None:
-            c = self.cols
-            grouped = [[] for _ in range(self.rows)]
-            for k, (a, b) in self._terms.items():
-                i, j = divmod(k, c)
-                grouped[i].append((j, a, b))
-            rows = tuple(tuple(r) for r in grouped)
-            _set(self, "_row_terms", rows)
-        return rows
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -304,7 +298,10 @@ class ExactMatrix:
         return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        cden, ((cr, ci),) = _to_num([_qi(c)])
+        if type(c) is int:  # no QI needed
+            cden, cr, ci = 1, c, 0
+        else:
+            cden, ((cr, ci),) = _to_num([_qi(c)])
         if not (cr or ci):
             return ExactMatrix.zeros(self.rows, self.cols)
         terms = {k: (cr * a - ci * b, cr * b + ci * a) for k, (a, b) in self._terms.items()}
@@ -313,10 +310,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("incompatible shapes")
-        acc: dict[int, list] = {}
-        _add_product(acc, self, other, 1)
         return ExactMatrix._make(
-            self.rows, other.cols, self._den * other._den, _nonzero_terms(acc)
+            self.rows, other.cols, self._den * other._den, _product(self, other)
         )
 
     def _transposed(self, conj: bool) -> "ExactMatrix":
@@ -434,6 +429,11 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
+_m_rows, _m_cols, _m_den, _m_terms, _m_entries = (
+    getattr(ExactMatrix, name).__set__ for name in ExactMatrix.__slots__
+)
+
+
 def _sparse_num(values: dict) -> tuple[int, SparseRow]:
     """Common denominator and nonzero numerators of ``{index: QI}``."""
     den, num = _to_num(list(values.values()))
@@ -471,31 +471,74 @@ def _lincomb(mats: Sequence[ExactMatrix], cden: int, coeffs: SparseRow) -> Exact
     return ExactMatrix._make(rows, cols, den * cden, _nonzero_terms(acc))
 
 
-def _add_product(acc: dict, x: ExactMatrix, y: ExactMatrix, sign: int) -> None:
-    """Add ``sign * (X @ Y)`` of the numerators to the ``[re, im]`` accumulators."""
-    cols = y.cols
-    right = y._nonzero_by_row()
-    for i, terms in enumerate(x._nonzero_by_row()):
+def _product(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
+    """The nonzero numerators of ``x @ y`` over ``x._den * y._den``: with
+    the terms of ``y`` indexed by row, each ``x[i, k]`` meets the row ``k``
+    of ``y``."""
+    inner, cols = x.cols, y.cols
+    by_row: dict[int, list] = {}
+    for key, (c, d) in y._terms.items():
+        k, l = divmod(key, cols)
+        by_row.setdefault(k, []).append((l, c, d))
+    acc: dict[int, list] = {}
+    get = acc.get
+    for key, (a, b) in x._terms.items():
+        i, k = divmod(key, inner)
         base = i * cols
-        for k, a, b in terms:
-            for l, c, d in right[k]:
-                re, im = sign * (a * c - b * d), sign * (a * d + b * c)
-                v = acc.get(base + l)
-                if v is None:
-                    acc[base + l] = [re, im]
-                else:
-                    v[0] += re
-                    v[1] += im
+        for l, c, d in by_row.get(k, ()):
+            re, im = a * c - b * d, a * d + b * c
+            v = get(base + l)
+            if v is None:
+                acc[base + l] = [re, im]
+            else:
+                v[0] += re
+                v[1] += im
+    return _nonzero_terms(acc)
+
+
+def _commutator(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
+    """The nonzero numerators of ``x @ y - y @ x`` over ``x._den * y._den``.
+
+    One pass over the terms of ``x``, with those of ``y`` indexed by row and
+    by column: ``x[i, k]`` meets ``y[k, l]`` in ``(x y)[i, l]`` and
+    ``y[r, i]`` in ``(y x)[r, k]``.
+    """
+    n = x.rows
+    if not (x.cols == y.rows == y.cols == n):
+        raise ValueError("incompatible shapes")
+    by_row: dict[int, list] = {}
+    by_col: dict[int, list] = {}
+    for key, (c, d) in y._terms.items():
+        r, l = divmod(key, n)
+        by_row.setdefault(r, []).append((l, c, d))
+        by_col.setdefault(l, []).append((key - l, c, d))
+    acc: dict[int, list] = {}
+    get = acc.get
+    for key, (a, b) in x._terms.items():
+        i, k = divmod(key, n)
+        base = i * n
+        for l, c, d in by_row.get(k, ()):
+            re, im = a * c - b * d, a * d + b * c
+            v = get(base + l)
+            if v is None:
+                acc[base + l] = [re, im]
+            else:
+                v[0] += re
+                v[1] += im
+        for rn, c, d in by_col.get(i, ()):
+            re, im = a * c - b * d, a * d + b * c
+            v = get(rn + k)
+            if v is None:
+                acc[rn + k] = [-re, -im]
+            else:
+                v[0] -= re
+                v[1] -= im
+    return _nonzero_terms(acc)
 
 
 def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     """The commutator ``x @ y - y @ x`` (exact, over the nonzero entries)."""
-    if not (x.is_square and y.is_square and x.rows == y.rows):
-        raise ValueError("incompatible shapes")
-    acc: dict[int, list] = {}
-    _add_product(acc, x, y, 1)
-    _add_product(acc, y, x, -1)
-    return ExactMatrix._make(x.rows, x.rows, x._den * y._den, _nonzero_terms(acc))
+    return ExactMatrix._make(x.rows, x.rows, x._den * y._den, _commutator(x, y))
 
 
 def _trace_form(x: ExactMatrix, y: ExactMatrix) -> tuple[int, tuple[int, int]]:
@@ -813,13 +856,14 @@ class Subspace:
     @staticmethod
     def _of(side: int, real: bool, pivots, irows) -> "Subspace":
         s = _new(Subspace)
-        _set(s, "side", side)
-        _set(s, "real", real)
-        _set(s, "pivots", tuple(pivots))
-        _set(s, "_irows", tuple(irows))
-        _set(s, "_where", {p: i for i, p in enumerate(s.pivots)})
-        _set(s, "_hash", None)
-        _set(s, "_basis", None)
+        pivots = tuple(pivots)
+        _s_side(s, side)
+        _s_real(s, real)
+        _s_pivots(s, pivots)
+        _s_irows(s, tuple(irows))
+        _s_where(s, {p: i for i, p in enumerate(pivots)})
+        _s_hash(s, None)
+        _s_basis(s, None)
         return s
 
     def __setattr__(self, name, value):
@@ -864,7 +908,7 @@ class Subspace:
                         terms[k // 2] = (re, a) if k % 2 else (a, im)
                 mats.append(ExactMatrix._make(n, n, row[p][0], terms))
             mats = tuple(mats)
-            _set(self, "_basis", mats)
+            _s_basis(self, mats)
         return list(mats)
 
     def _has(self, row: SparseRow) -> bool:
@@ -879,10 +923,17 @@ class Subspace:
         return not row
 
     def _residue_mat(self, mat: ExactMatrix) -> tuple[int, SparseRow]:
-        """``(den, numerators)`` of the residue of ``mat``: its coordinates
-        minus those of the unique member agreeing with it at the pivots."""
+        """``(den, numerators)`` of the residue of ``mat``."""
+        if mat.rows != self.side or mat.cols != self.side:
+            raise ValueError("incompatible shapes")
+        return self._residue(mat._den, mat._terms)
+
+    def _residue(self, den: int, terms: SparseRow) -> tuple[int, SparseRow]:
+        """``(den, numerators)``, in lowest terms, of the residue of the
+        matrix with numerators ``terms`` over ``den``: its coordinates minus
+        those of the unique member agreeing with it at the pivots."""
         where, irows = self._where, self._irows
-        den, row = mat._den, self._coords_of(mat)
+        row = _real_coords(terms) if self.real else terms
         for col in [c for c in row if c in where]:
             prow = irows[where[col]]
             row = _eliminate(row, prow, col)
@@ -892,6 +943,14 @@ class Subspace:
 
     def contains_mat(self, mat: ExactMatrix) -> bool:
         return self._has(self._coords_of(mat))
+
+    def contains_bracket(self, x: ExactMatrix, y: ExactMatrix) -> bool:
+        """Whether ``[x, y]`` lies in the span, read from its coordinate row
+        without forming the matrix."""
+        if x.rows != self.side:
+            raise ValueError("incompatible shapes")
+        row = _commutator(x, y)
+        return self._has(_real_coords(row) if self.real else row)
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -936,7 +995,7 @@ class Subspace:
         if h is None:
             h = hash((self.side, self.real, self.pivots,
                       tuple(frozenset(r.items()) for r in self._irows)))
-            _set(self, "_hash", h)
+            _s_hash(self, h)
         return h
 
     # -- real/complex interplay --------------------------------------------------
@@ -955,26 +1014,47 @@ class Subspace:
         return f"Subspace(side={self.side}, dim={self.dim}, field={kind})"
 
 
+_s_side, _s_real, _s_pivots, _s_irows, _s_where, _s_hash, _s_basis = (
+    getattr(Subspace, name).__set__ for name in Subspace.__slots__
+)
+
+
 # ---------------------------------------------------------------------------
 # Commutator spans and kernels
 # ---------------------------------------------------------------------------
 
 
 def bracket_space(a: Subspace, b: Subspace) -> Subspace:
-    """Span of pairwise commutators of the two bases."""
+    """Span of pairwise commutators of the two bases, read as coordinate
+    rows; zero commutators are left out."""
     if a.real or b.real:
         raise ValueError("ambient mismatch")
     a._check_compatible(b)
     if a is b or a == b:
         mats = a.basis()
-        brackets = [
-            bracket(mats[i], mats[j])
-            for i in range(len(mats))
-            for j in range(i + 1, len(mats))
-        ]
+        pairs = ((x, y) for i, x in enumerate(mats) for y in mats[i + 1:])
     else:
-        brackets = [bracket(x, y) for x in a.basis() for y in b.basis()]
-    return Subspace.span(brackets, a.side, real=False)
+        pairs = ((x, y) for x in a.basis() for y in b.basis())
+    rows = (_commutator(x, y) for x, y in pairs)
+    return Subspace._of(a.side, False, *_rref_num(row for row in rows if row))
+
+
+def bracket_kernel(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix], side: int,
+                   real: bool = False, modulo: Subspace | None = None) -> Subspace:
+    """The combinations ``x`` of ``mats`` with ``[x, y] = 0``, or ``[x, y]``
+    in ``modulo`` when it is given, for every ``y`` in ``others``
+    (centralizers, normalizers, stabilizers).
+
+    The :func:`kernel_space` of the maps ``ad y``, with each commutator read
+    as its coordinate row; ``real`` is as for :func:`trace_annihilator`.
+    """
+    if modulo is not None and modulo.side != side:
+        raise ValueError("incompatible shapes")
+    column = modulo._residue if modulo is not None else lambda den, terms: (den, terms)
+    rows = []
+    for y in others:
+        rows += _columns_to_rows([column(x._den * y._den, _commutator(x, y)) for x in mats])
+    return _kernel_subspace(mats, rows, side, real)
 
 
 def _real_rows(row: SparseRow) -> list[SparseRow]:
@@ -1069,12 +1149,16 @@ def killing_form(space: Subspace, ideal: Subspace) -> ExactMatrix:
     kept = [(x, p) for x, p in zip(space.basis(), space.pivots) if p not in ideal_pivots]
     index = {p: k for k, (_, p) in enumerate(kept)}
     m = len(kept)
-    # [y, x] = −[x, y] and the residue is linear: bracket each pair once
+    # [y, x] = −[x, y] and the residue is linear: bracket each pair once;
+    # a zero commutator adds nothing
     residues = {}
     for i, (x, _) in enumerate(kept):
         for j in range(i + 1, m):
-            d, num = residues[i, j] = ideal._residue_mat(bracket(x, kept[j][0]))
-            residues[j, i] = (d, {p: (-a, -b) for p, (a, b) in num.items()})
+            y = kept[j][0]
+            row = _commutator(x, y)
+            if row:
+                d, num = residues[i, j] = ideal._residue(x._den * y._den, row)
+                residues[j, i] = (d, {p: (-a, -b) for p, (a, b) in num.items()})
     den = lcm(*(d for d, _ in residues.values()))
     # ad[i][(k, j)]: the coefficient of mats[k] in [mats[i], mats[j]] mod ideal
     ad = [{} for _ in range(m)]
@@ -1212,25 +1296,44 @@ def charpoly(x: ExactMatrix) -> list[QI]:
 
 
 def squarefree_part(p: Sequence[QI]) -> list[QI]:
-    """The squarefree part ``p / gcd(p, p')`` (monic)."""
+    """The squarefree part ``p / gcd(p, p')``, made monic in Gaussian
+    integers: each coefficient ``c`` becomes ``c·conj(lead) / |lead|²``."""
     num = _poly_strip(_to_num(p)[1])
     if not num:
         raise ZeroDivisionError("polynomial division by zero")
-    part = [QI(a, b) for a, b in _squarefree_num(num)]
-    return [c / part[0] for c in part]
+    part = _squarefree_num(num)
+    lr, li = part[0]
+    norm = lr * lr + li * li
+    return [_qi_of(a * lr + b * li, b * lr - a * li, norm) for a, b in part]
 
 
 def semisimple_part(x: ExactMatrix) -> ExactMatrix:
     """The semisimple summand of the additive Jordan decomposition of ``x``.
 
-    Matrix Newton iteration ``s <- s - f(s) f'(s)^-1`` from the numerator
-    matrix ``s = X = den * x``, with ``f`` the squarefree part of its
-    characteristic polynomial; the Jordan decomposition is linear, so the
-    result scaled by ``1 / den`` is that of ``x``.  Every iterate is a
-    polynomial in ``X`` differing from it by a nilpotent, so ``f'(s)`` is
-    invertible (the roots of ``f`` are simple) and ``f(s)`` is nilpotent; by
-    Taylor's formula the next ``f(s)`` is a multiple of the square of the
-    last, so ``f(s) = 0`` after at most ``ceil(log2 n)`` steps.
+    Two cases are exact at sight: a diagonal matrix is its own semisimple
+    part, and an ``x`` with ``x·x = 0`` is nilpotent, with semisimple part
+    0.  Every other matrix takes :func:`_newton_semisimple`.
+    """
+    if not x.is_square:
+        raise ValueError("incompatible shapes")
+    step = x.rows + 1
+    if all(k % step == 0 for k in x._terms):
+        return x
+    if not _product(x, x):
+        return ExactMatrix.zeros(x.rows)
+    return _newton_semisimple(x)
+
+
+def _newton_semisimple(x: ExactMatrix) -> ExactMatrix:
+    """The semisimple part of ``x`` by matrix Newton iteration
+    ``s <- s - f(s) f'(s)^-1`` from the numerator matrix ``s = X = den * x``,
+    with ``f`` the squarefree part of its characteristic polynomial; the
+    Jordan decomposition is linear, so the result scaled by ``1 / den`` is
+    that of ``x``.  Every iterate is a polynomial in ``X`` differing from it
+    by a nilpotent, so ``f'(s)`` is invertible (the roots of ``f`` are
+    simple) and ``f(s)`` is nilpotent; by Taylor's formula the next ``f(s)``
+    is a multiple of the square of the last, so ``f(s) = 0`` after at most
+    ``ceil(log2 n)`` steps.
     """
     f = _charpoly_num(x)
     fs = _squarefree_num(f)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .ambient import AmbientAlgebra
 from .errors import ClosureError
-from .exact import ExactMatrix, Subspace, bracket, kernel_projector, kernel_space
+from .exact import ExactMatrix, Subspace, bracket_kernel, bracket_space, kernel_projector, kernel_space
 from .structure import (
     Subalgebra,
     normalizer,
@@ -120,7 +120,7 @@ class HorocyclicVerdict:
 def _center_mats(space: Subspace) -> list[ExactMatrix]:
     """Basis of the centralizer of ``space`` inside itself."""
     mats = space.basis()
-    return kernel_space(mats, [[bracket(x, b) for x in mats] for b in mats], space.side).basis()
+    return bracket_kernel(mats, mats, space.side).basis()
 
 
 def _eigenprojectors(ambient: AmbientAlgebra, z_mats) -> list[tuple[tuple, ExactMatrix]]:
@@ -181,17 +181,18 @@ def _weight_pieces(ambient: AmbientAlgebra, space: Subspace, z_mats) -> list[tup
     return pieces
 
 
-def _module_closure(ambient: AmbientAlgebra, act_mats, seed: Subspace) -> Subspace:
+def _module_closure(act: Subspace, seed: Subspace) -> Subspace:
     """Smallest subspace containing ``seed`` stable under brackets with
-    ``act_mats``.  Each round brackets only the canonical rows new to the
-    span, those at pivots it did not have (as ``_unital_closure`` does)."""
-    acc = seed
-    frontier = seed.basis()
-    while frontier:
-        gen = [bracket(l, a) for l in act_mats for a in frontier]
-        grown = acc.sum(Subspace.span(gen, ambient.n))
+    ``act``.  Each round brackets ``act`` only with the span of the
+    canonical rows new to the span, those at pivots it did not have (as
+    ``_unital_closure`` does)."""
+    acc = frontier = seed
+    while frontier.dim:
+        grown = acc.sum(bracket_space(act, frontier))
         old = set(acc.pivots)
-        frontier = [m for m, p in zip(grown.basis(), grown.pivots) if p not in old]
+        frontier = Subspace.span(
+            [m for m, p in zip(grown.basis(), grown.pivots) if p not in old], seed.side
+        )
         acc = grown
     return acc
 
@@ -205,10 +206,9 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
     """
     if mod.dim == 0:
         return []
-    act = levi.basis()
     out: list[Subspace] = []
     for _, piece in _weight_pieces(ambient, mod, _center_mats(levi.space)):
-        if piece.dim <= 1 or not act:
+        if piece.dim <= 1 or not levi.dim:
             out.append(piece)
             continue
         chosen: list[Subspace] = []
@@ -217,7 +217,7 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
         for b in piece.basis():
             if covered.contains_mat(b):
                 continue
-            cyc = _module_closure(ambient, act, Subspace.span([b], ambient.n))
+            cyc = _module_closure(levi.space, Subspace.span([b], ambient.n))
             if cyc.intersect(covered).dim:
                 clean = False
                 break
@@ -462,7 +462,7 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
         if not missing:
             if generated != current.q.space:
                 raise ArithmeticError("weight ascent stalled")
-            reach = _module_closure(amb, current.levi.basis(), v_nil)
+            reach = _module_closure(current.levi, v_nil)
             if reach != current.nilradical:
                 raise ArithmeticError("weight ascent stalled")
             if not is_admissible_envelope(v, current):

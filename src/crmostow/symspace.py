@@ -37,6 +37,7 @@ from .exact import (
     QI_ONE,
     ExactMatrix,
     Subspace,
+    bracket_kernel,
     kernel_projector,
     kernel_space,
     trace_annihilator,
@@ -634,7 +635,7 @@ def _coupling(
     candidates = Subspace.span(
         [second @ ExactMatrix.unit(n, i, j) @ first for i in range(n) for j in range(n)], n
     ).basis()
-    kernel = kernel_space(candidates, [[t @ x - x @ t for t in candidates] for x in mats], n)
+    kernel = bracket_kernel(candidates, mats, n)
     if kernel.dim != 1:
         return None
     (t,) = kernel.basis()

@@ -10,6 +10,7 @@ from crmostow.exact import (
     ExactMatrix,
     Subspace,
     bracket,
+    bracket_kernel,
     bracket_space,
     charpoly,
     combine,
@@ -22,7 +23,7 @@ from crmostow.exact import (
     trace_annihilator,
     trace_pairing,
 )
-from crmostow.exact import _rref_num
+from crmostow.exact import _newton_semisimple, _rref_num
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,29 @@ def test_matrix_storage_is_canonical():
         assert ExactMatrix.identity(n) == ones and hash(ExactMatrix.identity(n)) == hash(ones)
 
 
+def test_matrices_and_subspaces_are_immutable():
+    m = ExactMatrix([[1, QI(0, Fraction(1, 2))], [0, 3]])
+    bracket(m, m)  # fills the cached slots too
+    m.entries
+    s = Subspace.span([m, _E(2, 0, 1)], 2)
+    s.basis()
+    hash(s)
+    for obj in (m, s):
+        slots = type(obj).__slots__
+        before = {name: getattr(obj, name) for name in slots}
+        for name in (*slots, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        assert {name: getattr(obj, name) for name in slots} == before
+
+
+def test_integer_scale_matches_gaussian_scale():
+    x = ExactMatrix([[QI(Fraction(1, 6), 1), 0], [Fraction(-3, 4), QI(0, Fraction(2, 3))]])
+    for c in (-1, 2, 3, -12, 0):
+        assert x.scale(c) == x.scale(QI(c)) and hash(x.scale(c)) == hash(x.scale(QI(c)))
+    assert -x == x.scale(QI(-1)) and -(-x) == x
+
+
 def test_nilpotent_detection():
     assert _E(3, 0, 1).is_nilpotent()
     assert not ExactMatrix.identity(3).is_nilpotent()
@@ -164,6 +188,69 @@ def test_bracket_jacobi_and_antisymmetry(flat):
         + bracket(z, bracket(x, y))
     )
     assert jac.is_zero
+
+
+@st.composite
+def _gaussian_matrices(draw, n):
+    """An n x n Gaussian-rational matrix with 0 to n² nonzero entries, each
+    over its own denominator."""
+    count = draw(st.integers(0, n * n))
+    keys = draw(st.lists(st.integers(0, n * n - 1), min_size=count, max_size=count, unique=True))
+    grid = [[QI(0)] * n for _ in range(n)]
+    for k in keys:
+        a, b = draw(_gaussian.filter(lambda z: z != (0, 0)))
+        den = draw(st.integers(1, 6))
+        grid[k // n][k % n] = QI(Fraction(a, den), Fraction(b, den))
+    return ExactMatrix(grid)
+
+
+def _dense_bracket(x, y):
+    n, a, b = x.rows, x.entries, y.entries
+    return ExactMatrix([
+        [sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)), QI(0)) for j in range(n)]
+        for i in range(n)
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bracket_matches_the_products(data):
+    n = data.draw(st.integers(1, 8))
+    x, y = data.draw(_gaussian_matrices(n)), data.draw(_gaussian_matrices(n))
+    assert bracket(x, y) == x @ y - y @ x == _dense_bracket(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bracket_space_is_the_span_of_the_brackets(data):
+    n = data.draw(st.integers(1, 4))
+    a = Subspace.span(data.draw(st.lists(_gaussian_matrices(n), max_size=3)), n)
+    b = Subspace.span(data.draw(st.lists(_gaussian_matrices(n), max_size=3)), n)
+    for u, w in ((a, b), (a, a)):
+        brackets = [bracket(x, y) for x in u.basis() for y in w.basis()]
+        assert bracket_space(u, w) == Subspace.span(brackets, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_row_readers_match_the_bracket_matrices(data):
+    n = data.draw(st.integers(1, 3))
+    mats = data.draw(st.lists(_gaussian_matrices(n), min_size=1, max_size=3))
+    others = data.draw(st.lists(_gaussian_matrices(n), max_size=2))
+    modulo = Subspace.span(data.draw(st.lists(_gaussian_matrices(n), max_size=2)), n)
+    real = data.draw(st.booleans())
+    images = [[bracket(x, y) for x in mats] for y in others]
+    for mod in (None, modulo):
+        assert bracket_kernel(mats, others, n, real=real, modulo=mod) == kernel_space(
+            mats, images, n, real=real, modulo=mod
+        )
+    closed = Subspace.span([m for values in images for m in values], n)
+    for space in (modulo, modulo.realify(), closed, closed.realify()):
+        for x in mats:
+            for y in others:
+                assert space.contains_bracket(x, y) == space.contains_mat(bracket(x, y))
+    for space in (closed, closed.realify()):
+        assert all(space.contains_bracket(x, y) for x in mats for y in others)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +886,27 @@ def test_semisimple_part_oracles():
         ),
     ):
         assert semisimple_part(p @ (d + nil) @ pinv) == p @ d @ pinv
+    # the exact shortcuts agree with the Newton path: a diagonal matrix is
+    # its own semisimple part, and its conjugate by the non-monomial p takes
+    # the Newton path; an x with x·x = 0 has semisimple part 0, and so has
+    # its conjugate, which is square-zero again
+    for d in (
+        ExactMatrix.diagonal([lam, lam, QI(-3), frac]),
+        ExactMatrix.diagonal([2, 0, 0, -1]),
+        ExactMatrix.diagonal([lam] * 4),
+    ):
+        conj = p @ d @ pinv
+        assert semisimple_part(d) is d == _newton_semisimple(d)
+        assert semisimple_part(conj) == conj == _newton_semisimple(conj)
+    for z in (
+        _E(4, 0, 3),
+        _E(4, 0, 2) + _E(4, 1, 3),
+        _E(4, 0, 1) + _E(4, 0, 2).scale(QI(Fraction(1, 3), 1)),
+    ):
+        conj = p @ z @ pinv
+        assert (conj @ conj).is_zero and not conj.is_zero
+        for x in (z, conj):
+            assert semisimple_part(x).is_zero and _newton_semisimple(x).is_zero
 
 
 def test_semisimple_part_gaussian_eigenvalues():

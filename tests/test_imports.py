@@ -24,7 +24,7 @@ PRIVATE_IMPORTS = {
 # Gaussian-integer numerators and denominators: only exact.py touches them.
 WORKING_FORM = {
     "_terms", "_den", "_make", "_apply", "_row_nums", "_nonzero_by_row",
-    "_coords", "_irows", "_residue_mat",
+    "_coords", "_irows", "_residue_mat", "_residue",
 }
 
 

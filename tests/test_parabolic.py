@@ -673,19 +673,19 @@ def test_module_closure_brackets_each_direction_once(monkeypatch, name, params):
     v = make_subalgebra(AmbientAlgebra(entry.ambient.blocks), entry.subalgebra.basis())
     made = [0]
     calls = []
-    real_bracket, real_closure = parabolic.bracket, parabolic._module_closure
+    real_space, real_closure = parabolic.bracket_space, parabolic._module_closure
 
-    def counting_bracket(x, y):
-        made[0] += 1
-        return real_bracket(x, y)
+    def counting_space(a, b):
+        made[0] += a.dim * b.dim  # the pairs of basis elements bracketed, at most
+        return real_space(a, b)
 
-    def recording_closure(ambient, act_mats, seed):
+    def recording_closure(act, seed):
         before = made[0]
-        out = real_closure(ambient, act_mats, seed)
-        calls.append((made[0] - before, len(act_mats) * out.dim))
+        out = real_closure(act, seed)
+        calls.append((made[0] - before, act.dim * out.dim))
         return out
 
-    monkeypatch.setattr(parabolic, "bracket", counting_bracket)
+    monkeypatch.setattr(parabolic, "bracket_space", counting_space)
     monkeypatch.setattr(parabolic, "_module_closure", recording_closure)
     largest_intermediate(v)
     maximal_envelope(v, minimal_envelope(v))

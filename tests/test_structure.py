@@ -14,6 +14,7 @@ from crmostow.exact import (
     ExactMatrix,
     Subspace,
     bracket,
+    bracket_kernel,
     bracket_space,
 )
 from crmostow.structure import (
@@ -389,17 +390,18 @@ def test_normalizer_is_memoized_per_ambient(monkeypatch):
     a = block_special_linear(blocks)
     s = Subspace.span([_E(3, 0, 1)], 3)
     first = normalizer(a, s)
-    brackets = []
+    kernels = []
     monkeypatch.setattr(
-        structure, "bracket", lambda x, y: brackets.append((x, y)) or bracket(x, y)
+        structure, "bracket_kernel",
+        lambda *args, **kwargs: kernels.append(args) or bracket_kernel(*args, **kwargs),
     )
     assert normalizer(a, s) is first
-    assert brackets == []
+    assert kernels == []
     # a fresh ambient starts empty, and interns its own subalgebra
     fresh = type(a)(blocks)
     assert fresh._normalizers == {}
     again = normalizer(fresh, s)
-    assert brackets and again is not first and again.space == first.space
+    assert kernels and again is not first and again.space == first.space
 
 
 def test_normalizer_of_zero_is_everything():
