@@ -21,8 +21,8 @@ from .exact import (
     Subspace,
     bracket,
     bracket_kernel,
-    charpoly,
     combine,
+    hermitian_inertia,
     trace_annihilator,
     trace_pairing,
 )
@@ -95,8 +95,10 @@ class LeviReport:
     sample with integer coordinates ``c`` denotes the real covector
     ``X ↦ Re tr((Σ c_r S_r) X)``.  ``vector_form`` holds the projections of
     the basic bracket values onto the fixed complement of the subalgebra
-    plus its conjugate.  ``witt_lower_bound`` is the minimum over samples of
-    ``min(positives, negatives)``.
+    plus its conjugate.  ``sampled_signatures`` pairs each sample with the
+    exact ``(positives, negatives)`` of its Hermitian form, counted by
+    Sylvester's law of inertia from a congruence.  ``witt_lower_bound`` is
+    the minimum over samples of ``min(positives, negatives)``.
     """
 
     vector_form: tuple[tuple[ExactMatrix, ...], ...]
@@ -167,26 +169,9 @@ def _trace_projection(amb: AmbientAlgebra, pair: Subspace, comp: Subspace,
     return combine(w, trace_pairing(ts, w) @ g_inv)
 
 
-def _sign_changes(values) -> int:
-    """Sign changes along a sequence of rationals, zeros skipped."""
-    signs = [v > 0 for v in values if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _hermitian_signature(h: ExactMatrix) -> tuple[int, int]:
-    """Exact signature ``(positives, negatives)`` of a Hermitian matrix.
-
-    A Hermitian matrix has only real eigenvalues, so Descartes' rule of
-    signs is exact on its characteristic polynomial p (real coefficients):
-    the positive eigenvalues are the sign changes of p(t), the negative
-    ones those of p(-t).  A zero eigenvalue of multiplicity m makes the
-    last m coefficients zero; skipping zeros counts the roots of p(t)/t^m.
-    The numerator of each coefficient carries its sign.
-    """
-    coeffs = [c.re.numerator for c in charpoly(h)]
-    return _sign_changes(coeffs), _sign_changes(
-        [-c if k % 2 else c for k, c in enumerate(coeffs)]
-    )
+# The exact signature ``(positives, negatives)`` of a Hermitian form, by
+# Sylvester's law of inertia; ``levi_report`` looks it up through this name.
+_hermitian_signature = hermitian_inertia
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +281,8 @@ def levi_report(
 
     Characteristic covectors are parametrized by anti-Hermitian matrices
     trace-orthogonal to the subalgebra plus its conjugate; every sampled
-    signature is exact (Descartes' rule on the characteristic polynomial).
+    signature is exact (Sylvester's law of inertia, read from an exact
+    congruence).
     Raises when the subalgebra plus its conjugate already fills the ambient
     algebra.
     """

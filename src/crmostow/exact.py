@@ -68,14 +68,17 @@ from which the weight pieces of a Levi center are built.
 Forms and roots
 ---------------
 :func:`trace_pairing` is the one place the trace form is computed, and
-:func:`killing_form` certifies radicals.  :func:`rational_roots` finds the
-roots in Q(i) by Hensel lifting modulo an inert prime.
+:func:`killing_form` certifies radicals.  :func:`hermitian_inertia` reads
+the signature of a Hermitian form from an exact congruence (Sylvester's
+law of inertia).  :func:`rational_roots` finds the roots in Q(i) by Hensel
+lifting modulo an inert prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain, product
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -89,6 +92,7 @@ __all__ = [
     "trace_pairing",
     "combine",
     "killing_form",
+    "hermitian_inertia",
     "trace_annihilator",
     "kernel_space",
     "kernel_projector",
@@ -109,6 +113,9 @@ class QI:
         _qi_im(self, im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):  # immutability
+        raise AttributeError("QI is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("QI is immutable")
 
     # -- arithmetic ---------------------------------------------------------
@@ -246,6 +253,9 @@ class ExactMatrix:
         _m_entries(self, None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("ExactMatrix is immutable")
 
     @staticmethod
@@ -869,6 +879,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Subspace is immutable")
+
     # -- constructors --------------------------------------------------------
     @staticmethod
     def span(mats: Iterable[ExactMatrix], side: int, real: bool = False) -> "Subspace":
@@ -951,6 +964,17 @@ class Subspace:
             raise ValueError("incompatible shapes")
         row = _commutator(x, y)
         return self._has(_real_coords(row) if self.real else row)
+
+    def contains_brackets(self, outer: Sequence[ExactMatrix], inner: Sequence[ExactMatrix]) -> bool:
+        """Whether ``[x, y]`` lies in the span for every ``x`` in ``outer``
+        or ``inner`` and ``y`` in ``inner``: each member of ``outer`` with
+        each of ``inner``, and each two members of ``inner`` once (the
+        bracket is antisymmetric).  Stops at the first commutator outside."""
+        pairs = chain(
+            product(outer, inner),
+            ((x, y) for i, x in enumerate(inner) for y in inner[i + 1:]),
+        )
+        return all(self.contains_bracket(x, y) for x, y in pairs)
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -1181,6 +1205,83 @@ def killing_form(space: Subspace, ideal: Subspace) -> ExactMatrix:
             if sre or sim:
                 terms[i * m + j] = terms[j * m + i] = (sre, sim)
     return ExactMatrix._make(m, m, den * den, terms)
+
+
+def hermitian_inertia(h: ExactMatrix) -> tuple[int, int]:
+    """The numbers ``(positives, negatives)`` of positive and of negative
+    eigenvalues of a Hermitian matrix.
+
+    By Sylvester's law of inertia a congruence ``P·h·P*``, for ``P``
+    invertible, keeps both numbers, and so does a positive scalar factor.
+    The elimination runs on the Gaussian-integer numerators (the positive
+    denominator changes no sign).  A nonzero diagonal entry ``d`` is real
+    and counts one eigenvalue of its sign; every other row ``j`` becomes
+    ``|d|·row_j − sgn(d)·h_ji·row_i`` without column ``i``: ``|d|`` times
+    the Schur complement, Hermitian again, scaled by the same positive
+    integer on rows and columns.  The block is then divided by the integer
+    content of its entries.  When every diagonal entry is zero and ``h_ij``
+    is not, ``e_i`` is first replaced by ``e_i + conj(h_ij)·e_j``, whose
+    diagonal entry is ``2·|h_ij|²``.  A zero row counts a zero eigenvalue.
+    """
+    if not h.is_square:
+        raise ValueError("incompatible shapes")
+    if h != h.star():
+        raise ValueError("not Hermitian")
+    rows = {i: row for i, row in enumerate(h._row_nums()) if row}
+    pos = neg = 0
+    while rows:
+        i = next((i for i, row in rows.items() if i in row), None)
+        if i is None:
+            i, row = next(iter(rows.items()))
+            j = min(row)
+            a, b = row[j]
+            rows[i] = new = _add_multiple(row, rows[j], (a, b))
+            new[i] = (2 * (a * a + b * b), 0)
+            for k in row.keys() | new.keys():
+                if k == i:
+                    continue
+                if k in new:
+                    x, y = new[k]
+                    rows[k][i] = (x, -y)
+                else:
+                    del rows[k][i]
+        prow = rows.pop(i)
+        d = prow.pop(i)[0]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        scale, sign = abs(d), 1 if d > 0 else -1
+        g = 0
+        for k in list(rows):
+            row = rows[k]
+            c = row.pop(i, None)
+            if scale != 1:
+                row = {col: (scale * x, scale * y) for col, (x, y) in row.items()}
+            if c is not None:
+                row = _add_multiple(row, prow, (-sign * c[0], -sign * c[1]))
+            if row:
+                rows[k] = row
+                g = _content(row.values(), g)
+            else:
+                del rows[k]
+        if g > 1:
+            rows = {k: _divide(row, g) for k, row in rows.items()}
+    return pos, neg
+
+
+def _add_multiple(row: SparseRow, other: SparseRow, c: tuple[int, int]) -> SparseRow:
+    """``row + c·other`` for a Gaussian integer ``c``, as a new row."""
+    cr, ci = c
+    out = dict(row)
+    for k, (x, y) in other.items():
+        a, b = out.get(k, (0, 0))
+        a, b = a + cr * x - ci * y, b + cr * y + ci * x
+        if a or b:
+            out[k] = (a, b)
+        else:
+            out.pop(k, None)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -341,10 +341,18 @@ def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
 
     Requires ``v`` inside the parabolic, the nilpotent radical of ``v``
     inside its nilradical, and the split-Levi decomposition through the
-    conjugation-stable part.
+    conjugation-stable part.  Memoized per parabolic on ``v``: the
+    envelopes, the fiber data and the strengthening ask it again.
     """
     if v.ambient is not p.ambient:
         raise ValueError("ambient mismatch")
+    memo = v._cache.setdefault("admissible", {})
+    if p not in memo:
+        memo[p] = _admissible(v, p)
+    return memo[p]
+
+
+def _admissible(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
     if not p.q.contains_space(v.space):
         return False
     if not p.nilradical.contains_space(v.nr):
@@ -449,7 +457,8 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
     current = start
     for _ in range(amb.dim + 1):
         table, positive, _ = _classified_weights(amb, current)
-        generated = _bracket_closure(v_nil.sum(current.levi))
+        # the envelope is a subalgebra containing the generators
+        generated = _bracket_closure(v_nil.sum(current.levi), ceiling=current.q.space)
         occurring = set()
         for wt in positive:
             piece = table[wt]
@@ -531,6 +540,13 @@ def largest_intermediate(v: Subalgebra) -> Subalgebra:
     summands, scanned largest first; the returned maximum must contain every
     bracket-closed candidate (dominance certificate) and the enlarged pair
     must remain n-reductive.
+
+    ``v`` is closed, so ``v + u`` is closed exactly when ``[v, u]`` and
+    ``[u, u]`` lie in it.  A summand ``S`` with ``[nr, S]`` outside
+    ``v + σ(nr)`` escapes every candidate, which lies inside ``v + σ(nr)``:
+    no candidate containing it is closed, and none is tested.  The first
+    closed candidate is the maximum; a later one outside it breaks the
+    dominance certificate, and one inside it needs no test.
     """
     cached = v._cache.get("largest_intermediate")
     if cached is not None:
@@ -540,24 +556,33 @@ def largest_intermediate(v: Subalgebra) -> Subalgebra:
     amb = v.ambient
     conj_nil = amb.conj_space(v.nr)
     summands = _module_summands(amb, v.levi_part, conj_nil)
-    closed: list[tuple[Subspace, Subalgebra]] = []
+    v_mats, nil_mats = v.basis(), v.nr.basis()
+    outer = v.space.sum(conj_nil)
+    escapes = {
+        i
+        for i, piece in enumerate(summands)
+        if not all(outer.contains_bracket(x, y) for x in nil_mats for y in piece.basis())
+    }
     subsets = []
     for size in range(len(summands), -1, -1):
         subsets.extend(combinations(range(len(summands)), size))
     subsets.sort(key=lambda c: (-sum(summands[i].dim for i in c), c))
+    best_u = None
     for combo in subsets:
+        if escapes.intersection(combo):
+            continue
         u = Subspace.zero(amb.n)
         for i in combo:
             u = u.sum(summands[i])
-        try:
-            cand = subalgebra_from_space(amb, v.space.sum(u))
-        except ClosureError:
+        if best_u is not None and best_u.contains_space(u):
             continue
-        closed.append((u, cand))
-    best_u, best = closed[0]
-    for u, _ in closed[1:]:
-        if not best_u.contains_space(u):
+        space = v.space.sum(u)
+        if not space.contains_brackets(v_mats, u.basis()):
+            continue
+        if best_u is not None:
             raise ArithmeticError("maximality certificate failed")
+        best_u = u
+        best = subalgebra_from_space(amb, space, verified=True)
     if not best.n_reductive_verdict.ok:
         raise ArithmeticError("largest intermediate subalgebra is not n-reductive")
     v._cache["largest_intermediate"] = best

@@ -121,7 +121,9 @@ class Subalgebra:
         """The σ-image (entrywise −X* on a basis)."""
         if "conj" not in self._cache:
             image = self.ambient.conj_space(self.space)
-            self._cache["conj"] = subalgebra_from_space(self.ambient, image)
+            # σ is an automorphism: σ[x, y] = [σx, σy], so the image of a
+            # subalgebra is closed
+            self._cache["conj"] = subalgebra_from_space(self.ambient, image, verified=True)
         return self._cache["conj"]  # type: ignore[return-value]
 
     @property
@@ -129,7 +131,8 @@ class Subalgebra:
         """L(v) = v ∩ σ(v): reductive, σ-stable, bracket-closed."""
         if "levi_part" not in self._cache:
             inter = self.space.intersect(self.conj.space)
-            self._cache["levi_part"] = subalgebra_from_space(self.ambient, inter)
+            # an intersection of subalgebras is closed
+            self._cache["levi_part"] = subalgebra_from_space(self.ambient, inter, verified=True)
         return self._cache["levi_part"]  # type: ignore[return-value]
 
     @property
@@ -165,9 +168,7 @@ class Subalgebra:
 
     # -- internals ----------------------------------------------------------------
     def _verify_radical(self, rad: Subspace) -> None:
-        if rad.dim and not rad.contains_space(
-            bracket_space(self.space, rad)
-        ):
+        if not _is_ideal(self.space, rad):
             raise ArithmeticError("radical verification failed: not an ideal")
         # solvability of the candidate
         cur = rad
@@ -193,21 +194,31 @@ class Subalgebra:
         rad is solvable, so A is triangular in some flag over C, and an
         element of rad is nilpotent exactly when it lies in J(A), whatever
         the weights; irrational weights are an error all the same.
+
+        Every weight of rad on Cⁿ is linear and vanishes on the nilpotent
+        elements, so the weights take values in Q(i) on all of rad once they
+        do on a complement of nr: the canonical basis vectors of rad at the
+        pivots that nr lacks.  Only those have their eigenvalues checked,
+        before the post-verification, so that an irrational input raises
+        :class:`IrrationalWeightsError` first.
         """
         rad = self.radical
         if rad.dim == 0:
             return self.ambient.zero_space()
         mats = rad.basis()
-        for x in mats:
+        out = trace_annihilator(mats, _unital_closure(rad).basis(), self.ambient.n)
+        nil_pivots = set(out.pivots)
+        for x, p in zip(mats, rad.pivots):
+            if p in nil_pivots:
+                continue
             roots, poly = _eigenvalues(self.ambient, x)
             if len(roots) < len(squarefree_part(poly)) - 1:
                 raise IrrationalWeightsError("irrational weights")
-        out = trace_annihilator(mats, _unital_closure(rad).basis(), self.ambient.n)
         # post-verification: nilpotent basis, ideal, contains rad ∩ derived
         for x in out.basis():
             if not x.is_nilpotent():
                 raise ArithmeticError("trace criterion produced a non-nilpotent")
-        if out.dim and not out.contains_space(bracket_space(self.space, out)):
+        if not _is_ideal(self.space, out):
             raise ArithmeticError("nilpotent radical is not an ideal")
         radn = rad.intersect(self.derived)
         if not out.contains_space(radn):
@@ -216,6 +227,17 @@ class Subalgebra:
 
 
 _INTERN_TOKEN = object()
+
+
+def _is_ideal(space: Subspace, ideal: Subspace) -> bool:
+    """Whether ``[space, ideal] ⊆ ideal`` for a subspace ``ideal`` of
+    ``space``, one commutator at a time, stopping at the first outside.
+
+    ``space`` is ``ideal`` plus the canonical rows of ``space`` at the
+    pivots ``ideal`` lacks, so only those rows and ``ideal``'s basis are
+    bracketed with ``ideal``'s basis.
+    """
+    return ideal.contains_brackets(_new_rows(space, ideal), ideal.basis())
 
 
 def subalgebra_from_space(
@@ -263,14 +285,28 @@ def make_subalgebra(
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _bracket_closure(space: Subspace) -> Subspace:
-    """The smallest bracket-closed subspace containing ``space``: iterate
-    span <- span + [span, span] to a fixed point."""
-    while True:
-        nxt = space.sum(bracket_space(space, space))
-        if nxt == space:
-            return space
-        space = nxt
+def _bracket_closure(space: Subspace, ceiling: Subspace | None = None) -> Subspace:
+    """The smallest bracket-closed subspace containing ``space``.
+
+    Each round brackets the span only with the span of its canonical rows
+    new to it, those at pivots it did not have: the span is the old span
+    plus these, and the old span's own brackets were taken before.  A
+    ``ceiling`` is a bracket-closed subspace known to contain ``space``, so
+    the closure lies inside it; no round starts once the span equals it.
+    """
+    acc = frontier = space
+    while frontier.dim and acc != ceiling:
+        grown = acc.sum(bracket_space(acc, frontier))
+        frontier = Subspace.span(_new_rows(grown, acc), space.side)
+        acc = grown
+    return acc
+
+
+def _new_rows(grown: Subspace, old: Subspace) -> list[ExactMatrix]:
+    """The canonical rows of ``grown`` at the pivots that the subspace
+    ``old`` inside it lacks; with ``old`` they span ``grown``."""
+    pivots = set(old.pivots)
+    return [m for m, p in zip(grown.basis(), grown.pivots) if p not in pivots]
 
 
 def _unital_closure(rad: Subspace) -> Subspace:
@@ -283,8 +319,7 @@ def _unital_closure(rad: Subspace) -> Subspace:
     frontier = mats
     while frontier:
         grown = alg.sum(Subspace.span([x @ y for x in mats for y in frontier], n))
-        old = set(alg.pivots)
-        frontier = [m for m, p in zip(grown.basis(), grown.pivots) if p not in old]
+        frontier = _new_rows(grown, alg)
         alg = grown
     return alg
 

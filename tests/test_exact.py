@@ -14,6 +14,7 @@ from crmostow.exact import (
     bracket_space,
     charpoly,
     combine,
+    hermitian_inertia,
     kernel_projector,
     kernel_space,
     killing_form,
@@ -126,12 +127,14 @@ def test_matrices_and_subspaces_are_immutable():
     s = Subspace.span([m, _E(2, 0, 1)], 2)
     s.basis()
     hash(s)
-    for obj in (m, s):
+    for obj in (m, s, QI(Fraction(1, 2), 3)):
         slots = type(obj).__slots__
         before = {name: getattr(obj, name) for name in slots}
         for name in (*slots, "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
         assert {name: getattr(obj, name) for name in slots} == before
 
 
@@ -251,6 +254,32 @@ def test_row_readers_match_the_bracket_matrices(data):
                 assert space.contains_bracket(x, y) == space.contains_mat(bracket(x, y))
     for space in (closed, closed.realify()):
         assert all(space.contains_bracket(x, y) for x in mats for y in others)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contains_brackets_is_containment_of_the_bracket_span(data):
+    n = data.draw(st.integers(1, 3))
+    outer = data.draw(st.lists(_gaussian_matrices(n), max_size=3))
+    inner = data.draw(st.lists(_gaussian_matrices(n), max_size=3))
+    left, right = Subspace.span(outer + inner, n), Subspace.span(inner, n)
+    spanned = bracket_space(left, right)
+    extra = Subspace.span(data.draw(st.lists(_gaussian_matrices(n), max_size=2)), n)
+    without_inner = bracket_space(Subspace.span(outer, n), right)
+    for target in (spanned, extra, spanned.sum(extra), without_inner, bracket_space(right, right)):
+        assert target.contains_brackets(outer, inner) == target.contains_space(spanned)
+
+
+def test_contains_brackets_takes_the_inner_pairs():
+    # b + span{f1, f2} in sl(3), b the upper Borel: [b, f1] and [b, f2]
+    # stay inside, [f1, f2] = -f3 does not
+    borel = [_E(3, 0, 1), _E(3, 1, 2), _E(3, 0, 2), ExactMatrix.diagonal([1, -1, 0]),
+             ExactMatrix.diagonal([0, 1, -1])]
+    lower = [_E(3, 1, 0), _E(3, 2, 1)]
+    space = Subspace.span(borel + lower, 3)
+    assert space.contains_brackets(borel, lower[:1]) and space.contains_brackets(borel, lower[1:])
+    assert not space.contains_brackets(borel, lower)
+    assert space.contains_brackets(borel + lower, [])
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +848,64 @@ def test_charpoly_cayley_hamilton():
         for c in p:
             acc = acc @ x + ExactMatrix.identity(x.rows).scale(c)
         assert acc.is_zero
+
+
+def _descartes_signature(h):
+    """``(positives, negatives)`` of a Hermitian matrix by Descartes' rule
+    of signs on its characteristic polynomial, exact as every root is real:
+    the sign changes of p(t) and of p(-t), zeros skipped."""
+    coeffs = [c.re for c in charpoly(h)]
+
+    def changes(values):
+        signs = [c > 0 for c in values if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(coeffs), changes([-c if k % 2 else c for k, c in enumerate(coeffs)])
+
+
+_GAUSSIAN = st.builds(QI, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _hermitian(draw):
+    """A Hermitian matrix of side 1-6 over a denominator 1-7: a general
+    one, one with a zero diagonal (hyperbolic blocks), or a rank-deficient
+    z·diag(d)·z* with some d zero."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["general", "zero diagonal", "z diag(d) z*"]))
+    if kind == "z diag(d) z*":
+        k = draw(st.integers(1, n))
+        z = ExactMatrix([[draw(_GAUSSIAN) for _ in range(k)] for _ in range(n)])
+        d = ExactMatrix.diagonal([draw(st.integers(-2, 2)) for _ in range(k)])
+        h = z @ d @ z.star()
+    else:
+        rows = [[QI(0)] * n for _ in range(n)]
+        for i in range(n):
+            if kind == "general":
+                rows[i][i] = QI(draw(st.integers(-3, 3)))
+            for j in range(i + 1, n):
+                rows[i][j] = draw(_GAUSSIAN)
+                rows[j][i] = rows[i][j].conj()
+        h = ExactMatrix(rows)
+    return h.scale(QI(Fraction(1, draw(st.integers(1, 7)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hermitian())
+def test_hermitian_inertia_matches_descartes(h):
+    assert h == h.star()
+    assert hermitian_inertia(h) == _descartes_signature(h)
+
+
+def test_hermitian_inertia_of_hyperbolic_blocks_and_the_empty_matrix():
+    assert hermitian_inertia(ExactMatrix.zeros(0)) == (0, 0)
+    assert hermitian_inertia(ExactMatrix.zeros(3)) == (0, 0)
+    hyperbolic = ExactMatrix([[0, QI(1, -2), 0, 0], [QI(1, 2), 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]])
+    assert hermitian_inertia(hyperbolic) == _descartes_signature(hyperbolic) == (2, 2)
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        hermitian_inertia(ExactMatrix([[1, 0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_inertia(ExactMatrix([[1, 1], [0, 1]]))
 
 
 def _poly_times(p, q):

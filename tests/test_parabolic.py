@@ -584,6 +584,76 @@ def test_largest_intermediate_of_borel_is_whole(sl2, borel2):
     assert w.dim == 3
 
 
+def _full_scan(v):
+    """The largest intermediate subalgebra by the full scan: every sum of
+    summands, largest first, each tested by bracketing every pair of its
+    basis; the first closed one must contain every other closed one."""
+    amb = v.ambient
+    summands = parabolic._module_summands(amb, v.levi_part, amb.conj_space(v.nr))
+    subsets = [
+        combo
+        for size in range(len(summands), -1, -1)
+        for combo in itertools.combinations(range(len(summands)), size)
+    ]
+    subsets.sort(key=lambda c: (-sum(summands[i].dim for i in c), c))
+    closed = []
+    for combo in subsets:
+        u = Subspace.zero(amb.n)
+        for i in combo:
+            u = u.sum(summands[i])
+        space = v.space.sum(u)
+        mats = space.basis()
+        if all(space.contains_bracket(x, y) for i, x in enumerate(mats) for y in mats[i + 1:]):
+            closed.append((u, space))
+    best_u, best = closed[0]
+    assert all(best_u.contains_space(u) for u, _ in closed[1:])
+    return best
+
+
+@pytest.mark.parametrize("cayley", [False, True], ids=["catalog", "cayley"])
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_largest_intermediate_matches_the_full_scan(index, cayley):
+    # the fixed entries and the grid up to sl(5), and Cayley-conjugated copies
+    name, params = SPECS[index]
+    entry = catalog.build(name, params)
+    v = entry.subalgebra
+    if cayley:
+        values = itertools.cycle([Fraction(k, d) for k, d in ((1, 2), (-1, 3), (2, 3), (1, 1), (-2, 3))])
+        g = _cayley_transform(entry.ambient.blocks, lambda: next(values))
+        v = make_subalgebra(AmbientAlgebra(entry.ambient.blocks), [g @ b @ g.star() for b in v.basis()])
+    if not v.n_reductive_verdict.ok:
+        with pytest.raises(ValueError, match="not n-reductive"):
+            largest_intermediate(v)
+        return
+    assert largest_intermediate(v).space == _full_scan(v)
+
+
+def test_largest_intermediate_certificate_rejects_two_maxima(monkeypatch):
+    amb = AmbientAlgebra((3,))
+    borel = make_subalgebra(
+        amb, [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 1, 2), _E(3, 0, 2)]
+    )
+    # b + f1 and b + f2 are closed and neither holds the other; their sum
+    # misses [f1, f2] = -f3
+    pieces = [Subspace.span([_E(3, 1, 0)], 3), Subspace.span([_E(3, 2, 1)], 3)]
+    monkeypatch.setattr(parabolic, "_module_summands", lambda *args: pieces)
+    with pytest.raises(ArithmeticError, match="maximality certificate failed"):
+        largest_intermediate(borel)
+
+
+def test_admissibility_is_memoized_per_parabolic(monkeypatch, flag13):
+    v = make_subalgebra(AmbientAlgebra(flag13.ambient.blocks), flag13.basis())
+    p = minimal_envelope(v)  # asks once already
+    _, whole = is_parabolic(subalgebra_from_space(v.ambient, v.ambient.space))
+    checked = []
+    real = parabolic._admissible
+    monkeypatch.setattr(parabolic, "_admissible", lambda w, q: checked.append(q) or real(w, q))
+    for _ in range(2):
+        assert is_admissible_envelope(v, p)
+        assert not is_admissible_envelope(v, whole)
+    assert checked == [whole]
+
+
 # ---------------------------------------------------------------------------
 # horocyclic verdicts
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crmostow import structure
-from crmostow.ambient import block_special_linear, special_linear
+from crmostow import catalog, structure
+from crmostow.ambient import AmbientAlgebra, block_special_linear, special_linear
 from crmostow.errors import ClosureError, IrrationalWeightsError
 from crmostow.exact import (
     QI,
@@ -16,6 +17,7 @@ from crmostow.exact import (
     bracket,
     bracket_kernel,
     bracket_space,
+    charpoly,
 )
 from crmostow.structure import (
     jordan_flags,
@@ -229,6 +231,40 @@ def test_nr_irrational_weights():
     v = make_subalgebra(a, [_E(3, 0, 1) + _E(3, 1, 0).scale(2), _E(3, 0, 2), _E(3, 1, 2)])
     with pytest.raises(IrrationalWeightsError):
         v.nr
+
+
+def test_nr_irrational_weights_off_the_canonical_basis():
+    # the same subalgebra conjugated by g: no canonical basis vector of rad
+    # is a multiple of the irrational direction g·x·g⁻¹ any more
+    a = special_linear(3)
+    x = _E(3, 0, 1) + _E(3, 1, 0).scale(2)
+    g = ExactMatrix([[1, 0, 0], [1, 1, 0], [2, 1, 1]])
+    g_inv = g.inverse()
+    v = make_subalgebra(a, [g @ m @ g_inv for m in (x, _E(3, 0, 2), _E(3, 1, 2))])
+    moved = Subspace.span([g @ x @ g_inv], 3)
+    assert all(Subspace.span([b], 3) != moved for b in v.radical.basis())
+    with pytest.raises(IrrationalWeightsError):
+        v.nr
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("su23_f13", None),
+        ("su23_f12", None),
+        ("upper_triangular_horocycle", None),
+        ("grassmann_pair", {"p": 2, "q": 3, "n": 4, "k": 1}),
+    ],
+)
+def test_nr_checks_the_weights_on_a_complement_only(monkeypatch, name, params):
+    # a fresh ambient, so that no memoized eigenvalue hides a charpoly
+    entry = catalog.build(name, params)
+    v = make_subalgebra(AmbientAlgebra(entry.ambient.blocks), entry.subalgebra.basis())
+    rad, expected = v.radical, entry.subalgebra.nr
+    polys = []
+    monkeypatch.setattr(structure, "charpoly", lambda x: polys.append(x) or charpoly(x))
+    assert v.nr == expected
+    assert len(polys) == rad.dim - expected.dim
 
 
 def test_nr_brute_force_cross_check():
@@ -542,3 +578,71 @@ def test_splittability():
     # span is splittable after all
     u = make_subalgebra(a, [_diag(1, -1) + _E(2, 0, 1)])
     assert u.is_splittable
+
+
+# ---------------------------------------------------------------------------
+# closures and ideal certificates against their naive forms
+# ---------------------------------------------------------------------------
+
+
+def _naive_closure(space):
+    """span <- span + [span, span] to a fixed point."""
+    while True:
+        nxt = space.sum(bracket_space(space, space))
+        if nxt == space:
+            return space
+        space = nxt
+
+
+@st.composite
+def _traceless_generators(draw):
+    """One to three sparse integer matrices in sl(3) or sl(4)."""
+    n = draw(st.sampled_from((3, 4)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = [[draw(st.sampled_from((0, 0, 0, 1, -1, 2))) for _ in range(n)] for _ in range(n)]
+        entries[n - 1][n - 1] -= sum(entries[i][i] for i in range(n))
+        gens.append(ExactMatrix(entries))
+    return n, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(_traceless_generators(), st.data())
+def test_bracket_closure_and_ideal_test_match_their_naive_forms(case, data):
+    n, gens = case
+    a = special_linear(n)
+    space = Subspace.span(gens, n)
+    closure = _naive_closure(space)
+    assert structure._bracket_closure(space) == closure
+    assert structure._bracket_closure(space, ceiling=closure) == closure
+    assert structure._bracket_closure(space, ceiling=a.space) == closure
+    basis = closure.basis()
+    picked = data.draw(st.lists(st.sampled_from(basis), max_size=len(basis))) if basis else []
+    for ideal in (Subspace.span(picked, n), bracket_space(closure, closure)):
+        expected = ideal.contains_space(bracket_space(closure, ideal))
+        assert structure._is_ideal(closure, ideal) == expected
+
+
+@pytest.mark.parametrize(
+    "n, signs, dim",
+    [(5, (1,), 10), (4, (1, -1), 15)],
+    ids=["positive simple roots of sl(5)", "simple roots of sl(4)"],
+)
+def test_bracket_closure_of_simple_root_vectors(n, signs, dim):
+    # closures that take several rounds, each adding more than one direction
+    gens = [_E(n, i, i + 1) if sign > 0 else _E(n, i + 1, i) for sign in signs for i in range(n - 1)]
+    space = Subspace.span(gens, n)
+    closure = _naive_closure(space)
+    assert closure.dim == dim
+    assert structure._bracket_closure(space) == closure
+    assert structure._bracket_closure(space, ceiling=closure) == closure
+
+
+def test_ideal_test_needs_both_kinds_of_pairs():
+    sl2 = special_linear(2).space
+    # [h, e] and [h, f] stay in span{e, f}, but [e, f] = h does not
+    assert not structure._is_ideal(sl2, Subspace.span([_E(2, 0, 1), _E(2, 1, 0)], 2))
+    # [e, e] = 0, but [f, e] = -h leaves span{e}
+    assert not structure._is_ideal(sl2, Subspace.span([_E(2, 0, 1)], 2))
+    assert structure._is_ideal(sl2, sl2)
+    assert structure._is_ideal(sl2, Subspace.zero(2))
