@@ -226,12 +226,11 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
     # orthogonal under the conjugation-invariant product Re tr(X Y*)
     total = v.nr.sum(q.nilradical)
     comp = trace_annihilator(total.basis(), [y.star() for y in v.nr.basis()], amb.n)
-    if comp.sum(v.nr) != total or comp.intersect(v.nr).dim != 0:
+    # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
+    if comp.dim + v.nr.dim != total.dim or comp.sum(v.nr) != total:
         raise ArithmeticError("fiber complement construction failed")
-    for x in v.compact_intersection.basis():
-        for m in comp.basis():
-            if not comp.contains_bracket(x, m):
-                raise ArithmeticError("fiber complement is not invariant")
+    if comp.bracket_outside(v.compact_intersection.basis(), comp.basis()) is not None:
+        raise ArithmeticError("fiber complement is not invariant")
     return FiberData(f0, comp, q)
 
 

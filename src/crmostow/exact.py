@@ -20,11 +20,23 @@ Matrices, coordinate vectors and echelon rows are sparse: dicts from an
 index (row-major for matrices) to the Gaussian-integer ``(re, im)`` pair of
 each nonzero entry, over one shared positive denominator.  Products,
 commutators, combinations, elimination and reduction touch only those
-entries.  A commutator is one pass over the terms of its first factor, with
-the second factor's terms indexed by row and by column; where only its
-coordinates are wanted (commutator spans, closure and membership checks,
-centralizer and normalizer constraints, Killing-form residues) they are
-read as a numerator row, zero ones are dropped, and no matrix is built.
+entries.
+
+Commutators, products and traces ``tr(x·y)`` each have one batch kernel
+over two lists of matrices (:func:`products` and :func:`trace_pairing` are
+public); a single ``bracket`` or ``@`` is the kernel on one pair.  The
+pruning rule: ``x·y`` is nonzero only where a column index of ``x`` is a
+row index of ``y`` (Gustavson, ACM TOMS 4, 1978), ``[x, y]`` only where
+that holds for ``x·y`` or for ``y·x``, and ``tr(x·y)`` only where a
+position ``(i, j)`` of ``x`` is the transposed position ``(j, i)`` of
+``y``.  A kernel indexes the terms of its right factors once, by row, by
+column or by transposed position, with the bitmask of the factors holding
+each index; each left factor then meets only the right factors that share
+an index with it, and only nonzero results come out, in row-major order of
+the pairs.  Where only a commutator's coordinates are wanted (commutator
+spans, closure and membership checks, centralizer and normalizer
+constraints, Killing-form residues) they are read as a numerator row and no
+matrix is built; a membership scan stops at the first commutator outside.
 The echelon maps each pivot column to its row, and reducing a row visits
 only the pivots that occur in it, in increasing column order; stored pivot
 rows are primitive over Z[i], so entries stay as small as their lines
@@ -67,7 +79,8 @@ from which the weight pieces of a Levi center are built.
 
 Forms and roots
 ---------------
-:func:`trace_pairing` is the one place the trace form is computed, and
+:func:`trace_pairing` is the one place the trace form is computed (sparse,
+over one common denominator), and
 :func:`killing_form` certifies radicals.  :func:`hermitian_inertia` reads
 the signature of a Hermitian form from an exact congruence (Sylvester's
 law of inertia).  :func:`rational_roots` finds the roots in Q(i) by Hensel
@@ -78,8 +91,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, product
+from itertools import groupby
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -89,6 +103,7 @@ __all__ = [
     "bracket",
     "bracket_space",
     "bracket_kernel",
+    "products",
     "trace_pairing",
     "combine",
     "killing_form",
@@ -318,11 +333,8 @@ class ExactMatrix:
         return ExactMatrix._make(self.rows, self.cols, self._den * cden, terms)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes")
-        return ExactMatrix._make(
-            self.rows, other.cols, self._den * other._den, _product(self, other)
-        )
+        nonzero = products([self], [other])
+        return nonzero[0][2] if nonzero else ExactMatrix.zeros(self.rows, other.cols)
 
     def _transposed(self, conj: bool) -> "ExactMatrix":
         r, c = self.rows, self.cols
@@ -390,9 +402,15 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_nilpotent(self) -> bool:
+        """Whether ``x^n = 0`` for ``n`` the side.  ``x^e = 0`` for some
+        ``e >= n`` exactly when ``x^n = 0``, so squaring stops at the first
+        zero power or once the exponent reaches ``n``."""
         if not self.is_square:
             raise ValueError("incompatible shapes")
-        return self.power(self.rows).is_zero
+        power, exponent = self, 1
+        while exponent < self.rows and not power.is_zero:
+            power, exponent = power @ power, 2 * exponent
+        return power.is_zero
 
     def __eq__(self, other) -> bool:
         return (
@@ -481,21 +499,67 @@ def _lincomb(mats: Sequence[ExactMatrix], cden: int, coeffs: SparseRow) -> Exact
     return ExactMatrix._make(rows, cols, den * cden, _nonzero_terms(acc))
 
 
-def _product(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
-    """The nonzero numerators of ``x @ y`` over ``x._den * y._den``: with
-    the terms of ``y`` indexed by row, each ``x[i, k]`` meets the row ``k``
-    of ``y``."""
-    inner, cols = x.cols, y.cols
-    by_row: dict[int, list] = {}
-    for key, (c, d) in y._terms.items():
-        k, l = divmod(key, cols)
-        by_row.setdefault(k, []).append((l, c, d))
+# ---------------------------------------------------------------------------
+# Batch bilinear kernels (the pruning rule is in the module docstring; a
+# skipped pair has an exactly zero result)
+# ---------------------------------------------------------------------------
+
+
+def _side(mats: Iterable[ExactMatrix], side: int | None = None) -> int | None:
+    """The common side of square matrices (``side`` when given, else that of
+    the first one, ``None`` for none); raises on any other shape."""
+    for m in mats:
+        if side is None:
+            side = m.rows
+        if m.rows != side or m.cols != side:
+            raise ValueError("incompatible shapes")
+    return side
+
+
+def _index_terms(ys: Sequence[ExactMatrix], cols: int, by_col: bool):
+    """Each of ``ys``' terms by row, ``{r: [(l, re, im)]}``, and, with
+    ``by_col``, by column, ``{l: [(r * cols, re, im)]}``; with, for each row
+    and each column, the bitmask of the ``ys`` holding a term there."""
+    index, row_masks, col_masks = [], {}, {}
+    for j, y in enumerate(ys):
+        bit = 1 << j
+        rows: dict[int, list] = {}
+        columns: dict[int, list] = {}
+        for key, (c, d) in y._terms.items():
+            r, l = divmod(key, cols)
+            if r in rows:
+                rows[r].append((l, c, d))
+            else:
+                rows[r] = [(l, c, d)]
+                row_masks[r] = row_masks.get(r, 0) | bit
+            if not by_col:
+                continue
+            if l in columns:
+                columns[l].append((key - l, c, d))
+            else:
+                columns[l] = [(key - l, c, d)]
+                col_masks[l] = col_masks.get(l, 0) | bit
+        index.append((rows, columns))
+    return index, row_masks, col_masks
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _multiply(xterms: SparseRow, inner: int, rows: dict, cols: int) -> SparseRow:
+    """The nonzero numerators of ``x @ y`` from the terms of ``x`` and those
+    of ``y`` by row: ``x[i, k]`` meets row ``k`` of ``y``."""
     acc: dict[int, list] = {}
     get = acc.get
-    for key, (a, b) in x._terms.items():
+    for key, (a, b) in xterms.items():
         i, k = divmod(key, inner)
         base = i * cols
-        for l, c, d in by_row.get(k, ()):
+        for l, c, d in rows.get(k, ()):
             re, im = a * c - b * d, a * d + b * c
             v = get(base + l)
             if v is None:
@@ -506,28 +570,43 @@ def _product(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
     return _nonzero_terms(acc)
 
 
-def _commutator(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
-    """The nonzero numerators of ``x @ y - y @ x`` over ``x._den * y._den``.
+def products(xs: Sequence[ExactMatrix], ys: Sequence[ExactMatrix]) -> list[tuple[int, int, ExactMatrix]]:
+    """``(i, j, xs[i] @ ys[j])`` for every nonzero product, in row-major
+    order; ``xs[i]`` meets only the ``ys`` with a row at one of its
+    columns."""
+    out = []
+    if not (xs and ys):
+        return out
+    inner, cols = xs[0].cols, ys[0].cols
+    for x in xs:
+        if x.cols != inner:
+            raise ValueError("incompatible shapes")
+    for y in ys:
+        if y.rows != inner or y.cols != cols:
+            raise ValueError("incompatible shapes")
+    index, row_masks, _ = _index_terms(ys, cols, False)
+    for i, x in enumerate(xs):
+        terms = x._terms
+        mask = 0
+        for key in terms:
+            mask |= row_masks.get(key % inner, 0)
+        for j in _bits(mask):
+            product = _multiply(terms, inner, index[j][0], cols)
+            if product:
+                out.append((i, j, ExactMatrix._make(x.rows, cols, x._den * ys[j]._den, product)))
+    return out
 
-    One pass over the terms of ``x``, with those of ``y`` indexed by row and
-    by column: ``x[i, k]`` meets ``y[k, l]`` in ``(x y)[i, l]`` and
-    ``y[r, i]`` in ``(y x)[r, k]``.
-    """
-    n = x.rows
-    if not (x.cols == y.rows == y.cols == n):
-        raise ValueError("incompatible shapes")
-    by_row: dict[int, list] = {}
-    by_col: dict[int, list] = {}
-    for key, (c, d) in y._terms.items():
-        r, l = divmod(key, n)
-        by_row.setdefault(r, []).append((l, c, d))
-        by_col.setdefault(l, []).append((key - l, c, d))
+
+def _commute(xterms: SparseRow, rows: dict, columns: dict, n: int) -> SparseRow:
+    """The nonzero numerators of ``x @ y - y @ x`` from the terms of ``x``
+    and those of ``y`` by row and by column: ``x[i, k]`` meets ``y[k, l]``
+    in ``(x y)[i, l]`` and ``y[r, i]`` in ``(y x)[r, k]``."""
     acc: dict[int, list] = {}
     get = acc.get
-    for key, (a, b) in x._terms.items():
+    for key, (a, b) in xterms.items():
         i, k = divmod(key, n)
         base = i * n
-        for l, c, d in by_row.get(k, ()):
+        for l, c, d in rows.get(k, ()):
             re, im = a * c - b * d, a * d + b * c
             v = get(base + l)
             if v is None:
@@ -535,7 +614,7 @@ def _commutator(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
             else:
                 v[0] += re
                 v[1] += im
-        for rn, c, d in by_col.get(i, ()):
+        for rn, c, d in columns.get(i, ()):
             re, im = a * c - b * d, a * d + b * c
             v = get(rn + k)
             if v is None:
@@ -546,36 +625,81 @@ def _commutator(x: ExactMatrix, y: ExactMatrix) -> SparseRow:
     return _nonzero_terms(acc)
 
 
+def _bracket_pairs(xs: Sequence[ExactMatrix], ys: Sequence[ExactMatrix] | None = None,
+                   side: int | None = None):
+    """Yield ``(i, j, numerators)`` for every nonzero ``[xs[i], ys[j]]``, over
+    ``xs[i]._den * ys[j]._den``; with ``ys`` omitted, for the pairs
+    ``i < j`` of ``xs`` (the bracket is antisymmetric).
+
+    ``xs[i]`` meets only the ``ys`` with a row at one of its columns (for
+    ``x·y``) or a column at one of its rows (for ``y·x``).  All matrices
+    must be square of one side, ``side`` when it is given.
+    """
+    upper = ys is None
+    if upper:
+        ys = xs
+    n = _side(ys, _side(xs, side))
+    index, row_masks, col_masks = _index_terms(ys, n, True)
+    for i, x in enumerate(xs):
+        terms = x._terms
+        mask = 0
+        for key in terms:
+            r, k = divmod(key, n)
+            mask |= row_masks.get(k, 0) | col_masks.get(r, 0)
+        if upper:
+            mask &= -2 << i  # j > i
+        for j in _bits(mask):
+            out = _commute(terms, *index[j], n)
+            if out:
+                yield i, j, out
+
+
 def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     """The commutator ``x @ y - y @ x`` (exact, over the nonzero entries)."""
-    return ExactMatrix._make(x.rows, x.rows, x._den * y._den, _commutator(x, y))
-
-
-def _trace_form(x: ExactMatrix, y: ExactMatrix) -> tuple[int, tuple[int, int]]:
-    """``tr(x @ y)`` as ``(den, (re, im))`` numerators over ``den``."""
-    n, yt = x.cols, y._terms
-    sre = sim = 0
-    for k, (a, b) in x._terms.items():
-        i, j = divmod(k, n)
-        v = yt.get(j * n + i)
-        if v is not None:
-            c, d = v
-            sre += a * c - b * d
-            sim += a * d + b * c
-    return x._den * y._den, (sre, sim)
+    for _, _, terms in _bracket_pairs([x], [y]):
+        break
+    else:
+        terms = {}
+    return ExactMatrix._make(x.rows, x.rows, x._den * y._den, terms)
 
 
 def trace_pairing(xs: Sequence[ExactMatrix], ys: Sequence[ExactMatrix]) -> ExactMatrix:
     """The ``len(xs) x len(ys)`` matrix of traces ``tr(xs[i] @ ys[j])``,
-    each summed over the entries the two factors share, without forming the
-    products."""
-    mats = (*xs, *ys)
-    n = mats[0].rows if mats else 0
-    if any(m.rows != n or m.cols != n for m in mats):
-        raise ValueError("incompatible shapes")
-    return ExactMatrix._make(
-        len(xs), len(ys), *_common_row([_trace_form(x, y) for x in xs for y in ys])
-    )
+    without forming the products.
+
+    The terms of the ``ys`` are indexed once by transposed position, so each
+    term of an ``x`` meets only the ``y`` terms that it pairs with; the
+    traces are summed over the common denominator ``lcm(x dens)·lcm(y
+    dens)``, and only the nonzero ones are kept.
+    """
+    n = _side(ys, _side(xs))
+    at: dict[int, list] = {}
+    for j, y in enumerate(ys):
+        for key, (c, d) in y._terms.items():
+            r, l = divmod(key, n)
+            at.setdefault(l * n + r, []).append((j, c, d))
+    xden, yden = lcm(*(x._den for x in xs)), lcm(*(y._den for y in ys))
+    yscale = [yden // y._den for y in ys]
+    width = len(ys)
+    terms = {}
+    for i, x in enumerate(xs):
+        acc: dict[int, list] = {}
+        get = acc.get
+        for key, (a, b) in x._terms.items():
+            for j, c, d in at.get(key, ()):
+                re, im = a * c - b * d, a * d + b * c
+                v = get(j)
+                if v is None:
+                    acc[j] = [re, im]
+                else:
+                    v[0] += re
+                    v[1] += im
+        xscale, base = xden // x._den, i * width
+        for j, (re, im) in acc.items():
+            if re or im:
+                f = xscale * yscale[j]
+                terms[base + j] = (re * f, im * f)
+    return ExactMatrix._make(len(xs), width, xden * yden, terms)
 
 
 def combine(mats: Sequence[ExactMatrix], coeffs: ExactMatrix) -> list[ExactMatrix]:
@@ -798,16 +922,6 @@ def _common_den(parts) -> tuple[int, list[SparseRow]]:
     ]
 
 
-def _common_row(values) -> tuple[int, SparseRow]:
-    """The scalars ``(den, (re, im))`` as one row over a common denominator."""
-    den = lcm(*(d for d, _ in values))
-    return den, {
-        k: (a * (den // d), b * (den // d))
-        for k, (d, (a, b)) in enumerate(values)
-        if a or b
-    }
-
-
 def _columns_to_rows(cols) -> list[SparseRow]:
     """Rows of the matrix with the given ``(den, vector)`` columns, over one
     denominator (dropped); all-zero rows are left out.  A sparse transpose."""
@@ -957,24 +1071,29 @@ class Subspace:
     def contains_mat(self, mat: ExactMatrix) -> bool:
         return self._has(self._coords_of(mat))
 
+    def bracket_outside(self, xs: Sequence[ExactMatrix],
+                        ys: Sequence[ExactMatrix] | None = None) -> tuple[ExactMatrix, ExactMatrix] | None:
+        """The first pair ``(x, y)``, in row-major order, whose commutator
+        lies outside the span, or ``None``: ``x`` from ``xs`` and ``y`` from
+        ``ys``, or, with ``ys`` omitted, ``x`` before ``y`` in ``xs``.  Each
+        commutator is read as its coordinate row, without forming the
+        matrix, and the scan stops at the first one outside."""
+        real = self.real
+        for i, j, row in _bracket_pairs(xs, ys, self.side):
+            if not self._has(_real_coords(row) if real else row):
+                return xs[i], (xs if ys is None else ys)[j]
+        return None
+
     def contains_bracket(self, x: ExactMatrix, y: ExactMatrix) -> bool:
-        """Whether ``[x, y]`` lies in the span, read from its coordinate row
-        without forming the matrix."""
-        if x.rows != self.side:
-            raise ValueError("incompatible shapes")
-        row = _commutator(x, y)
-        return self._has(_real_coords(row) if self.real else row)
+        """Whether ``[x, y]`` lies in the span."""
+        return self.bracket_outside([x], [y]) is None
 
     def contains_brackets(self, outer: Sequence[ExactMatrix], inner: Sequence[ExactMatrix]) -> bool:
         """Whether ``[x, y]`` lies in the span for every ``x`` in ``outer``
         or ``inner`` and ``y`` in ``inner``: each member of ``outer`` with
         each of ``inner``, and each two members of ``inner`` once (the
         bracket is antisymmetric).  Stops at the first commutator outside."""
-        pairs = chain(
-            product(outer, inner),
-            ((x, y) for i, x in enumerate(inner) for y in inner[i + 1:]),
-        )
-        return all(self.contains_bracket(x, y) for x, y in pairs)
+        return self.bracket_outside(outer, inner) is None and self.bracket_outside(inner) is None
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -1054,13 +1173,8 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
     if a.real or b.real:
         raise ValueError("ambient mismatch")
     a._check_compatible(b)
-    if a is b or a == b:
-        mats = a.basis()
-        pairs = ((x, y) for i, x in enumerate(mats) for y in mats[i + 1:])
-    else:
-        pairs = ((x, y) for x in a.basis() for y in b.basis())
-    rows = (_commutator(x, y) for x, y in pairs)
-    return Subspace._of(a.side, False, *_rref_num(row for row in rows if row))
+    pairs = _bracket_pairs(a.basis(), None if a is b or a == b else b.basis(), a.side)
+    return Subspace._of(a.side, False, *_rref_num(row for _, _, row in pairs))
 
 
 def bracket_kernel(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix], side: int,
@@ -1075,9 +1189,14 @@ def bracket_kernel(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix], s
     if modulo is not None and modulo.side != side:
         raise ValueError("incompatible shapes")
     column = modulo._residue if modulo is not None else lambda den, terms: (den, terms)
+    others = list(others)
     rows = []
-    for y in others:
-        rows += _columns_to_rows([column(x._den * y._den, _commutator(x, y)) for x in mats])
+    # [y, x] = -[x, y]: one sign on all of a map's rows keeps its kernel
+    for j, pairs in groupby(_bracket_pairs(others, mats, side), itemgetter(0)):
+        cols = [(1, {})] * len(mats)
+        for _, k, row in pairs:
+            cols[k] = column(others[j]._den * mats[k]._den, row)
+        rows += _columns_to_rows(cols)
     return _kernel_subspace(mats, rows, side, real)
 
 
@@ -1114,7 +1233,8 @@ def trace_annihilator(mats: Sequence[ExactMatrix], others: Iterable[ExactMatrix]
     the imaginary part of each trace to vanish, and returns a real-linear
     subspace.
     """
-    rows = trace_pairing(mats, list(others)).transpose()._row_nums()
+    # tr(x·y) = tr(y·x): the row of each y is its pairing with the mats
+    rows = trace_pairing(list(others), mats)._row_nums()
     return _kernel_subspace(mats, rows, side, real)
 
 
@@ -1175,14 +1295,11 @@ def killing_form(space: Subspace, ideal: Subspace) -> ExactMatrix:
     m = len(kept)
     # [y, x] = −[x, y] and the residue is linear: bracket each pair once;
     # a zero commutator adds nothing
+    mats = [x for x, _ in kept]
     residues = {}
-    for i, (x, _) in enumerate(kept):
-        for j in range(i + 1, m):
-            y = kept[j][0]
-            row = _commutator(x, y)
-            if row:
-                d, num = residues[i, j] = ideal._residue(x._den * y._den, row)
-                residues[j, i] = (d, {p: (-a, -b) for p, (a, b) in num.items()})
+    for i, j, row in _bracket_pairs(mats, None, space.side):
+        d, num = residues[i, j] = ideal._residue(mats[i]._den * mats[j]._den, row)
+        residues[j, i] = (d, {p: (-a, -b) for p, (a, b) in num.items()})
     den = lcm(*(d for d, _ in residues.values()))
     # ad[i][(k, j)]: the coefficient of mats[k] in [mats[i], mats[j]] mod ideal
     ad = [{} for _ in range(m)]
@@ -1420,7 +1537,7 @@ def semisimple_part(x: ExactMatrix) -> ExactMatrix:
     step = x.rows + 1
     if all(k % step == 0 for k in x._terms):
         return x
-    if not _product(x, x):
+    if (x @ x).is_zero:
         return ExactMatrix.zeros(x.rows)
     return _newton_semisimple(x)
 

@@ -16,7 +16,15 @@ from itertools import combinations
 
 from .ambient import AmbientAlgebra
 from .errors import ClosureError
-from .exact import ExactMatrix, Subspace, bracket_kernel, bracket_space, kernel_projector, kernel_space
+from .exact import (
+    ExactMatrix,
+    Subspace,
+    bracket_kernel,
+    bracket_space,
+    kernel_projector,
+    kernel_space,
+    products,
+)
 from .structure import (
     Subalgebra,
     normalizer,
@@ -142,8 +150,10 @@ def _eigenprojectors(ambient: AmbientAlgebra, z_mats) -> list[tuple[tuple, Exact
         split = [(lam, kernel_projector([z - identity.scale(lam)], n)) for lam in spectrum]
         if sum((f for _, f in split), ExactMatrix.zeros(n)) != identity:
             raise ArithmeticError("weight space decomposition failed")
-        products = [(wt + (lam,), e @ f) for wt, e in pieces for lam, f in split]
-        pieces = [(wt, e) for wt, e in products if not e.is_zero]
+        pieces = [
+            (pieces[i][0] + (split[j][0],), e)
+            for i, j, e in products([e for _, e in pieces], [f for _, f in split])
+        ]
     return pieces
 
 
@@ -157,21 +167,18 @@ def _weight_pieces(ambient: AmbientAlgebra, space: Subspace, z_mats) -> list[tup
     Pieces come in the order of their weights' ``(re, im)`` keys, and each
     must lie in ``space``: that certifies ``space`` is ad-invariant.
     """
-    projectors = _eigenprojectors(ambient, z_mats)
+    mus, es = zip(*_eigenprojectors(ambient, z_mats))
+    lefts = products(es, space.basis())
+    # components[k][w]: the sum of the nonzero E_s·x_k·E_t with μ_s − μ_t = w
+    components: dict[int, dict[tuple, ExactMatrix]] = {}
+    for a, t, y in products([left for *_, left in lefts], es):
+        s, k, _ = lefts[a]
+        wt = tuple(p - q for p, q in zip(mus[s], mus[t]))
+        sums = components.setdefault(k, {})
+        sums[wt] = sums[wt] + y if wt in sums else y
     parts: dict[tuple, list[ExactMatrix]] = {}
-    for x in space.basis():
-        components: dict[tuple, ExactMatrix] = {}
-        for mu_s, e_s in projectors:
-            left = e_s @ x
-            if left.is_zero:
-                continue
-            for mu_t, e_t in projectors:
-                y = left @ e_t
-                if y.is_zero:
-                    continue
-                wt = tuple(a - b for a, b in zip(mu_s, mu_t))
-                components[wt] = components[wt] + y if wt in components else y
-        for wt, y in components.items():
+    for sums in components.values():
+        for wt, y in sums.items():
             if not y.is_zero:
                 parts.setdefault(wt, []).append(y)
     order = sorted(parts, key=lambda wt: tuple((c.re, c.im) for c in wt))
@@ -250,7 +257,7 @@ def _invariant_flag(ambient: AmbientAlgebra, nilmats) -> list[ExactMatrix] | Non
     current = ExactMatrix.zeros(n)
     flag: list[ExactMatrix] = []
     while current != identity:
-        nxt = kernel_projector([(identity - current) @ b for b in nilmats], n)
+        nxt = kernel_projector([m for *_, m in products([identity - current], nilmats)], n)
         if nxt == current:
             return None
         current = nxt
@@ -264,7 +271,14 @@ def _flag_stabilizer(ambient: AmbientAlgebra, flag) -> Subalgebra:
     kmats = ambient.space.basis()
     n = ambient.n
     identity = ExactMatrix.identity(n)
-    images = [[(identity - step) @ x @ step for x in kmats] for step in flag[:-1]]
+    images = []
+    for step in flag[:-1]:
+        # the zero images (I − Π)·x·Π, which the products leave out, constrain nothing
+        values = [ExactMatrix.zeros(n)] * len(kmats)
+        lefts = products([identity - step], kmats)
+        for a, _, image in products([left for *_, left in lefts], [step]):
+            values[lefts[a][1]] = image
+        images.append(values)
     return subalgebra_from_space(ambient, kernel_space(kmats, images, n), verified=True)
 
 
@@ -289,9 +303,10 @@ def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:
             result = (False, None)
         else:
             levi = q.space.intersect(q.ambient.conj_space(q.space))
+            # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
             if (
-                levi.sum(radn) != q.space
-                or levi.intersect(radn).dim != 0
+                levi.dim + radn.dim != q.dim
+                or levi.sum(radn) != q.space
                 or radn != q.nr
             ):
                 raise ArithmeticError("parabolic decomposition failed")
@@ -359,10 +374,11 @@ def _admissible(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
         return False
     conj_q = v.ambient.conj_space(p.q.space)
     inter = p.q.space.intersect(conj_q)
+    # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
     return (
         inter == p.levi
+        and inter.dim + p.nilradical.dim == p.q.dim
         and inter.sum(p.nilradical) == p.q.space
-        and inter.intersect(p.nilradical).dim == 0
     )
 
 
@@ -561,7 +577,7 @@ def largest_intermediate(v: Subalgebra) -> Subalgebra:
     escapes = {
         i
         for i, piece in enumerate(summands)
-        if not all(outer.contains_bracket(x, y) for x in nil_mats for y in piece.basis())
+        if outer.bracket_outside(nil_mats, piece.basis()) is not None
     }
     subsets = []
     for size in range(len(summands), -1, -1):

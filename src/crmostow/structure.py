@@ -22,6 +22,7 @@ from .exact import (
     charpoly,
     kernel_projector,
     killing_form,
+    products,
     rational_roots,
     semisimple_part,
     squarefree_part,
@@ -149,11 +150,8 @@ class Subalgebra:
         if "n_reductive_verdict" not in self._cache:
             nil = self.nr
             red = self.levi_part.space
-            ok = (
-                nil.dim + red.dim == self.dim
-                and nil.intersect(red).dim == 0
-                and nil.sum(red) == self.space
-            )
+            # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
+            ok = nil.dim + red.dim == self.dim and nil.sum(red) == self.space
             self._cache["n_reductive_verdict"] = NReductiveVerdict(ok, nil, red)
         return self._cache["n_reductive_verdict"]  # type: ignore[return-value]
 
@@ -250,13 +248,9 @@ def subalgebra_from_space(
     if not ambient.contains_space(space):
         raise ValueError("not inside ambient")
     if not verified:
-        mats = space.basis()
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if not space.contains_bracket(mats[i], mats[j]):
-                    raise ClosureError(
-                        "not closed under bracket", left=mats[i], right=mats[j]
-                    )
+        pair = space.bracket_outside(space.basis())
+        if pair is not None:
+            raise ClosureError("not closed under bracket", left=pair[0], right=pair[1])
     sub = Subalgebra(ambient, space, _token=_INTERN_TOKEN)
     ambient._subalgebras[space] = sub
     return sub
@@ -312,13 +306,15 @@ def _new_rows(grown: Subspace, old: Subspace) -> list[ExactMatrix]:
 def _unital_closure(rad: Subspace) -> Subspace:
     """The unital associative algebra generated by ``rad``: span{I} + rad
     closed under left multiplication by rad.  Each round multiplies only the
-    canonical rows new to the span, those at pivots it did not have."""
+    canonical rows new to the span, those at pivots it did not have, and
+    ``products`` forms only the products x·y where a column of x is a row
+    of y."""
     n = rad.side
     mats = rad.basis()
     alg = Subspace.span([ExactMatrix.identity(n)], n).sum(rad)
     frontier = mats
     while frontier:
-        grown = alg.sum(Subspace.span([x @ y for x in mats for y in frontier], n))
+        grown = alg.sum(Subspace.span([m for *_, m in products(mats, frontier)], n))
         frontier = _new_rows(grown, alg)
         alg = grown
     return alg

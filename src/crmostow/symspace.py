@@ -40,6 +40,7 @@ from .exact import (
     bracket_kernel,
     kernel_projector,
     kernel_space,
+    products,
     trace_annihilator,
 )
 from .parabolic import HorocyclicVerdict, ParabolicSubalgebra, horocyclic_verdict
@@ -494,7 +495,7 @@ def _nilpotency_index(space: Subspace) -> int:
     while power.dim:
         if d == space.side:
             raise ArithmeticError("span is not nilpotent")
-        power = Subspace.span([b @ m for b in basis for m in power.basis()], space.side)
+        power = Subspace.span([m for *_, m in products(basis, power.basis())], space.side)
         d += 1
     return d
 

@@ -1,10 +1,12 @@
 """Tests for the exact linear-algebra core."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crmostow import exact
 from crmostow.exact import (
     QI,
     ExactMatrix,
@@ -18,13 +20,14 @@ from crmostow.exact import (
     kernel_projector,
     kernel_space,
     killing_form,
+    products,
     semisimple_part,
     solve_kernel,
     squarefree_part,
     trace_annihilator,
     trace_pairing,
 )
-from crmostow.exact import _newton_semisimple, _rref_num
+from crmostow.exact import _bracket_pairs, _newton_semisimple, _rref_num
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,38 @@ def test_nilpotent_detection():
     assert _E(3, 0, 1).is_nilpotent()
     assert not ExactMatrix.identity(3).is_nilpotent()
     assert (_E(3, 0, 1) + _E(3, 1, 2)).is_nilpotent()
+    assert ExactMatrix.zeros(0).is_nilpotent() and ExactMatrix.zeros(1).is_nilpotent()
+    assert not ExactMatrix.identity(1).is_nilpotent()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_nilpotent_matches_the_nth_power(data):
+    """Conjugates of strictly upper triangular matrices (nilpotent), of a
+    multiple of E_{0,n-1} (square zero) and of triangular matrices with a
+    nonzero diagonal entry (not nilpotent)."""
+    n = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(["nilpotent", "square_zero", "other"]))
+    entry = st.tuples(_gaussian, st.integers(1, 3)).map(
+        lambda z: QI(Fraction(z[0][0], z[1]), Fraction(z[0][1], z[1]))
+    )
+    grid = [[QI(0)] * n for _ in range(n)]
+    if kind == "square_zero":
+        if n > 1:
+            grid[0][n - 1] = data.draw(entry)
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                grid[i][j] = data.draw(entry)
+    if kind == "other":
+        k = data.draw(st.integers(0, n - 1))
+        grid[k][k] = data.draw(entry.filter(bool))
+    p = ExactMatrix([
+        [QI(1) if i == j else data.draw(entry) if i > j else QI(0) for j in range(n)]
+        for i in range(n)
+    ])
+    x = p @ ExactMatrix(grid) @ p.inverse()
+    assert x.is_nilpotent() == x.power(n).is_zero == (kind != "other")
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +303,12 @@ def test_contains_brackets_is_containment_of_the_bracket_span(data):
     without_inner = bracket_space(Subspace.span(outer, n), right)
     for target in (spanned, extra, spanned.sum(extra), without_inner, bracket_space(right, right)):
         assert target.contains_brackets(outer, inner) == target.contains_space(spanned)
+        # the same question on the realified span, read in real coordinates
+        real = target.realify()
+        pairs = [(x, y) for x in outer + inner for y in inner]
+        assert real.contains_brackets(outer, inner) == all(
+            real.contains_mat(bracket(x, y)) for x, y in pairs
+        )
 
 
 def test_contains_brackets_takes_the_inner_pairs():
@@ -280,6 +321,166 @@ def test_contains_brackets_takes_the_inner_pairs():
     assert space.contains_brackets(borel, lower[:1]) and space.contains_brackets(borel, lower[1:])
     assert not space.contains_brackets(borel, lower)
     assert space.contains_brackets(borel + lower, [])
+
+
+# ---------------------------------------------------------------------------
+# batch kernels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _kernel_operands(draw):
+    """A side n from 1 to 8 and two lists, each possibly empty, of n x n
+    Gaussian-rational matrices: zero, sparse (one to three entries) or dense
+    (every entry nonzero), every entry over a denominator above 1."""
+    n = draw(st.integers(1, 8))
+
+    def member():
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        count = {"zero": 0, "sparse": draw(st.integers(1, min(3, n * n))), "dense": n * n}[kind]
+        keys = draw(st.lists(st.integers(0, n * n - 1), min_size=count, max_size=count, unique=True))
+        grid = [[QI(0)] * n for _ in range(n)]
+        for k in keys:
+            a, b = draw(_gaussian.filter(lambda z: z != (0, 0)))
+            den = draw(st.integers(2, 6))
+            grid[k // n][k % n] = QI(Fraction(a, den), Fraction(b, den))
+        return ExactMatrix(grid)
+
+    xs = [member() for _ in range(draw(st.integers(0, 4)))]
+    ys = [member() for _ in range(draw(st.integers(0, 4)))]
+    return n, xs, ys
+
+
+def _dense_product(x, y):
+    a, b = x.entries, y.entries
+    return ExactMatrix([
+        [sum((a[i][k] * b[k][j] for k in range(x.cols)), QI(0)) for j in range(y.cols)]
+        for i in range(x.rows)
+    ])
+
+
+def _positions(m):
+    return {(i, j) for i, row in enumerate(m.entries) for j, v in enumerate(row) if v}
+
+
+def _product_meets(x, y):
+    """Whether a column index of x is a row index of y."""
+    return bool({j for _, j in _positions(x)} & {i for i, _ in _positions(y)})
+
+
+def _bracket_meets(x, y):
+    return _product_meets(x, y) or _product_meets(y, x)
+
+
+def _as_matrices(n, pairs, xs, ys):
+    return [(i, j, ExactMatrix._make(n, n, xs[i]._den * ys[j]._den, row)) for i, j, row in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_operands())
+def test_bracket_pairs_are_the_nonzero_brackets_in_row_major_order(case):
+    n, xs, ys = case
+    for left, right, pairs in (
+        (xs, ys, [(i, j) for i in range(len(xs)) for j in range(len(ys))]),
+        (xs, xs, [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))]),
+    ):
+        expected = []
+        for i, j in pairs:
+            value = _dense_bracket(left[i], right[j])
+            assert bracket(left[i], right[j]) == value
+            if not value.is_zero:
+                expected.append((i, j, value))
+        got = _bracket_pairs(left, None if left is right else right, n)
+        assert _as_matrices(n, got, left, right) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_operands())
+def test_products_are_the_nonzero_products_in_row_major_order(case):
+    n, xs, ys = case
+    expected = []
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            value = _dense_product(x, y)
+            assert x @ y == value
+            if not value.is_zero:
+                expected.append((i, j, value))
+    assert products(xs, ys) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_operands())
+def test_trace_pairing_is_the_canonical_matrix_of_traces(case):
+    _, xs, ys = case
+    pairing = trace_pairing(xs, ys)
+    assert (pairing.rows, pairing.cols) == (len(xs), len(ys))
+    traces = [[_dense_product(x, y).trace() for y in ys] for x in xs]
+    if xs:
+        # equal storage: only nonzero entries, over the least denominator
+        assert pairing == ExactMatrix(traces)
+    assert trace_pairing(ys, xs) == pairing.transpose()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_operands())
+def test_batch_kernels_visit_only_the_pairs_that_share_an_index(case):
+    n, xs, ys = case
+    with mock.patch.object(exact, "_commute", wraps=exact._commute) as commute:
+        list(_bracket_pairs(xs, ys, n))
+        assert commute.call_count == sum(_bracket_meets(x, y) for x in xs for y in ys)
+        commute.reset_mock()
+        list(_bracket_pairs(xs, None, n))
+        upper = [(x, y) for i, x in enumerate(xs) for y in xs[i + 1:]]
+        assert commute.call_count == sum(_bracket_meets(x, y) for x, y in upper)
+    with mock.patch.object(exact, "_multiply", wraps=exact._multiply) as multiply:
+        products(xs, ys)
+        assert multiply.call_count == sum(_product_meets(x, y) for x in xs for y in ys)
+
+
+def test_batch_kernels_drop_results_that_cancel():
+    # the factors share indices, yet x·y = E00 − E00, [h, k] and tr(a·b) = 1 − 1 are zero
+    x, y = _E(2, 0, 0) + _E(2, 0, 1), _E(2, 0, 0) - _E(2, 1, 0)
+    h, k = ExactMatrix.diagonal([1, 2]), ExactMatrix.diagonal([3, 5])
+    a, b = _E(2, 0, 1) + _E(2, 1, 0), _E(2, 1, 0) - _E(2, 0, 1)
+    assert products([x], [y]) == [] and (x @ y).is_zero
+    assert list(_bracket_pairs([h], [k])) == [] and list(_bracket_pairs([h, k])) == []
+    assert trace_pairing([a], [b]) == ExactMatrix.zeros(1)
+
+
+def test_batch_kernels_reject_mixed_shapes():
+    with pytest.raises(ValueError):
+        list(_bracket_pairs([_E(2, 0, 1)], [_E(3, 1, 0)]))
+    with pytest.raises(ValueError):
+        list(_bracket_pairs([_E(2, 0, 1), _E(3, 1, 0)]))
+    with pytest.raises(ValueError):
+        Subspace.span([_E(2, 0, 1)], 2).bracket_outside([_E(3, 0, 1)], [_E(3, 1, 0)])
+    with pytest.raises(ValueError):
+        products([_E(2, 0, 1)], [ExactMatrix([[1, 2, 3]])])
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2]]) @ ExactMatrix([[1, 2]])
+    assert (ExactMatrix([[1, 2]]) @ ExactMatrix([[3], [4]])) == ExactMatrix([[11]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_outside_is_the_first_miss_of_a_row_major_scan(data):
+    n = data.draw(st.integers(1, 3))
+    xs = data.draw(st.lists(_gaussian_matrices(n), max_size=3))
+    ys = data.draw(st.lists(_gaussian_matrices(n), max_size=3))
+    brackets = [bracket(x, y) for x in xs + ys for y in xs + ys]
+    kept = data.draw(st.lists(st.sampled_from(brackets), max_size=3)) if brackets else []
+    extra = data.draw(st.lists(_gaussian_matrices(n), max_size=1))
+    span = Subspace.span(kept + extra, n)
+    for target in (span, span.realify()):
+        for left, right, pairs in (
+            (xs, ys, [(x, y) for x in xs for y in ys]),
+            (xs, None, [(x, y) for i, x in enumerate(xs) for y in xs[i + 1:]]),
+        ):
+            scan = next(((x, y) for x, y in pairs if not target.contains_mat(bracket(x, y))), None)
+            got = target.bracket_outside(left, right)
+            assert (got is None) == (scan is None)
+            if scan is not None:
+                assert got[0] is scan[0] and got[1] is scan[1]
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,31 @@ def test_make_subalgebra_rejects_open_span():
     assert info.value.left is not None and info.value.right is not None
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_error_names_the_first_open_pair_of_a_row_major_scan(data):
+    n = data.draw(st.integers(2, 4))
+    amb = special_linear(n)
+    units = amb.basis()
+    picks = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=5, unique_by=id))
+    coeffs = st.integers(-2, 2).filter(bool)
+    gens = [g.scale(data.draw(coeffs)) + units[data.draw(st.integers(0, len(units) - 1))]
+            for g in picks]
+    space = Subspace.span(gens, n)
+    mats = space.basis()
+    scan = next(
+        ((x, y) for i, x in enumerate(mats) for y in mats[i + 1:]
+         if not space.contains_mat(bracket(x, y))),
+        None,
+    )
+    if scan is None:
+        assert subalgebra_from_space(amb, space).space == space
+    else:
+        with pytest.raises(ClosureError) as info:
+            subalgebra_from_space(amb, space)
+        assert (info.value.left, info.value.right) == scan
+
+
 def test_make_subalgebra_rejects_outside_ambient():
     a = block_special_linear([2, 2])
     with pytest.raises(ValueError, match="not inside ambient"):
