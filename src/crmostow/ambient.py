@@ -11,6 +11,7 @@ anti-Hermitian and Hermitian parts.
 from __future__ import annotations
 
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .exact import QI, QI_I, ExactMatrix, Subspace, trace_pairing
 
@@ -33,11 +34,18 @@ class AmbientAlgebra:
         self.kind = (
             "special_linear" if len(self.blocks) == 1 else "block_special_linear"
         )
-        self._subalgebras: dict[Subspace, object] = {}
+        # The ambient owns every derived result, and only ``structure`` reads
+        # or writes these tables.  Their values are plain data (subspaces,
+        # flags, matrices), never a subalgebra view or the ambient, so that
+        # reference counting frees an analysis with its last view and ambient.
+        # The cache dict of each interned (bracket-closed) subspace:
+        self._caches: dict[Subspace, dict] = {}
+        # The live Subalgebra view of each interned subspace, held weakly:
+        self._subalgebras: WeakValueDictionary = WeakValueDictionary()
         # (roots in Q(i), charpoly) per matrix, kept by structure._eigenvalues
         self._eigenvalues: dict[ExactMatrix, tuple] = {}
-        # N_k(s) per complex subspace s, kept by structure.normalizer
-        self._normalizers: dict[Subspace, object] = {}
+        # the space of N_k(s) per complex subspace s, kept by structure.normalizer
+        self._normalizers: dict[Subspace, Subspace] = {}
         self._space: Subspace | None = None
         self._k0: Subspace | None = None
         self._p0: Subspace | None = None

@@ -82,10 +82,15 @@ def _matrix_from_json(rows: Any, n: int) -> ExactMatrix:
     return ExactMatrix(parsed)
 
 
+# The JSON of a zero entry, shared by every zero of every matrix emitted
+_ZERO_ENTRY = ["0", "0"]
+
+
 def _matrix_to_json(m: ExactMatrix) -> list:
+    flat, c = m.flatten(), m.cols
     return [
-        [[str(e.re), str(e.im)] for e in row]
-        for row in m.entries
+        [[str(e.re), str(e.im)] if e else _ZERO_ENTRY for e in flat[i * c:(i + 1) * c]]
+        for i in range(m.rows)
     ]
 
 

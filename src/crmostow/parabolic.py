@@ -31,6 +31,7 @@ from .structure import (
     subalgebra_from_space,
     _bracket_closure,
     _eigenvalues,
+    _memo,
 )
 
 __all__ = [
@@ -289,30 +290,31 @@ def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:
     the nilpotency-forced part of ``q`` (radical meets derived algebra).
     Returns the decision together with the decomposed witness on success.
     """
-    cached = q._cache.get("parabolic")
-    if cached is not None:
-        return cached
-    result: tuple[bool, ParabolicSubalgebra | None]
+    parts = _memo(q, "parabolic", lambda: _parabolic_parts(q))
+    if parts is None:
+        return False, None
+    return True, ParabolicSubalgebra(q, *parts)
+
+
+def _parabolic_parts(q: Subalgebra) -> tuple[Subspace, Subspace, tuple[ExactMatrix, ...]] | None:
+    """``(levi, nilradical, invariant flag)`` of ``q`` when it is parabolic,
+    else ``None``."""
     radn = q.radical.intersect(q.derived)
     flag = _invariant_flag(q.ambient, radn.basis())
     if flag is None:
-        result = (False, None)
-    else:
-        stab = _flag_stabilizer(q.ambient, flag)
-        if stab.space != q.space:
-            result = (False, None)
-        else:
-            levi = q.space.intersect(q.ambient.conj_space(q.space))
-            # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
-            if (
-                levi.dim + radn.dim != q.dim
-                or levi.sum(radn) != q.space
-                or radn != q.nr
-            ):
-                raise ArithmeticError("parabolic decomposition failed")
-            result = (True, ParabolicSubalgebra(q, levi, radn, tuple(flag)))
-    q._cache["parabolic"] = result
-    return result
+        return None
+    stab = _flag_stabilizer(q.ambient, flag)
+    if stab.space != q.space:
+        return None
+    levi = q.space.intersect(q.ambient.conj_space(q.space))
+    # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
+    if (
+        levi.dim + radn.dim != q.dim
+        or levi.sum(radn) != q.space
+        or radn != q.nr
+    ):
+        raise ArithmeticError("parabolic decomposition failed")
+    return levi, radn, tuple(flag)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +328,13 @@ def parabolic_regularization(v: Subalgebra) -> RegularizationTrace:
     The input must be splittable; the fixed point is checked to be parabolic
     and to contain both the input and its nilpotent radical.
     """
-    cached = v._cache.get("regularization")
-    if cached is not None:
-        return cached
+    spaces = _memo(v, "regularization", lambda: _regularization_chain(v))
+    chain = tuple(subalgebra_from_space(v.ambient, s, verified=True) for s in spaces)
+    return RegularizationTrace(chain, chain[-1], len(chain) - 1)
+
+
+def _regularization_chain(v: Subalgebra) -> tuple[Subspace, ...]:
+    """The spaces of the regularization chain, from ``v`` to its fixed point."""
     if not v.is_splittable:
         raise ValueError("not splittable")
     chain = [v]
@@ -346,9 +352,7 @@ def parabolic_regularization(v: Subalgebra) -> RegularizationTrace:
         raise ArithmeticError("regularization fixed point is not parabolic")
     if not current.contains_space(v.space) or not current.nr.contains_space(v.nr):
         raise ArithmeticError("regularization fixed point lost the input")
-    trace = RegularizationTrace(tuple(chain), current, len(chain) - 1)
-    v._cache["regularization"] = trace
-    return trace
+    return tuple(s.space for s in chain)
 
 
 def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
@@ -356,15 +360,14 @@ def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
 
     Requires ``v`` inside the parabolic, the nilpotent radical of ``v``
     inside its nilradical, and the split-Levi decomposition through the
-    conjugation-stable part.  Memoized per parabolic on ``v``: the
-    envelopes, the fiber data and the strengthening ask it again.
+    conjugation-stable part.  Memoized on ``v`` by the parabolic's data
+    (its space, Levi and nilradical): the envelopes, the fiber data and the
+    strengthening ask it again.
     """
     if v.ambient is not p.ambient:
         raise ValueError("ambient mismatch")
-    memo = v._cache.setdefault("admissible", {})
-    if p not in memo:
-        memo[p] = _admissible(v, p)
-    return memo[p]
+    key = ("admissible", p.q.space, p.levi, p.nilradical)
+    return _memo(v, key, lambda: _admissible(v, p))
 
 
 def _admissible(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
@@ -388,9 +391,11 @@ def minimal_envelope(v: Subalgebra) -> ParabolicSubalgebra:
     Built from the regularization fixed point ``e`` as the sum of ``e`` meets
     its conjugate with the nilradical of ``e``.
     """
-    cached = v._cache.get("minimal_envelope")
-    if cached is not None:
-        return cached
+    space = _memo(v, "minimal_envelope", lambda: _minimal_envelope(v))
+    return is_parabolic(subalgebra_from_space(v.ambient, space, verified=True))[1]
+
+
+def _minimal_envelope(v: Subalgebra) -> Subspace:
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
     trace = parabolic_regularization(v)
@@ -405,8 +410,7 @@ def minimal_envelope(v: Subalgebra) -> ParabolicSubalgebra:
     ok, pq = is_parabolic(q)
     if not ok or not is_admissible_envelope(v, pq):
         raise ArithmeticError("P0 membership failed")
-    v._cache["minimal_envelope"] = pq
-    return pq
+    return q.space
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +568,11 @@ def largest_intermediate(v: Subalgebra) -> Subalgebra:
     closed candidate is the maximum; a later one outside it breaks the
     dominance certificate, and one inside it needs no test.
     """
-    cached = v._cache.get("largest_intermediate")
-    if cached is not None:
-        return cached
+    space = _memo(v, "largest_intermediate", lambda: _largest_intermediate(v))
+    return subalgebra_from_space(v.ambient, space, verified=True)
+
+
+def _largest_intermediate(v: Subalgebra) -> Subspace:
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
     amb = v.ambient
@@ -601,8 +607,7 @@ def largest_intermediate(v: Subalgebra) -> Subalgebra:
         best = subalgebra_from_space(amb, space, verified=True)
     if not best.n_reductive_verdict.ok:
         raise ArithmeticError("largest intermediate subalgebra is not n-reductive")
-    v._cache["largest_intermediate"] = best
-    return best
+    return best.space
 
 
 def horocyclic_verdict(v: Subalgebra) -> HorocyclicVerdict:

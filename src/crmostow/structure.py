@@ -54,11 +54,14 @@ class NReductiveVerdict:
 
 
 class Subalgebra:
-    """A bracket-closed complex subspace of the ambient algebra.
+    """A view of a bracket-closed complex subspace of the ambient algebra.
 
-    Instances are interned per (ambient, space): construct them through
-    :func:`make_subalgebra`, :func:`subalgebra_from_space`, or the ambient
-    helpers so caches are shared.
+    A view holds its ambient (strongly), its ``space`` and ``_cache``, the
+    ambient's cache dict for that space.  The ambient owns the dict, so every
+    result survives the view: a view rebuilt from the same space in the same
+    ambient finds them again.  Views are interned weakly per (ambient,
+    space): construct them through :func:`make_subalgebra`,
+    :func:`subalgebra_from_space`, or the ambient helpers.
     """
 
     def __init__(self, ambient: AmbientAlgebra, space: Subspace, _token=None):
@@ -68,7 +71,7 @@ class Subalgebra:
             )
         self.ambient = ambient
         self.space = space
-        self._cache: dict[str, object] = {}
+        self._cache: dict[object, object] = ambient._caches[space]
 
     # -- basic queries ---------------------------------------------------------
     @property
@@ -91,9 +94,7 @@ class Subalgebra:
     @property
     def derived(self) -> Subspace:
         """The derived algebra [v, v]."""
-        if "derived" not in self._cache:
-            self._cache["derived"] = bracket_space(self.space, self.space)
-        return self._cache["derived"]  # type: ignore[return-value]
+        return _memo(self, "derived", lambda: bracket_space(self.space, self.space))
 
     @property
     def radical(self) -> Subspace:
@@ -104,67 +105,61 @@ class Subalgebra:
         is verified: it is an ideal, it is solvable, and the quotient has
         nondegenerate Killing form.
         """
-        if "radical" not in self._cache:
-            rad = trace_annihilator(self.basis(), self.derived.basis(), self.ambient.n)
-            self._verify_radical(rad)
-            self._cache["radical"] = rad
-        return self._cache["radical"]  # type: ignore[return-value]
+        return _memo(self, "radical", self._compute_radical)
 
     @property
     def nr(self) -> Subspace:
         """The nilpotent elements of the radical (an ideal of v)."""
-        if "nr" not in self._cache:
-            self._cache["nr"] = self._compute_nr()
-        return self._cache["nr"]  # type: ignore[return-value]
+        return _memo(self, "nr", self._compute_nr)
 
     @property
     def conj(self) -> "Subalgebra":
         """The σ-image (entrywise −X* on a basis)."""
-        if "conj" not in self._cache:
-            image = self.ambient.conj_space(self.space)
-            # σ is an automorphism: σ[x, y] = [σx, σy], so the image of a
-            # subalgebra is closed
-            self._cache["conj"] = subalgebra_from_space(self.ambient, image, verified=True)
-        return self._cache["conj"]  # type: ignore[return-value]
+        # σ is an automorphism: σ[x, y] = [σx, σy], so the image of a
+        # subalgebra is closed
+        image = _memo(self, "conj", lambda: self.ambient.conj_space(self.space))
+        return subalgebra_from_space(self.ambient, image, verified=True)
 
     @property
     def levi_part(self) -> "Subalgebra":
         """L(v) = v ∩ σ(v): reductive, σ-stable, bracket-closed."""
-        if "levi_part" not in self._cache:
-            inter = self.space.intersect(self.conj.space)
-            # an intersection of subalgebras is closed
-            self._cache["levi_part"] = subalgebra_from_space(self.ambient, inter, verified=True)
-        return self._cache["levi_part"]  # type: ignore[return-value]
+        # an intersection of subalgebras is closed
+        inter = _memo(self, "levi_part", lambda: self.space.intersect(self.conj.space))
+        return subalgebra_from_space(self.ambient, inter, verified=True)
 
     @property
     def compact_intersection(self) -> Subspace:
         """v ∩ k0 as a real subspace (coordinates doubled)."""
-        if "compact_intersection" not in self._cache:
-            self._cache["compact_intersection"] = self.space.realify().intersect(
-                self.ambient.k0
-            )
-        return self._cache["compact_intersection"]  # type: ignore[return-value]
+        return _memo(
+            self, "compact_intersection",
+            lambda: self.space.realify().intersect(self.ambient.k0),
+        )
 
     @property
     def n_reductive_verdict(self) -> NReductiveVerdict:
-        if "n_reductive_verdict" not in self._cache:
-            nil = self.nr
-            red = self.levi_part.space
-            # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
-            ok = nil.dim + red.dim == self.dim and nil.sum(red) == self.space
-            self._cache["n_reductive_verdict"] = NReductiveVerdict(ok, nil, red)
-        return self._cache["n_reductive_verdict"]  # type: ignore[return-value]
+        return _memo(self, "n_reductive_verdict", self._compute_n_reductive_verdict)
 
     @property
     def is_splittable(self) -> bool:
         """True when both Jordan summands of every element stay inside."""
-        if "is_splittable" not in self._cache:
-            self._cache["is_splittable"] = all(
-                self.contains(semisimple_part(x)) for x in self.basis()
-            )
-        return self._cache["is_splittable"]  # type: ignore[return-value]
+        return _memo(
+            self, "is_splittable",
+            lambda: all(self.contains(semisimple_part(x)) for x in self.basis()),
+        )
 
     # -- internals ----------------------------------------------------------------
+    def _compute_radical(self) -> Subspace:
+        rad = trace_annihilator(self.basis(), self.derived.basis(), self.ambient.n)
+        self._verify_radical(rad)
+        return rad
+
+    def _compute_n_reductive_verdict(self) -> NReductiveVerdict:
+        nil = self.nr
+        red = self.levi_part.space
+        # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
+        ok = nil.dim + red.dim == self.dim and nil.sum(red) == self.space
+        return NReductiveVerdict(ok, nil, red)
+
     def _verify_radical(self, rad: Subspace) -> None:
         if not _is_ideal(self.space, rad):
             raise ArithmeticError("radical verification failed: not an ideal")
@@ -227,6 +222,21 @@ class Subalgebra:
 _INTERN_TOKEN = object()
 
 
+def _memo(v: Subalgebra, key, compute):
+    """``compute()``, memoized under ``key`` in the cache of ``v``'s space.
+
+    The ambient owns that cache, so the value must hold no
+    :class:`Subalgebra`, parabolic, regularization trace or ambient: only
+    subspaces, flags and plain data.  Callers rebuild their public objects
+    from it on every read, through :func:`subalgebra_from_space`.
+    """
+    cache = v._cache
+    if key in cache:
+        return cache[key]
+    value = cache[key] = compute()
+    return value
+
+
 def _is_ideal(space: Subspace, ideal: Subspace) -> bool:
     """Whether ``[space, ideal] ⊆ ideal`` for a subspace ``ideal`` of
     ``space``, one commutator at a time, stopping at the first outside.
@@ -241,19 +251,25 @@ def _is_ideal(space: Subspace, ideal: Subspace) -> bool:
 def subalgebra_from_space(
     ambient: AmbientAlgebra, space: Subspace, *, verified: bool = False
 ) -> Subalgebra:
-    """Interned constructor; verifies bracket closure unless ``verified``."""
-    cached = ambient._subalgebras.get(space)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    if not ambient.contains_space(space):
-        raise ValueError("not inside ambient")
-    if not verified:
-        pair = space.bracket_outside(space.basis())
-        if pair is not None:
-            raise ClosureError("not closed under bracket", left=pair[0], right=pair[1])
-    sub = Subalgebra(ambient, space, _token=_INTERN_TOKEN)
-    ambient._subalgebras[space] = sub
-    return sub
+    """Interned constructor.
+
+    A space new to the ambient's table must lie in the ambient and, unless
+    ``verified``, be bracket-closed; a space already in the table passed
+    that check when it entered, so a rebuilt view is not checked again.
+    """
+    view = ambient._subalgebras.get(space)
+    if view is not None:
+        return view
+    if space not in ambient._caches:
+        if not ambient.contains_space(space):
+            raise ValueError("not inside ambient")
+        if not verified:
+            pair = space.bracket_outside(space.basis())
+            if pair is not None:
+                raise ClosureError("not closed under bracket", left=pair[0], right=pair[1])
+        ambient._caches[space] = {}
+    view = ambient._subalgebras[space] = Subalgebra(ambient, space, _token=_INTERN_TOKEN)
+    return view
 
 
 def make_subalgebra(
@@ -326,19 +342,18 @@ def _unital_closure(rad: Subspace) -> Subspace:
 
 
 def normalizer(ambient: AmbientAlgebra, s: Subspace) -> Subalgebra:
-    """N_k(s) = {Z in k : [Z, s] ⊆ s}; always bracket-closed.  Memoized on
-    the ambient: the regularization, its fixed-point test and the
+    """N_k(s) = {Z in k : [Z, s] ⊆ s}; always bracket-closed.  Its space is
+    memoized on the ambient: the regularization, its fixed-point test and the
     horocyclicity verdict normalize the same nilradical."""
     if s.real:
         raise ValueError("ambient mismatch")
-    cached = ambient._normalizers.get(s)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    if not ambient.contains_space(s):
-        raise ValueError("not inside ambient")
-    space = bracket_kernel(ambient.space.basis(), s.basis(), ambient.n, modulo=s)
-    out = ambient._normalizers[s] = subalgebra_from_space(ambient, space, verified=True)
-    return out
+    space = ambient._normalizers.get(s)
+    if space is None:
+        if not ambient.contains_space(s):
+            raise ValueError("not inside ambient")
+        space = bracket_kernel(ambient.space.basis(), s.basis(), ambient.n, modulo=s)
+        ambient._normalizers[s] = space
+    return subalgebra_from_space(ambient, space, verified=True)
 
 
 def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:

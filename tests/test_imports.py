@@ -17,8 +17,16 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(crmostow.__path__))
 # in review.  None of them is a piece of the exact core's working form.
 PRIVATE_IMPORTS = {
     "acceptance": {"_combo", "_complex_combo"},
-    "parabolic": {"_bracket_closure", "_eigenvalues"},
+    # ``_memo`` is the one way into a subalgebra's cache: the parabolic
+    # machinery memoizes its results through it, and it keeps every cached
+    # value plain data, so the ambient that owns the caches holds no cycle.
+    "parabolic": {"_bracket_closure", "_eigenvalues", "_memo"},
 }
+
+# The ambient's tables of derived results and a view's cache dict.  Only
+# structure.py reads or writes them; ambient.py declares them, empty, in
+# ``AmbientAlgebra.__init__`` and touches them nowhere else.
+CACHE_TABLES = {"_cache", "_caches", "_subalgebras", "_normalizers", "_eigenvalues"}
 
 # The attributes through which ExactMatrix and Subspace hold and read their
 # Gaussian-integer numerators and denominators: only exact.py touches them.
@@ -63,3 +71,28 @@ def test_only_exact_reads_the_working_form(name):
         if isinstance(node, ast.Attribute) and node.attr in WORKING_FORM
     }
     assert read == set()
+
+
+def _cache_accesses(name):
+    tree = _tree(name)
+    declared = set()
+    if name == "ambient":
+        init = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        )
+        declared = {
+            id(node) for node in ast.walk(init)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in CACHE_TABLES and id(node) not in declared
+    }
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "structure"])
+def test_only_structure_touches_the_caches(name):
+    assert _cache_accesses(name) == set()
+
