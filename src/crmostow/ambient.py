@@ -42,10 +42,10 @@ class AmbientAlgebra:
         self._caches: dict[Subspace, dict] = {}
         # The live Subalgebra view of each interned subspace, held weakly:
         self._subalgebras: WeakValueDictionary = WeakValueDictionary()
-        # (roots in Q(i), charpoly) per matrix, kept by structure._eigenvalues
-        self._eigenvalues: dict[ExactMatrix, tuple] = {}
-        # the space of N_k(s) per complex subspace s, kept by structure.normalizer
-        self._normalizers: dict[Subspace, Subspace] = {}
+        # results derived from one operand, keyed by (kind, operand) and kept
+        # by structure._derived: normalizer spaces, eigenvalues, σ-images,
+        # Levi centers, eigen-splits and weight-ascent ends
+        self._derived: dict[tuple, object] = {}
         self._space: Subspace | None = None
         self._k0: Subspace | None = None
         self._p0: Subspace | None = None

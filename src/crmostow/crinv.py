@@ -32,7 +32,7 @@ from .parabolic import (
     largest_intermediate,
     minimal_envelope,
 )
-from .structure import Subalgebra
+from .structure import Subalgebra, sigma_image
 
 __all__ = [
     "CRType",
@@ -288,7 +288,7 @@ def levi_report(
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
     amb = v.ambient
-    pair = v.space.sum(amb.conj_space(v.space))
+    pair = v.space.sum(sigma_image(amb, v.space))
     if pair == amb.space:
         raise ValueError("empty characteristic space")
     comp = trace_annihilator(amb.space.basis(), pair.basis(), amb.n)
@@ -299,7 +299,8 @@ def levi_report(
     zb = v.nr.basis()
     nu = len(zb)
     # the bracket values [z_a, σ(z_b)], row-major in (a, b)
-    values = [bracket(za, amb.sigma(zc)) for za in zb for zc in zb]
+    conj_zb = [amb.sigma(zc) for zc in zb]
+    values = [bracket(za, zc) for za in zb for zc in conj_zb]
 
     # vector-valued form: component of each bracket value in the complement
     projected = _trace_projection(amb, pair, comp, values)

@@ -830,8 +830,8 @@ class _Echelon:
 
     __slots__ = ("rows",)
 
-    def __init__(self):
-        self.rows: dict[int, SparseRow] = {}
+    def __init__(self, rows: dict[int, SparseRow] | None = None):
+        self.rows: dict[int, SparseRow] = {} if rows is None else rows
 
     def reduce(self, row: SparseRow) -> SparseRow:
         """Reduce ``row`` against the current echelon (no insertion).
@@ -1105,8 +1105,18 @@ class Subspace:
 
     # -- lattice operations ----------------------------------------------------
     def sum(self, other: "Subspace") -> "Subspace":
+        """The span of both: the larger operand's canonical rows, already an
+        echelon, take the other's rows; when none adds rank, the larger
+        operand is the sum and is returned itself."""
         self._check_compatible(other)
-        return Subspace._of(self.side, self.real, *_rref_num(self._irows + other._irows))
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        ech = _Echelon(dict(zip(big.pivots, big._irows)))
+        grew = False
+        for row in small._irows:
+            grew |= ech.insert(row)
+        if not grew:
+            return big
+        return Subspace._of(self.side, self.real, *ech.canonical())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus double-block elimination."""

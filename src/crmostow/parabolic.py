@@ -28,8 +28,10 @@ from .exact import (
 from .structure import (
     Subalgebra,
     normalizer,
+    sigma_image,
     subalgebra_from_space,
     _bracket_closure,
+    _derived,
     _eigenvalues,
     _memo,
 )
@@ -126,10 +128,15 @@ class HorocyclicVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _center_mats(space: Subspace) -> list[ExactMatrix]:
-    """Basis of the centralizer of ``space`` inside itself."""
-    mats = space.basis()
-    return bracket_kernel(mats, mats, space.side).basis()
+def _center_mats(ambient: AmbientAlgebra, space: Subspace) -> list[ExactMatrix]:
+    """Basis of the centralizer of ``space`` inside itself, memoized on the
+    ambient."""
+
+    def compute():
+        mats = space.basis()
+        return tuple(bracket_kernel(mats, mats, space.side).basis())
+
+    return list(_derived(ambient, "center", space, compute))
 
 
 def _eigenprojectors(ambient: AmbientAlgebra, z_mats) -> list[tuple[tuple, ExactMatrix]]:
@@ -139,18 +146,24 @@ def _eigenprojectors(ambient: AmbientAlgebra, z_mats) -> list[tuple[tuple, Exact
     The eigenprojectors ``kernel_projector([z − λ])`` of each ``z`` must sum
     to the identity, which holds exactly when ``z`` is normal with its
     spectrum in ℚ(i), as the center of a σ-stable subalgebra is; otherwise
-    an :class:`ArithmeticError` is raised.  Commuting projectors multiply to
-    the projector onto the intersection of their ranges, so the nonzero
-    products over one eigenvalue of each ``z`` are the joint eigenprojectors.
+    an :class:`ArithmeticError` is raised.  Each ``z``'s certified split is
+    memoized on the ambient.  Commuting projectors multiply to the projector
+    onto the intersection of their ranges, so the nonzero products over one
+    eigenvalue of each ``z`` are the joint eigenprojectors.
     """
     n = ambient.n
     identity = ExactMatrix.identity(n)
-    pieces = [((), identity)]
-    for z in z_mats:
+
+    def eigensplit(z):
         spectrum, _ = _eigenvalues(ambient, z)
-        split = [(lam, kernel_projector([z - identity.scale(lam)], n)) for lam in spectrum]
+        split = tuple((lam, kernel_projector([z - identity.scale(lam)], n)) for lam in spectrum)
         if sum((f for _, f in split), ExactMatrix.zeros(n)) != identity:
             raise ArithmeticError("weight space decomposition failed")
+        return split
+
+    pieces = [((), identity)]
+    for z in z_mats:
+        split = _derived(ambient, "eigensplit", z, lambda: eigensplit(z))
         pieces = [
             (pieces[i][0] + (split[j][0],), e)
             for i, j, e in products([e for _, e in pieces], [f for _, f in split])
@@ -215,7 +228,7 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
     if mod.dim == 0:
         return []
     out: list[Subspace] = []
-    for _, piece in _weight_pieces(ambient, mod, _center_mats(levi.space)):
+    for _, piece in _weight_pieces(ambient, mod, _center_mats(ambient, levi.space)):
         if piece.dim <= 1 or not levi.dim:
             out.append(piece)
             continue
@@ -226,11 +239,13 @@ def _module_summands(ambient: AmbientAlgebra, levi: Subalgebra, mod: Subspace) -
             if covered.contains_mat(b):
                 continue
             cyc = _module_closure(levi.space, Subspace.span([b], ambient.n))
-            if cyc.intersect(covered).dim:
+            grown = covered.sum(cyc)
+            # dim(A + B) = dim A + dim B − dim(A ∩ B): the count decides A ∩ B = 0
+            if grown.dim != covered.dim + cyc.dim:
                 clean = False
                 break
             chosen.append(cyc)
-            covered = covered.sum(cyc)
+            covered = grown
         if clean and covered == piece:
             out.extend(chosen)
         else:
@@ -299,22 +314,33 @@ def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:
 def _parabolic_parts(q: Subalgebra) -> tuple[Subspace, Subspace, tuple[ExactMatrix, ...]] | None:
     """``(levi, nilradical, invariant flag)`` of ``q`` when it is parabolic,
     else ``None``."""
-    radn = q.radical.intersect(q.derived)
+    radn = q.rad_derived
     flag = _invariant_flag(q.ambient, radn.basis())
     if flag is None:
         return None
     stab = _flag_stabilizer(q.ambient, flag)
     if stab.space != q.space:
         return None
-    levi = q.space.intersect(q.ambient.conj_space(q.space))
-    # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
-    if (
-        levi.dim + radn.dim != q.dim
-        or levi.sum(radn) != q.space
-        or radn != q.nr
-    ):
+    levi = q.levi_part.space
+    if not _splits(q, levi, radn) or radn != q.nr:
         raise ArithmeticError("parabolic decomposition failed")
     return levi, radn, tuple(flag)
+
+
+def _splits(q: Subalgebra, levi: Subspace, nil: Subspace) -> bool:
+    """The split-Levi identity: ``levi = q ∩ σ(q)`` and ``q = levi ⊕ nil``.
+    Memoized on ``q``: parabolic recognition certifies it, and every
+    admissibility test of a parabolic on ``q`` reads it."""
+
+    def compute():
+        # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
+        return (
+            levi == q.levi_part.space
+            and levi.dim + nil.dim == q.dim
+            and levi.sum(nil) == q.space
+        )
+
+    return _memo(q, ("splits", levi, nil), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +386,9 @@ def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
 
     Requires ``v`` inside the parabolic, the nilpotent radical of ``v``
     inside its nilradical, and the split-Levi decomposition through the
-    conjugation-stable part.  Memoized on ``v`` by the parabolic's data
-    (its space, Levi and nilradical): the envelopes, the fiber data and the
+    conjugation-stable part, which depends on the parabolic alone and is
+    memoized on it.  Memoized on ``v`` by the parabolic's data (its space,
+    Levi and nilradical): the envelopes, the fiber data and the
     strengthening ask it again.
     """
     if v.ambient is not p.ambient:
@@ -371,25 +398,21 @@ def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
 
 
 def _admissible(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
-    if not p.q.contains_space(v.space):
-        return False
-    if not p.nilradical.contains_space(v.nr):
-        return False
-    conj_q = v.ambient.conj_space(p.q.space)
-    inter = p.q.space.intersect(conj_q)
-    # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
     return (
-        inter == p.levi
-        and inter.dim + p.nilradical.dim == p.q.dim
-        and inter.sum(p.nilradical) == p.q.space
+        p.q.contains_space(v.space)
+        and p.nilradical.contains_space(v.nr)
+        and _splits(p.q, p.levi, p.nilradical)
     )
 
 
 def minimal_envelope(v: Subalgebra) -> ParabolicSubalgebra:
     """Smallest admissible parabolic envelope of an n-reductive subalgebra.
 
-    Built from the regularization fixed point ``e`` as the sum of ``e`` meets
-    its conjugate with the nilradical of ``e``.
+    It is the regularization fixed point ``e`` itself.  The envelope built
+    from ``e`` is ``(e ∩ σ(e)) + n_e``, with ``n_e`` the nilradical of ``e``,
+    and :func:`is_parabolic` has certified ``e = (e ∩ σ(e)) ⊕ n_e`` for ``e``,
+    whose Levi part is ``e ∩ σ(e)``.  So ``e`` is returned once it is checked
+    admissible for ``v``.
     """
     space = _memo(v, "minimal_envelope", lambda: _minimal_envelope(v))
     return is_parabolic(subalgebra_from_space(v.ambient, space, verified=True))[1]
@@ -398,19 +421,12 @@ def minimal_envelope(v: Subalgebra) -> ParabolicSubalgebra:
 def _minimal_envelope(v: Subalgebra) -> Subspace:
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
-    trace = parabolic_regularization(v)
-    e = trace.fixed_point
+    e = parabolic_regularization(v).fixed_point
+    # the regularization has certified e parabolic
     _, pe = is_parabolic(e)
-    inter = e.space.intersect(v.ambient.conj_space(e.space))
-    q_space = inter.sum(pe.nilradical)
-    if q_space == e.space:
-        q = e
-    else:
-        q = subalgebra_from_space(v.ambient, q_space)
-    ok, pq = is_parabolic(q)
-    if not ok or not is_admissible_envelope(v, pq):
+    if not is_admissible_envelope(v, pe):
         raise ArithmeticError("P0 membership failed")
-    return q.space
+    return e.space
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +442,8 @@ def _classified_weights(amb: AmbientAlgebra, p: ParabolicSubalgebra):
     nilradical and in its conjugate.  The zero-weight part must equal the
     Levi and every other piece must land on one side.
     """
-    table = dict(_weight_pieces(amb, amb.space, _center_mats(p.levi)))
-    conj_nil = amb.conj_space(p.nilradical)
+    table = dict(_weight_pieces(amb, amb.space, _center_mats(amb, p.levi)))
+    conj_nil = sigma_image(amb, p.nilradical)
     positive: set[tuple] = set()
     negative: set[tuple] = set()
     zero_sum = Subspace.zero(amb.n)
@@ -468,12 +484,28 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
     occur in the closure generated by the nilpotent radical of ``v`` and the
     Levi of the current envelope, the opposite weight space is merged in.
     Terminates when the closure realizes the whole envelope; both exact
-    termination identities are verified.
+    termination identities are verified.  The ascent reads only the
+    nilpotent radical of ``v`` and ``start``, so its end is memoized on the
+    ambient by those: inputs sharing both share the ascent.
     """
     if not is_admissible_envelope(v, start):
         raise ValueError("not in P0")
     amb = v.ambient
-    v_nil = v.nr
+    key = (v.nr, start.q.space, start.levi, start.nilradical)
+    space = _derived(amb, "weight_ascent", key, lambda: _weight_ascent(v.nr, start))
+    if space == start.q.space:
+        top = start
+    else:
+        top = is_parabolic(subalgebra_from_space(amb, space, verified=True))[1]
+    if not is_admissible_envelope(v, top):
+        raise ArithmeticError("P0 membership failed")
+    return top
+
+
+def _weight_ascent(v_nil: Subspace, start: ParabolicSubalgebra) -> Subspace:
+    """The space of the envelope where the weight ascent from ``start``
+    under the nilpotent part ``v_nil`` stops."""
+    amb = start.ambient
     current = start
     for _ in range(amb.dim + 1):
         table, positive, _ = _classified_weights(amb, current)
@@ -494,9 +526,7 @@ def maximal_envelope(v: Subalgebra, start: ParabolicSubalgebra) -> ParabolicSuba
             reach = _module_closure(current.levi, v_nil)
             if reach != current.nilradical:
                 raise ArithmeticError("weight ascent stalled")
-            if not is_admissible_envelope(v, current):
-                raise ArithmeticError("P0 membership failed")
-            return current
+            return current.q.space
         mu = missing[0]
         neg = table.get(tuple(-x for x in mu))
         if neg is None:
@@ -576,7 +606,7 @@ def _largest_intermediate(v: Subalgebra) -> Subspace:
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
     amb = v.ambient
-    conj_nil = amb.conj_space(v.nr)
+    conj_nil = sigma_image(amb, v.nr)
     summands = _module_summands(amb, v.levi_part, conj_nil)
     v_mats, nil_mats = v.basis(), v.nr.basis()
     outer = v.space.sum(conj_nil)
@@ -589,13 +619,18 @@ def _largest_intermediate(v: Subalgebra) -> Subspace:
     for size in range(len(summands), -1, -1):
         subsets.extend(combinations(range(len(summands)), size))
     subsets.sort(key=lambda c: (-sum(summands[i].dim for i in c), c))
+    # the sum of each candidate's summands, extending its longest prefix's
+    sums = {(): Subspace.zero(amb.n)}
     best_u = None
     for combo in subsets:
         if escapes.intersection(combo):
             continue
-        u = Subspace.zero(amb.n)
-        for i in combo:
-            u = u.sum(summands[i])
+        k = len(combo)
+        while combo[:k] not in sums:
+            k -= 1
+        u = sums[combo[:k]]
+        for j in range(k, len(combo)):
+            u = sums[combo[:j + 1]] = u.sum(summands[combo[j]])
         if best_u is not None and best_u.contains_space(u):
             continue
         space = v.space.sum(u)

@@ -39,6 +39,7 @@ __all__ = [
     "make_subalgebra",
     "subalgebra_from_space",
     "normalizer",
+    "sigma_image",
     "jordan_flags",
     "rational_roots",
 ]
@@ -117,15 +118,23 @@ class Subalgebra:
         """The σ-image (entrywise −X* on a basis)."""
         # σ is an automorphism: σ[x, y] = [σx, σy], so the image of a
         # subalgebra is closed
-        image = _memo(self, "conj", lambda: self.ambient.conj_space(self.space))
+        image = sigma_image(self.ambient, self.space)
         return subalgebra_from_space(self.ambient, image, verified=True)
 
     @property
     def levi_part(self) -> "Subalgebra":
         """L(v) = v ∩ σ(v): reductive, σ-stable, bracket-closed."""
         # an intersection of subalgebras is closed
-        inter = _memo(self, "levi_part", lambda: self.space.intersect(self.conj.space))
+        inter = _memo(
+            self, "levi_part",
+            lambda: self.space.intersect(sigma_image(self.ambient, self.space)),
+        )
         return subalgebra_from_space(self.ambient, inter, verified=True)
+
+    @property
+    def rad_derived(self) -> Subspace:
+        """rad(v) ∩ [v, v]: nilpotent, so inside nr; a parabolic's nilradical."""
+        return _memo(self, "rad_derived", lambda: self.radical.intersect(self.derived))
 
     @property
     def compact_intersection(self) -> Subspace:
@@ -213,8 +222,7 @@ class Subalgebra:
                 raise ArithmeticError("trace criterion produced a non-nilpotent")
         if not _is_ideal(self.space, out):
             raise ArithmeticError("nilpotent radical is not an ideal")
-        radn = rad.intersect(self.derived)
-        if not out.contains_space(radn):
+        if not out.contains_space(self.rad_derived):
             raise ArithmeticError("nilpotent radical misses rad ∩ derived")
         return out
 
@@ -230,10 +238,22 @@ def _memo(v: Subalgebra, key, compute):
     subspaces, flags and plain data.  Callers rebuild their public objects
     from it on every read, through :func:`subalgebra_from_space`.
     """
-    cache = v._cache
-    if key in cache:
-        return cache[key]
-    value = cache[key] = compute()
+    return _lookup(v._cache, key, compute)
+
+
+def _derived(ambient: AmbientAlgebra, kind: str, operand, compute):
+    """``compute()``, memoized on the ambient under ``(kind, operand)``: a
+    result derived from an operand (a subspace, a matrix or a tuple of them)
+    rather than from a subalgebra.  The value rule of :func:`_memo` holds
+    here too."""
+    return _lookup(ambient._derived, (kind, operand), compute)
+
+
+def _lookup(table: dict, key, compute):
+    """``table[key]``, filled by ``compute()`` on a miss."""
+    if key in table:
+        return table[key]
+    value = table[key] = compute()
     return value
 
 
@@ -347,13 +367,20 @@ def normalizer(ambient: AmbientAlgebra, s: Subspace) -> Subalgebra:
     horocyclicity verdict normalize the same nilradical."""
     if s.real:
         raise ValueError("ambient mismatch")
-    space = ambient._normalizers.get(s)
-    if space is None:
+
+    def compute():
         if not ambient.contains_space(s):
             raise ValueError("not inside ambient")
-        space = bracket_kernel(ambient.space.basis(), s.basis(), ambient.n, modulo=s)
-        ambient._normalizers[s] = space
+        return bracket_kernel(ambient.space.basis(), s.basis(), ambient.n, modulo=s)
+
+    space = _derived(ambient, "normalizer", s, compute)
     return subalgebra_from_space(ambient, space, verified=True)
+
+
+def sigma_image(ambient: AmbientAlgebra, s: Subspace) -> Subspace:
+    """σ(s) for a complex subspace ``s`` of the ambient, memoized on the
+    ambient."""
+    return _derived(ambient, "conj", s, lambda: ambient.conj_space(s))
 
 
 def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:
@@ -375,8 +402,9 @@ def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> tuple[list[QI], lis
     """``(rational_roots(charpoly(z)), charpoly(z))``, memoized on the
     ambient: nr's rationality check and the regularization meet the same
     matrices again and again within one analysis."""
-    entry = ambient._eigenvalues.get(z)
-    if entry is None:
+
+    def compute():
         poly = charpoly(z)
-        entry = ambient._eigenvalues[z] = (rational_roots(poly), poly)
-    return entry
+        return rational_roots(poly), poly
+
+    return _derived(ambient, "eigenvalues", z, compute)

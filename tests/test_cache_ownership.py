@@ -70,8 +70,8 @@ def test_an_analysis_leaves_no_cycles(name, params):
 def test_no_table_holds_a_view_parabolic_trace_or_ambient(name, params):
     amb, v = _fresh(name, params)
     _analyze(v)
-    tables = (amb._caches, amb._normalizers, amb._eigenvalues)
-    assert amb._caches and amb._normalizers
+    tables = (amb._caches, amb._derived)
+    assert amb._caches and amb._derived
     assert [o for t in tables for o in _objects(t) if isinstance(o, FORBIDDEN)] == []
 
 

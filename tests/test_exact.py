@@ -1,5 +1,6 @@
 """Tests for the exact linear-algebra core."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -532,6 +533,53 @@ def test_sum_and_intersection_dims():
     assert u.dim == 3
     assert w.dim == 1
     assert w.contains_mat(_E(n, 0, 2))
+
+
+def _gaussian_integer_matrix(rng, n, density):
+    """An n x n matrix whose entries are, with probability ``density``,
+    Gaussian integers with parts in [-2, 2], and zero otherwise."""
+    return ExactMatrix([
+        [QI(rng.randint(-2, 2), rng.randint(-2, 2)) if rng.random() < density else QI(0)
+         for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
+def _sum_pair(seed):
+    """Two spans from ``seed``: independent, nested (the second a span of
+    combinations of the first's basis) or equal (as many combinations as
+    the first's dimension plus one; on these seeds they span it all)."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    a = Subspace.span(
+        [_gaussian_integer_matrix(rng, n, rng.random()) for _ in range(rng.randint(0, n * n))], n
+    )
+    kind = ("independent", "nested", "equal")[seed % 3]
+    if kind == "independent":
+        mats = [_gaussian_integer_matrix(rng, n, rng.random()) for _ in range(rng.randint(0, n * n))]
+    else:
+        count = rng.randint(0, a.dim) if kind == "nested" else a.dim + 1
+        basis = a.basis()
+        mats = [
+            sum((m.scale(QI(rng.randint(-2, 2), rng.randint(-2, 2))) for m in basis), ExactMatrix.zeros(n))
+            for _ in range(count)
+        ]
+    return a, Subspace.span(mats, n)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "realified"])
+@pytest.mark.parametrize("seed", range(60))
+def test_sum_is_the_span_of_both_bases(seed, real):
+    a, b = _sum_pair(seed)
+    if real:
+        a, b = a.realify(), b.realify()
+    total = a.sum(b)
+    assert total == Subspace.span(a.basis() + b.basis(), a.side, real=real)
+    assert b.sum(a) == total
+    for big, small in ((a, b), (b, a)):
+        if big.contains_space(small):
+            assert big.sum(small) is big
+            assert small.sum(big) is (big if big.dim > small.dim else small)
 
 
 def test_intersection_nontrivial_combination():

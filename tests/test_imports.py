@@ -17,16 +17,18 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(crmostow.__path__))
 # in review.  None of them is a piece of the exact core's working form.
 PRIVATE_IMPORTS = {
     "acceptance": {"_combo", "_complex_combo"},
-    # ``_memo`` is the one way into a subalgebra's cache: the parabolic
-    # machinery memoizes its results through it, and it keeps every cached
-    # value plain data, so the ambient that owns the caches holds no cycle.
-    "parabolic": {"_bracket_closure", "_eigenvalues", "_memo"},
+    # ``_memo`` is the one way into a subalgebra's cache, and ``_derived``
+    # the one way into the ambient's table of results derived from one
+    # operand: the parabolic machinery memoizes its results through them,
+    # and they keep every cached value plain data, so the ambient that owns
+    # the caches holds no cycle.
+    "parabolic": {"_bracket_closure", "_derived", "_eigenvalues", "_memo"},
 }
 
 # The ambient's tables of derived results and a view's cache dict.  Only
 # structure.py reads or writes them; ambient.py declares them, empty, in
 # ``AmbientAlgebra.__init__`` and touches them nowhere else.
-CACHE_TABLES = {"_cache", "_caches", "_subalgebras", "_normalizers", "_eigenvalues"}
+CACHE_TABLES = {"_cache", "_caches", "_subalgebras", "_derived"}
 
 # The attributes through which ExactMatrix and Subspace hold and read their
 # Gaussian-integer numerators and denominators: only exact.py touches them.

@@ -174,7 +174,7 @@ def _levi_weight_data(index):
     """The ambient, the center of L(v) and σ(nr v) for spec ``index``."""
     name, params = SPECS[index]
     v = catalog.build(name, params).subalgebra
-    return v.ambient, _center_mats(v.levi_part.space), v.ambient.conj_space(v.nr)
+    return v.ambient, _center_mats(v.ambient, v.levi_part.space), v.ambient.conj_space(v.nr)
 
 
 @settings(max_examples=8, deadline=None)
@@ -639,6 +639,26 @@ def test_largest_intermediate_certificate_rejects_two_maxima(monkeypatch):
     monkeypatch.setattr(parabolic, "_module_summands", lambda *args: pieces)
     with pytest.raises(ArithmeticError, match="maximality certificate failed"):
         largest_intermediate(borel)
+
+
+def test_largest_intermediate_certificate_fires_on_a_faulty_closure_test(monkeypatch):
+    # three summands, none escaping; a closure test that rejects the first
+    # candidate (all three) and passes every other makes two of the
+    # two-summand candidates closed, and neither holds the other
+    entry = catalog.build("grassmann_pair", {"p": 1, "q": 2, "n": 3, "k": 0})
+    v = make_subalgebra(AmbientAlgebra(entry.ambient.blocks), entry.subalgebra.basis())
+    assert v.n_reductive_verdict.ok  # the radical's ideal test runs before the patch
+    answers = iter([False])
+    monkeypatch.setattr(Subspace, "contains_brackets", lambda *args: next(answers, True))
+    with pytest.raises(ArithmeticError, match="maximality certificate failed"):
+        largest_intermediate(v)
+
+
+def test_minimal_envelope_certificate_fires(monkeypatch, flag13):
+    v = make_subalgebra(AmbientAlgebra(flag13.ambient.blocks), flag13.basis())
+    monkeypatch.setattr(parabolic, "is_admissible_envelope", lambda *args: False)
+    with pytest.raises(ArithmeticError, match="P0 membership failed"):
+        minimal_envelope(v)
 
 
 def test_admissibility_is_memoized_per_parabolic(monkeypatch, flag13):

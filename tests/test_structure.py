@@ -460,7 +460,7 @@ def test_normalizer_is_memoized_per_ambient(monkeypatch):
     assert kernels == []
     # a fresh ambient starts empty, and interns its own subalgebra
     fresh = type(a)(blocks)
-    assert fresh._normalizers == {}
+    assert fresh._derived == {}
     again = normalizer(fresh, s)
     assert kernels and again is not first and again.space == first.space
 
