@@ -121,6 +121,15 @@ class AmbientAlgebra:
         """Complex dimension of k."""
         return sum(b * b for b in self.blocks) - 1
 
+    def block_projectors(self) -> list[ExactMatrix]:
+        """The orthogonal projectors onto the coordinate blocks of Cⁿ, in
+        order; every element of k commutes with each of them."""
+        out, start = [], 0
+        for b in self.blocks:
+            out.append(ExactMatrix.diagonal([int(start <= i < start + b) for i in range(self.n)]))
+            start += b
+        return out
+
     # -- structure maps -----------------------------------------------------------
     def sigma(self, x: ExactMatrix) -> ExactMatrix:
         """The antilinear conjugation fixing k0: X ↦ −X*."""

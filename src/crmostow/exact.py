@@ -63,8 +63,8 @@ Subspaces cut out of a span by linear constraints come from two entry
 points.  :func:`trace_annihilator` keeps the combinations of given matrices
 that are trace-orthogonal to others (radicals, nilradicals, trace
 complements, fiber factors); :func:`kernel_space` keeps those that given
-linear maps send to zero, or into a subspace (flag stabilizers, the
-closed-form split), and :func:`bracket_kernel` is its form for the maps
+linear maps send to zero, or into a subspace (the closed-form split),
+and :func:`bracket_kernel` is its form for the maps
 ``ad y`` (centralizers, normalizers, stabilizers).  Both solve one integer
 system by the shared elimination, over complex coefficients or, with
 ``real=True``, over rational ones with the real and imaginary parts of
@@ -1669,7 +1669,10 @@ def rational_roots(poly) -> list[QI]:
     With ``t = s / D`` for the common denominator ``D`` of the monic
     coefficients, the polynomial becomes monic over the Gaussian integers,
     so its roots in Q(i) are Gaussian integers over ``D``: those of its
-    squarefree part, found exactly by :func:`_gaussian_integer_roots`.
+    squarefree part, found exactly by :func:`_gaussian_integer_roots`.  A
+    polynomial that is already monic, as :func:`charpoly` and
+    :func:`squarefree_part` return, is not divided by its leading
+    coefficient.
     """
     coeffs = list(poly)
     while coeffs and not coeffs[0]:
@@ -1677,7 +1680,7 @@ def rational_roots(poly) -> list[QI]:
     if not coeffs:
         raise ValueError("zero polynomial has no finite root list")
     lead = coeffs[0]
-    den, num = _to_num([c / lead for c in coeffs[1:]])
+    den, num = _to_num(coeffs[1:] if lead == QI_ONE else [c / lead for c in coeffs[1:]])
     monic = [(1, 0)]
     power = 1
     for a, b in num:

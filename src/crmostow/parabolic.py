@@ -22,8 +22,8 @@ from .exact import (
     bracket_kernel,
     bracket_space,
     kernel_projector,
-    kernel_space,
     products,
+    trace_pairing,
 )
 from .structure import (
     Subalgebra,
@@ -68,6 +68,10 @@ class ParabolicSubalgebra:
     representation, ending at the full space, each step held as its exact
     orthogonal projector (so the last one is the identity); ``q`` equals the
     stabilizer of that chain intersected with the ambient algebra.
+    :func:`is_parabolic` certifies this without solving for the stabilizer:
+    ``q`` keeps every step, and ``dim q = Σ_j Σ_{s≤t} g_sj·g_tj − 1``, the
+    stabilizer's dimension, with ``g_sj`` the dimension of the ``s``-th
+    graded piece of the flag inside the ``j``-th block of the ambient.
     """
 
     q: Subalgebra
@@ -263,17 +267,19 @@ def _invariant_flag(ambient: AmbientAlgebra, nilmats) -> list[ExactMatrix] | Non
 
     Each step is ``{v : b·v ∈ previous step for every b}``, the kernel of
     the ``(I − Π)·b`` with ``Π`` the previous step's projector; it contains
-    the previous step.  Returns the projectors of the strictly increasing
-    chain ending at the full space, or ``None`` when the chain stalls (some
-    element acts invertibly on a quotient, so the span is not the
-    nilradical of a flag stabilizer).
+    the previous step, and it is the full space when every ``(I − Π)·b`` is
+    zero.  Returns the projectors of the strictly increasing chain ending at
+    the full space, or ``None`` when the chain stalls (some element acts
+    invertibly on a quotient, so the span is not the nilradical of a flag
+    stabilizer).
     """
     n = ambient.n
     identity = ExactMatrix.identity(n)
     current = ExactMatrix.zeros(n)
     flag: list[ExactMatrix] = []
     while current != identity:
-        nxt = kernel_projector([m for *_, m in products([identity - current], nilmats)], n)
+        images = [m for *_, m in products([identity - current], nilmats)]
+        nxt = kernel_projector(images, n) if images else identity
         if nxt == current:
             return None
         current = nxt
@@ -281,29 +287,50 @@ def _invariant_flag(ambient: AmbientAlgebra, nilmats) -> list[ExactMatrix] | Non
     return flag
 
 
-def _flag_stabilizer(ambient: AmbientAlgebra, flag) -> Subalgebra:
-    """The subalgebra of the ambient preserving every step of the flag:
-    ``x`` keeps the range of ``Π`` exactly when ``(I − Π)·x·Π = 0``."""
-    kmats = ambient.space.basis()
-    n = ambient.n
-    identity = ExactMatrix.identity(n)
-    images = []
-    for step in flag[:-1]:
-        # the zero images (I − Π)·x·Π, which the products leave out, constrain nothing
-        values = [ExactMatrix.zeros(n)] * len(kmats)
-        lefts = products([identity - step], kmats)
-        for a, _, image in products([left for *_, left in lefts], [step]):
-            values[lefts[a][1]] = image
-        images.append(values)
-    return subalgebra_from_space(ambient, kernel_space(kmats, images, n), verified=True)
+def _stabilizer_dim(ambient: AmbientAlgebra, graded) -> int:
+    """The dimension of the stabilizer in the ambient of a flag that splits
+    along the ambient's blocks, from the flag's graded projectors ``E_s``.
+
+    With ``B_j`` the projector onto the ``j``-th block, ``g_sj = tr(E_s·B_j)``
+    is the dimension of the ``s``-th graded piece inside block ``j``.  The
+    stabilizer in ``gl`` of block ``j`` sends each piece ``t`` into the
+    pieces ``s ≤ t``: dimension ``Σ_{s≤t} g_sj·g_tj``.  The stabilizer in
+    the block-diagonal ``⊕_j gl`` is their direct sum; it holds the
+    identity, whose trace is not zero, so the traceless condition of the
+    ambient cuts one dimension: ``Σ_j Σ_{s≤t} g_sj·g_tj − 1``.  Since
+    ``Σ_s g_sj`` is the block size ``b_j``, the double sum is
+    ``(Σ_j b_j² + Σ_{s,j} g_sj²) / 2``.
+    """
+    graded_dims = trace_pairing(graded, ambient.block_projectors()).entries
+    squares = sum(int(g.re) ** 2 for row in graded_dims for g in row)
+    return (sum(b * b for b in ambient.blocks) + squares) // 2 - 1
 
 
 def is_parabolic(q: Subalgebra) -> tuple[bool, ParabolicSubalgebra | None]:
     """Decide whether ``q`` is the full stabilizer of an invariant flag.
 
-    The candidate flag is forced: it is the iterated joint-kernel chain of
-    the nilpotency-forced part of ``q`` (radical meets derived algebra).
-    Returns the decision together with the decomposed witness on success.
+    The candidate flag ``F`` is forced: it is the iterated joint-kernel
+    chain of ``n = rad(q) ∩ [q, q]``, the nilpotency-forced part of ``q``.
+    ``q`` is parabolic exactly when ``q = stab(F)``, the stabilizer of ``F``
+    in the ambient; no kernel over the ambient's basis is solved for it.
+    Two checks decide it:
+
+    * every basis element ``x`` of ``q`` keeps every step: with ``E_s`` the
+      orthogonal projector onto the ``s``-th graded piece of ``F`` (the
+      difference of consecutive steps), ``E_s·x·E_t = 0`` for ``s > t``, in
+      one batch of products.  This gives ``q ⊆ stab(F)``.  It holds
+      whenever ``n`` is an ideal of ``q``: for ``v`` in a step and ``b`` in
+      ``n``, ``b·x·v = x·b·v − [x, b]·v`` lies in the step below;
+    * ``dim q = dim stab(F)``, a count read from the graded projectors (see
+      :func:`_stabilizer_dim`).  ``n`` lies in the block-diagonal ambient,
+      so each step of ``F`` is the direct sum of its parts in the blocks:
+      if the step below splits, ``b·v`` lies in it exactly when each
+      block part of ``b·v``, which is ``b`` applied to the block part of
+      ``v``, does.  The count applies.
+
+    A subspace of a finite-dimensional space with the space's dimension is
+    the space: the two checks give ``q = stab(F)``.  Returns the decision
+    together with the decomposed witness on success.
     """
     parts = _memo(q, "parabolic", lambda: _parabolic_parts(q))
     if parts is None:
@@ -318,8 +345,12 @@ def _parabolic_parts(q: Subalgebra) -> tuple[Subspace, Subspace, tuple[ExactMatr
     flag = _invariant_flag(q.ambient, radn.basis())
     if flag is None:
         return None
-    stab = _flag_stabilizer(q.ambient, flag)
-    if stab.space != q.space:
+    graded = [flag[0]] + [step - below for below, step in zip(flag, flag[1:])]
+    lefts = products(graded, q.basis())
+    # E_s·x·E_t for s > t sends piece t into a later step
+    if any(lefts[a][0] > t for a, t, _ in products([m for *_, m in lefts], graded)):
+        return None
+    if q.dim != _stabilizer_dim(q.ambient, graded):
         return None
     levi = q.levi_part.space
     if not _splits(q, levi, radn) or radn != q.nr:
@@ -435,30 +466,40 @@ def _minimal_envelope(v: Subalgebra) -> Subspace:
 
 
 def _classified_weights(amb: AmbientAlgebra, p: ParabolicSubalgebra):
-    """Weight decomposition of the ambient under the center of the Levi.
+    """Nonzero weight spaces of the ambient under the center ``Z`` of the
+    Levi, read from the nilradical ``n`` and its conjugate alone.
 
     Returns ``(pieces, positive, negative)`` where ``pieces`` maps weight
-    tuples to subspaces, and the other two are the weight sets lying in the
-    nilradical and in its conjugate.  The zero-weight part must equal the
-    Levi and every other piece must land on one side.
+    tuples to subspaces, and the other two are the weight sets of ``n`` and
+    of ``σ(n)``.  Only ``n`` and ``σ(n)`` are decomposed, and three facts are
+    certified:
+
+    * neither ``n`` nor ``σ(n)`` has the weight 0;
+    * the weight sets of ``n`` and ``σ(n)`` are disjoint;
+    * ``dim levi + 2·dim n = dim k``.
+
+    ``Z`` commutes with the Levi, so the Levi has weight 0.
+    :func:`_weight_pieces` certifies that ``n`` is the direct sum of its
+    pieces, one per weight, each inside the weight space ``k_w`` of that
+    weight; so does ``σ(n)``.  Weight spaces of distinct weights are
+    independent, so the first two facts make ``levi + n + σ(n)`` a direct
+    sum, and the third makes it all of ``k``.  Hence ``k_0 = levi``; for
+    ``w ≠ 0``, ``k_w`` is the piece of ``n`` of weight ``w`` when ``w`` is a
+    weight of ``n``, that of ``σ(n)`` when it is one of ``σ(n)``, and zero
+    otherwise.  These are the pieces of the whole ambient's decomposition,
+    and the same classification, without decomposing the ambient.  When a
+    fact fails, the ascent stalls.
     """
-    table = dict(_weight_pieces(amb, amb.space, _center_mats(amb, p.levi)))
-    conj_nil = sigma_image(amb, p.nilradical)
-    positive: set[tuple] = set()
-    negative: set[tuple] = set()
-    zero_sum = Subspace.zero(amb.n)
-    for wt, piece in table.items():
-        if not any(x for x in wt):
-            zero_sum = zero_sum.sum(piece)
-        elif p.nilradical.contains_space(piece):
-            positive.add(wt)
-        elif conj_nil.contains_space(piece):
-            negative.add(wt)
-        else:
-            raise ArithmeticError("weight ascent stalled")
-    if zero_sum != p.levi:
+    z_mats = _center_mats(amb, p.levi)
+    positive = dict(_weight_pieces(amb, p.nilradical, z_mats))
+    negative = dict(_weight_pieces(amb, sigma_image(amb, p.nilradical), z_mats))
+    if (
+        any(not any(wt) for wt in (*positive, *negative))
+        or positive.keys() & negative.keys()
+        or p.levi.dim + 2 * p.nilradical.dim != amb.dim
+    ):
         raise ArithmeticError("weight ascent stalled")
-    return table, positive, negative
+    return {**positive, **negative}, set(positive), set(negative)
 
 
 def _simple_weights(positive: set[tuple]) -> list[tuple]:
@@ -514,7 +555,8 @@ def _weight_ascent(v_nil: Subspace, start: ParabolicSubalgebra) -> Subspace:
         occurring = set()
         for wt in positive:
             piece = table[wt]
-            inter_dim = piece.intersect(generated).dim
+            # dim(A ∩ B) = dim A + dim B − dim(A + B)
+            inter_dim = piece.dim + generated.dim - piece.sum(generated).dim
             if inter_dim == piece.dim:
                 occurring.add(wt)
             elif inter_dim:

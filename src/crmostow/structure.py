@@ -213,8 +213,8 @@ class Subalgebra:
         for x, p in zip(mats, rad.pivots):
             if p in nil_pivots:
                 continue
-            roots, poly = _eigenvalues(self.ambient, x)
-            if len(roots) < len(squarefree_part(poly)) - 1:
+            roots, distinct = _eigenvalues(self.ambient, x)
+            if len(roots) < distinct:
                 raise IrrationalWeightsError("irrational weights")
         # post-verification: nilpotent basis, ideal, contains rad ∩ derived
         for x in out.basis():
@@ -398,13 +398,20 @@ def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> tuple[list[QI], list[QI]]:
-    """``(rational_roots(charpoly(z)), charpoly(z))``, memoized on the
-    ambient: nr's rationality check and the regularization meet the same
-    matrices again and again within one analysis."""
+def _eigenvalues(ambient: AmbientAlgebra, z: ExactMatrix) -> tuple[list[QI], int]:
+    """The distinct eigenvalues of ``z`` in Q(i), sorted, and the number of
+    its distinct eigenvalues over C, memoized on the ambient: nr's
+    rationality check and the regularization meet the same matrices again
+    and again within one analysis.
+
+    Both come from the one squarefree part ``f`` of the characteristic
+    polynomial: its degree counts the distinct eigenvalues, and its roots
+    are theirs.  ``f`` is monic, so :func:`rational_roots` reads it as it
+    stands.
+    """
 
     def compute():
-        poly = charpoly(z)
-        return rational_roots(poly), poly
+        part = squarefree_part(charpoly(z))
+        return rational_roots(part), len(part) - 1
 
     return _derived(ambient, "eigenvalues", z, compute)

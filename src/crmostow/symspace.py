@@ -567,12 +567,8 @@ def _levi_pieces(witness: ParabolicSubalgebra) -> list[ExactMatrix]:
     ``Π_k − Π_{k−1}`` onto the orthogonal steps of its flag, whose steps
     ``Π_k`` it holds as orthogonal projectors, cut by the ambient's
     coordinate blocks."""
-    n = witness.ambient.n
-    cuts, start = [], 0
-    for size in witness.ambient.blocks:
-        cuts.append(ExactMatrix.diagonal([int(start <= i < start + size) for i in range(n)]))
-        start += size
-    pieces, below = [], ExactMatrix.zeros(n)
+    cuts = witness.ambient.block_projectors()
+    pieces, below = [], ExactMatrix.zeros(witness.ambient.n)
     for upto in witness.invariant_flag:
         pieces += [p for p in ((upto - below) @ cut for cut in cuts) if not p.is_zero]
         below = upto

@@ -1,10 +1,11 @@
 """Each derived subspace once per ambient: analyzing the benchmark's exact
 inputs in shared ambients repeats no intersection, σ-image, eigen-split or
-Levi-center kernel."""
+Levi-center kernel; and no parabolic is recognized, nor its weights
+classified, by work over the whole ambient."""
 
 from collections import Counter
 
-from crmostow import catalog, cli, parabolic, structure
+from crmostow import catalog, cli, crinv, exact, parabolic, structure, symspace
 from crmostow.ambient import AmbientAlgebra
 from crmostow.exact import Subspace
 
@@ -75,3 +76,43 @@ def test_no_derived_work_repeats(monkeypatch):
     for seen in (intersects, misses, projectors, kernels):
         assert seen
         assert [key for key, count in seen.items() if count > 1] == []
+
+
+def test_parabolics_solve_no_ambient_kernel(monkeypatch):
+    # parabolic recognition counts the flag stabilizer's dimension instead of
+    # solving for it, and the weight ascent decomposes only the nilradical
+    # and its conjugate, never the whole ambient
+    in_parts, kernels, ascents, whole = [], [], [], []
+    kernel_space, weight_pieces, weight_ascent = (
+        exact.kernel_space, parabolic._weight_pieces, parabolic._weight_ascent
+    )
+
+    def counting_kernel(*args, **kwargs):
+        if in_parts:
+            kernels.append(args)
+        return kernel_space(*args, **kwargs)
+
+    def recording_pieces(amb, space, z_mats):
+        whole.append(space == amb.space)
+        return weight_pieces(amb, space, z_mats)
+
+    def counting_ascent(v_nil, start):
+        ascents.append(start)
+        return weight_ascent(v_nil, start)
+
+    for module in (exact, structure, parabolic, crinv, symspace):
+        for name, value in list(vars(module).items()):
+            if value is kernel_space:
+                monkeypatch.setattr(module, name, counting_kernel)
+    monkeypatch.setattr(parabolic, "_parabolic_parts", _within(in_parts, parabolic._parabolic_parts))
+    monkeypatch.setattr(parabolic, "_weight_pieces", recording_pieces)
+    monkeypatch.setattr(parabolic, "_weight_ascent", counting_ascent)
+    ambients = {}
+    for name, params in SPECS[:5]:
+        entry = catalog.build(name, params)
+        blocks = entry.ambient.blocks
+        amb = ambients.setdefault(blocks, AmbientAlgebra(blocks))
+        v = structure.make_subalgebra(amb, entry.subalgebra.basis())
+        cli.build_analysis_report(v, {"catalog": name, "params": params}, seed=11)
+    assert ascents and whole
+    assert kernels == [] and not any(whole)

@@ -219,6 +219,61 @@ def test_seven_dim_normalizer_not_parabolic(gl23, flag13):
     assert not ok and witness is None
 
 
+def _stabilizer_oracle(q, flag):
+    """The stabilizer of a flag in q's ambient, solved as a kernel over the
+    whole ambient basis: ``x`` keeps the range of ``Π`` exactly when
+    ``(I − Π)·x·Π = 0``.  ``is_parabolic`` answered by this comparison
+    before it counted dimensions."""
+    amb = q.ambient
+    kmats = amb.space.basis()
+    identity = ExactMatrix.identity(amb.n)
+    images = [[(identity - step) @ x @ step for x in kmats] for step in flag[:-1]]
+    return kernel_space(kmats, images, amb.n)
+
+
+def _oracle_answer(q, flag):
+    return flag is not None and _stabilizer_oracle(q, flag) == q.space
+
+
+def test_flag_invariant_subalgebra_below_its_stabilizer_is_not_parabolic():
+    # the strict uppers plus one Cartan direction keep the full flag, whose
+    # stabilizer is the 5-dimensional Borel: the dimension count rejects it
+    amb = AmbientAlgebra((3,))
+    q = make_subalgebra(amb, [_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2), _diag(1, -1, 0)])
+    flag = parabolic._invariant_flag(amb, q.rad_derived.basis())
+    assert [int(step.trace().re) for step in flag] == [1, 2, 3]
+    assert _stabilizer_oracle(q, flag).dim == 5 and q.dim == 4
+    assert is_parabolic(q) == (False, None)
+    assert not _oracle_answer(q, flag)
+
+
+def test_a_moved_flag_step_is_not_parabolic(monkeypatch):
+    # q's own flag always stays put (its nilpotent part is an ideal), so the
+    # Borel is handed the opposite flag, whose stabilizer has its dimension:
+    # only the step check tells them apart
+    amb = AmbientAlgebra((3,))
+    q = make_subalgebra(amb, [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)])
+    opposite = [_diag(0, 0, 1), _diag(0, 1, 1), ExactMatrix.identity(3)]
+    monkeypatch.setattr(parabolic, "_invariant_flag", lambda ambient, nilmats: list(opposite))
+    assert _stabilizer_oracle(q, opposite).dim == q.dim
+    assert is_parabolic(q) == (False, None)
+    assert not _oracle_answer(q, opposite)
+
+
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_is_parabolic_answers_as_the_solved_stabilizer(index):
+    # on every input of the catalog and the grid, over one and several
+    # blocks, and on its regularization chain and envelopes, parabolic or not
+    v = catalog.build(*SPECS[index]).subalgebra
+    candidates = [v]
+    if v.n_reductive_verdict.ok:
+        p_min = minimal_envelope(v)
+        candidates += [*parabolic_regularization(v).chain, maximal_envelope(v, p_min).q]
+    for q in candidates:
+        flag = parabolic._invariant_flag(q.ambient, q.rad_derived.basis())
+        assert is_parabolic(q)[0] == _oracle_answer(q, flag)
+
+
 def test_nine_dim_envelope_is_parabolic(gl23):
     gens = [
         _diag(1, 0, 0, 0, -1),
@@ -413,6 +468,62 @@ def test_maximal_envelope_is_invariant_under_unitary_conjugation(sl3):
     moved = make_subalgebra(sl3, [swap @ b @ swap for b in v.basis()])
     assert moved.space == make_subalgebra(sl3, cartan + [_E(3, 0, 1)]).space
     assert _envelope_summary(v) == _envelope_summary(moved)
+
+
+def _principal_nilpotent():
+    """C·(E12 + E23) in a fresh sl(3): n-reductive, with nr(v) = v, and
+    inside exactly one Borel subalgebra, the upper triangular one."""
+    amb = AmbientAlgebra((3,))
+    return make_subalgebra(amb, [_E(3, 0, 1) + _E(3, 1, 2)])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ArithmeticError,
+    reason="the ascent asks the Levi module of nr(v) to be the nilradical, and "
+    "span(E12, E23) misses E13 = [E12, E23]: weight ascent stalled",
+)
+def test_principal_nilpotent_envelopes_are_the_borel():
+    v = _principal_nilpotent()
+    borel = make_subalgebra(
+        v.ambient, [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)]
+    )
+    q_min = minimal_envelope(v)
+    assert q_min.q.space == borel.space
+    assert maximal_envelope(v, q_min).q.space == borel.space
+
+
+def test_principal_nilpotent_reaches_the_module_closure_identity(monkeypatch):
+    # the ascent classifies the Borel's weights and finds every simple weight;
+    # it stalls only at the module-closure identity, called once
+    v = _principal_nilpotent()
+    q_min = minimal_envelope(v)
+    closures = []
+
+    def recording(act, seed):
+        closures.append((act, seed))
+        return module_closure(act, seed)
+
+    module_closure = parabolic._module_closure
+    monkeypatch.setattr(parabolic, "_module_closure", recording)
+    with pytest.raises(ArithmeticError, match="weight ascent stalled"):
+        maximal_envelope(v, q_min)
+    assert closures == [(q_min.levi, v.nr)]
+
+
+@pytest.mark.parametrize("fault", ["count", "zero weight"])
+def test_broken_weight_classification_stalls_the_ascent(monkeypatch, fault):
+    # the Borel of sl(2): levi ⊕ n ⊕ σ(n) = 1 + 1 + 1 = dim sl(2), with
+    # weights 2 on n and −2 on σ(n) under the Levi center
+    amb = AmbientAlgebra((2,))
+    v = make_subalgebra(amb, [_diag(1, -1), _E(2, 0, 1)])
+    p = minimal_envelope(v)
+    if fault == "count":
+        monkeypatch.setattr(AmbientAlgebra, "dim", property(lambda self: sum(b * b for b in self.blocks)))
+    else:
+        monkeypatch.setattr(parabolic, "_center_mats", lambda ambient, space: [])
+    with pytest.raises(ArithmeticError, match="weight ascent stalled"):
+        maximal_envelope(v, p)
 
 
 def test_maximal_envelope_fixes_split_parabolics(sl2, borel2, pair22):
