@@ -7,7 +7,12 @@ the exit status is the number of failing checks.
 
 The checks are intentionally independent re-derivations: expected values are
 computed from first principles (dimension counts, explicit spans, closed
-formulas) rather than read back from the library.
+formulas) rather than read back from the library.  The structural
+expectations of checks 1 and 2 are the catalog's pins
+(``catalog.ExpectedInvariants``, closed formulas in the block sizes), held
+against each ``analyze`` report by ``catalog.comparisons``, the comparison
+that ``analyze`` and ``verify`` run too; the checks derive by hand only what
+the pins cannot hold.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import catalog
-from .crinv import cr_type, fiber_data, levi_report
+from . import catalog, cli
+from .crinv import levi_report
 from .exact import ExactMatrix, Subspace
 from .parabolic import (
-    horocyclic_verdict,
     is_parabolic,
     largest_intermediate,
     maximal_envelope,
@@ -120,23 +124,39 @@ def _synthesize(structure, rng, scale: float = 0.35):
 # ---------------------------------------------------------------------------
 
 
+def _pin_failures(label: str, entry: catalog.CatalogEntry, witt: bool) -> list[str]:
+    """One line per pin of ``entry`` that its ``analyze`` report misses: the
+    Witt level's pin alone when ``witt``, every other pin otherwise."""
+    report = cli.build_analysis_report(entry.subalgebra, {})
+    return [
+        f"{label}: {field} {computed}, expected {wanted}"
+        for field, computed, wanted in catalog.comparisons(report, entry.expected)
+        if computed != wanted and (field == "witt") == witt
+    ]
+
+
 def check_structural_invariants() -> CheckResult:
     started = time.perf_counter()
     failures: list[str] = []
 
-    # coupled line-pair configuration in the (2,2)-block algebra
-    entry = catalog.build("su22_f12")
-    v = entry.subalgebra
-    amb = entry.ambient
-    ct = cr_type(v)
-    if ct.cr_dim != 1:
-        failures.append(f"su22_f12: distribution rank {ct.cr_dim}, expected 1")
-    hv = horocyclic_verdict(v)
-    if not hv.horocyclic or hv.strictly_horocyclic:
-        failures.append(
-            "su22_f12: expected horocyclic but not strictly horocyclic, got "
-            f"({hv.horocyclic}, {hv.strictly_horocyclic})"
-        )
+    # the catalog's pins on the four fixed configurations and on the full
+    # two-flag family in ambient size up to 6; the Witt level is check 2's
+    fixed = {
+        name: catalog.build(name)
+        for name in ("su22_f12", "su23_f13", "su23_f12", "so_n_symmetric")
+    }
+    for name, entry in fixed.items():
+        failures += _pin_failures(name, entry, witt=False)
+    grid = catalog.grassmann_parameter_grid(6)
+    for params in grid:
+        entry = catalog.build("grassmann_pair", params)
+        failures += _pin_failures(f"grassmann {params}", entry, witt=False)
+
+    # what the pins cannot hold, by explicit spans and dimension counts.
+    # su22_f12, the coupled line pair in the (2,2)-block algebra: its largest
+    # intermediate subalgebra is the diagonally embedded sl(2)
+    v = fixed["su22_f12"].subalgebra
+    amb = v.ambient
     e = ExactMatrix.unit
     n4 = amb.n
     diag_sl2 = make_subalgebra(
@@ -155,16 +175,15 @@ def check_structural_invariants() -> CheckResult:
             "diagonally embedded rank-one simple subalgebra"
         )
 
-    # coupled line-in-plane configuration in the (2,3)-block algebra.  The
-    # nilpotent part is n = span(E01 + E24, E34).  Its normalizer N in
-    # s(gl2 x gl3) is the 7-dimensional span below, and it is not parabolic:
-    # every parabolic contains a Borel subalgebra, of dimension
+    # su23_f13, the coupled line-in-plane configuration in the (2,3)-block
+    # algebra.  The nilpotent part is n = span(E01 + E24, E34).  Its
+    # normalizer N in s(gl2 x gl3) is the 7-dimensional span below, and it is
+    # not parabolic: every parabolic contains a Borel subalgebra, of dimension
     # 3 + 6 - 1 = 8 > 7.  Only the iterated regularization reaches a
     # parabolic: N is the second term of the chain v -> N -> q_min, and the
     # envelopes are nested strictly above it, N < q_min < q_max (7 < 8 < 9).
-    entry = catalog.build("su23_f13")
-    v = entry.subalgebra
-    n5 = entry.ambient.n
+    v = fixed["su23_f13"].subalgebra
+    n5 = v.ambient.n
     nil_span = Subspace.span([e(n5, 0, 1) + e(n5, 2, 4), e(n5, 3, 4)], n5)
     normalizer_span = Subspace.span(
         [
@@ -211,61 +230,6 @@ def check_structural_invariants() -> CheckResult:
             f"envelope with dimensions 7 < 8 < 9, got {dims}"
             + ("" if nested else ", not nested")
         )
-    if horocyclic_verdict(v).strictly_horocyclic:
-        failures.append("su23_f13: unexpectedly strictly horocyclic")
-
-    # plane-pair configuration in the (2,3)-block algebra
-    entry = catalog.build("su23_f12")
-    v = entry.subalgebra
-    ct = cr_type(v)
-    if (ct.cr_dim, ct.cr_codim) != (3, 4):
-        failures.append(
-            f"su23_f12: CR type ({ct.cr_dim}, {ct.cr_codim}), expected (3, 4)"
-        )
-    if not horocyclic_verdict(v).horocyclic:
-        failures.append("su23_f12: intermediate nilpotent part not horocyclic")
-    fd = fiber_data(v)
-    if fd.hermitian_part.dim != 4:
-        failures.append(
-            f"su23_f12: fiber dimension {fd.hermitian_part.dim}, expected 4"
-        )
-
-    # real orthogonal subalgebra: the one non-example
-    entry = catalog.build("so_n_symmetric")
-    if entry.subalgebra.n_reductive_verdict.ok:
-        failures.append("so_n_symmetric: unexpectedly n-reductive")
-
-    # the full two-flag family in ambient size up to 6
-    grid = catalog.grassmann_parameter_grid(6)
-    grid_bad = 0
-    for params in grid:
-        sub = catalog.build("grassmann_pair", params).subalgebra
-        p, q, n, k = params["p"], params["q"], params["n"], params["k"]
-        n2 = k
-        n3 = n + 1 + k - p - q
-        ok = sub.n_reductive_verdict.ok
-        strict = horocyclic_verdict(sub).strictly_horocyclic
-        ct = cr_type(sub)
-        expected_codim = 2 * n2 * n3
-        dual = sub.ambient.dim - sub.dim
-        if not ok:
-            grid_bad += 1
-            failures.append(f"grassmann {params}: not n-reductive")
-        elif not strict:
-            grid_bad += 1
-            failures.append(f"grassmann {params}: not strictly horocyclic")
-        elif ct.cr_codim != expected_codim:
-            grid_bad += 1
-            failures.append(
-                f"grassmann {params}: codimension {ct.cr_codim}, "
-                f"expected {expected_codim}"
-            )
-        elif ct.cr_dim + ct.cr_codim != dual:
-            grid_bad += 1
-            failures.append(
-                f"grassmann {params}: rank+codim {ct.cr_dim + ct.cr_codim} "
-                f"!= complementary dimension {dual}"
-            )
     detail = f"4 fixed configurations + {len(grid)} two-flag instances"
     return _finish(1, "structural-invariants", detail, started, 10.0, failures)
 
@@ -281,21 +245,13 @@ def check_witt_lower_bounds() -> CheckResult:
     grid = catalog.grassmann_parameter_grid(6)
     n_formula = n_empty = 0
     for params in grid:
-        sub = catalog.build("grassmann_pair", params).subalgebra
-        p, q, n, k = params["p"], params["q"], params["n"], params["k"]
-        d = 2 * k * (n + 1 + k - p - q)
-        if d > 0:
-            report = levi_report(sub)
-            expected = p + q - 2 * k
-            if report.witt_lower_bound != expected:
-                failures.append(
-                    f"grassmann {params}: witt bound {report.witt_lower_bound}, "
-                    f"expected {expected}"
-                )
+        entry = catalog.build("grassmann_pair", params)
+        if entry.expected.witt is not None:
+            failures += _pin_failures(f"grassmann {params}", entry, witt=True)
             n_formula += 1
         else:
             try:
-                levi_report(sub)
+                levi_report(entry.subalgebra)
                 failures.append(
                     f"grassmann {params}: degenerate instance did not report "
                     "an empty characteristic space"

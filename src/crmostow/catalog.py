@@ -4,14 +4,15 @@ Each entry packages an ambient algebra, a distinguished subalgebra, and the
 record of invariants the analysis pipeline is expected to reproduce for it.
 The registry doubles as the structural regression suite: running the full
 analysis on every entry and diffing against ``expected`` is the primary
-end-to-end check of the library.
+end-to-end check of the library.  :func:`comparisons` is that diff, the one
+that ``analyze``, ``verify`` and the acceptance checks share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Mapping
 
 from .ambient import AmbientAlgebra, block_special_linear, special_linear
 from .exact import QI, ExactMatrix
@@ -20,6 +21,7 @@ from .structure import Subalgebra, make_subalgebra
 __all__ = [
     "ExpectedInvariants",
     "CatalogEntry",
+    "comparisons",
     "entry_names",
     "build",
     "parse_gaussian",
@@ -50,6 +52,44 @@ class ExpectedInvariants:
     witt: int | None = None
     f0_dim: int | None = None
     notes: str = ""
+
+
+# Each field that ``ExpectedInvariants`` may pin, with the key of the
+# analysis report that holds its computed value.
+_REPORT_KEYS = (
+    ("n_reductive", "n_reductive"),
+    ("hnr", "hnr"),
+    ("strict_hnr", "strict_hnr"),
+    ("cr_type", "cr_type"),
+    ("f0_dim", "f0_dim"),
+    ("witt", "witt_lower_bound"),
+)
+
+
+def comparisons(
+    report: Mapping[str, Any], expected: ExpectedInvariants
+) -> list[tuple[str, Any, Any]]:
+    """``(field, computed, expected)`` for every field that ``expected``
+    pins, in the order of ``_REPORT_KEYS``.
+
+    ``computed`` is read from an ``analyze`` report (the ``value`` of a
+    tagged field).  A pinned field that the report lacks or leaves null is
+    compared as ``None``, so it shows as a mismatch instead of being
+    skipped.
+    """
+    found = []
+    for field, key in _REPORT_KEYS:
+        wanted = getattr(expected, field)
+        if wanted is None:
+            continue
+        computed = report.get(key)
+        if isinstance(computed, dict):
+            computed = computed.get("value")
+        if field == "cr_type":
+            wanted = tuple(wanted)
+            computed = None if computed is None else tuple(computed)
+        found.append((field, computed, wanted))
+    return found
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ factorization), ``exhaust`` (exhaustion-function evaluation), ``verify``
 (self-check suites), ``catalog`` (list and export built-in entries).
 
 ``verify`` writes TAP and re-implements no check.  Its structural suite is
-the ``analyze`` catalog comparison, one line per pinned field of each
-entry; its numeric suite runs acceptance checks 4-7 from
+the catalog comparison ``catalog.comparisons`` that ``analyze`` and
+acceptance checks 1-2 also run, one line per pinned field of each entry;
+its numeric suite runs acceptance checks 4-7 from
 ``crmostow.acceptance``.  Those checks carry their own fixed seeds, so
 ``verify`` takes no ``--seed``.
 
@@ -302,10 +303,7 @@ def build_analysis_report(
             "cohomology_ranges",
         ):
             report[key] = None
-        if expected is not None:
-            report["expected"] = _expected_to_json(expected)
-            report["discrepancies"] = _discrepancies(report, expected)
-        return report
+        return _attach_expected(report, expected)
 
     q_min = minimal_envelope(v)
     q_max = maximal_envelope(v, q_min)
@@ -366,11 +364,7 @@ def build_analysis_report(
         }
     else:
         report["cohomology_ranges"] = None
-
-    if expected is not None:
-        report["expected"] = _expected_to_json(expected)
-        report["discrepancies"] = _discrepancies(report, expected)
-    return report
+    return _attach_expected(report, expected)
 
 
 def _expected_to_json(expected: catalog.ExpectedInvariants) -> dict:
@@ -386,41 +380,17 @@ def _expected_to_json(expected: catalog.ExpectedInvariants) -> dict:
     }
 
 
-def _comparisons(report: dict, expected: catalog.ExpectedInvariants) -> list:
-    """``(field, computed, expected)`` for every pinned field of ``expected``
-    that the report computed."""
-    found = []
-
-    def compare(field: str, computed, wanted) -> None:
-        if wanted is not None:
-            found.append((field, computed, wanted))
-
-    compare("n_reductive", report["n_reductive"]["value"], expected.n_reductive)
-    if report.get("hnr") is not None:
-        compare("hnr", report["hnr"]["value"], expected.hnr)
-        compare("strict_hnr", report["strict_hnr"]["value"], expected.strict_hnr)
-    if report.get("cr_type") is not None and expected.cr_type is not None:
-        compare(
-            "cr_type",
-            tuple(report["cr_type"]["value"]),
-            tuple(expected.cr_type),
-        )
-    if report.get("f0_dim") is not None:
-        compare("f0_dim", report["f0_dim"], expected.f0_dim)
-    if (
-        report.get("witt_lower_bound") is not None
-        and report["witt_lower_bound"]["value"] is not None
-    ):
-        compare("witt", report["witt_lower_bound"]["value"], expected.witt)
-    return found
-
-
-def _discrepancies(report: dict, expected: catalog.ExpectedInvariants) -> list:
-    return [
-        {"field": field, "computed": computed, "expected": wanted}
-        for field, computed, wanted in _comparisons(report, expected)
-        if computed != wanted
-    ]
+def _attach_expected(report: dict, expected: catalog.ExpectedInvariants | None) -> dict:
+    """The report, with the pins of ``expected`` and the fields where the
+    catalog comparison finds them missed, when ``expected`` is given."""
+    if expected is not None:
+        report["expected"] = _expected_to_json(expected)
+        report["discrepancies"] = [
+            {"field": field, "computed": computed, "expected": wanted}
+            for field, computed, wanted in catalog.comparisons(report, expected)
+            if computed != wanted
+        ]
+    return report
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -537,14 +507,15 @@ def cmd_exhaust(args: argparse.Namespace) -> int:
 
 
 def _structural_checks() -> list[tuple[str, bool, str]]:
-    """The ``analyze`` catalog comparison, one check per pinned field."""
+    """The catalog comparison of each entry's ``analyze`` report, one
+    check per pinned field."""
     checks: list[tuple[str, bool, str]] = []
     for name in catalog.entry_names():
         entry = catalog.build(name, catalog.REFERENCE_PARAMS.get(name))
         report = build_analysis_report(
             entry.subalgebra, subalgebra_spec_from_entry(entry)
         )
-        for field, computed, wanted in _comparisons(report, entry.expected):
+        for field, computed, wanted in catalog.comparisons(report, entry.expected):
             label = "witt_lower_bound" if field == "witt" else field
             detail = f"expected {wanted}, computed {computed}"
             checks.append((f"{name}: {label}", computed == wanted, detail))

@@ -3,8 +3,8 @@
 Computes the CR type (dimension, codimension, dual complex-orbit dimension),
 the Hermitian and nilpotent fiber factors of the equivariant fibration over
 the compact orbit, scalar Levi-form signatures with an exact Witt-index
-lower bound, isotropy data of nearby orbits, and the arithmetic window of
-cohomology degrees where finiteness transfers.
+lower bound, and the arithmetic window of cohomology degrees where
+finiteness transfers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .exact import (
     ExactMatrix,
     Subspace,
     bracket,
-    bracket_kernel,
     combine,
     hermitian_inertia,
     trace_annihilator,
@@ -39,12 +38,9 @@ __all__ = [
     "FiberData",
     "LeviReport",
     "CohomologyRanges",
-    "OrbitData",
     "cr_type",
-    "default_envelope",
     "fiber_data",
     "levi_report",
-    "orbit_data",
     "cohomology_ranges",
 ]
 
@@ -123,25 +119,6 @@ class CohomologyRanges:
     finite_high: range
 
 
-@dataclass(frozen=True)
-class OrbitData:
-    """Isotropy and conjugation data at a Hermitian displacement.
-
-    ``stabilizer`` is the real space of compact elements of the subalgebra
-    commuting with the displacement, ``orbit_dim`` the real dimension of the
-    corresponding compact-group orbit, and ``conjugated`` the subalgebra
-    moved by the exponential of the displacement.  The displacement lies in
-    the Hermitian fiber factor, so its exponential is rational only at zero:
-    there ``conjugated`` is the subalgebra itself and ``exact_conjugation``
-    is true; otherwise it is a tuple of floating-point basis matrices.
-    """
-
-    stabilizer: Subspace
-    orbit_dim: int
-    conjugated: object
-    exact_conjugation: bool
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
@@ -169,11 +146,6 @@ def _trace_projection(amb: AmbientAlgebra, pair: Subspace, comp: Subspace,
     return combine(w, trace_pairing(ts, w) @ g_inv)
 
 
-# The exact signature ``(positives, negatives)`` of a Hermitian form, by
-# Sylvester's law of inertia; ``levi_report`` looks it up through this name.
-_hermitian_signature = hermitian_inertia
-
-
 # ---------------------------------------------------------------------------
 # CR type
 # ---------------------------------------------------------------------------
@@ -196,11 +168,6 @@ def cr_type(v: Subalgebra) -> CRType:
 # ---------------------------------------------------------------------------
 # fiber data
 # ---------------------------------------------------------------------------
-
-
-def default_envelope(v: Subalgebra) -> ParabolicSubalgebra:
-    """The pipeline's parabolic: minimal envelope of the largest intermediate."""
-    return minimal_envelope(largest_intermediate(v))
 
 
 def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData:
@@ -318,7 +285,7 @@ def levi_report(
 
     @cache  # refinement candidates repeat earlier samples
     def _signature_at(coords: tuple[int, ...]) -> tuple[int, int]:
-        return _hermitian_signature(combine(h_basis, ExactMatrix([coords]))[0])
+        return hermitian_inertia(combine(h_basis, ExactMatrix([coords]))[0])
 
     samples = _covector_samples(c0.dim, grid_density, seed)
     recorded = []
@@ -349,34 +316,6 @@ def levi_report(
     return LeviReport(
         tuple(vector_form), tuple(recorded), witt, tuple(s_basis)
     )
-
-
-# ---------------------------------------------------------------------------
-# orbit data
-# ---------------------------------------------------------------------------
-
-
-def orbit_data(v: Subalgebra, x: ExactMatrix) -> OrbitData:
-    """Isotropy, orbit dimension, and conjugated subalgebra at a displacement."""
-    fd = fiber_data(v)
-    if not fd.hermitian_part.contains_mat(x):
-        raise ValueError("X not in f0")
-    amb = v.ambient
-    compact = v.compact_intersection
-    mats = compact.basis()
-    stab = bracket_kernel(mats, [x], amb.n, real=True)
-    orbit_dim = amb.k0.dim - stab.dim
-
-    if x.is_zero:
-        return OrbitData(stab, orbit_dim, v, True)
-
-    import numpy as np
-    from scipy.linalg import expm
-
-    g = expm(x.to_numpy())
-    ginv = np.linalg.inv(g)
-    moved = tuple(g @ b.to_numpy() @ ginv for b in v.basis())
-    return OrbitData(stab, orbit_dim, moved, False)
 
 
 # ---------------------------------------------------------------------------

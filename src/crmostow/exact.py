@@ -1084,10 +1084,6 @@ class Subspace:
                 return xs[i], (xs if ys is None else ys)[j]
         return None
 
-    def contains_bracket(self, x: ExactMatrix, y: ExactMatrix) -> bool:
-        """Whether ``[x, y]`` lies in the span."""
-        return self.bracket_outside([x], [y]) is None
-
     def contains_brackets(self, outer: Sequence[ExactMatrix], inner: Sequence[ExactMatrix]) -> bool:
         """Whether ``[x, y]`` lies in the span for every ``x`` in ``outer``
         or ``inner`` and ``y`` in ``inner``: each member of ``outer`` with

@@ -45,11 +45,9 @@ __all__ = [
     "minimal_envelope",
     "maximal_envelope",
     "is_admissible_envelope",
-    "combine_parabolics",
     "is_horocyclic",
     "largest_intermediate",
     "horocyclic_verdict",
-    "strengthen",
 ]
 
 
@@ -419,8 +417,8 @@ def is_admissible_envelope(v: Subalgebra, p: ParabolicSubalgebra) -> bool:
     inside its nilradical, and the split-Levi decomposition through the
     conjugation-stable part, which depends on the parabolic alone and is
     memoized on it.  Memoized on ``v`` by the parabolic's data (its space,
-    Levi and nilradical): the envelopes, the fiber data and the
-    strengthening ask it again.
+    Levi and nilradical): the envelopes and the fiber data ask it
+    again.
     """
     if v.ambient is not p.ambient:
         raise ValueError("ambient mismatch")
@@ -585,22 +583,8 @@ def _weight_ascent(v_nil: Subspace, start: ParabolicSubalgebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# lattice operations and predicates
+# predicates
 # ---------------------------------------------------------------------------
-
-
-def combine_parabolics(
-    q1: ParabolicSubalgebra, q2: ParabolicSubalgebra
-) -> ParabolicSubalgebra:
-    """Intersection of two parabolics completed by the first nilradical."""
-    if q1.ambient is not q2.ambient:
-        raise ValueError("ambient mismatch")
-    space = q1.q.space.intersect(q2.q.space).sum(q1.nilradical)
-    combined = subalgebra_from_space(q1.ambient, space)
-    ok, witness = is_parabolic(combined)
-    if not ok:
-        raise ArithmeticError("combination is not parabolic")
-    return witness
 
 
 def is_horocyclic(
@@ -697,18 +681,3 @@ def horocyclic_verdict(v: Subalgebra) -> HorocyclicVerdict:
     strict, strict_witness = is_horocyclic(v.ambient, v.nr)
     return HorocyclicVerdict(w, w_nil, ok, strict, witness, strict_witness)
 
-
-def strengthen(v: Subalgebra, p: ParabolicSubalgebra) -> Subalgebra:
-    """Enlarge ``v`` by the nilradical of an admissible envelope.
-
-    The result is verified bracket-closed, n-reductive, and to share its
-    reductive part with ``v``.
-    """
-    if not is_admissible_envelope(v, p):
-        raise ValueError("not in P0")
-    enlarged = subalgebra_from_space(v.ambient, v.space.sum(p.nilradical))
-    if not enlarged.n_reductive_verdict.ok:
-        raise ArithmeticError("strengthening lost n-reductiveness")
-    if enlarged.levi_part.space != v.levi_part.space:
-        raise ArithmeticError("strengthening changed the reductive part")
-    return enlarged

@@ -40,7 +40,6 @@ __all__ = [
     "subalgebra_from_space",
     "normalizer",
     "sigma_image",
-    "jordan_flags",
     "rational_roots",
 ]
 
@@ -381,16 +380,6 @@ def sigma_image(ambient: AmbientAlgebra, s: Subspace) -> Subspace:
     """σ(s) for a complex subspace ``s`` of the ambient, memoized on the
     ambient."""
     return _derived(ambient, "conj", s, lambda: ambient.conj_space(s))
-
-
-def jordan_flags(x: ExactMatrix, ambient: AmbientAlgebra | None = None) -> str:
-    """Classify an element as semisimple, nilpotent, or mixed (exactly)."""
-    if ambient is not None and not ambient.contains(x):
-        raise ValueError("not inside ambient")
-    s = semisimple_part(x)
-    if s == x:
-        return "semisimple"
-    return "nilpotent" if s.is_zero else "mixed"
 
 
 # ---------------------------------------------------------------------------

@@ -695,6 +695,30 @@ ok 29 - upper_triangular_horocycle: witt_lower_bound
 """
 
 
+def _build_with_pins(name, params=None, **pins):
+    """``catalog.build``, with ``pins`` replacing the expected invariants of
+    the entry ``name`` (built with ``params``)."""
+    build = catalog.build
+
+    def patched(entry_name, entry_params=None):
+        entry = build(entry_name, entry_params)
+        if entry_name != name or (entry_params or None) != params:
+            return entry
+        expected = dataclasses.replace(entry.expected, **pins)
+        return dataclasses.replace(entry, expected=expected)
+
+    return patched
+
+
+# One wrong value for each kind of pinned field of an ExpectedInvariants
+FLIPPED_PINS = {
+    "cr_type": lambda e: (e.cr_type[0] + 1, e.cr_type[1]),
+    "f0_dim": lambda e: e.f0_dim + 1,
+    "hnr": lambda e: not e.hnr,
+    "witt": lambda e: e.witt + 1,
+}
+
+
 class TestVerify:
     def test_structural_suite_passes(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "structural")
@@ -722,21 +746,48 @@ class TestVerify:
         assert plain == optimized == STRUCTURAL_TAP
 
     def test_structural_mismatch_exits_1(self, capsys, monkeypatch):
-        build = catalog.build
-
-        def build_with_wrong_cr_type(name, params=None):
-            entry = build(name, params)
-            if name != "su22_f12":
-                return entry
-            expected = dataclasses.replace(entry.expected, cr_type=(2, 3))
-            return dataclasses.replace(entry, expected=expected)
-
-        monkeypatch.setattr(catalog, "build", build_with_wrong_cr_type)
+        monkeypatch.setattr(catalog, "build", _build_with_pins("su22_f12", cr_type=(2, 3)))
         code, out, _ = _run(capsys, "verify", "--suite", "structural")
         assert code == EXIT_VERIFY_FAILED
         lines = out.splitlines()
         assert lines[4] == "not ok 4 - su22_f12: cr_type: expected (2, 3), computed (1, 4)"
         assert lines[-1] == "# passed 28/29"
+
+    def test_pin_on_a_null_field_is_a_mismatch(self, capsys, monkeypatch):
+        # so_n_symmetric is not n-reductive, so its report leaves hnr null: a
+        # pin there is checked against None, not skipped
+        monkeypatch.setattr(catalog, "build", _build_with_pins("so_n_symmetric", hnr=True))
+        code, out, _ = _run(capsys, "verify", "--suite", "structural")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert lines[0] == "1..30"
+        assert lines[24] == "not ok 24 - so_n_symmetric: hnr: expected True, computed None"
+        assert lines[-1] == "# passed 29/30"
+
+    @pytest.mark.parametrize("field", sorted(FLIPPED_PINS))
+    def test_a_flipped_pin_fails_verify_and_acceptance(self, capsys, monkeypatch, field):
+        # the pins of one grid(6) entry, which verify also analyzes, drive
+        # verify and the acceptance check of their kind alike
+        params = catalog.REFERENCE_PARAMS["grassmann_pair"]
+        assert params in catalog.grassmann_parameter_grid(6)
+        expected = catalog.build("grassmann_pair", params).expected
+        wrong = FLIPPED_PINS[field](expected)
+        pins = {field: wrong}
+        monkeypatch.setattr(catalog, "build", _build_with_pins("grassmann_pair", params, **pins))
+
+        code, out, _ = _run(capsys, "verify", "--suite", "structural")
+        assert code == EXIT_VERIFY_FAILED
+        label = "witt_lower_bound" if field == "witt" else field
+        failed = [line for line in out.splitlines() if line.startswith("not ok")]
+        assert len(failed) == 1 and f"- grassmann_pair: {label}: expected {wrong}," in failed[0]
+
+        checks = (acceptance.check_structural_invariants, acceptance.check_witt_lower_bounds)
+        flagged, other = checks[::-1] if field == "witt" else checks
+        result = flagged()
+        assert len(result.failures) == 1
+        assert result.failures[0].startswith(f"grassmann {params}: {field} ")
+        assert result.failures[0].endswith(f", expected {wrong}")
+        assert other().passed
 
     def test_numeric_failure_exits_1(self, capsys, monkeypatch):
         def failing_check():

@@ -1,4 +1,4 @@
-"""Tests for CR type, fiber factors, Levi signatures, and orbit data."""
+"""Tests for CR type, fiber factors, Levi signatures, and cohomology windows."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,16 +9,13 @@ import pytest
 from crmostow import catalog, crinv
 from crmostow.ambient import block_special_linear, special_linear
 from crmostow.crinv import (
-    _hermitian_signature,
     cohomology_ranges,
     cr_type,
-    default_envelope,
     fiber_data,
     levi_report,
-    orbit_data,
 )
 from crmostow.exact import QI, ExactMatrix, bracket, trace_annihilator
-from crmostow.parabolic import is_parabolic, minimal_envelope
+from crmostow.parabolic import is_parabolic
 from crmostow.structure import make_subalgebra
 
 
@@ -264,12 +261,13 @@ def test_levi_empty_characteristic_space():
 def test_levi_deterministic(flag13, monkeypatch):
     a = levi_report(flag13, seed=7)
     evaluated = []
+    inertia = crinv.hermitian_inertia
 
     def counted(h):
         evaluated.append(h)
-        return _hermitian_signature(h)
+        return inertia(h)
 
-    monkeypatch.setattr(crinv, "_hermitian_signature", counted)
+    monkeypatch.setattr(crinv, "hermitian_inertia", counted)
     b = levi_report(flag13, seed=7)
     assert a.sampled_signatures == b.sampled_signatures
     assert a.witt_lower_bound == b.witt_lower_bound
@@ -320,7 +318,7 @@ def _check_signature_against_numpy(h_np, q=1):
     h = ExactMatrix(
         [[QI(int(v.real), int(v.imag)) for v in row] for row in h_np]
     ).scale(QI(Fraction(1, q)))
-    pos, neg = _hermitian_signature(h)
+    pos, neg = crinv.hermitian_inertia(h)
     eig = np.linalg.eigvalsh(h_np.astype(complex) / q)
     assert pos == int((eig > 1e-9).sum())
     assert neg == int((eig < -1e-9).sum())
@@ -351,57 +349,9 @@ def test_hermitian_signature_against_numpy():
 
 def test_hermitian_signature_hyperbolic_block():
     h = [[QI(0), QI(2, 1)], [QI(2, -1), QI(0)]]
-    assert _hermitian_signature(ExactMatrix(h)) == (1, 1)
-    assert _hermitian_signature(ExactMatrix([[QI(0)]])) == (0, 0)
-    assert _hermitian_signature(ExactMatrix([])) == (0, 0)
-
-
-# ---------------------------------------------------------------------------
-# orbit data
-# ---------------------------------------------------------------------------
-
-
-def test_orbit_data_at_zero(pair22):
-    od = orbit_data(pair22, ExactMatrix.zeros(4))
-    assert od.exact_conjugation
-    assert od.conjugated is pair22
-    t = cr_type(pair22)
-    assert od.orbit_dim == 2 * t.cr_dim + t.cr_codim
-    assert od.stabilizer.dim == pair22.compact_intersection.dim
-
-
-def test_orbit_data_generic_displacement(pair22):
-    x = _diag(1, -1, -1, 1)
-    fd = fiber_data(pair22)
-    assert fd.hermitian_part.contains_mat(x)
-    od = orbit_data(pair22, x)
-    assert od.orbit_dim >= 6
-    assert not od.exact_conjugation
-    assert len(od.conjugated) == pair22.dim
-    # conjugation preserves bracket closure numerically
-    basis = np.stack([m.reshape(-1) for m in od.conjugated])
-    for i in range(len(od.conjugated)):
-        for j in range(i + 1, len(od.conjugated)):
-            br = (
-                od.conjugated[i] @ od.conjugated[j]
-                - od.conjugated[j] @ od.conjugated[i]
-            )
-            coeffs, res, *_ = np.linalg.lstsq(basis.T, br.reshape(-1), rcond=None)
-            recon = basis.T @ coeffs
-            assert np.allclose(recon, br.reshape(-1), atol=1e-9)
-
-
-def test_orbit_data_constant_on_rays(pair22):
-    x = _diag(1, -1, -1, 1)
-    a = orbit_data(pair22, x)
-    b = orbit_data(pair22, x + x)
-    assert a.orbit_dim == b.orbit_dim
-    assert a.stabilizer == b.stabilizer
-
-
-def test_orbit_data_rejects_outside(pair22):
-    with pytest.raises(ValueError, match="X not in f0"):
-        orbit_data(pair22, _E(4, 0, 1))
+    assert crinv.hermitian_inertia(ExactMatrix(h)) == (1, 1)
+    assert crinv.hermitian_inertia(ExactMatrix([[QI(0)]])) == (0, 0)
+    assert crinv.hermitian_inertia(ExactMatrix([])) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +375,3 @@ def test_cohomology_ranges_rejects_excess_concavity():
     with pytest.raises(ValueError, match="concavity exceeds CR dimension"):
         cohomology_ranges(4, 3)
 
-
-def test_default_envelope_flag12(flag12):
-    p = default_envelope(flag12)
-    assert p.dim == 10
-    assert p.nilradical.dim == 2

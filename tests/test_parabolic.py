@@ -12,7 +12,6 @@ from crmostow.ambient import AmbientAlgebra, block_special_linear, special_linea
 from crmostow.exact import QI, ExactMatrix, Subspace, bracket, kernel_space
 from crmostow.parabolic import (
     HorocyclicVerdict,
-    combine_parabolics,
     horocyclic_verdict,
     is_admissible_envelope,
     is_horocyclic,
@@ -21,7 +20,6 @@ from crmostow.parabolic import (
     maximal_envelope,
     minimal_envelope,
     parabolic_regularization,
-    strengthen,
     _center_mats,
     _weight_pieces,
 )
@@ -543,89 +541,6 @@ def test_envelope_requires_admissibility(gl23, flag13):
 
 
 # ---------------------------------------------------------------------------
-# strengthen
-# ---------------------------------------------------------------------------
-
-
-def test_strengthen_flag13(gl23, flag13):
-    pmin = minimal_envelope(flag13)
-    pmax = maximal_envelope(flag13, pmin)
-    tilde_max = strengthen(flag13, pmax)
-    assert tilde_max.dim == 5
-    for m in (_E(5, 0, 1), _E(5, 2, 4), _E(5, 3, 4)):
-        assert tilde_max.contains(m)
-    tilde_min = strengthen(flag13, pmin)
-    assert tilde_min.dim == 6
-    # a larger envelope has a smaller nilradical, hence a smaller enlargement
-    assert tilde_min.contains_space(tilde_max.space)
-    assert tilde_max.levi_part.space == flag13.levi_part.space
-
-
-def test_strengthen_identity_when_nilradical_matches(sl3):
-    borel = make_subalgebra(
-        sl3, [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)]
-    )
-    ok, p = is_parabolic(borel)
-    assert ok
-    assert strengthen(borel, p).space == borel.space
-
-
-def test_strengthen_rejects_non_envelope(gl23, flag13):
-    whole = subalgebra_from_space(gl23, gl23.space, verified=True)
-    _, pk = is_parabolic(whole)
-    with pytest.raises(ValueError, match="not in P0"):
-        strengthen(flag13, pk)
-
-
-# ---------------------------------------------------------------------------
-# combine_parabolics
-# ---------------------------------------------------------------------------
-
-
-def test_combine_same_borel(sl2, borel2):
-    _, p = is_parabolic(borel2)
-    comb = combine_parabolics(p, p)
-    assert comb.q.space == borel2.space
-
-
-def test_combine_opposite_borels(sl2, borel2):
-    lower = make_subalgebra(sl2, [_diag(1, -1), _E(2, 1, 0)])
-    _, pu = is_parabolic(borel2)
-    _, pl = is_parabolic(lower)
-    comb = combine_parabolics(pu, pl)
-    assert comb.q.space == borel2.space
-    comb_rev = combine_parabolics(pl, pu)
-    assert comb_rev.q.space == lower.space
-
-
-def test_combine_line_stabilizers_sl3(sl3):
-    # stabilizers of the first and second coordinate lines
-    q1 = make_subalgebra(
-        sl3,
-        [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2), _E(3, 2, 1)],
-    )
-    q2 = make_subalgebra(
-        sl3,
-        [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 1, 0), _E(3, 1, 2), _E(3, 0, 2), _E(3, 2, 0)],
-    )
-    _, p1 = is_parabolic(q1)
-    _, p2 = is_parabolic(q2)
-    comb = combine_parabolics(p1, p2)
-    assert comb.dim == 5
-    assert comb.flag_dims == (1, 2, 3)
-
-
-def test_combine_rejects_mixed_ambients(sl2, sl3, borel2):
-    _, p2 = is_parabolic(borel2)
-    borel3 = make_subalgebra(
-        sl3, [_diag(1, -1, 0), _diag(0, 1, -1), _E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)]
-    )
-    _, p3 = is_parabolic(borel3)
-    with pytest.raises(ValueError, match="ambient mismatch"):
-        combine_parabolics(p2, p3)
-
-
-# ---------------------------------------------------------------------------
 # is_horocyclic
 # ---------------------------------------------------------------------------
 
@@ -714,7 +629,7 @@ def _full_scan(v):
             u = u.sum(summands[i])
         space = v.space.sum(u)
         mats = space.basis()
-        if all(space.contains_bracket(x, y) for i, x in enumerate(mats) for y in mats[i + 1:]):
+        if all(space.contains_mat(bracket(x, y)) for i, x in enumerate(mats) for y in mats[i + 1:]):
             closed.append((u, space))
     best_u, best = closed[0]
     assert all(best_u.contains_space(u) for u, _ in closed[1:])
@@ -850,7 +765,7 @@ def test_column_pattern_sl4_pipeline():
     assert pmin.nilradical == v.nr
     pmax = maximal_envelope(v, pmin)
     assert pmax.q.space == pmin.q.space
-    assert strengthen(v, pmax).space == v.space
+    assert v.space.contains_space(pmax.nilradical)
 
     w = largest_intermediate(v)
     assert w.space == v.space
