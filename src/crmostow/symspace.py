@@ -3,9 +3,9 @@ Hermitian matrices.
 
 The cone carries the invariant metric ``g_p(A, B) = tr(p⁻¹A p⁻¹B)``; its
 geodesics through the identity are ``t ↦ exp(tH)`` for traceless Hermitian
-``H``.  This module provides distances, Jacobi fields along such geodesics,
-polar and group decompositions adapted to a distinguished subalgebra, the
-associated exhaustion function, and a root search exhibiting a Jacobi field
+``H``.  This module provides Jacobi fields along such geodesics, the group
+decomposition adapted to a distinguished subalgebra, the associated
+exhaustion function, and a root search exhibiting a Jacobi field
 that vanishes at ``t = 1`` but not at ``t = 0``.
 
 All optimizers are deterministic given their seed: multi-start restarts use
@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-# scipy.optimize and scipy.integrate are imported by the functions that run
-# them, so a process that only uses the exact layer never loads them.
+# SciPy is imported by the functions that call it (the optimizers, the
+# random draws, ``jacobi_energy`` and ``counterexample_search``), so the
+# closed-form decomposition and exhaustion never load it.
 
 from .ambient import AmbientAlgebra
 from .crinv import fiber_data
@@ -48,20 +48,13 @@ from .structure import Subalgebra
 
 __all__ = [
     "HERMITIAN_TOL",
-    "UNITARY_TOL",
-    "DET_TOL",
-    "CROSS_CHECK_TOL",
-    "SpdPoint",
     "JacobiFieldSpec",
     "LeviFrame",
     "MostowStructure",
     "MostowDecomposition",
     "CounterexampleReport",
     "HessianProbe",
-    "dist",
-    "polar_decompose",
     "jacobi_eval",
-    "jacobi_norm_sq",
     "jacobi_energy",
     "commuting_split",
     "geodesic_variation_spec",
@@ -77,9 +70,6 @@ __all__ = [
 
 
 HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
-DET_TOL = 1e-8
-CROSS_CHECK_TOL = 1e-8
 _MAX_CONDITION = 1e12
 _STATIONARY_TOL = 1e-5
 # The orbit objective is a sum of squares, so a start that ends at or below
@@ -126,6 +116,13 @@ def _spd_eigenvalues(p: np.ndarray) -> np.ndarray:
     return w
 
 
+def _unitary_factor(zm: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The unitary polar factor ``U·Vh`` of ``ζ·w⁻¹ = U·diag(s)·Vh``; the
+    decompositions certify it by the residual ``‖ζ − u·w‖``."""
+    left, _, right = np.linalg.svd(zm @ np.linalg.inv(w))
+    return left @ right
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
     """``a`` itself; raises ``FloatingPointError`` when an entry overflowed.
     The optimizers count that as a failed start."""
@@ -152,73 +149,6 @@ def _complex_combo(
         if c:
             out += c * m
     return out
-
-
-# --------------------------------------------------------------------------
-# points and distance
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpdPoint:
-    """A positive definite Hermitian matrix of determinant one."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.p)
-        w = _spd_eigenvalues(arr)
-        if abs(float(np.sum(np.log(w)))) > DET_TOL:
-            raise ValueError("determinant not one")
-        object.__setattr__(self, "p", arr)
-
-    @property
-    def size(self) -> int:
-        return self.p.shape[0]
-
-    @staticmethod
-    def identity(n: int) -> "SpdPoint":
-        return SpdPoint(np.eye(n, dtype=complex))
-
-
-def _point_matrix(p) -> np.ndarray:
-    if isinstance(p, SpdPoint):
-        return p.p
-    arr = _as_matrix(p)
-    _spd_eigenvalues(arr)
-    return arr
-
-
-def dist(p, q) -> float:
-    """Geodesic distance ``(Σᵢ log²λᵢ(p⁻¹q))^{1/2}`` between positive points."""
-    pm = _point_matrix(p)
-    qm = _point_matrix(q)
-    w = scipy.linalg.eigh(qm, pm, eigvals_only=True)
-    return float(math.sqrt(np.sum(np.log(w) ** 2)))
-
-
-def polar_decompose(z, det_one: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``z = u·exp(X)`` with ``u`` unitary and ``X`` Hermitian, and
-    traceless under ``det_one``, which needs ``|det z| = 1`` (``ValueError``)."""
-    zm = _as_matrix(z)
-    u_svd, s, vh = np.linalg.svd(zm)
-    if s[-1] <= 1e-13 * s[0]:
-        raise ValueError("singular input")
-    n = zm.shape[0]
-    log_det = float(np.sum(np.log(s)))
-    if det_one and abs(math.expm1(log_det / n)) > DET_TOL:
-        raise ValueError(f"det_one needs |det z| = 1, got |det z| = {math.exp(log_det):.6g}")
-    u = u_svd @ vh
-    x = vh.conj().T @ np.diag(np.log(s)) @ vh
-    x = 0.5 * (x + x.conj().T)
-    if det_one:
-        x = x - (np.trace(x) / n) * np.eye(n)
-    residual = np.linalg.norm(zm - u @ scipy.linalg.expm(x))
-    if not residual <= 1e-8 * _scale(zm):
-        raise ArithmeticError("polar reconstruction failed")
-    if not np.linalg.norm(u.conj().T @ u - np.eye(n)) <= UNITARY_TOL:
-        raise ArithmeticError("polar factor not unitary")
-    return u, x
 
 
 # --------------------------------------------------------------------------
@@ -323,16 +253,6 @@ def jacobi_norm_sq_forms(spec: JacobiFieldSpec, t: float) -> tuple[float, float]
             zji = zp[np.ix_(bj, bi)] * math.exp(-t * gap / 2.0)
             closed += float(np.sum(np.abs(zij + zji.conj().T) ** 2))
     return direct, closed
-
-
-def jacobi_norm_sq(spec: JacobiFieldSpec, t: float) -> float:
-    """Squared metric norm ``g_{exp(tH)}(J(t), J(t))``, cross-checked against
-    the eigenbasis block formula."""
-    direct, closed = jacobi_norm_sq_forms(spec, t)
-    scale = max(1.0, abs(direct))
-    if abs(direct - closed) > CROSS_CHECK_TOL * scale:
-        raise ArithmeticError("cross-check divergence")
-    return direct
 
 
 def jacobi_energy(spec: JacobiFieldSpec) -> float:
@@ -873,6 +793,8 @@ def random_compact_element(
     structure: MostowStructure, rng: np.random.Generator, scale: float = 1.0
 ) -> np.ndarray:
     """A random element of the compact group factor."""
+    import scipy.linalg
+
     coeffs = scale * rng.standard_normal(len(structure.compact_basis))
     return scipy.linalg.expm(_combo(coeffs, structure.compact_basis, structure.size))
 
@@ -881,6 +803,8 @@ def random_group_element(
     structure: MostowStructure, rng: np.random.Generator, scale: float = 0.5
 ) -> np.ndarray:
     """A random element of the full complex group."""
+    import scipy.linalg
+
     k = len(structure.group_basis)
     coeffs = scale * (rng.standard_normal(2 * k))
     return scipy.linalg.expm(
@@ -897,6 +821,8 @@ def _expm_frechet(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The Fréchet derivative ``L(F, S)`` of exp, read off the exponential of
     ``[[F, S], [0, F]]`` (the block method of ``scipy.linalg.expm_frechet``,
     without that function's per-call overhead on small matrices)."""
+    import scipy.linalg
+
     n = f.shape[0]
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = f
@@ -962,6 +888,8 @@ class _ChartFactor:
         """``exp(F)``, with the powers ``F⁰, …, F^{d−1}`` stacked on a
         nilpotent factor (``None`` otherwise) for ``frechet`` to reuse."""
         if self.index is None:
+            import scipy.linalg
+
             return scipy.linalg.expm(f), None
         d, n = self.index, f.shape[0]
         powers = np.empty((d, n, n), dtype=complex)
@@ -1084,6 +1012,7 @@ def _orbit_objective(
     ``df = Re tr(G·dB)`` for ``G = W·diag(2 log λ/λ)·W*``, which is
     ``2 Re tr(G·w*·dw)``.
     """
+    import scipy.linalg
 
     def objective(y: np.ndarray) -> tuple[float, np.ndarray]:
         w, parts = chart.evaluate(y)
@@ -1223,9 +1152,10 @@ def mostow_decompose(
     between ``ζ*ζ`` and ``w*·w`` only until its gradient falls to
     ``_HANDOFF_GTOL``, and so only hands over to stage two, whose
     least-squares solve of ``w*·w = ζ*ζ`` from stage one's coordinates
-    gives the answer.  Deterministic multi-start; a start whose chart value
-    overflows fails, and restarts are compared through the fiber norm
-    ``‖X‖``.
+    gives the answer, and ``u`` is the unitary polar factor of ``ζ·w⁻¹``.
+    Deterministic multi-start; a start whose chart value overflows, or whose
+    residual exceeds the bound below, fails, and the converged restarts are
+    compared through the fiber norm ``‖X‖``.
 
     Either way the result carries the residual ``‖ζ − u·exp(X)·exp(Z)·v‖``,
     and ``NonConvergenceError`` is raised when it exceeds ``tol`` times the
@@ -1259,6 +1189,7 @@ def mostow_decompose(
 
     best = None
     converged_norms: list[float] = []
+    scale = _scale(zm)
     for restart in range(max_restarts):
         rng = np.random.default_rng([seed, restart])
         if restart == 0:
@@ -1294,22 +1225,22 @@ def mostow_decompose(
         x_mat, z_mat = chart.exponent(0, y), chart.exponent(1, y)
         v, _ = group.evaluate(yv)
         try:
-            u, _ = polar_decompose(zm @ np.linalg.inv(w))
-        except (ValueError, ArithmeticError):
+            u = _unitary_factor(zm, w)
+        except np.linalg.LinAlgError:
             continue
         residual = float(np.linalg.norm(zm - u @ w))
-        v_params = np.concatenate([yv[nn_v:], yv[:nn_v]])
-        candidate = (residual, restart, u, x_mat, z_mat, v_params, v)
-        if residual <= tol * _scale(zm):
-            converged_norms.append(float(np.linalg.norm(x_mat)))
+        if not residual <= tol * scale:
+            continue
+        converged_norms.append(float(np.linalg.norm(x_mat)))
         if best is None or residual < best[0]:
-            best = candidate
+            v_params = np.concatenate([yv[nn_v:], yv[:nn_v]])
+            best = (residual, u, x_mat, z_mat, v_params, v)
 
-    if best is None or best[0] > tol * _scale(zm):
+    if best is None:
         raise NonConvergenceError("non-convergent")
 
     agree = _check_restart_agreement(converged_norms, _AGREE_TOL, require_unique)
-    residual, _, u, x_mat, z_mat, v_params, v = best
+    residual, u, x_mat, z_mat, v_params, v = best
     return MostowDecomposition(
         u=u,
         X=x_mat,
@@ -1614,8 +1545,7 @@ def _closed_form_decompose(zm: np.ndarray, structure: MostowStructure, tol: floa
     if structure.herm_basis:
         v = v @ _hermitian_function(_combo(herm, structure.herm_basis, n), np.exp)
     w = _hermitian_function(xmat, np.exp) @ v
-    left, _, right = np.linalg.svd(zm @ np.linalg.inv(w))
-    u = left @ right
+    u = _unitary_factor(zm, w)
     residual = float(np.linalg.norm(zm - u @ w))
     if not residual <= tol * _scale(zm):
         raise NonConvergenceError("non-convergent")
@@ -1755,8 +1685,8 @@ def exhaustion_phi(
 def minor_log_inequality(h) -> tuple[float, float, bool]:
     """Compare ``Σ log²λ_ℓ(h)`` with ``Σ log²(D_ℓ/D_{ℓ−1})`` of the leading
     principal minors.  The first dominates, strictly unless ``h`` is diagonal."""
-    hm = _point_matrix(h)
-    w = np.linalg.eigvalsh(hm)
+    hm = _as_matrix(h)
+    w = _spd_eigenvalues(hm)
     lhs = float(np.sum(np.log(w) ** 2))
     chol = np.linalg.cholesky(hm)
     diag = np.real(np.diag(chol))
@@ -1804,6 +1734,7 @@ def _counterexample_lhs(lam1: float, lam2: float, a: float, b: float, c: float) 
 def counterexample_search(seed: int = 0) -> CounterexampleReport:
     """Find real parameters ``(λ₁, λ₂, a, b, c)`` with ``ab > 0`` making the
     one-variable reduction vanish, and assemble the witnessing matrices."""
+    import scipy.linalg
     import scipy.optimize
 
     rng = np.random.default_rng(seed)

@@ -858,13 +858,33 @@ class TestContract:
         assert proc.stdout == "False\n[]\nFalse\n"
 
     def test_symspace_import_leaves_out_optimizers(self):
-        # scipy.optimize and scipy.integrate load on the first call that runs them
+        # SciPy loads on the first call that runs it, and no SciPy module
+        # loads with symspace
         script = (
             "import sys\n"
             "import crmostow.symspace\n"
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = _python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_closed_form_on_a_zeta_file_loads_no_scipy(self, tmp_path):
+        structure = symspace.mostow_structure(catalog.build("su22_f12").subalgebra)
+        zeta = symspace.random_group_element(structure, np.random.default_rng(5), 0.3)
+        path = tmp_path / "zeta.json"
+        path.write_text(json.dumps(cli._float_matrix_to_json(zeta)))
+        script = (
+            "import contextlib, io, sys\n"
+            "from crmostow import cli\n"
+            "for command in ('decompose', 'exhaust'):\n"
+            "    argv = [command, '--catalog', 'su22_f12', '--zeta', sys.argv[1]]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.main(argv) != 0:\n"
+            "            sys.exit(f'{argv} failed')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = _python("-c", script, str(path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

@@ -1,4 +1,4 @@
-"""Tests for the symmetric-space numerics: distances, Jacobi fields, the
+"""Tests for the symmetric-space numerics: Jacobi fields, the
 two-stage group decomposition, the exhaustion function, and the associated
 inequalities and probes."""
 
@@ -24,7 +24,6 @@ from crmostow.symspace import (
     CounterexampleReport,
     JacobiFieldSpec,
     MostowDecomposition,
-    SpdPoint,
     _ChartFactor,
     _check_restart_agreement,
     _decomposition_chart,
@@ -34,17 +33,15 @@ from crmostow.symspace import (
     _stage_b_residual,
     commuting_split,
     counterexample_search,
-    dist,
     exhaustion_phi,
     geodesic_variation_spec,
     jacobi_energy,
     jacobi_eval,
-    jacobi_norm_sq,
+    jacobi_norm_sq_forms,
     minor_log_inequality,
     mostow_decompose,
     mostow_structure,
     phi_levi_probe,
-    polar_decompose,
     random_compact_element,
     random_group_element,
 )
@@ -199,93 +196,6 @@ def _forbid_solvers(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
 
 
-class TestDistance:
-    def test_identity_distance_zero(self):
-        assert dist(np.eye(3), np.eye(3)) == 0.0
-
-    def test_two_by_two_exponential_point(self):
-        p = np.diag([math.e**2, math.e**-2]).astype(complex)
-        assert abs(dist(np.eye(2), p) - math.sqrt(8.0)) < 1e-12
-
-    def test_congruence_invariance(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            p = _random_spd_det_one(n, rng)
-            q = _random_spd_det_one(n, rng)
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            z = z / np.linalg.det(z) ** (1.0 / n)
-            moved = dist(z.conj().T @ p @ z, z.conj().T @ q @ z)
-            assert abs(moved - dist(p, q)) < 1e-8 * max(1.0, dist(p, q))
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError, match="not positive definite"):
-            dist(bad, np.eye(2))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="not positive definite"):
-            dist(np.diag([1.0, -1.0]).astype(complex), np.eye(2))
-
-    def test_point_validation(self):
-        SpdPoint(np.diag([2.0, 0.5]).astype(complex))
-        with pytest.raises(ValueError, match="determinant not one"):
-            SpdPoint(np.diag([2.0, 1.0]).astype(complex))
-        with pytest.raises(ValueError, match="not positive definite"):
-            SpdPoint(np.diag([1.0, -1.0]).astype(complex))
-
-    def test_points_accepted_by_dist(self):
-        p = SpdPoint(np.diag([4.0, 0.25]).astype(complex))
-        assert dist(p, SpdPoint.identity(2)) > 0
-
-
-class TestPolarDecompose:
-    def test_unitary_input(self):
-        rng = np.random.default_rng(3)
-        a = _random_traceless(3, rng)
-        u0 = scipy.linalg.expm(a - a.conj().T)
-        u, x = polar_decompose(u0, det_one=False)
-        assert np.linalg.norm(x) < 1e-10
-        assert np.linalg.norm(u - u0) < 1e-9
-
-    def test_positive_input(self):
-        rng = np.random.default_rng(4)
-        x0 = _random_traceless_hermitian(3, rng)
-        u, x = polar_decompose(scipy.linalg.expm(x0))
-        assert np.linalg.norm(u - np.eye(3)) < 1e-9
-        assert np.linalg.norm(x - x0) < 1e-9
-
-    def test_random_special_linear_reconstruction(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            z = z / np.linalg.det(z) ** (1.0 / 3.0)
-            u, x = polar_decompose(z)
-            recon = u @ scipy.linalg.expm(x)
-            assert np.linalg.norm(z - recon) < 1e-10 * max(1.0, np.linalg.norm(z))
-            assert abs(np.trace(x)) < 1e-10
-
-    def test_singular_input(self):
-        with pytest.raises(ValueError, match="singular input"):
-            polar_decompose(np.diag([1.0, 0.0]).astype(complex))
-
-    @pytest.mark.parametrize(
-        "z, det", [(2.0 * np.eye(2), "4"), (np.diag([1.0, 2.0]), "2")], ids=["2I", "diag-1-2"]
-    )
-    def test_det_one_needs_unit_determinant(self, z, det):
-        # an input error, reported before factoring, not a failed reconstruction
-        with pytest.raises(ValueError, match=rf"\|det z\| = {det}$"):
-            polar_decompose(z.astype(complex))
-        u, x = polar_decompose(z.astype(complex), det_one=False)
-        assert np.linalg.norm(z - u @ scipy.linalg.expm(x)) < 1e-12
-
-    def test_reconstruction_check_raises(self, monkeypatch):
-        # the check is an explicit raise, so it also runs under python -O
-        monkeypatch.setattr(scipy.linalg, "expm", lambda x: 2.0 * np.eye(len(x)))
-        with pytest.raises(ArithmeticError, match="polar reconstruction failed"):
-            polar_decompose(np.diag([2.0, 0.5]).astype(complex))
-
-
 class TestJacobiEval:
     def test_zero_spec_gives_zero_field(self):
         spec = JacobiFieldSpec(
@@ -355,21 +265,23 @@ class TestJacobiNormSq:
         spec = JacobiFieldSpec(h, np.zeros((3, 3)), t_mat)
         expected_tr = float(np.real(np.trace(t_mat @ t_mat)))
         for t in (0.0, 0.5, 1.0, 2.0):
-            assert abs(jacobi_norm_sq(spec, t) - 4.0 * t * t * expected_tr) < 1e-10
+            assert abs(jacobi_norm_sq_forms(spec, t)[0] - 4.0 * t * t * expected_tr) < 1e-10
 
     def test_value_at_zero(self):
         rng = np.random.default_rng(7)
         spec = _random_spec(3, rng)
         expected = float(np.linalg.norm(spec.Z + spec.Z.conj().T) ** 2)
-        assert abs(jacobi_norm_sq(spec, 0.0) - expected) < 1e-9 * max(1.0, expected)
+        assert abs(jacobi_norm_sq_forms(spec, 0.0)[0] - expected) < 1e-9 * max(1.0, expected)
 
     def test_internal_cross_check_passes_on_random_data(self):
+        # the direct pairing against the independent eigenbasis formula
         rng = np.random.default_rng(8)
         for trial in range(20):
             spec = _random_spec(3 + trial % 2, rng, distinct_eigenvalues=bool(trial % 3))
             t = float(rng.uniform(-2.0, 2.0))
-            value = jacobi_norm_sq(spec, t)
-            assert value >= -1e-12
+            direct, closed = jacobi_norm_sq_forms(spec, t)
+            assert direct >= -1e-12
+            assert abs(direct - closed) <= 1e-8 * max(1.0, abs(direct))
 
     def test_norm_growth_from_zero_initial_value(self):
         # a field with J(0)=0 and nonzero derivative grows in norm
@@ -377,8 +289,8 @@ class TestJacobiNormSq:
         h = np.diag([0.8, -0.3, -0.5]).astype(complex)
         x = _random_traceless_hermitian(3, rng)
         spec = geodesic_variation_spec(h, x)
-        n_half = jacobi_norm_sq(spec, 0.5)
-        n_one = jacobi_norm_sq(spec, 1.0)
+        n_half = jacobi_norm_sq_forms(spec, 0.5)[0]
+        n_one = jacobi_norm_sq_forms(spec, 1.0)[0]
         assert 0.0 < n_half < n_one
 
 
@@ -406,7 +318,7 @@ class TestJacobiEnergy:
         rng = np.random.default_rng(11)
         for trial in range(20):
             spec = _random_spec(3 + trial % 2, rng)
-            n1 = jacobi_norm_sq(spec, 1.0)
+            n1 = jacobi_norm_sq_forms(spec, 1.0)[0]
             j0, jd0 = jacobi_eval(spec, 0.0)
             n0 = float(np.real(np.trace(j0 @ j0)))
             cross = float(np.real(np.trace(j0 @ jd0)))
@@ -442,7 +354,7 @@ class TestJacobiEnergy:
             assert fixed is not None and abs(np.trace(fixed @ z)) < 1e-9
             y, t0 = commuting_split(h, fixed)
             diff_spec = JacobiFieldSpec(h, z - y, -0.5 * t0)
-            lhs = jacobi_norm_sq(diff_spec, 1.0)
+            lhs = jacobi_norm_sq_forms(diff_spec, 1.0)[0]
             comm = z @ z.conj().T - z.conj().T @ z
             rhs_val = (
                 float(np.linalg.norm(z + z.conj().T) ** 2)
@@ -1036,6 +948,11 @@ class TestMinorLogInequality:
         with pytest.raises(ValueError, match="not positive definite"):
             minor_log_inequality(np.diag([1.0, -1.0]).astype(complex))
 
+    def test_rejects_non_hermitian(self):
+        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not positive definite"):
+            minor_log_inequality(bad)
+
 
 class TestCounterexampleSearch:
     def test_report_certifies_the_field(self):
@@ -1189,6 +1106,7 @@ class TestClosedForm:
             oracle = mostow_decompose(zeta, optimizer, max_restarts=2, seed=seed)
             assert abs(phi - oracle_phi) <= 1e-12 * oracle_phi
             assert np.linalg.norm(md.X - oracle.X) <= 1e-9
+            assert np.linalg.norm(md.u - oracle.u) <= 1e-9
             assert abs(md.fiber_norm - oracle.fiber_norm) <= 1e-9
             assert abs(md.fiber_norm - np.linalg.norm(x0)) <= 1e-9
 
@@ -1516,7 +1434,7 @@ def _conjugated_optimizer_inputs(name, params):
 class TestOptimizerFailures:
     """On a Cayley-conjugated chart (``herm_basis`` norms up to 135) the
     line searches reach points where the chart value overflows.  That start
-    fails, as does one whose polar factor cannot be reconstructed, and a call
+    fails, as does one whose polar factor cannot be computed, and a call
     whose every start fails raises ``NonConvergenceError``."""
 
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s[0])
@@ -1533,11 +1451,11 @@ class TestOptimizerFailures:
             with pytest.raises(NonConvergenceError, match="non-convergent"):
                 exhaustion_phi(zeta, structure, restarts=2, seed=seed)
 
-    def test_failed_polar_reconstruction_fails_the_start(self, su22_optimizer, monkeypatch):
-        def failing(z, det_one=True):
-            raise ArithmeticError("polar reconstruction failed")
+    def test_failed_polar_factor_fails_the_start(self, su22_optimizer, monkeypatch):
+        def failing(zm, w):
+            raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(symspace, "polar_decompose", failing)
+        monkeypatch.setattr(symspace, "_unitary_factor", failing)
         zeta, _ = _synthesize(su22_optimizer, np.random.default_rng(4))
         with pytest.raises(NonConvergenceError, match="non-convergent"):
             mostow_decompose(zeta, su22_optimizer, max_restarts=2)
