@@ -14,7 +14,6 @@ from functools import cache
 from itertools import combinations
 import random
 
-from .ambient import AmbientAlgebra
 from .exact import (
     QI_I,
     ExactMatrix,
@@ -86,21 +85,19 @@ class FiberData:
 class LeviReport:
     """Sampled scalar Levi-form signatures and the resulting Witt bound.
 
-    ``covector_basis`` spans the characteristic directions (anti-Hermitian
-    matrices trace-orthogonal to the subalgebra plus its conjugate); a
-    sample with integer coordinates ``c`` denotes the real covector
-    ``X ↦ Re tr((Σ c_r S_r) X)``.  ``vector_form`` holds the projections of
-    the basic bracket values onto the fixed complement of the subalgebra
-    plus its conjugate.  ``sampled_signatures`` pairs each sample with the
-    exact ``(positives, negatives)`` of its Hermitian form, counted by
-    Sylvester's law of inertia from a congruence.  ``witt_lower_bound`` is
-    the minimum over samples of ``min(positives, negatives)``.
+    A sample with integer coordinates ``c`` denotes the real covector
+    ``X ↦ Re tr((Σ c_r S_r) X)``, where the ``S_r`` are the canonical basis
+    of the characteristic space c0 (anti-Hermitian matrices
+    trace-orthogonal to the subalgebra plus its conjugate), so each
+    coordinate tuple has length dim c0.  ``sampled_signatures`` pairs each
+    sample with the exact ``(positives, negatives)`` of its Hermitian form,
+    counted by Sylvester's law of inertia from a congruence.
+    ``witt_lower_bound`` is the minimum over samples of
+    ``min(positives, negatives)``.
     """
 
-    vector_form: tuple[tuple[ExactMatrix, ...], ...]
     sampled_signatures: tuple[tuple[tuple[int, ...], int, int], ...]
     witt_lower_bound: int
-    covector_basis: tuple[ExactMatrix, ...]
 
 
 @dataclass(frozen=True)
@@ -120,49 +117,23 @@ class CohomologyRanges:
 
 
 # ---------------------------------------------------------------------------
-# small helpers
-# ---------------------------------------------------------------------------
-
-
-def _trace_projection(amb: AmbientAlgebra, pair: Subspace, comp: Subspace,
-                      ts: list[ExactMatrix]) -> list[ExactMatrix]:
-    """The projections of the ``ts`` in k onto ``comp`` along ``pair``, for
-    the trace-orthogonal complement ``comp`` of ``pair``.
-
-    With w_k the basis of ``comp`` and G_lk = tr(w_k w_l), the ``comp``
-    component of t is Σ g_k w_k where G g = (tr(t w_l))_l, since every
-    member of ``pair`` is trace-orthogonal to every w_l; G is symmetric, so
-    the rows g for all the ts are the rows of (tr(t w_l)) · G⁻¹.  The
-    dimension count and an invertible G certify that k = pair ⊕ comp;
-    otherwise ``ArithmeticError`` is raised.
-    """
-    if pair.dim + comp.dim != amb.space.dim:
-        raise ArithmeticError("pair and its trace complement do not span k")
-    w = comp.basis()
-    try:
-        g_inv = trace_pairing(w, w).inverse()
-    except ValueError as exc:
-        raise ArithmeticError("trace form is degenerate on the complement") from exc
-    return combine(w, trace_pairing(ts, w) @ g_inv)
-
-
-# ---------------------------------------------------------------------------
 # CR type
 # ---------------------------------------------------------------------------
 
 
 def cr_type(v: Subalgebra) -> CRType:
-    """CR dimension and codimension of the pair, with the dual dimension."""
+    """CR dimension and codimension of the pair, with the dual dimension.
+
+    Genericity, ν + cr_codim = dim k − dim v with ν = dim nr(v), holds by a
+    count: v ∩ k0 = L ∩ k0 is a real form of the σ-stable L = v ∩ σ(v), so
+    cr_codim = dim k − dim L − 2ν, and n-reductive means dim v = dim L + ν.
+    """
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
     amb = v.ambient
     nu = v.nr.dim
-    dim_orbit = amb.k0.dim - v.compact_intersection.dim
-    d = dim_orbit - 2 * nu
-    dual = amb.dim - v.dim
-    if nu + d != dual:
-        raise ArithmeticError("genericity identity failed")
-    return CRType(nu, d, dual)
+    d = amb.k0.dim - v.compact_intersection.dim - 2 * nu
+    return CRType(nu, d, amb.dim - v.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +160,12 @@ def fiber_data(v: Subalgebra, q: ParabolicSubalgebra | None = None) -> FiberData
     vqn = v.space.sum(q.nilradical)
     f0 = trace_annihilator(amb.p0.basis(), vqn.basis(), amb.n, real=True)
 
-    # nilpotent factor: invariant complement of nr(v) in nr(v) + n(q),
-    # orthogonal under the conjugation-invariant product Re tr(X Y*)
+    # nilpotent factor: the orthogonal complement of nr(v) in nr(v) + n(q)
+    # under the positive definite tr(x·y*), so a complement by construction.
+    # It is invariant under k ∈ v ∩ k0: [k, ·] keeps nr(v) + n(q), as v ⊆ w ⊆ q,
+    # and tr([k, x]·y*) = −tr(x·[k, y]*) = 0 for y ∈ nr(v), an ideal of v.
     total = v.nr.sum(q.nilradical)
     comp = trace_annihilator(total.basis(), [y.star() for y in v.nr.basis()], amb.n)
-    # dim(A + B) = dim A + dim B − dim(A ∩ B): beside the sum, the count decides A ∩ B = 0
-    if comp.dim + v.nr.dim != total.dim or comp.sum(v.nr) != total:
-        raise ArithmeticError("fiber complement construction failed")
-    if comp.bracket_outside(v.compact_intersection.basis(), comp.basis()) is not None:
-        raise ArithmeticError("fiber complement is not invariant")
     return FiberData(f0, comp, q)
 
 
@@ -245,12 +213,12 @@ def levi_report(
 ) -> LeviReport:
     """Sampled scalar Levi-form signatures and a Witt-index lower bound.
 
-    Characteristic covectors are parametrized by anti-Hermitian matrices
-    trace-orthogonal to the subalgebra plus its conjugate; every sampled
-    signature is exact (Sylvester's law of inertia, read from an exact
-    congruence).
-    Raises when the subalgebra plus its conjugate already fills the ambient
-    algebra.
+    Characteristic covectors are parametrized by c0, the anti-Hermitian
+    matrices trace-orthogonal to the subalgebra plus its conjugate; the form
+    of s ∈ c0 on the basis z of nr(v) is h_s = i·tr(s·[z_a, σ(z_b)]).  Every
+    sampled signature is exact (Sylvester's law of inertia, read from an
+    exact congruence).  Raises when the subalgebra plus its conjugate
+    already fills the ambient algebra.
     """
     if not v.n_reductive_verdict.ok:
         raise ValueError("not n-reductive")
@@ -258,30 +226,18 @@ def levi_report(
     pair = v.space.sum(sigma_image(amb, v.space))
     if pair == amb.space:
         raise ValueError("empty characteristic space")
-    comp = trace_annihilator(amb.space.basis(), pair.basis(), amb.n)
-    c0 = comp.realify().intersect(amb.k0)
-    if c0.dim != cr_type(v).cr_codim:
-        raise ArithmeticError("characteristic space dimension mismatch")
+    # pair is σ-stable and −tr(s·t) is positive definite on k0, so
+    # dim c0 = dim k0 − dim_ℂ pair = dim k0 − dim L − 2ν: cr_type's codimension
+    c0 = trace_annihilator(amb.k0.basis(), pair.basis(), amb.n, real=True)
 
+    # h_s by trace duality, tr(s·[z_a, σz_b]) = tr([s, z_a]·σz_b): dim c0 · ν
+    # commutators.  Hermitian, as s* = −s and [z_a, σz_b]* = [z_b, σz_a].
     zb = v.nr.basis()
-    nu = len(zb)
-    # the bracket values [z_a, σ(z_b)], row-major in (a, b)
-    conj_zb = [amb.sigma(zc) for zc in zb]
-    values = [bracket(za, zc) for za in zb for zc in conj_zb]
-
-    # vector-valued form: component of each bracket value in the complement
-    projected = _trace_projection(amb, pair, comp, values)
-    vector_form = [tuple(projected[a * nu:(a + 1) * nu]) for a in range(nu)]
-
-    # one exact Hermitian matrix per covector-basis direction:
-    # h[a][b] = i * tr(s @ [z_a, σ(z_b)])
-    s_basis = c0.basis()
-    h_basis = []
-    for s in s_basis:
-        h = trace_pairing([s], values).reshape(nu, nu).scale(QI_I)
-        if h != h.star():
-            raise ArithmeticError("scalar Levi form is not Hermitian")
-        h_basis.append(h)
+    conj_zb = [amb.sigma(z) for z in zb]
+    h_basis = [
+        trace_pairing([bracket(s, z) for z in zb], conj_zb).scale(QI_I)
+        for s in c0.basis()
+    ]
 
     @cache  # refinement candidates repeat earlier samples
     def _signature_at(coords: tuple[int, ...]) -> tuple[int, int]:
@@ -313,9 +269,7 @@ def levi_report(
         if not improved:
             break
     witt = min(min(p, n) for _, p, n in recorded)
-    return LeviReport(
-        tuple(vector_form), tuple(recorded), witt, tuple(s_basis)
-    )
+    return LeviReport(tuple(recorded), witt)
 
 
 # ---------------------------------------------------------------------------

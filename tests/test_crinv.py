@@ -1,7 +1,6 @@
 """Tests for CR type, fiber factors, Levi signatures, and cohomology windows."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +13,19 @@ from crmostow.crinv import (
     fiber_data,
     levi_report,
 )
-from crmostow.exact import QI, ExactMatrix, bracket, trace_annihilator
+from crmostow.cli import parse_subalgebra_spec
+from crmostow.exact import (
+    QI,
+    ExactMatrix,
+    bracket,
+    combine,
+    hermitian_inertia,
+    trace_annihilator,
+    trace_pairing,
+)
 from crmostow.parabolic import is_parabolic
 from crmostow.structure import make_subalgebra
+from test_report_digests import CAYLEY_REPORT_SHA256, _cayley_spec
 
 
 def _E(n, i, j, c=1):
@@ -86,6 +95,23 @@ def grass1231():
     )
 
 
+# The n-reductive inputs of tests/test_report_digests.py up to sl(5): the
+# fixed catalog entries, the grassmann_pair grid and the Cayley copies.
+DIGEST_INPUTS = (
+    [name for name in catalog.entry_names() if name not in ("grassmann_pair", "so_n_symmetric")]
+    + ["grassmann_pair {p},{q},{n},{k}".format(**p) for p in catalog.grassmann_parameter_grid(5)]
+    + ["cayley " + label for label in sorted(CAYLEY_REPORT_SHA256) if label != "so_n_symmetric"]
+)
+
+
+def _digest_input(label):
+    kind, _, rest = label.partition(" ")
+    if kind == "cayley":
+        return parse_subalgebra_spec(_cayley_spec(rest))[1]
+    params = dict(zip("pqnk", map(int, rest.split(",")))) if rest else None
+    return catalog.build(kind, params).subalgebra
+
+
 # ---------------------------------------------------------------------------
 # CR type
 # ---------------------------------------------------------------------------
@@ -112,9 +138,19 @@ def test_cr_type_grassmann(grass1231):
 
 
 def test_cr_type_genericity(pair22, flag13, flag12, grass1231):
-    for v in (pair22, flag13, flag12, grass1231):
+    # the identities that crinv proves instead of checking, on every input
+    inputs = [pair22, flag13, flag12, grass1231] + [_digest_input(name) for name in DIGEST_INPUTS]
+    for v in inputs:
         t = cr_type(v)
         assert t.cr_dim + t.cr_codim == t.complex_orbit_dim
+        if t.cr_codim > 0:
+            sampled = levi_report(v).sampled_signatures
+            assert {len(coords) for coords, _, _ in sampled} == {t.cr_codim}
+        fd = fiber_data(v)
+        comp, total = fd.nilpotent_complement, v.nr.sum(fd.envelope.nilradical)
+        assert comp.dim + v.nr.dim == total.dim
+        assert comp.sum(v.nr) == total
+        assert comp.bracket_outside(v.compact_intersection.basis(), comp.basis()) is None
 
 
 def test_cr_type_rejects_non_reductive():
@@ -224,16 +260,12 @@ def test_levi_pair22_flat(pair22):
     rep = levi_report(pair22)
     assert rep.witt_lower_bound == 0
     assert all(p == 0 and n == 0 for _, p, n in rep.sampled_signatures)
-    # the single bracket value lies inside the subalgebra plus conjugate,
-    # so its projected vector form vanishes
-    assert len(rep.vector_form) == 1
-    assert rep.vector_form[0][0].is_zero
 
 
 def test_levi_grassmann(grass1231):
     rep = levi_report(grass1231)
     assert rep.witt_lower_bound == 1
-    assert len(rep.covector_basis) == 4
+    assert all(len(coords) == 4 for coords, _, _ in rep.sampled_signatures)
     nonzero = [(p, n) for _, p, n in rep.sampled_signatures if (p, n) != (0, 0)]
     assert nonzero
     assert all(min(p, n) == 1 for p, n in nonzero)
@@ -276,42 +308,29 @@ def test_levi_deterministic(flag13, monkeypatch):
     assert len(evaluated) == len(distinct) < len(b.sampled_signatures)
 
 
-def _levi_projection_setup(name):
-    entry = catalog.build(name, catalog.REFERENCE_PARAMS.get(name))
-    v, amb = entry.subalgebra, entry.ambient
+@pytest.mark.parametrize("label", DIGEST_INPUTS)
+def test_levi_report_matches_the_full_bracket_route(label):
+    # the route levi_report replaced: c0 as the real points in k0 of a
+    # complex trace annihilator, and each form from all ν² bracket values
+    v = _digest_input(label)
+    amb = v.ambient
     pair = v.space.sum(amb.conj_space(v.space))
     comp = trace_annihilator(amb.space.basis(), pair.basis(), amb.n)
-    return v, amb, pair, comp
-
-
-# every catalog entry with a scalar Levi form (so_n_symmetric is not n-reductive)
-LEVI_ENTRIES = [name for name in catalog.entry_names() if name != "so_n_symmetric"]
-
-
-@pytest.mark.parametrize("name", LEVI_ENTRIES)
-def test_levi_projection_splits_along_pair(name):
-    v, amb, pair, comp = _levi_projection_setup(name)
+    c0 = comp.realify().intersect(amb.k0)
+    assert trace_annihilator(amb.k0.basis(), pair.basis(), amb.n, real=True) == c0
+    if c0.dim == 0:
+        with pytest.raises(ValueError, match="empty characteristic space"):
+            levi_report(v)
+        return
     zb = v.nr.basis()
+    nu = len(zb)
     values = [bracket(za, amb.sigma(zc)) for za in zb for zc in zb]
-    projected = crinv._trace_projection(amb, pair, comp, values)
-    forms = [form for row in levi_report(v).vector_form for form in row]
-    assert len(projected) == len(forms) == len(values)
-    for t, p, form in zip(values, projected, forms):
-        assert p == form
-        assert comp.contains_mat(p)
-        assert pair.contains_mat(t - p)
-
-
-def test_levi_projection_certificate_raises():
-    _, amb, pair, comp = _levi_projection_setup("su23_f13")
-    assert comp.dim >= 2
-    w = comp.basis()
-    dependent = SimpleNamespace(dim=comp.dim, basis=lambda: [w[0]] * comp.dim)
-    with pytest.raises(ArithmeticError):
-        crinv._trace_projection(amb, pair, dependent, [])
-    short = SimpleNamespace(dim=comp.dim - 1, basis=lambda: w[1:])
-    with pytest.raises(ArithmeticError):
-        crinv._trace_projection(amb, pair, short, [])
+    h_basis = [
+        trace_pairing([s], values).reshape(nu, nu).scale(QI(0, 1)) for s in c0.basis()
+    ]
+    for coords, p, n in levi_report(v).sampled_signatures:
+        assert len(coords) == c0.dim
+        assert hermitian_inertia(combine(h_basis, ExactMatrix([coords]))[0]) == (p, n)
 
 
 def _check_signature_against_numpy(h_np, q=1):

@@ -37,6 +37,12 @@ WORKING_FORM = {
     "_coords", "_irows", "_residue_mat", "_residue",
 }
 
+# The most ``raise ArithmeticError`` self-checks each module may hold (0 for
+# a module that is not listed).  A guard that can never fire is a bug: it is
+# either fired by a test or deleted with a proof that it cannot fire, so a
+# count here only ever falls.
+ARITHMETIC_ERROR_RAISES = {"crinv": 0, "exact": 2, "parabolic": 18, "structure": 6, "symspace": 3}
+
 
 def _tree(name):
     return ast.parse(pathlib.Path(crmostow.__path__[0], f"{name}.py").read_text())
@@ -98,3 +104,16 @@ def _cache_accesses(name):
 def test_only_structure_touches_the_caches(name):
     assert _cache_accesses(name) == set()
 
+
+def _arithmetic_error_raises(name):
+    raised = (
+        node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    )
+    return sum(isinstance(e, ast.Name) and e.id == "ArithmeticError" for e in raised)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_arithmetic_error_raises_only_fall(name):
+    assert _arithmetic_error_raises(name) <= ARITHMETIC_ERROR_RAISES.get(name, 0)
